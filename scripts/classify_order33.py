@@ -4,8 +4,8 @@
 This is the dedicated runner for the extended reproduction target: it
 searches (33;16,16,15,11;25) and (33;16,16,13,12;24) from scratch,
 classifies the results, and checks the class representatives against the
-bundled catalog. Takes roughly ten minutes on one core; scale with
---jobs or the GSDF_JOBS environment variable.
+bundled catalog. Takes about 70 s in one process on a 2-core x86-64
+machine; scale with --jobs or the GSDF_JOBS environment variable.
 
     python scripts/classify_order33.py [--jobs N] [--out-dir DIR]
 """
@@ -17,14 +17,14 @@ import time
 from gsdf.catalog import catalog_groups
 from gsdf.equivalence import canonical_key
 from gsdf.family import write_families
+from gsdf.matcher import default_jobs
 from gsdf.params import kkss_param_sets
 from gsdf.search import SearchOptions, search_param
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--jobs", type=int,
-                    default=max(1, int(os.environ.get("GSDF_JOBS", "1"))))
+    ap.add_argument("--jobs", type=int, default=default_jobs())
     ap.add_argument("--threshold", type=int, default=10 ** 7)
     ap.add_argument("--out-dir", help="write the matched families here")
     args = ap.parse_args(argv)

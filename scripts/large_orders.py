@@ -4,9 +4,12 @@
 Reproduces the classified families for v = 33..49 from scratch and
 compares class counts with the bundled catalog (order 49 is included as
 a nonexistence check: its kkss parameter set admits no family). These
-runs grow steeply with v — order 33 finishes in minutes, order 37 takes
-hours, and orders 41..45 are multi-day on a single core. Restrict the
-workload with --order/--type and parallelise with --jobs.
+runs grow steeply with v: matching time rises about 4x for each step of
+2. On a 2-core x86-64 machine, one process, the v = 31 matches take
+4.5 s for (31;15,15,15,10;24) ksss and 11.5 s for kkss, and
+--order 37 --jobs 2 (every type) finishes in 17 minutes; orders 41 and
+up have not been timed with the current matcher. Restrict the workload
+with --order/--type and parallelise with --jobs.
 
     python scripts/large_orders.py --order 37 --type kkss --jobs 4
 """
@@ -17,6 +20,7 @@ import time
 
 from gsdf.catalog import catalog_groups, table_verdict
 from gsdf.family import write_families
+from gsdf.matcher import default_jobs
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
 from gsdf.search import SearchOptions, search_param
 
@@ -34,8 +38,7 @@ def main(argv=None) -> int:
                     help="restrict to one or more orders (default: all)")
     ap.add_argument("--type", choices=TYPE_NAMES, action="append",
                     help="restrict to one or more symmetry types")
-    ap.add_argument("--jobs", type=int,
-                    default=max(1, int(os.environ.get("GSDF_JOBS", "1"))))
+    ap.add_argument("--jobs", type=int, default=default_jobs())
     ap.add_argument("--threshold", type=int, default=10 ** 7)
     ap.add_argument("--out-dir", help="write matched families here")
     args = ap.parse_args(argv)

@@ -15,18 +15,11 @@ from .blockgen import (RowFileFormatError, collect_rows, read_row_file,
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
 from .equivalence import classify, small_classes
 from .family import FamilyFormatError, format_family, read_families
-from .matcher import DEFAULT_THRESHOLD, bins_match
+from .matcher import DEFAULT_THRESHOLD, bins_match, default_jobs
 from .params import (TYPE_NAMES, enumerate_param_sets, searchable_param_sets,
                      type_applicable)
 from .search import SearchOptions, search_order, table_comparison
 from .verify import build_gs_array, verify_family, write_hadamard
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("GSDF_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_params(args) -> int:
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs=4)
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=default_jobs())
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_match)
 
@@ -224,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--no-classify", action="store_true")
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=default_jobs())
     p.add_argument("--out-dir", help="write family files here")
     p.set_defaults(func=cmd_search)
 
@@ -236,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="existence table; optionally recompute")
     p.add_argument("--recompute", action="store_true")
     p.add_argument("--max-v", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=default_jobs())
     p.set_defaults(func=cmd_table1)
     return ap
 

@@ -8,9 +8,17 @@ n1 + n2 + n3 + n4 = lam.  A case whose four sub-sets are small enough is
 finished by a meet-in-the-middle join over the remaining columns: sorting
 the sets by size as a <= b <= c <= d, the join is attempted once
 #a * #d < threshold and #b * #c < threshold, pairing (a, d) and (b, c).
-Pair row sums are hashed to 64-bit keys (a random-multiplier dot product,
-linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)); hash hits
-are verified exactly before a quadruple is emitted.
+
+Row sums are hashed to 64-bit keys (a random-multiplier dot product,
+linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  The join is
+a sort-merge on these keys: the b x c pair-sum keys are sorted, and the
+needle keys key(target) - key(r_a) - key(r_d) are sorted too, a block of
+a rows at a time, so that looking one sorted array up in the other finds
+the keys on both sides with each search starting where the last ended.
+Only for those few keys are the (a, d) and (b, c) index pairs recovered,
+by a lookup of the unsorted keys in the sorted hit keys.  Distinct rows
+can share a key, so every candidate quadruple is confirmed exactly
+against the target row before it is emitted.
 
 Solutions are returned as tuples of four CyclicSubset, sorted by their
 mask encodings, independent of threshold and of the number of worker
@@ -132,6 +140,24 @@ def _join_case(case: MatchCase, threshold: int) -> list:
     return out
 
 
+def _members(values, sorted_keys):
+    """Mask of the entries of ``values`` that occur in ``sorted_keys``."""
+    pos = np.searchsorted(sorted_keys, values)
+    np.minimum(pos, len(sorted_keys) - 1, out=pos)
+    return sorted_keys[pos] == values
+
+
+def _common(x, y):
+    """Keys of sorted ``x`` that occur in sorted ``y``, with repeats.
+
+    The shorter array is looked up in the longer one; its keys ascend, so
+    each binary search starts where the previous one ended.
+    """
+    if len(x) > len(y):
+        x, y = y, x
+    return x[_members(x, y)]
+
+
 def _serial_join(files, order, lam, depth, ncols):
     fa, fb, fc, fd = (files[i] for i in order)
     mult = _HASH_MULT[:ncols - depth]
@@ -143,38 +169,74 @@ def _serial_join(files, order, lam, depth, ncols):
     ka, kb, kc, kd = keys(fa), keys(fb), keys(fc), keys(fd)
     target = np.full(ncols - depth, lam, dtype=np.int16)
     key_t = (target.astype(np.uint64) * mult).sum(dtype=np.uint64)
+    nc, nd = len(kc), len(kd)
 
-    nb, nc, nd = len(kb), len(kc), len(kd)
     build = (kb[:, None] + kc[None, :]).ravel()
-    build_order = np.argsort(build, kind="stable")
-    build_sorted = build[build_order]
+    build.sort()
+    # Probe with the sorted needles key_t - key(a) - key(d), a block of a
+    # rows at a time; then find which unsorted needles carry a hit key.
+    hit_a, hit_d, hit_key = [], [], []
+    rows_a = max(1, _PROBE_CHUNK // nd)
+    for a0 in range(0, len(ka), rows_a):
+        need = (key_t - ka[a0:a0 + rows_a, None] - kd[None, :]).ravel()
+        found = _common(np.sort(need), build)
+        if len(found):
+            j = np.nonzero(_members(need, found))[0]
+            hit_a.append(a0 + j // nd)
+            hit_d.append(j % nd)
+            hit_key.append(need[j])
+    del build
+    if not hit_key:
+        return []
+    hit_a, hit_d, hit_key = (np.concatenate(x) for x in (hit_a, hit_d, hit_key))
 
-    ra = fa.rows[:, res].astype(np.int16)
-    rb = fb.rows[:, res].astype(np.int16)
-    rc = fc.rows[:, res].astype(np.int16)
-    rd = fd.rows[:, res].astype(np.int16)
+    # Recover the (b, c) pairs whose sum is a hit key, one block of b rows
+    # at a time, without keeping the pair sums.
+    hit_keys = np.unique(hit_key)
+    pair_b, pair_c = [], []
+    rows_b = max(1, _PROBE_CHUNK // nc)
+    for b0 in range(0, len(kb), rows_b):
+        sums = (kb[b0:b0 + rows_b, None] + kc[None, :]).ravel()
+        j = np.nonzero(_members(sums, hit_keys))[0]
+        pair_b.append(b0 + j // nc)
+        pair_c.append(j % nc)
+    pair_b, pair_c = np.concatenate(pair_b), np.concatenate(pair_c)
+    pair_key = kb[pair_b] + kc[pair_c]
+    by_key = np.argsort(pair_key)
+    pair_b, pair_c, pair_key = pair_b[by_key], pair_c[by_key], pair_key[by_key]
 
+    # Every (a, d) hit meets every (b, c) pair of its key; hash collisions
+    # make more than one, so each quadruple is confirmed on its rows.
+    lo = np.searchsorted(pair_key, hit_key, side="left")
+    count = np.searchsorted(pair_key, hit_key, side="right") - lo
+    ra, rb, rc, rd = (f.rows[:, res].astype(np.int16) for f in (fa, fb, fc, fd))
+    masks = (fa.masks, fb.masks, fc.masks, fd.masks)
     out = []
-    total = len(ka) * nd
-    for start in range(0, total, _PROBE_CHUNK):
-        flat = np.arange(start, min(start + _PROBE_CHUNK, total))
-        ia, idx_d = np.divmod(flat, nd)
-        need = key_t - ka[ia] - kd[idx_d]
-        lo = np.searchsorted(build_sorted, need, side="left")
-        hi = np.searchsorted(build_sorted, need, side="right")
-        for j in np.nonzero(hi > lo)[0]:
-            i_a, i_d = int(ia[j]), int(idx_d[j])
-            for pos in build_order[lo[j]:hi[j]]:
-                i_b, i_c = divmod(int(pos), nc)
-                total_row = ra[i_a] + rb[i_b] + rc[i_c] + rd[i_d]
-                if np.array_equal(total_row, target):
-                    quad = [None] * 4
-                    quad[order[0]] = int(fa.masks[i_a])
-                    quad[order[1]] = int(fb.masks[i_b])
-                    quad[order[2]] = int(fc.masks[i_c])
-                    quad[order[3]] = int(fd.masks[i_d])
-                    out.append(tuple(quad))
+    step = max(1, _PROBE_CHUNK // int(count.max()))
+    for h0 in range(0, len(hit_key), step):
+        n = count[h0:h0 + step]
+        qa = np.repeat(hit_a[h0:h0 + step], n)
+        qd = np.repeat(hit_d[h0:h0 + step], n)
+        first = np.cumsum(n) - n
+        pos = np.repeat(lo[h0:h0 + step] - first, n) + np.arange(n.sum())
+        qb, qc = pair_b[pos], pair_c[pos]
+        ok = ((ra[qa] + rb[qb] + rc[qc] + rd[qd]) == target).all(axis=1)
+        cols = [None] * 4
+        for slot, m, idx in zip(order, masks, (qa, qb, qc, qd)):
+            cols[slot] = m[idx[ok]].tolist()
+        out.extend(zip(*cols))
     return out
+
+
+def default_jobs() -> int:
+    """Worker count from the GSDF_JOBS environment variable.
+
+    Unset, invalid or below 1 gives 1.
+    """
+    try:
+        return max(1, int(os.environ.get("GSDF_JOBS", "1")))
+    except ValueError:
+        return 1
 
 
 def _solve_case(args):
@@ -190,7 +252,7 @@ def bins_match(files, lam: int, threshold: int = DEFAULT_THRESHOLD,
     cases = match_cases(files, lam)
     v = files[0].v
     if jobs is None:
-        jobs = int(os.environ.get("GSDF_JOBS", "1"))
+        jobs = default_jobs()
     if jobs > 1 and len(cases) > 1:
         with get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_solve_case, [(c, threshold) for c in cases])

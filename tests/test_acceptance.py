@@ -5,7 +5,6 @@ mathematical outcome and the runtime budget it is expected to meet.
 Criterion 4 repeats a published order-33 classification from scratch and
 is tagged ``extended``; run it explicitly with ``pytest -m extended``.
 """
-import os
 import time
 
 import numpy as np
@@ -16,7 +15,7 @@ from gsdf.catalog import catalog_entries, catalog_groups
 from gsdf.equivalence import (Dilate, apply_transform, are_equivalent,
                               canonical_key, classify,
                               equivalent_by_enumeration, small_classes)
-from gsdf.matcher import bins_match, brute_force_match
+from gsdf.matcher import bins_match, brute_force_match, default_jobs
 from gsdf.params import GsParamSet
 from gsdf.search import (SearchOptions, search_order, search_param,
                          table_comparison)
@@ -106,7 +105,7 @@ def test_criterion_3_small_order_class_counts():
 def test_criterion_4_order_33_full_classification():
     """From-scratch order-33 kkss classification matches the bundled classes."""
     t0 = time.monotonic()
-    jobs = max(1, int(os.environ.get("GSDF_JOBS", "1")))
+    jobs = default_jobs()
     expected = {
         (16, 16, 15, 11): (480, 6, 12),
         (16, 16, 13, 12): (1120, 14, 28),

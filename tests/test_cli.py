@@ -85,6 +85,16 @@ def test_generate_rejects_bad_kind():
     assert exc.value.code == 2
 
 
+def test_generate_rejects_orders_beyond_mask_width(tmp_path):
+    out = tmp_path / "rows.txt"
+    for kind, k in (("symmetric", 3), ("skew", 32)):
+        rc, _, err = run("generate", "65", str(k), kind, "-o", str(out))
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "63" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- match
 
 @pytest.fixture()

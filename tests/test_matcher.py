@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gsdf.blockgen import RowFile, collect_rows, difference_counts
+import gsdf.matcher
 from gsdf.family import family_from_blocks, format_family
 from gsdf.matcher import (BRUTE_FORCE_GUARD, bins_match, brute_force_match,
-                          match_cases)
+                          default_jobs, match_cases)
 from gsdf.zmod import CyclicSubset
 
 
@@ -99,14 +100,45 @@ def random_instance(rng, v):
     return files, lam
 
 
-def test_randomized_agreement_with_brute_force():
+def agree_on_random_instances(thresholds) -> int:
+    """Compare bins_match with brute force on 25 random instances; count
+    the solvable ones."""
     rng = np.random.default_rng(20260823)
     hits = 0
     for trial in range(25):
         v = int(rng.choice([5, 7, 9, 11, 13]))
         files, lam = random_instance(rng, v)
         expected = brute_force_match(files, lam)
-        for threshold in (1, 10 ** 7):
+        for threshold in thresholds:
             assert bins_match(files, lam, threshold=threshold) == expected
         hits += bool(expected)
-    assert hits  # the sample should contain some solvable instances
+    return hits
+
+
+def test_randomized_agreement_with_brute_force():
+    # the sample should contain some solvable instances
+    assert agree_on_random_instances((1, 10 ** 7))
+
+
+def test_exact_confirmation_under_hash_collisions(monkeypatch):
+    """With every multiplier 1 a key is the row sum, which is constant over
+    each file's candidates, so nearly every pair meets every pair on its key
+    and only the exact row check separates families from collisions."""
+    monkeypatch.setattr(gsdf.matcher, "_HASH_MULT", np.ones(64, dtype=np.uint64))
+    assert agree_on_random_instances((1, 10, 10 ** 7))
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    expected = brute_force_match(fs, 7)
+    assert len(expected) == 480
+    for threshold in (1, 10, 10 ** 7):
+        assert bins_match(fs, 7, threshold=threshold) == expected
+
+
+def test_default_jobs_from_environment(monkeypatch):
+    monkeypatch.delenv("GSDF_JOBS", raising=False)
+    assert default_jobs() == 1
+    for value, jobs in (("3", 3), ("1", 1), ("0", 1), ("-2", 1), ("abc", 1), ("", 1)):
+        monkeypatch.setenv("GSDF_JOBS", value)
+        assert default_jobs() == jobs
+    fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
+    monkeypatch.setenv("GSDF_JOBS", "abc")
+    assert len(bins_match(fs, 3, jobs=None)) == 56
