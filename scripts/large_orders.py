@@ -3,7 +3,9 @@
 
 Reproduces the classified families for v = 33..49 from scratch and
 compares class counts with the bundled catalog (order 49 is included as
-a nonexistence check: its kkss parameter set admits no family). These
+a nonexistence check: its kkss parameter set admits no family). Where the
+catalog bundles no classes for a type (e.g. ksss at 33 and 37), only
+whether families exist is compared, with the existence table. These
 runs grow steeply with v: matching time rises about 4x for each step of
 2. On a 2-core x86-64 machine, one process, the v = 31 matches take
 4.5 s for (31;15,15,15,10;24) ksss and 11.5 s for kkss, and
@@ -27,9 +29,24 @@ from gsdf.search import SearchOptions, search_param
 ORDERS = (33, 37, 41, 43, 45, 49)
 
 
-def expected_classes(v, type_name):
-    group = catalog_groups().get((v, type_name), ())
-    return len(group)
+def check_class_count(v, type_name, classes):
+    """Compare a type's class count at order v with the catalog; (ok, line).
+
+    The catalog bundles classes for only some types of an order; for the
+    others, only whether any family exists can be checked, against the
+    existence table.
+    """
+    want = len(catalog_groups().get((v, type_name), ()))
+    if want:
+        ok = classes == want
+        detail = f"catalog has {want}"
+    else:
+        sets = [p for p in searchable_param_sets(v) if type_applicable(p, type_name)]
+        exists = any(table_verdict(v, p.k, type_name) == "yes" for p in sets)
+        ok = (classes > 0) == exists
+        detail = f"not bundled, table says {'yes' if exists else 'no'}"
+    return ok, (f"v={v} {type_name}: {classes} classes, {detail} -> "
+                f"{'ok' if ok else 'MISMATCH'}")
 
 
 def main(argv=None) -> int:
@@ -70,11 +87,9 @@ def main(argv=None) -> int:
                     path = os.path.join(args.out_dir, name)
                     write_families(path, out.families)
                     print(f"  wrote {path}")
-            want = expected_classes(v, type_name)
-            status = "ok" if classes == want else "MISMATCH"
-            failures += status != "ok"
-            print(f"v={v} {type_name}: {classes} classes, catalog has {want} "
-                  f"-> {status}")
+            ok, line = check_class_count(v, type_name, classes)
+            failures += not ok
+            print(line)
     print(f"done in {time.time() - t0:.0f}s, {failures} mismatches")
     return 0 if failures == 0 else 1
 

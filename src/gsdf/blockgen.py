@@ -34,7 +34,7 @@ MAX_V = 63  # masks are int64
 _CHUNK = 1 << 18
 
 
-def _check_width(v: int) -> None:
+def check_width(v: int) -> None:
     if v > MAX_V:
         raise ValueError(f"v={v} is too large: blocks are 64-bit masks, so v <= {MAX_V}")
 
@@ -69,7 +69,7 @@ def skew_masks(v: int) -> np.ndarray:
     """All skew subsets of Z_v as a sorted int64 mask vector."""
     if v % 2 == 0:
         raise ValueError("skew subsets require odd v")
-    _check_width(v)
+    check_width(v)
     p = (v - 1) // 2
     base = sum(1 << (v - i) for i in range(1, p + 1))
     idx = np.arange(1 << p, dtype=np.int64)
@@ -85,7 +85,7 @@ def symmetric_masks(v: int, k: int) -> np.ndarray:
     """All symmetric k-subsets of Z_v (odd v) as a sorted int64 mask vector."""
     if v % 2 == 0:
         raise ValueError("only odd v is supported here")
-    _check_width(v)
+    check_width(v)
     if not 0 <= k <= v:
         raise ValueError(f"size {k} out of range")
     p = (v - 1) // 2

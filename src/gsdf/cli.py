@@ -10,8 +10,8 @@ import argparse
 import os
 import sys
 
-from .blockgen import (RowFileFormatError, collect_rows, read_row_file,
-                       write_row_file)
+from .blockgen import (RowFileFormatError, check_width, collect_rows,
+                       read_row_file, write_row_file)
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
 from .equivalence import classify, small_classes
 from .family import FamilyFormatError, format_family, read_families
@@ -23,6 +23,7 @@ from .verify import build_gs_array, verify_family, write_hadamard
 
 
 def cmd_params(args) -> int:
+    check_width(args.v)  # the orders `generate` and `search` accept
     sets = (enumerate_param_sets(args.v) if args.all
             else searchable_param_sets(args.v))
     if args.type:

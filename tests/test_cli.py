@@ -51,6 +51,16 @@ def test_params_all_includes_unsearchable_sets():
     assert set(default_out.splitlines()) <= set(all_out.splitlines())
 
 
+def test_params_rejects_orders_beyond_mask_width():
+    for argv in (("params", "65"), ("params", "65", "--all")):
+        rc, out, err = run(*argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "63" in err
+    rc, out, _ = run("params", "63")
+    assert rc == 0 and "types:" in out
+
+
 def test_params_even_order_is_an_error():
     rc, _, err = run("params", "4")
     assert rc == 2

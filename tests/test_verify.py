@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsdf.catalog import catalog_entry
-from gsdf.family import family_from_blocks
-from gsdf.verify import (back_circulant, build_gs_array, check_best_matrices,
-                         check_difference_family, check_g_matrices,
-                         check_good_matrices, check_gs_matrices, circulant,
+import gsdf.search
+from gsdf.catalog import catalog_entries, catalog_entry
+from gsdf.family import Family, family_from_blocks
+from gsdf.params import enumerate_param_sets, searchable_param_sets
+from gsdf.search import search_param
+from gsdf.verify import (back_circulant, build_gs_array,
+                         check_difference_family, check_good_matrices,
+                         check_gs_matrices, circulant, family_circulants,
                          hadamard_text, is_hadamard, is_skew_hadamard,
                          r_matrix, verify_family, write_hadamard)
 from gsdf.zmod import CyclicSubset
@@ -32,6 +35,7 @@ def test_circulant_r_identities(v, seed):
     a, b, r = circulant(row), back_circulant(row), r_matrix(v)
     ar = a @ r
     assert np.array_equal(ar, ar.T)  # A R is symmetric for any circulant A
+    assert np.array_equal(ar, a[:, ::-1])  # R reverses columns
     rev = [row[(-m - 1) % v] for m in range(v)]
     assert np.array_equal(ar, back_circulant(rev))
     assert np.array_equal(b, b.T)
@@ -90,16 +94,21 @@ def test_good_matrices():
     assert check_good_matrices(fam)
     with pytest.raises(ValueError):
         check_good_matrices(family_from_blocks(7, [[1, 2, 4]] * 3 + [[0]]))
-    assert check_good_matrices(catalog_entry("45-ksss-a").family)
+    good = catalog_entry("45-ksss-a").family
+    assert check_good_matrices(good)
+    assert check_good_matrices(family_circulants(good))
+    # a translated symmetric block keeps the Gram sum but is no longer symmetric
+    blocks = list(good.blocks)
+    blocks[1] = blocks[1].translate(1)
+    assert not check_good_matrices(family_circulants(Family(good.params, tuple(blocks))))
 
 
 def test_g_and_best_matrices():
-    assert check_g_matrices(catalog_entry("33-kkss-a").family)
-    assert check_best_matrices(catalog_entry("43-kkks-a").family)
-    with pytest.raises(ValueError):
-        check_g_matrices(catalog_entry("43-kkks-a").family)
-    with pytest.raises(ValueError):
-        check_best_matrices(catalog_entry("33-kkss-a").family)
+    # G-matrices and best matrices are the Gram condition on their pattern
+    for label, name in (("33-kkss-a", "g"), ("43-kkks-a", "best")):
+        cert = verify_family(catalog_entry(label).family)
+        assert cert.special_name == name
+        assert cert.special is True and cert.special == cert.gs
 
 
 def test_verify_family_certificate():
@@ -109,7 +118,66 @@ def test_verify_family_certificate():
     assert cert.special_name == "good" and cert.special
     bad = family_from_blocks(7, [[1, 2, 4], [1, 2, 4], [1, 2, 3], [0]])
     cert = verify_family(bad)
-    assert not cert.ok and not cert.diff.ok
+    assert not cert.ok and not cert.diff.ok and not cert.lam_matches
+    assert not cert.gs and not cert.hadamard
+    assert cert.special_name == "best" and cert.special is False
+
+
+def test_verify_family_uses_the_public_checks():
+    for e in catalog_entries():
+        fam = e.family
+        cert = verify_family(fam)
+        mats = family_circulants(fam)
+        h = build_gs_array(fam)
+        assert cert.diff == check_difference_family(fam.blocks)
+        assert cert.gs == check_gs_matrices(fam) == check_gs_matrices(mats)
+        assert cert.hadamard == is_hadamard(h)
+        assert cert.skew_type == is_skew_hadamard(h)
+        if fam.pattern == "ksss":
+            assert cert.special == check_good_matrices(fam)
+
+
+@st.composite
+def _four_blocks(draw):
+    """Random blocks of a parameter set's sizes at odd v <= 63 (mostly not a
+    difference family), or a catalog family with every block translated
+    (still one)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.integers(0, 3)) == 0:
+        fam = draw(st.sampled_from(catalog_entries())).family
+        blocks = tuple(b.translate(rnd.randrange(fam.v)) for b in fam.blocks)
+        return Family(fam.params, blocks)
+    v = draw(st.one_of(st.just(63), st.sampled_from(range(3, 64, 2))))
+    params = draw(st.sampled_from(enumerate_param_sets(v)))
+    blocks = tuple(CyclicSubset.from_elements(v, rnd.sample(range(v), k))
+                   for k in params.k)
+    return Family(params, blocks)
+
+
+@given(_four_blocks())
+def test_certificates_agree_with_bit_level_counts(fam):
+    v, blocks = fam.v, fam.blocks
+    cert = verify_family(fam)
+    assert cert.diff.sums == tuple(sum(b.difference_count(s) for b in blocks)
+                                   for s in range(1, v))
+    pafs = [b.paf() for b in blocks]
+    assert cert.gs == all(sum(p[s] for p in pafs) == 0 for s in range(1, v))
+    # the array's off-diagonal blocks cancel for any four circulants
+    assert cert.hadamard == cert.gs
+
+
+def test_search_verifies_each_family_once(monkeypatch):
+    # bench/spans.py times verification by wrapping this module-global name
+    seen = []
+
+    def counting(fam):
+        seen.append(fam)
+        return verify_family(fam)
+
+    monkeypatch.setattr(gsdf.search, "verify_family", counting)
+    params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
+    out = search_param(params, "kkks")
+    assert out.families and seen == out.families
 
 
 def test_hadamard_text_output(tmp_path):
