@@ -2,13 +2,17 @@
 """Long-running exhaustive classification for the larger odd orders.
 
 Reproduces the classified families for v = 33..49 from scratch and
-compares class counts with the bundled catalog (order 49 is included as
-a nonexistence check: its kkss parameter set admits no family). Where the
-catalog bundles no classes for a type (e.g. ksss at 33 and 37), only
-whether families exist is compared, with the existence table. These
-runs grow steeply with v: matching time rises about 4x for each step of
-2. On a 2-core x86-64 machine, one process, the v = 31 matches take
-4.5 s for (31;15,15,15,10;24) ksss and 11.5 s for kkss, and
+matches the classes found with the bundled catalog by canonical key,
+naming catalog labels not found and classes the catalog does not list.
+Order 49 is included as a nonexistence check: its kkss parameter set
+admits no family. Where the catalog bundles no classes for a type (e.g.
+ksss at 33 and 37), only whether families exist is compared, with the
+existence table.
+
+These runs grow steeply with v: matching time rises about 4x for each
+step of 2. On a 2-core x86-64 machine, one process, the v = 31 matches
+take 4.5 s for (31;15,15,15,10;24) ksss and 11.5 s for kkss, the
+order-33 kkss reproduction (--order 33 --type kkss) takes 66 s, and
 --order 37 --jobs 2 (every type) finishes in 17 minutes; orders 41 and
 up have not been timed with the current matcher. Restrict the workload
 with --order/--type and parallelise with --jobs.
@@ -21,6 +25,7 @@ import sys
 import time
 
 from gsdf.catalog import catalog_groups, table_verdict
+from gsdf.equivalence import canonical_key
 from gsdf.family import write_families
 from gsdf.matcher import default_jobs
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
@@ -29,23 +34,32 @@ from gsdf.search import SearchOptions, search_param
 ORDERS = (33, 37, 41, 43, 45, 49)
 
 
-def check_class_count(v, type_name, classes):
-    """Compare a type's class count at order v with the catalog; (ok, line).
+def check_class_count(v, type_name, reps):
+    """Compare a type's classes at order v with the catalog; (ok, line).
 
-    The catalog bundles classes for only some types of an order; for the
-    others, only whether any family exists can be checked, against the
-    existence table.
+    ``reps`` holds one representative per class found. Where the catalog
+    bundles classes for the type, they must be exactly the classes found,
+    compared by canonical key; for the other types only whether any family
+    exists can be checked, against the existence table.
     """
-    want = len(catalog_groups().get((v, type_name), ()))
-    if want:
-        ok = classes == want
-        detail = f"catalog has {want}"
+    bundled = catalog_groups().get((v, type_name), ())
+    if bundled:
+        labels = {canonical_key(e.family): e.label for e in bundled}
+        keys = {canonical_key(r): r for r in reps}
+        missing = sorted(labels[key] for key in labels.keys() - keys.keys())
+        unlisted = [str(keys[key]) for key in sorted(keys.keys() - labels.keys())]
+        ok = not missing and not unlisted
+        detail = f"catalog has {len(bundled)}"
+        if missing:
+            detail += ", missing " + " ".join(missing)
+        if unlisted:
+            detail += ", unlisted " + "; ".join(unlisted)
     else:
         sets = [p for p in searchable_param_sets(v) if type_applicable(p, type_name)]
         exists = any(table_verdict(v, p.k, type_name) == "yes" for p in sets)
-        ok = (classes > 0) == exists
+        ok = bool(reps) == exists
         detail = f"not bundled, table says {'yes' if exists else 'no'}"
-    return ok, (f"v={v} {type_name}: {classes} classes, {detail} -> "
+    return ok, (f"v={v} {type_name}: {len(reps)} classes, {detail} -> "
                 f"{'ok' if ok else 'MISMATCH'}")
 
 
@@ -73,10 +87,10 @@ def main(argv=None) -> int:
                 continue
             if all(table_verdict(v, p.k, type_name) == "no" for p in sets):
                 print(f"v={v} {type_name}: expected empty")
-            classes = 0
+            reps = []
             for params in sets:
                 out = search_param(params, type_name, options)
-                classes += len(out.classes)
+                reps.extend(c.representative for c in out.classes)
                 print(f"v={v} {type_name} {params}: {len(out.families)} "
                       f"families, {len(out.classes)} classes "
                       f"[{time.time() - t0:.0f}s]")
@@ -87,7 +101,7 @@ def main(argv=None) -> int:
                     path = os.path.join(args.out_dir, name)
                     write_families(path, out.families)
                     print(f"  wrote {path}")
-            ok, line = check_class_count(v, type_name, classes)
+            ok, line = check_class_count(v, type_name, reps)
             failures += not ok
             print(line)
     print(f"done in {time.time() - t0:.0f}s, {failures} mismatches")

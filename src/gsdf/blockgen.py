@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .zmod import CyclicSubset, DifferenceRow
+from .zmod import CyclicSubset
 
 KINDS = ("skew", "symmetric")
 PSD_REL_EPS = 1e-6
@@ -121,14 +121,11 @@ def psd_filter(x: CyclicSubset, bound: float, eps: float = None) -> bool:
 
 
 @dataclass
-class CandidateRow:
-    block: CyclicSubset
-    row: DifferenceRow
-
-
-@dataclass
 class RowFile:
-    """Candidate blocks of one kind and size, with their difference rows."""
+    """Candidate blocks of one kind and size, with their difference rows.
+
+    The matcher's case splits are row files too, restricted by `select`.
+    """
 
     v: int
     k: int
@@ -142,16 +139,16 @@ class RowFile:
             raise ValueError(f"kind must be one of {KINDS}")
         if len(self.masks) != len(self.rows):
             raise ValueError("masks/rows length mismatch")
+        self.masks = np.asarray(self.masks, dtype=np.int64)
+        self.rows = np.asarray(self.rows, dtype=np.uint8)
 
     def __len__(self):
         return len(self.masks)
 
-    def __getitem__(self, i) -> CandidateRow:
-        return CandidateRow(CyclicSubset(self.v, int(self.masks[i])),
-                            DifferenceRow(self.v, tuple(int(c) for c in self.rows[i])))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def select(self, keep) -> "RowFile":
+        """The blocks picked by an index or boolean array, in their order."""
+        return RowFile(self.v, self.k, self.kind, self.bound,
+                       self.masks[keep], self.rows[keep])
 
 
 def collect_rows(v: int, k: int, kind: str, filtered: bool = True,
@@ -225,6 +222,10 @@ def read_row_file(path) -> RowFile:
         v, k = int(head[0]), int(head[1])
     except ValueError:
         raise RowFileFormatError("line 1: non-integer v or k")
+    try:
+        check_width(v)
+    except ValueError as exc:
+        raise RowFileFormatError(f"line 1: {exc}")
     kind = head[2]
     if kind not in KINDS:
         raise RowFileFormatError(f"line 1: unknown kind {kind!r}")

@@ -10,11 +10,10 @@ import argparse
 import os
 import sys
 
-from .blockgen import (RowFileFormatError, check_width, collect_rows,
-                       read_row_file, write_row_file)
+from .blockgen import check_width, collect_rows, read_row_file, write_row_file
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
 from .equivalence import classify, small_classes
-from .family import FamilyFormatError, format_family, read_families
+from .family import family_from_blocks, format_family, read_families
 from .matcher import DEFAULT_THRESHOLD, bins_match, default_jobs
 from .params import (TYPE_NAMES, enumerate_param_sets, searchable_param_sets,
                      type_applicable)
@@ -47,7 +46,6 @@ def cmd_generate(args) -> int:
 def cmd_match(args) -> int:
     files = [read_row_file(p) for p in args.files]
     quads = bins_match(files, args.lam, threshold=args.threshold, jobs=args.jobs)
-    from .family import family_from_blocks
     fams = [family_from_blocks(files[0].v, quad) for quad in quads]
     text = "".join(format_family(f) for f in fams)
     if args.out:
@@ -239,10 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FamilyFormatError, RowFileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # includes the file-format errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

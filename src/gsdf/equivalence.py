@@ -32,8 +32,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
 
-from .family import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, Family
-from .zmod import CyclicSubset, _rotate
+from .family import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, Family, block_tag
+from .zmod import CyclicSubset, _rotate, dilate_mask, mask_elements
 
 _TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
 
@@ -85,34 +85,8 @@ def units(v: int) -> tuple:
 
 # --- cached mask-level helpers ----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _elements(v, mask):
-    return CyclicSubset(v, mask).elements
-
-
-@lru_cache(maxsize=None)
-def _negate(v, mask):
-    m = 0
-    for e in _elements(v, mask):
-        m |= 1 << (-e % v)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _dilate(v, mask, u):
-    m = 0
-    for e in _elements(v, mask):
-        m |= 1 << (u * e % v)
-    return m
-
-
-def _tag_of(v, mask):
-    neg = _negate(v, mask)
-    if v % 2 == 1 and 2 * mask.bit_count() + 1 == v and mask & neg == 0:
-        return 0
-    if neg == mask:
-        return 1
-    return None
+_elements = lru_cache(maxsize=None)(mask_elements)
+_dilate = lru_cache(maxsize=None)(dilate_mask)
 
 
 @lru_cache(maxsize=None)
@@ -124,14 +98,14 @@ def _typed_translates(v, mask):
         if t in seen:
             continue
         seen.add(t)
-        tag = _tag_of(v, t)
-        if tag is not None:
-            out.append((t, tag))
+        tag = block_tag(CyclicSubset(v, t))
+        if tag != TAG_NONE:
+            out.append((t, _TAG_CODE[tag]))
     return tuple(out)
 
 
 def _block_key(v, mask, tagcode):
-    return (-mask.bit_count(), tagcode, _elements(v, mask))
+    return (-mask.bit_count(), tagcode, _elements(mask))
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +203,7 @@ def _translatable(v, mask_a, mask_b):
     if mask_b == 0:
         return mask_a == 0
     b0 = (mask_b & -mask_b).bit_length() - 1
-    for a in _elements(v, mask_a):
+    for a in _elements(mask_a):
         if _rotate(mask_a, v, (b0 - a) % v) == mask_b:
             return True
     return False

@@ -12,6 +12,7 @@ s = symmetric, - = neither).  Lines starting with ``#`` are comments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .params import GsParamSet
 from .zmod import CyclicSubset
@@ -49,8 +50,9 @@ class Family:
     def v(self) -> int:
         return self.params.v
 
-    @property
+    @cached_property
     def tags(self) -> tuple:
+        """Per-block tags, computed on first read (the blocks are immutable)."""
         return tuple(block_tag(b) for b in self.blocks)
 
     @property

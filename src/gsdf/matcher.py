@@ -44,21 +44,12 @@ _PROBE_CHUNK = 1 << 20
 
 
 @dataclass
-class _SubSet:
-    masks: np.ndarray
-    rows: np.ndarray
-
-    def select(self, keep) -> "_SubSet":
-        return _SubSet(self.masks[keep], self.rows[keep])
-
-
-@dataclass
 class MatchCase:
     """One branch of the bin-and-match recursion.
 
     ``sums`` records the per-file column value quadruple for each column
     bound so far (their components add to lam columnwise); ``files`` are
-    the four restricted row sets.
+    the four restricted row files.
     """
 
     v: int
@@ -73,14 +64,6 @@ class MatchCase:
     @property
     def sizes(self) -> tuple:
         return tuple(len(f.masks) for f in self.files)
-
-
-def _as_subsets(files) -> tuple:
-    subs = []
-    for f in files:
-        subs.append(_SubSet(np.asarray(f.masks, dtype=np.int64),
-                            np.asarray(f.rows, dtype=np.uint8)))
-    return tuple(subs)
 
 
 def _bin_cases(v, lam, sums, files, col):
@@ -113,7 +96,7 @@ def match_cases(files, lam: int) -> list:
         raise ValueError("row files disagree on v")
     if (v - 1) // 2 < 1:
         raise ValueError("matching needs at least one difference column")
-    return _bin_cases(v, lam, (), _as_subsets(files), 0)
+    return _bin_cases(v, lam, (), tuple(files), 0)
 
 
 def _join_case(case: MatchCase, threshold: int) -> list:
@@ -272,8 +255,7 @@ def brute_force_match(files, lam: int, guard: int = BRUTE_FORCE_GUARD) -> list:
     if work > guard:
         raise ValueError(f"search space {work} exceeds guard {guard}")
     v = files[0].v
-    subs = _as_subsets(files)
-    r1, r2, r3, r4 = (s.rows.astype(np.int16) for s in subs)
+    r1, r2, r3, r4 = (f.rows.astype(np.int16) for f in files)
     out = []
     for i1 in range(sizes[0]):
         p1 = r1[i1]
@@ -289,7 +271,7 @@ def brute_force_match(files, lam: int, guard: int = BRUTE_FORCE_GUARD) -> list:
                     continue
                 hits = np.nonzero((r4 == need).all(axis=1))[0]
                 for i4 in hits:
-                    out.append((int(subs[0].masks[i1]), int(subs[1].masks[i2]),
-                                int(subs[2].masks[i3]), int(subs[3].masks[i4])))
+                    out.append((int(files[0].masks[i1]), int(files[1].masks[i2]),
+                                int(files[2].masks[i3]), int(files[3].masks[i4])))
     out.sort()
     return [tuple(CyclicSubset(v, m) for m in quad) for quad in out]

@@ -13,7 +13,9 @@ shift-and-popcount.  Derived quantities:
 
 Transformations: negation -X, translation X+g, dilation uX (u a unit),
 complement.  A subset is symmetric when -X = X and skew when v is odd,
-|X| = (v-1)/2 and X `intersect` (-X) is empty.
+|X| = (v-1)/2 and X `intersect` (-X) is empty.  Negation and dilation
+are implemented once, on masks (`negate_mask`, `dilate_mask`), for
+`CyclicSubset` and the equivalence machinery alike.
 """
 from __future__ import annotations
 
@@ -30,6 +32,29 @@ def _rotate(mask: int, v: int, s: int) -> int:
         return mask
     full = (1 << v) - 1
     return ((mask << s) | (mask >> (v - s))) & full
+
+
+def mask_elements(mask: int) -> tuple:
+    """The residues whose bits are set, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def negate_mask(v: int, mask: int) -> int:
+    """Mask of -X: reversing v bits sends i to v-1-i, one rotation on to -i."""
+    return _rotate(int(f"{mask:0{v}b}"[::-1], 2), v, 1)
+
+
+def dilate_mask(v: int, mask: int, u: int) -> int:
+    """Mask of uX = {u x mod v : x in X}."""
+    m = 0
+    for e in mask_elements(mask):
+        m |= 1 << (u * e % v)
+    return m
 
 
 @dataclass(frozen=True)
@@ -61,12 +86,7 @@ class CyclicSubset:
 
     @property
     def elements(self) -> tuple:
-        m, out = self.mask, []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return mask_elements(self.mask)
 
     def __len__(self):
         return self.mask.bit_count()
@@ -82,10 +102,7 @@ class CyclicSubset:
 
     def negate(self) -> "CyclicSubset":
         """-X = {-x : x in X}."""
-        m = 0
-        for e in self.elements:
-            m |= 1 << (-e % self.v)
-        return CyclicSubset(self.v, m)
+        return CyclicSubset(self.v, negate_mask(self.v, self.mask))
 
     def translate(self, g: int) -> "CyclicSubset":
         """X + g."""
@@ -96,21 +113,18 @@ class CyclicSubset:
         u %= self.v
         if gcd(u, self.v) != 1:
             raise ValueError(f"{u} is not a unit mod {self.v}")
-        m = 0
-        for e in self.elements:
-            m |= 1 << (u * e % self.v)
-        return CyclicSubset(self.v, m)
+        return CyclicSubset(self.v, dilate_mask(self.v, self.mask, u))
 
     def complement(self) -> "CyclicSubset":
         return CyclicSubset(self.v, self.mask ^ ((1 << self.v) - 1))
 
     def is_symmetric(self) -> bool:
-        return self.negate().mask == self.mask
+        return negate_mask(self.v, self.mask) == self.mask
 
     def is_skew(self) -> bool:
         if self.v % 2 == 0 or 2 * len(self) + 1 != self.v:
             return False
-        return self.mask & self.negate().mask == 0
+        return self.mask & negate_mask(self.v, self.mask) == 0
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""

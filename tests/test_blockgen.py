@@ -87,10 +87,21 @@ def test_collect_rows_sizes(key):
 def test_collect_rows_is_sorted_and_consistent():
     rf = collect_rows(13, 6, "skew")
     assert (np.diff(rf.masks) > 0).all()
-    entry = rf[0]
-    assert entry.row == entry.block.difference_row()
+    first = CyclicSubset(13, int(rf.masks[0]))
+    assert rf.rows[0].tolist() == list(first.difference_row().counts)
     assert rf.bound == 4 * 13
     assert collect_rows(13, 6, "skew", filtered=False).bound is None
+
+
+def test_row_file_coerces_and_selects():
+    rf = RowFile(7, 3, "skew", 28, [11, 22], [(1, 1, 1), (2, 1, 0)])
+    assert rf.masks.dtype == np.int64 and rf.rows.dtype == np.uint8
+    assert rf.rows.shape == (2, 3)
+    again = RowFile(7, 3, "skew", 28, rf.masks, rf.rows)
+    assert again.masks is rf.masks and again.rows is rf.rows  # no copy
+    sub = rf.select(np.array([False, True]))
+    assert (sub.v, sub.k, sub.kind, sub.bound) == (7, 3, "skew", 28)
+    assert sub.masks.tolist() == [22] and sub.rows.tolist() == [[2, 1, 0]]
 
 
 def test_collect_rows_argument_errors():

@@ -11,6 +11,7 @@ import pytest
 from gsdf.cli import build_parser, main
 from gsdf.family import read_families
 from gsdf.verify import verify_family
+from gsdf.zmod import CyclicSubset
 
 
 def run(*argv):
@@ -148,6 +149,20 @@ def test_match_missing_file_is_an_error(tmp_path):
     rc, _, err = run("match", ghost, ghost, ghost, ghost, "--lam", "3")
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_match_rejects_row_files_beyond_mask_width(tmp_path):
+    # element 64 does not fit an int64 mask; {1, 2} does, but v = 65 is
+    # still beyond what `generate` and `search` accept
+    for elements in ([1, 64], [1, 2]):
+        block = CyclicSubset.from_elements(65, elements)
+        counts = " ".join(map(str, block.difference_row().counts))
+        path = tmp_path / "wide.rows"
+        path.write_text(f"65 2 symmetric off\n{','.join(map(str, elements))}|{counts}\n")
+        rc, _, err = run("match", *[str(path)] * 4, "--lam", "0")
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "63" in err
 
 
 # ---------------------------------------------------------------- classify

@@ -1,7 +1,8 @@
 import pytest
 
-from gsdf.family import (Family, FamilyFormatError, block_tag, family_from_blocks,
-                         format_family, read_families, read_family,
+from gsdf.catalog import catalog_entries
+from gsdf.family import (TAG_NONE, Family, FamilyFormatError, block_tag,
+                         family_from_blocks, format_family, read_families, read_family,
                          write_families, write_family)
 from gsdf.params import GsParamSet
 from gsdf.zmod import CyclicSubset
@@ -27,6 +28,20 @@ def test_block_tags():
     assert not untyped.is_typed
     with pytest.raises(ValueError):
         untyped.type_name
+
+
+def test_tags_are_the_block_tags():
+    untyped = 0
+    for e in catalog_entries():
+        blocks = e.family.blocks
+        moved = Family(e.params, tuple(b.translate(i + 1) for i, b in enumerate(blocks)))
+        for fam in (e.family, moved):
+            assert fam.tags == tuple(block_tag(b) for b in fam.blocks)
+            assert fam.pattern == "".join(fam.tags)
+            assert fam.is_typed == (TAG_NONE not in fam.tags)
+        assert e.family.type_name == e.type_name
+        untyped += not moved.is_typed
+    assert untyped == len(catalog_entries())
 
 
 def test_family_validation():

@@ -1,8 +1,11 @@
-"""The class-count comparison of scripts/large_orders.py."""
+"""The class check of scripts/large_orders.py."""
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from gsdf.catalog import catalog_groups
+from gsdf.equivalence import Dilate, Negate, apply_transform
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "large_orders.py"
 
@@ -15,24 +18,45 @@ def large_orders():
     return module
 
 
+def reps(v, type_name):
+    return [e.family for e in catalog_groups()[(v, type_name)]]
+
+
 def test_unbundled_type_is_checked_against_the_table(large_orders):
-    # the catalog bundles no ksss classes at 37; the table says ksss = yes
-    ok, line = large_orders.check_class_count(37, "ksss", 2)
+    # the catalog bundles no ksss classes at 37; the table says ksss = yes.
+    # Only the number of representatives is read, so any two families serve.
+    ok, line = large_orders.check_class_count(37, "ksss", reps(37, "kkss")[:2])
     assert ok and line == "v=37 ksss: 2 classes, not bundled, table says yes -> ok"
-    ok, line = large_orders.check_class_count(37, "ksss", 0)
+    ok, line = large_orders.check_class_count(37, "ksss", [])
     assert not ok and line.endswith("MISMATCH")
 
 
 def test_bundled_type_compares_class_counts(large_orders):
-    ok, line = large_orders.check_class_count(37, "kkss", 7)
+    found = reps(37, "kkss")
+    ok, line = large_orders.check_class_count(37, "kkss", found)
     assert ok and line == "v=37 kkss: 7 classes, catalog has 7 -> ok"
-    ok, line = large_orders.check_class_count(37, "kkss", 6)
-    assert not ok and line == "v=37 kkss: 6 classes, catalog has 7 -> MISMATCH"
+    # other members of the same classes match too
+    moved = [apply_transform(apply_transform(f, Dilate(2)), Negate(0)) for f in found]
+    assert moved != found
+    assert large_orders.check_class_count(37, "kkss", moved)[0]
+    ok, line = large_orders.check_class_count(37, "kkss", found[1:])
+    label = catalog_groups()[(37, "kkss")][0].label
+    assert not ok and line == (f"v=37 kkss: 6 classes, catalog has 7, missing {label}"
+                               " -> MISMATCH")
+
+
+def test_unlisted_class_is_named(large_orders):
+    other = reps(33, "kkss")[0]  # not a class of order 37
+    found = reps(37, "kkss")[1:] + [other]
+    ok, line = large_orders.check_class_count(37, "kkss", found)
+    label = catalog_groups()[(37, "kkss")][0].label
+    assert not ok and line == (f"v=37 kkss: 7 classes, catalog has 7, missing {label}, "
+                               f"unlisted {other} -> MISMATCH")
 
 
 def test_families_where_the_table_says_no(large_orders):
     # every kkss set at 49 is "no" in the table
-    ok, line = large_orders.check_class_count(49, "kkss", 1)
+    ok, line = large_orders.check_class_count(49, "kkss", reps(37, "kkss")[:1])
     assert not ok and line.endswith("table says no -> MISMATCH")
-    ok, _ = large_orders.check_class_count(49, "kkss", 0)
+    ok, _ = large_orders.check_class_count(49, "kkss", [])
     assert ok

@@ -1,11 +1,13 @@
 import cmath
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdf.zmod import BinarySeq, CyclicSubset, DifferenceRow
+from gsdf.zmod import (BinarySeq, CyclicSubset, DifferenceRow, dilate_mask,
+                       mask_elements, negate_mask)
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
 
@@ -164,3 +166,25 @@ def test_skew_closed_under_dilation(x, u):
     if u == 0 or gcd(u, x.v) != 1:
         return
     assert x.dilate(u).is_skew() == x.is_skew()
+
+
+@st.composite
+def wide_masks(draw):
+    """(v, mask, unit u) for v in 1..63, with v = 63 drawn often."""
+    v = draw(st.one_of(st.just(63), st.integers(1, 63)))
+    mask = draw(st.integers(0, (1 << v) - 1))
+    u = draw(st.sampled_from([u for u in range(1, v + 1) if gcd(u, v) == 1]))
+    return v, mask, u
+
+
+@given(wide_masks())
+def test_mask_transforms_match_elementwise_definitions(case):
+    v, mask, u = case
+    elements = mask_elements(mask)
+    assert elements == tuple(i for i in range(v) if mask >> i & 1)
+    assert negate_mask(v, mask) == sum(1 << (-x % v) for x in set(elements))
+    assert dilate_mask(v, mask, u) == sum(1 << (u * x % v) for x in set(elements))
+    x = CyclicSubset(v, mask)
+    negated = {-e % v for e in elements}
+    assert x.is_symmetric() == (negated == set(elements))
+    assert x.is_skew() == (2 * len(elements) + 1 == v and not negated & set(elements))
