@@ -27,7 +27,7 @@ import time
 from gsdf.catalog import catalog_groups, table_verdict
 from gsdf.equivalence import canonical_key
 from gsdf.family import write_families
-from gsdf.matcher import default_jobs
+from gsdf.matcher import DEFAULT_THRESHOLD, default_jobs
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
 from gsdf.search import SearchOptions, search_param
 
@@ -70,12 +70,14 @@ def main(argv=None) -> int:
     ap.add_argument("--type", choices=TYPE_NAMES, action="append",
                     help="restrict to one or more symmetry types")
     ap.add_argument("--jobs", type=int, default=default_jobs())
-    ap.add_argument("--threshold", type=int, default=10 ** 7)
+    ap.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
     ap.add_argument("--out-dir", help="write matched families here")
     args = ap.parse_args(argv)
 
     orders = args.order or ORDERS
     types = args.type or TYPE_NAMES
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
     options = SearchOptions(jobs=args.jobs, threshold=args.threshold)
     t0 = time.time()
     failures = 0
@@ -95,10 +97,7 @@ def main(argv=None) -> int:
                       f"families, {len(out.classes)} classes "
                       f"[{time.time() - t0:.0f}s]")
                 if args.out_dir and out.families:
-                    os.makedirs(args.out_dir, exist_ok=True)
-                    name = (f"{v}-{type_name}-"
-                            + "-".join(map(str, params.k)) + ".fam")
-                    path = os.path.join(args.out_dir, name)
+                    path = os.path.join(args.out_dir, out.file_name)
                     write_families(path, out.families)
                     print(f"  wrote {path}")
             ok, line = check_class_count(v, type_name, reps)

@@ -13,7 +13,7 @@ import sys
 from .blockgen import check_width, collect_rows, read_row_file, write_row_file
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
 from .equivalence import classify, small_classes
-from .family import family_from_blocks, format_family, read_families
+from .family import family_from_blocks, format_family, read_families, write_families
 from .matcher import DEFAULT_THRESHOLD, bins_match, default_jobs
 from .params import (TYPE_NAMES, enumerate_param_sets, searchable_param_sets,
                      type_applicable)
@@ -101,6 +101,8 @@ def cmd_search(args) -> int:
     options = SearchOptions(filtered=not args.no_filter, threshold=args.threshold,
                             jobs=args.jobs, classified=not args.no_classify)
     params_filter = tuple(map(int, args.param.split(","))) if args.param else None
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)  # fail before a long search
     outcomes = search_order(args.v, args.type, options, params_filter)
     if not outcomes:
         print("no applicable parameter sets")
@@ -113,11 +115,8 @@ def cmd_search(args) -> int:
             print(f"  {len(out.classes)} equivalence classes, "
                   f"{len(out.smalls)} small classes")
         if args.out_dir and out.families:
-            name = f"{args.v}-{args.type}-" + "-".join(map(str, out.params.k)) + ".fam"
-            path = os.path.join(args.out_dir, name)
-            with open(path, "w") as fh:
-                for fam in out.families:
-                    fh.write(format_family(fam))
+            path = os.path.join(args.out_dir, out.file_name)
+            write_families(path, out.families)
             print(f"  wrote {path}")
         found += len(out.families)
     return 0 if found else 1

@@ -16,14 +16,17 @@ Two typed families are equivalent iff some composition maps one onto the
 other.  The canonical key of a typed family is the least sorted block-key
 tuple over the *typed* members of its orbit; since the typed subset of an
 orbit is itself an orbit invariant, key equality decides equivalence.
-Enumerating typed members factors per block: for each unit multiplier m,
-only the few translates of m*X_i that are again skew or symmetric can
-appear, and those are found by direct scan (usually just g = 0: a skew
-set is never periodic, and a symmetric aperiodic set admits only the
-trivial symmetric translate).
 
-Small (coarser grouping) classes use only global dilations, acting on the
-unordered multiset of tagged blocks.
+For a fixed unit u each block picks its sign and translate on its own, and
+sorting is monotone (x_i <= y_i for every i bounds each order statistic of
+x by that of y), so the least sorted tuple for u is the sorted tuple of the
+blocks' least options.  Dilation preserves tags and u(X + g) = uX + ug, so
+the typed translates of uX are u times those of X, found once per block by
+direct scan (usually just g = 0: a skew set is never periodic, and a
+symmetric aperiodic set admits only the trivial symmetric translate).
+
+Small classes use only global dilations, acting on the unordered multiset
+of tagged blocks; they refine the full classes.
 """
 from __future__ import annotations
 
@@ -79,8 +82,10 @@ def apply_transform(fam: Family, t) -> Family:
     return Family(fam.params, tuple(blocks))
 
 
+@lru_cache(maxsize=None)
 def units(v: int) -> tuple:
-    return tuple(u for u in range(1, v) if gcd(u, v) == 1)
+    """The units of Z_v, ascending; Z_1 has the one unit 0 (= 1)."""
+    return tuple(u for u in range(v) if gcd(u, v) == 1)
 
 
 # --- cached mask-level helpers ----------------------------------------------
@@ -108,16 +113,16 @@ def _block_key(v, mask, tagcode):
     return (-mask.bit_count(), tagcode, _elements(mask))
 
 
+def _dilated_key(v, mask, tagcode, u):
+    """Key of the block's dilate uX: the block key of small classes."""
+    return _block_key(v, _dilate(v, mask, u), tagcode)
+
+
 @lru_cache(maxsize=None)
-def _block_options(v, mask, tagcode, u):
-    """Sorted candidate block keys for e*u*X + g, over signs e and typed g."""
-    mults = (u,) if tagcode == 1 else (u, v - u)
-    opts = set()
-    for m in mults:
-        dm = _dilate(v, mask, m)
-        for t, tc in _typed_translates(v, dm):
-            opts.add(_block_key(v, t, tc))
-    return tuple(sorted(opts))
+def _least_option(v, mask, tagcode, u):
+    """Least key of e*u*T over signs e and typed translates T (tagcode unused)."""
+    return min(_dilated_key(v, t, tc, m)
+               for t, tc in _typed_translates(v, mask) for m in (u, v - u))
 
 
 def _tagged_blocks(fam: Family):
@@ -133,30 +138,22 @@ def family_sort_key(fam: Family) -> tuple:
     return (v,) + tuple(sorted(_block_key(v, m, tc) for m, tc in _tagged_blocks(fam)))
 
 
-def canonical_key(fam: Family) -> tuple:
-    """Least sorted block-key tuple over the typed members of the orbit."""
+def _least_over_units(fam: Family, block_key) -> tuple:
+    """(v,) + the least over units u of the sorted block_key(v, X, tag, u)."""
     v = fam.v
     tagged = _tagged_blocks(fam)
-    best = None
-    for u in units(v):
-        opts = [_block_options(v, m, tc, u) for m, tc in tagged]
-        for combo in product(*opts):
-            cand = tuple(sorted(combo))
-            if best is None or cand < best:
-                best = cand
-    return (v,) + best
+    return (v,) + min(tuple(sorted(block_key(v, m, tc, u) for m, tc in tagged))
+                      for u in units(v))
+
+
+def canonical_key(fam: Family) -> tuple:
+    """Least sorted block-key tuple over the typed members of the orbit."""
+    return _least_over_units(fam, _least_option)
 
 
 def small_key(fam: Family) -> tuple:
     """Least sorted block-key tuple over global dilations only."""
-    v = fam.v
-    tagged = _tagged_blocks(fam)
-    best = None
-    for u in units(v):
-        cand = tuple(sorted(_block_key(v, _dilate(v, m, u), tc) for m, tc in tagged))
-        if best is None or cand < best:
-            best = cand
-    return (v,) + best
+    return _least_over_units(fam, _dilated_key)
 
 
 def are_equivalent(f1: Family, f2: Family) -> bool:

@@ -47,6 +47,11 @@ class ParamOutcome:
             return "x"
         return "yes" if self.families else "no"
 
+    @property
+    def file_name(self) -> str:
+        """Name of the outcome's family file: '{v}-{type}-{k1-k2-k3-k4}.fam'."""
+        return f"{self.params.v}-{self.type_name}-{'-'.join(map(str, self.params.k))}.fam"
+
 
 def row_files_for(params: GsParamSet, type_name: str, filtered=True, cache=None):
     """The four per-position candidate row sets for a type at a parameter set."""

@@ -188,6 +188,17 @@ def test_classify_small_option(family_file3):
     assert out.splitlines()[0] == "8 families, 2 small equivalence classes"
 
 
+def test_classify_order_one_family(tmp_path):
+    # Z_1 has one unit; a v=1 family is certified by `verify` and classifiable
+    path = tmp_path / "one.fam"
+    path.write_text("1 0 0 0 0 -1 kkkk\n\n\n\n\n")
+    assert run("verify", str(path))[0] == 0
+    for extra in ((), ("--small",)):
+        rc, out, err = run("classify", str(path), *extra)
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1] == "class 1 size 1: (1;0,0,0,0;-1) {} {} {} {}"
+
+
 def test_classify_malformed_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("7 3 3 3 1 3 kkks\n1,2,4\n")
@@ -258,6 +269,23 @@ def test_search_no_classify():
     rc, out, _ = run("search", "3", "kkks", "--no-classify")
     assert rc == 0
     assert "equivalence classes" not in out
+
+
+def test_search_creates_the_output_directory(tmp_path):
+    out_dir = tmp_path / "new" / "nested"
+    rc, out, _ = run("search", "3", "kkks", "--out-dir", str(out_dir))
+    assert rc == 0
+    path = out_dir / "3-kkks-1-1-1-0.fam"
+    assert f"  wrote {path}" in out.splitlines()
+    assert len(read_families(path)) == 8
+
+
+def test_search_out_dir_that_is_a_file_fails_at_once(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    rc, out, err = run("search", "3", "kkks", "--out-dir", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_inapplicable_type_returns_one():

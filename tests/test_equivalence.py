@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,7 @@ from gsdf.equivalence import (Dilate, Exchange, Negate, Translate,
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
                               family_sort_key, small_classes, small_key, units)
-from gsdf.family import family_from_blocks
+from gsdf.family import TAG_NONE, TAG_SKEW, block_tag, family_from_blocks
 from gsdf.matcher import bins_match
 from gsdf.verify import check_difference_family
 
@@ -100,6 +101,73 @@ def test_canonical_key_agrees_with_orbit_enumeration_v13_sampled():
     for i, j in picks:
         assert are_equivalent(fams[i], fams[j]) == \
             equivalent_by_enumeration(fams[i], fams[j])
+
+
+def _block_key(b):
+    """(-size, tag code, elements) of a typed block: skew 0, symmetric 1."""
+    return (-len(b), 0 if block_tag(b) == TAG_SKEW else 1, b.elements)
+
+
+def _exchanges(fam):
+    """The family under every exchange sequence of equal-size blocks."""
+    seen, todo = {fam}, [fam]
+    while todo:
+        f = todo.pop()
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if len(f.blocks[i]) == len(f.blocks[j]):
+                    g = apply_transform(f, Exchange(i, j))
+                    if g not in seen:
+                        seen.add(g)
+                        todo.append(g)
+    return seen
+
+
+def _typed_options(fam, i, u):
+    """Block keys of every e*u*X_i + g (sign e, translation g) that is typed."""
+    dilated = apply_transform(fam, Dilate(u))
+    options = set()
+    for signed in (dilated, apply_transform(dilated, Negate(i))):
+        for g in range(fam.v):
+            b = apply_transform(signed, Translate(i, g)).blocks[i]
+            if block_tag(b) != TAG_NONE:
+                options.add(_block_key(b))
+    return options
+
+
+def _typed_orbit_keys(fam):
+    """Sorted block keys of every typed member e_i*u*X_pi(i) + g_i of the orbit.
+
+    Signs and translations act on each block alone, so a member is typed
+    iff each of its blocks is: every combination of typed block options,
+    under every unit and exchange, is a typed member.
+    """
+    options = {}  # (block, u) -> its typed options, whatever its position
+    for f in _exchanges(fam):
+        for u in units(fam.v):
+            for i in range(4):
+                if (f.blocks[i], u) not in options:
+                    options[f.blocks[i], u] = _typed_options(f, i, u)
+            for keys in product(*(options[b, u] for b in f.blocks)):
+                yield tuple(sorted(keys))
+
+
+def test_key_values_are_the_least_over_the_typed_orbit():
+    fams13 = search_families(13, (6, 6, 4, 4),
+                             ("skew", "skew", "symmetric", "symmetric"), 7)
+    sample13 = random.Random(5).sample(fams13, 4)
+    for fam in FAMS7 + FAMS9 + sample13:
+        v = fam.v
+        assert canonical_key(fam) == (v,) + min(_typed_orbit_keys(fam))
+        dilates = (apply_transform(fam, Dilate(u)).blocks for u in units(v))
+        assert small_key(fam) == (v,) + min(tuple(sorted(map(_block_key, blocks)))
+                                            for blocks in dilates)
+
+
+def test_units():
+    assert units(1) == (0,)
+    assert units(9) == (1, 2, 4, 5, 7, 8)
+    assert units(13) == tuple(range(1, 13))
 
 
 def test_skew_translates_can_leave_the_negation_pair():
