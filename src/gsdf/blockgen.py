@@ -6,18 +6,33 @@ size k consist of floor(k/2) whole pairs {i, v-i} plus the fixed point 0
 when k is odd, giving C((v-1)/2, floor(k/2)) candidates.
 
 Every generated block is reduced to its difference row
-(d_X(1), ..., d_X((v-1)/2)).  A power spectral density filter discards
-blocks with max_{j>0} PSD(j) above a bound: the four blocks of any
-difference family with these parameters satisfy
+(d_X(1), ..., d_X((v-1)/2)), computed for a whole mask vector at once by
+`difference_counts`.  The rows give the power spectral density of the
+block's binary sequence x (x_i = -1 if i in X else +1),
+
+    PSD(j) = |sum_i x_i w^{ij}|^2,  w = exp(2 pi I / v),
+
+with PSD(0) = (v - 2k)^2 and, by Parseval, sum_j PSD(j) = v^2.  As the
+Fourier transform of PAF(s) = v - 4k + 4 d_X(s), an even sequence in s,
+
+    PSD(j) = v + 2 sum_{s=1}^{(v-1)/2} PAF(s) cos(2 pi j s / v),
+
+and PSD(j) = PSD(v - j), so `_psd_max` takes max_{j>0} PSD(j) over
+j = 1 .. (v-1)/2 as one matrix product per chunk of rows.  This is the
+only PSD in the package.  The filter discards blocks with
+max_{j>0} PSD(j) above 4v: the four blocks of any difference family
+with these parameters satisfy
 
     PSD_1(j) + PSD_2(j) + PSD_3(j) + PSD_4(j) = 4v   for j != 0,
 
-so each individual block of a solution has PSD(j) <= 4v and the filter
-with bound 4v never discards a block that takes part in some family.
+and every PSD(j) >= 0, so each individual block of a solution has
+PSD(j) <= 4v and the filter never discards a block that takes part in
+some family.
 
-Row files are plain text: a header line ``v k kind bound`` followed by
-one line per block, ``elements|counts`` (elements comma-separated,
-counts space-separated), sorted by block encoding.
+Row files are plain text: a header line ``v k kind bound`` (bound 4v, or
+``off`` when the filter was off) followed by one line per block,
+``elements|counts`` (elements comma-separated, counts space-separated),
+sorted by block encoding.
 """
 from __future__ import annotations
 
@@ -100,26 +115,6 @@ def symmetric_masks(v: int, k: int) -> np.ndarray:
     return masks
 
 
-def gen_skew(v: int):
-    """Yield every skew subset of Z_v in mask order."""
-    for m in skew_masks(v):
-        yield CyclicSubset(v, int(m))
-
-
-def gen_symmetric(v: int, k: int):
-    """Yield every symmetric k-subset of Z_v in mask order."""
-    for m in symmetric_masks(v, k):
-        yield CyclicSubset(v, int(m))
-
-
-def psd_filter(x: CyclicSubset, bound: float, eps: float = None) -> bool:
-    """True if max_{j>0} PSD(j) <= bound + eps (eps defaults to 1e-6 * bound)."""
-    if eps is None:
-        eps = PSD_REL_EPS * bound
-    psd = x.psd()
-    return bool(psd[1:].max() <= bound + eps) if x.v > 1 else True
-
-
 @dataclass
 class RowFile:
     """Candidate blocks of one kind and size, with their difference rows.
@@ -130,7 +125,7 @@ class RowFile:
     v: int
     k: int
     kind: str
-    bound: object  # numeric PSD bound, or None when the filter was off
+    bound: object  # the PSD bound 4v, or None when the filter was off
     masks: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
 
@@ -151,9 +146,12 @@ class RowFile:
                        self.masks[keep], self.rows[keep])
 
 
-def collect_rows(v: int, k: int, kind: str, filtered: bool = True,
-                 bound: float = None, eps: float = None) -> RowFile:
-    """Generate all blocks of a kind/size, attach rows, optionally PSD-filter."""
+def collect_rows(v: int, k: int, kind: str, filtered: bool = True) -> RowFile:
+    """Generate all blocks of a kind/size, attach rows, optionally PSD-filter.
+
+    The filter keeps blocks with max_{j>0} PSD(j) <= 4v, up to a relative
+    float tolerance of PSD_REL_EPS.
+    """
     if kind == "skew":
         if k != (v - 1) // 2 or v % 2 == 0:
             raise ValueError(f"skew blocks in Z_{v} have size (v-1)/2, not {k}")
@@ -162,44 +160,24 @@ def collect_rows(v: int, k: int, kind: str, filtered: bool = True,
         masks = symmetric_masks(v, k)
     else:
         raise ValueError(f"kind must be one of {KINDS}")
-    if filtered:
-        if bound is None:
-            bound = 4 * v
-        if eps is None:
-            eps = PSD_REL_EPS * bound
-        limit = bound + eps
-    else:
-        bound = None
-
-    kept_masks, kept_rows = [], []
+    bound = 4 * v if filtered else None
+    p = (v - 1) // 2
+    kept_masks, kept_rows = [masks[:0]], [np.empty((0, p), dtype=np.uint8)]
     for start in range(0, len(masks), _CHUNK):
         chunk = masks[start:start + _CHUNK]
         rows = difference_counts(chunk, v)
-        if filtered and v > 1:
-            keep = _psd_max(rows, v, k) <= limit
+        if bound is not None and v > 1:
+            keep = _psd_max(rows, v, k) <= bound + PSD_REL_EPS * bound
             chunk, rows = chunk[keep], rows[keep]
         kept_masks.append(chunk)
         kept_rows.append(rows)
-    p = (v - 1) // 2
-    if kept_masks:
-        masks = np.concatenate(kept_masks)
-        rows = np.concatenate(kept_rows) if len(masks) else np.empty((0, p), dtype=np.uint8)
-    else:
-        masks = np.empty(0, dtype=np.int64)
-        rows = np.empty((0, p), dtype=np.uint8)
-    return RowFile(v, k, kind, bound, masks, rows)
-
-
-def _format_bound(bound) -> str:
-    if bound is None:
-        return "off"
-    f = float(bound)
-    return str(int(f)) if f.is_integer() else repr(f)
+    return RowFile(v, k, kind, bound, np.concatenate(kept_masks),
+                   np.concatenate(kept_rows))
 
 
 def write_row_file(path, rf: RowFile) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{rf.v} {rf.k} {rf.kind} {_format_bound(rf.bound)}\n")
+        fh.write(f"{rf.v} {rf.k} {rf.kind} {'off' if rf.bound is None else rf.bound}\n")
         for mask, row in zip(rf.masks, rf.rows):
             elems = ",".join(map(str, CyclicSubset(rf.v, int(mask)).elements))
             fh.write(elems + "|" + " ".join(str(int(c)) for c in row) + "\n")
@@ -226,12 +204,16 @@ def read_row_file(path) -> RowFile:
         check_width(v)
     except ValueError as exc:
         raise RowFileFormatError(f"line 1: {exc}")
+    if v < 1 or v % 2 == 0:
+        raise RowFileFormatError(f"line 1: difference rows need a positive odd v, got {v}")
     kind = head[2]
     if kind not in KINDS:
         raise RowFileFormatError(f"line 1: unknown kind {kind!r}")
-    bound = None if head[3] == "off" else float(head[3])
+    if head[3] not in ("off", str(4 * v)):
+        raise RowFileFormatError(f"line 1: bound must be 4v = {4 * v} or 'off', got {head[3]!r}")
+    bound = None if head[3] == "off" else 4 * v
     p = (v - 1) // 2
-    masks, rows = [], []
+    linenos, masks, rows = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -251,12 +233,16 @@ def read_row_file(path) -> RowFile:
             raise RowFileFormatError(f"line {lineno}: malformed counts")
         if len(counts) != p:
             raise RowFileFormatError(f"line {lineno}: expected {p} counts, got {len(counts)}")
-        if counts != x.difference_row().counts:
-            raise RowFileFormatError(f"line {lineno}: counts do not match the block")
+        linenos.append(lineno)
         masks.append(x.mask)
         rows.append(counts)
-    m = np.asarray(masks, dtype=np.int64) if masks else np.empty(0, dtype=np.int64)
-    if len(m) > 1 and not (np.diff(m) > 0).all():
-        raise RowFileFormatError("blocks are not sorted by encoding")
-    r = np.asarray(rows, dtype=np.uint8) if rows else np.empty((0, p), dtype=np.uint8)
-    return RowFile(v, k, kind, bound, m, r)
+    m = np.array(masks, dtype=np.int64)
+    derived = difference_counts(m, v)
+    for lineno, counts, row in zip(linenos, rows, derived.tolist()):
+        if counts != tuple(row):
+            raise RowFileFormatError(f"line {lineno}: counts do not match the block")
+    unsorted = np.flatnonzero(np.diff(m) <= 0)
+    if len(unsorted):
+        raise RowFileFormatError(
+            f"line {linenos[unsorted[0] + 1]}: blocks are not sorted by encoding")
+    return RowFile(v, k, kind, bound, m, derived)

@@ -13,10 +13,10 @@ import sys
 from .blockgen import check_width, collect_rows, read_row_file, write_row_file
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
 from .equivalence import classify, small_classes
-from .family import family_from_blocks, format_family, read_families, write_families
+from .family import Family, format_family, read_families, write_families
 from .matcher import DEFAULT_THRESHOLD, bins_match, default_jobs
-from .params import (TYPE_NAMES, enumerate_param_sets, searchable_param_sets,
-                     type_applicable)
+from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
+                     searchable_param_sets, type_applicable)
 from .search import SearchOptions, search_order, table_comparison
 from .verify import build_gs_array, verify_family, write_hadamard
 
@@ -36,8 +36,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    rf = collect_rows(args.v, args.k, args.kind, filtered=not args.no_filter,
-                      bound=args.bound)
+    rf = collect_rows(args.v, args.k, args.kind, filtered=not args.no_filter)
     write_row_file(args.out, rf)
     print(f"{len(rf)} blocks -> {args.out}")
     return 0
@@ -45,8 +44,11 @@ def cmd_generate(args) -> int:
 
 def cmd_match(args) -> int:
     files = [read_row_file(p) for p in args.files]
+    if len({f.v for f in files}) != 1:
+        raise ValueError("row files disagree on v")
+    params = GsParamSet(files[0].v, tuple(f.k for f in files), args.lam)
     quads = bins_match(files, args.lam, threshold=args.threshold, jobs=args.jobs)
-    fams = [family_from_blocks(files[0].v, quad) for quad in quads]
+    fams = [Family(params, quad) for quad in quads]
     text = "".join(format_family(f) for f in fams)
     if args.out:
         with open(args.out, "w") as fh:
@@ -183,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("kind", choices=("skew", "symmetric"))
     p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--bound", type=float, default=None,
-                   help="spectral filter bound (default 4v)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -95,10 +95,6 @@ def write_families(path, families) -> None:
             fh.write(format_family(fam))
 
 
-def write_family(path, fam: Family) -> None:
-    write_families(path, [fam])
-
-
 class FamilyFormatError(ValueError):
     pass
 
@@ -160,11 +156,3 @@ def read_families(path) -> list:
         families.append(fam)
         pos += 5
     return families
-
-
-def read_family(path) -> Family:
-    """Parse a family file expected to hold exactly one record."""
-    fams = read_families(path)
-    if len(fams) != 1:
-        raise FamilyFormatError(f"expected one family record, found {len(fams)}")
-    return fams[0]

@@ -163,11 +163,6 @@ def searchable_param_sets(v: int) -> list:
     return [p for p in enumerate_param_sets(v) if 2 * p.k[0] + 1 == v]
 
 
-def ksss_param_sets(v: int) -> list:
-    """Sets usable with one skew block; nonempty for every odd v."""
-    return searchable_param_sets(v)
-
-
 def kkss_param_sets(v: int) -> list:
     """Sets with k1 = k2 = (v-1)/2; nonempty iff 2v - 1 is a sum of two squares.
 

@@ -66,19 +66,6 @@ def circulant(x) -> np.ndarray:
     return row[_circulant_index(len(row))]
 
 
-def back_circulant(x) -> np.ndarray:
-    """Back-circulant matrix with B[i, j] = row[(i + j) mod v]; symmetric."""
-    row = _as_row(x)
-    v = len(row)
-    j = np.arange(v)
-    return row[(j[None, :] + j[:, None]) % v]
-
-
-def r_matrix(v: int) -> np.ndarray:
-    """The back-circulant identity: R[i, j] = 1 iff i + j = v - 1."""
-    return np.eye(v, dtype=np.int64)[::-1]
-
-
 def family_circulants(fam: Family) -> list:
     rows = np.stack([_as_row(b) for b in fam.blocks])
     return list(rows[:, _circulant_index(fam.v)])
@@ -96,14 +83,14 @@ def _gram(mats) -> np.ndarray:
     return m @ m.T
 
 
-def _is_scalar_matrix(g: np.ndarray, c) -> bool:
+def _is_scalar(g: np.ndarray, c) -> bool:
     """g == c I for a square g and c != 0."""
     return bool((np.diagonal(g) == c).all() and np.count_nonzero(g) == len(g))
 
 
 def _is_skew_type(h: np.ndarray) -> bool:
     """h + h^T == 2I."""
-    return _is_scalar_matrix(h + h.T, 2)
+    return _is_scalar(h + h.T, 2)
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,7 @@ def check_difference_family(blocks) -> DiffFamilyCheck:
 def check_gs_matrices(fam_or_mats) -> bool:
     """sum A_i A_i^T = 4vI for the four block circulants."""
     mats = _matrices(fam_or_mats)
-    return _is_scalar_matrix(_gram(mats), 4 * len(mats[0]))
+    return _is_scalar(_gram(mats), 4 * len(mats[0]))
 
 
 def build_gs_array(fam_or_mats) -> np.ndarray:
@@ -173,7 +160,7 @@ def is_hadamard(h: np.ndarray) -> bool:
     if not ((h == 1) | (h == -1)).all():
         return False
     f = h.astype(np.float64)
-    return _is_scalar_matrix(f @ f.T, len(f))
+    return _is_scalar(f @ f.T, len(f))
 
 
 def is_skew_hadamard(h: np.ndarray) -> bool:
@@ -200,7 +187,7 @@ def check_good_matrices(fam_or_mats) -> bool:
     q = (m @ m.T).reshape(4, v, 4, v)
     if not np.array_equal(q, q.transpose(0, 3, 2, 1)):
         return False
-    return _is_scalar_matrix(sum(q[i, :, i, :] for i in range(4)), 4 * v)
+    return _is_scalar(sum(q[i, :, i, :] for i in range(4)), 4 * v)
 
 
 _SPECIAL_NAMES = {"ksss": "good", "kkss": "g", "kkks": "best"}
@@ -237,7 +224,7 @@ def verify_family(fam: Family) -> FamilyCertificate:
     gram = _gram(mats)
     diff = _difference_check(gram, fam.blocks)
     lam_matches = diff.ok and diff.lam == fam.params.lam
-    gs = _is_scalar_matrix(gram, 4 * fam.v)
+    gs = _is_scalar(gram, 4 * fam.v)
     h = build_gs_array(mats)
     had = is_hadamard(h)
     tags = fam.tags

@@ -3,13 +3,10 @@
 A subset X of Z_v = {0, 1, ..., v-1} is stored as a width-v bitmask
 (bit i set iff i is in X), so translation is a bit rotation and the
 difference multiplicities d_X(s) = |X `intersect` (X+s)| reduce to
-shift-and-popcount.  Derived quantities:
-
-  * binary sequence  x_i = -1 if i in X else +1
-  * PAF(s) = sum_i x_i x_{i+s}  (periodic autocorrelation), which
-    satisfies PAF(s) = v - 4k + 4 d_X(s) for |X| = k
-  * PSD(j) = |sum_i x_i w^{ij}|^2 with w = exp(2*pi*I/v), the power
-    spectral density; by Parseval sum_j PSD(j) = v^2.
+shift-and-popcount.  With the binary sequence x_i = -1 if i in X else +1,
+the periodic autocorrelation PAF(s) = sum_i x_i x_{i+s} satisfies
+PAF(s) = v - 4k + 4 d_X(s) for |X| = k.  The power spectral density
+built on it lives in `blockgen`, with the vectorised difference rows.
 
 Transformations: negation -X, translation X+g, dilation uX (u a unit),
 complement.  A subset is symmetric when -X = X and skew when v is odd,
@@ -21,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 
 def _rotate(mask: int, v: int, s: int) -> int:
@@ -130,58 +125,8 @@ class CyclicSubset:
         """d_X(s) = |X `intersect` (X + s)|."""
         return (self.mask & _rotate(self.mask, self.v, s)).bit_count()
 
-    def difference_row(self) -> "DifferenceRow":
-        """Multiplicities d_X(s) for s = 1 .. (v-1)/2; odd v only."""
-        if self.v % 2 == 0:
-            raise ValueError("difference rows are defined for odd v only")
-        counts = tuple(self.difference_count(s) for s in range(1, (self.v - 1) // 2 + 1))
-        return DifferenceRow(self.v, counts)
-
     def paf(self) -> tuple:
         """Periodic autocorrelation (PAF(0), ..., PAF(v-1)); PAF(0) = v."""
         v, k = self.v, len(self)
         return tuple(v - 4 * k + 4 * self.difference_count(s) if s else v
                      for s in range(v))
-
-    def psd(self) -> np.ndarray:
-        """Power spectral density of the binary sequence; length v, PSD(0) = (v-2k)^2."""
-        spec = np.fft.fft(self.binary_sequence().entries)
-        return (spec * spec.conj()).real
-
-    def binary_sequence(self) -> "BinarySeq":
-        entries = tuple(-1 if self.mask >> i & 1 else 1 for i in range(self.v))
-        return BinarySeq(self.v, entries)
-
-
-@dataclass(frozen=True)
-class BinarySeq:
-    """A {+1,-1} sequence of length v; entry i is -1 iff i lies in the subset."""
-
-    v: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.v:
-            raise ValueError("length mismatch")
-        if any(e not in (-1, 1) for e in self.entries):
-            raise ValueError("entries must be +1 or -1")
-
-    def to_subset(self) -> CyclicSubset:
-        return CyclicSubset.from_elements(
-            self.v, (i for i, e in enumerate(self.entries) if e == -1))
-
-
-@dataclass(frozen=True)
-class DifferenceRow:
-    """The vector (d_X(1), ..., d_X((v-1)/2)) for a subset X of Z_v, v odd."""
-
-    v: int
-    counts: tuple
-
-    def __post_init__(self):
-        if self.v % 2 == 0:
-            raise ValueError("difference rows are defined for odd v only")
-        if len(self.counts) != (self.v - 1) // 2:
-            raise ValueError("count vector has wrong length")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative multiplicity")

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdf.blockgen import (RowFile, RowFileFormatError, collect_rows,
-                           difference_counts, gen_skew, gen_symmetric,
-                           psd_filter, read_row_file, skew_masks,
-                           symmetric_masks, write_row_file)
+from gsdf.blockgen import (PSD_REL_EPS, RowFile, RowFileFormatError, _psd_max,
+                           collect_rows, difference_counts, read_row_file,
+                           skew_masks, symmetric_masks, write_row_file)
 from gsdf.zmod import CyclicSubset
+
+
+def subsets(masks, v):
+    return [CyclicSubset(v, int(m)) for m in masks]
 
 
 @pytest.mark.parametrize("v", [3, 5, 7, 9, 11, 13])
 def test_skew_generation_is_exhaustive(v):
-    got = {x.mask for x in gen_skew(v)}
+    got = set(skew_masks(v).tolist())
     assert len(got) == 2 ** ((v - 1) // 2)
     brute = {m for m in range(1 << v) if CyclicSubset(v, m).is_skew()}
     assert got == brute
@@ -23,7 +26,7 @@ def test_skew_generation_is_exhaustive(v):
 @pytest.mark.parametrize("v", [3, 5, 7, 9, 11])
 def test_symmetric_generation_is_exhaustive(v):
     for k in range(v + 1):
-        got = {x.mask for x in gen_symmetric(v, k)}
+        got = set(symmetric_masks(v, k).tolist())
         assert len(got) == comb((v - 1) // 2, k // 2)
         brute = {m for m in range(1 << v)
                  if CyclicSubset(v, m).is_symmetric() and m.bit_count() == k}
@@ -31,14 +34,14 @@ def test_symmetric_generation_is_exhaustive(v):
 
 
 def test_symmetric_fixed_point_membership():
-    for x in gen_symmetric(9, 3):
+    for x in subsets(symmetric_masks(9, 3), 9):
         assert 0 in x
-    for x in gen_symmetric(9, 4):
+    for x in subsets(symmetric_masks(9, 4), 9):
         assert 0 not in x
 
 
 def test_symmetric_example():
-    assert [x.elements for x in gen_symmetric(7, 3)] == [
+    assert [x.elements for x in subsets(symmetric_masks(7, 3), 7)] == [
         (0, 3, 4), (0, 2, 5), (0, 1, 6)]
 
 
@@ -53,17 +56,31 @@ def test_difference_counts_match_scalar():
         masks = rng.integers(0, 1 << v, size=50).astype(np.int64)
         rows = difference_counts(masks, v)
         for m, row in zip(masks, rows):
-            assert tuple(int(c) for c in row) == CyclicSubset(v, int(m)).difference_row().counts
+            x = CyclicSubset(v, int(m))
+            assert row.tolist() == [x.difference_count(s) for s in range(1, (v - 1) // 2 + 1)]
 
 
 def test_psd_filter_examples():
-    assert psd_filter(CyclicSubset.from_elements(7, [1, 2, 4]), 28)
+    qr7 = CyclicSubset.from_elements(7, [1, 2, 4])
+    assert _psd_max(difference_counts(np.array([qr7.mask]), 7), 7, 3).tolist() == \
+        pytest.approx([8.0])
     # symmetric block at v=25 with spectrum far above the solution bound 4v=100
     hot = CyclicSubset.from_elements(25, range(7, 19))
     assert hot.is_symmetric()
-    assert float(hot.psd()[1:].max()) == pytest.approx(253.6365557936, abs=1e-6)
-    assert not psd_filter(hot, 100)
-    assert psd_filter(hot, 260)
+    rows = difference_counts(np.array([hot.mask]), 25)
+    assert float(_psd_max(rows, 25, 12)[0]) == pytest.approx(253.6365557936, abs=1e-6)
+    assert hot.mask in symmetric_masks(25, 12)
+    assert hot.mask not in collect_rows(25, 12, "symmetric").masks
+    assert hot.mask in collect_rows(25, 12, "symmetric", filtered=False).masks
+
+
+def test_filter_keeps_exactly_the_blocks_within_the_bound():
+    v, k = 21, 10
+    everything = collect_rows(v, k, "skew", filtered=False)
+    peaks = _psd_max(everything.rows, v, k)
+    kept = collect_rows(v, k, "skew")
+    assert kept.masks.tolist() == \
+        everything.masks[peaks <= 4 * v * (1 + PSD_REL_EPS)].tolist()
 
 
 FILTER_PINS = {
@@ -87,8 +104,7 @@ def test_collect_rows_sizes(key):
 def test_collect_rows_is_sorted_and_consistent():
     rf = collect_rows(13, 6, "skew")
     assert (np.diff(rf.masks) > 0).all()
-    first = CyclicSubset(13, int(rf.masks[0]))
-    assert rf.rows[0].tolist() == list(first.difference_row().counts)
+    assert np.array_equal(rf.rows, difference_counts(rf.masks, 13))
     assert rf.bound == 4 * 13
     assert collect_rows(13, 6, "skew", filtered=False).bound is None
 
@@ -136,8 +152,11 @@ def test_row_file_round_trip_unfiltered_empty_block(tmp_path):
     (lambda ls: [ls[0].replace("skew", "weird")] + ls[1:], "kind"),
     (lambda ls: [ls[0]] + [ls[1].replace("|", " ")], "separator"),
     (lambda ls: [ls[0], ls[2], ls[1]] + ls[3:], "sorted"),
-    (lambda ls: [ls[0]] + ["1,2|9 9 9 9 9 9"] + ls[2:], "counts"),
+    (lambda ls: ls[:2] + [ls[2].split("|")[0] + "|9 9 9 9 9 9"] + ls[3:], "counts"),
     (lambda ls: ["13 6"] + ls[1:], "header"),
+    (lambda ls: ["12 6 skew off"], "line 1: .* odd v"),
+    (lambda ls: ["12 6 skew 48"] + ls[1:], "line 1: .* odd v"),
+    (lambda ls: ["13 6 skew 40"] + ls[1:], "line 1: bound must be 4v"),
 ])
 def test_row_file_rejects_corruption(tmp_path, mutate, message):
     rf = collect_rows(13, 6, "skew")
@@ -145,7 +164,25 @@ def test_row_file_rejects_corruption(tmp_path, mutate, message):
     write_row_file(path, rf)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(mutate(lines)) + "\n")
-    with pytest.raises(RowFileFormatError):
+    with pytest.raises(RowFileFormatError, match=message) as err:
+        read_row_file(path)
+    assert str(err.value).startswith("line ")
+
+
+def test_row_file_errors_name_the_line(tmp_path):
+    rf = collect_rows(13, 6, "skew")
+    path = tmp_path / "rows.txt"
+    write_row_file(path, rf)
+    lines = path.read_text().splitlines()
+    elements, counts = lines[3].split("|")
+    assert counts.split() != counts.split()[::-1]
+    bad = lines[:3] + [elements + "|" + " ".join(counts.split()[::-1])] + lines[4:]
+    path.write_text("\n".join(bad) + "\n")
+    with pytest.raises(RowFileFormatError, match="^line 4: counts do not match"):
+        read_row_file(path)
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
+    path.write_text("\n".join(swapped) + "\n")
+    with pytest.raises(RowFileFormatError, match="^line 5: blocks are not sorted"):
         read_row_file(path)
 
 
@@ -153,9 +190,7 @@ def test_row_file_rejects_corruption(tmp_path, mutate, message):
 @given(st.integers(1, 7).map(lambda n: 2 * n + 1), st.data())
 def test_generated_blocks_have_declared_symmetry(v, data):
     k = data.draw(st.integers(0, (v - 1) // 2))
-    for x in gen_symmetric(v, k):
+    for x in subsets(symmetric_masks(v, k), v):
         assert x.is_symmetric() and len(x) == k
-    for i, x in enumerate(gen_skew(v)):
+    for x in subsets(skew_masks(v)[:42], v):
         assert x.is_skew()
-        if i > 40:
-            break

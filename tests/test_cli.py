@@ -8,6 +8,7 @@ import contextlib
 
 import pytest
 
+import gsdf.cli
 from gsdf.cli import build_parser, main
 from gsdf.family import read_families
 from gsdf.verify import verify_family
@@ -77,7 +78,7 @@ def test_generate_writes_readable_row_file(tmp_path):
     assert out == f"8 blocks -> {path}\n"
     from gsdf.blockgen import read_row_file
     rf = read_row_file(str(path))
-    assert (rf.v, rf.k, rf.kind, len(rf)) == (7, 3, "skew", 8)
+    assert (rf.v, rf.k, rf.kind, rf.bound, len(rf)) == (7, 3, "skew", 28, 8)
 
 
 def test_generate_no_filter_keeps_everything(tmp_path):
@@ -137,11 +138,26 @@ def test_match_streams_to_stdout(row_files7):
     assert len(out.splitlines()) == 56 * 5 + 1
 
 
-def test_match_reports_no_solutions(row_files7):
-    skew, sym = row_files7
-    rc, out, _ = run("match", skew, skew, skew, sym, "--lam", "50")
+def test_match_reports_no_solutions(tmp_path):
+    # (13;6,6,6,3;8) has no kkss family
+    skew, sym6, sym3 = (str(tmp_path / n) for n in ("k6.rows", "s6.rows", "s3.rows"))
+    run("generate", "13", "6", "skew", "-o", skew)
+    run("generate", "13", "6", "symmetric", "-o", sym6)
+    run("generate", "13", "3", "symmetric", "-o", sym3)
+    rc, out, _ = run("match", skew, skew, sym6, sym3, "--lam", "8")
     assert rc == 1
     assert "no solutions" in out
+
+
+def test_match_checks_lambda_before_matching(row_files7, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matched with an impossible lambda")
+
+    monkeypatch.setattr(gsdf.cli, "bins_match", refuse)
+    skew, _ = row_files7
+    rc, out, err = run("match", skew, skew, skew, skew, "--lam", "4")
+    assert rc == 2 and out == ""
+    assert err == "error: (7;3,3,3,3;4) violates sum k_i = lambda + v\n"
 
 
 def test_match_missing_file_is_an_error(tmp_path):
@@ -156,7 +172,7 @@ def test_match_rejects_row_files_beyond_mask_width(tmp_path):
     # still beyond what `generate` and `search` accept
     for elements in ([1, 64], [1, 2]):
         block = CyclicSubset.from_elements(65, elements)
-        counts = " ".join(map(str, block.difference_row().counts))
+        counts = " ".join(str(block.difference_count(s)) for s in range(1, 33))
         path = tmp_path / "wide.rows"
         path.write_text(f"65 2 symmetric off\n{','.join(map(str, elements))}|{counts}\n")
         rc, _, err = run("match", *[str(path)] * 4, "--lam", "0")

@@ -2,8 +2,8 @@ import pytest
 
 from gsdf.catalog import catalog_entries
 from gsdf.family import (TAG_NONE, Family, FamilyFormatError, block_tag,
-                         family_from_blocks, format_family, read_families, read_family,
-                         write_families, write_family)
+                         family_from_blocks, format_family, read_families,
+                         write_families)
 from gsdf.params import GsParamSet
 from gsdf.zmod import CyclicSubset
 
@@ -55,8 +55,8 @@ def test_family_validation():
 def test_round_trip_single(tmp_path):
     fam = qr7_family()
     path = tmp_path / "f.txt"
-    write_family(path, fam)
-    assert read_family(path) == fam
+    write_families(path, [fam])
+    assert read_families(path) == [fam]
     text = path.read_text()
     assert text.splitlines()[0] == "7 3 3 3 1 3 kkks"
 
@@ -64,8 +64,8 @@ def test_round_trip_single(tmp_path):
 def test_round_trip_with_empty_block(tmp_path):
     fam = family_from_blocks(3, [[1], [1], [1], []])
     path = tmp_path / "f.txt"
-    write_family(path, fam)
-    back = read_family(path)
+    write_families(path, [fam])
+    [back] = read_families(path)
     assert back == fam and len(back.blocks[3]) == 0
 
 
@@ -76,8 +76,6 @@ def test_multi_record_and_comments(tmp_path):
     content = "# exhaustive run output\n" + path.read_text()
     path.write_text(content)
     assert read_families(path) == fams
-    with pytest.raises(FamilyFormatError):
-        read_family(path)  # two records where one is expected
 
 
 @pytest.mark.parametrize("mangle", [
@@ -92,7 +90,7 @@ def test_multi_record_and_comments(tmp_path):
 def test_malformed_files_are_rejected(tmp_path, mangle):
     fam = qr7_family()
     path = tmp_path / "f.txt"
-    write_family(path, fam)
+    write_families(path, [fam])
     path.write_text(mangle(path.read_text()))
     with pytest.raises(FamilyFormatError):
         read_families(path)

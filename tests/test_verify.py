@@ -8,12 +8,22 @@ from gsdf.catalog import catalog_entries, catalog_entry
 from gsdf.family import Family, family_from_blocks
 from gsdf.params import enumerate_param_sets, searchable_param_sets
 from gsdf.search import search_param
-from gsdf.verify import (back_circulant, build_gs_array,
-                         check_difference_family, check_good_matrices,
-                         check_gs_matrices, circulant, family_circulants,
-                         hadamard_text, is_hadamard, is_skew_hadamard,
-                         r_matrix, verify_family, write_hadamard)
+from gsdf.verify import (build_gs_array, check_difference_family,
+                         check_good_matrices, check_gs_matrices, circulant,
+                         family_circulants, hadamard_text, is_hadamard,
+                         is_skew_hadamard, verify_family, write_hadamard)
 from gsdf.zmod import CyclicSubset
+
+
+def back_circulant(row):
+    """B[i, j] = row[(i + j) mod v]."""
+    v = len(row)
+    return np.asarray(row)[np.add.outer(np.arange(v), np.arange(v)) % v]
+
+
+def r_matrix(v):
+    """The back-circulant identity R: R[i, j] = 1 iff i + j = v - 1."""
+    return np.eye(v, dtype=np.int64)[::-1]
 
 
 def test_circulant_shapes():
@@ -22,6 +32,7 @@ def test_circulant_shapes():
     b = back_circulant([1, 2, 3])
     assert b.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
     assert r_matrix(3).tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert np.array_equal(r_matrix(3), back_circulant([0, 0, 1]))
 
 
 def test_circulant_from_subset():

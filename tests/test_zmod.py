@@ -6,10 +6,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdf.zmod import (BinarySeq, CyclicSubset, DifferenceRow, dilate_mask,
-                       mask_elements, negate_mask)
+from gsdf.blockgen import _psd_max, difference_counts
+from gsdf.zmod import CyclicSubset, dilate_mask, mask_elements, negate_mask
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
+
+
+def binary_sequence(x):
+    """x_i = -1 if i is in the subset, else +1."""
+    return np.array([-1 if i in x else 1 for i in range(x.v)])
+
+
+def dft_psd(x):
+    """Test oracle for `blockgen._psd_max`: |DFT of the +-1 sequence|^2, by FFT.
+
+    It is the third deliberate second implementation in the suite, beside
+    `brute_force_match` and `equivalent_by_enumeration`.
+    """
+    return np.abs(np.fft.fft(binary_sequence(x))) ** 2
+
+
+def psd_max(x):
+    """The pipeline's max_{j>0} PSD(j) of one subset (odd v > 1)."""
+    rows = difference_counts(np.array([x.mask], dtype=np.int64), x.v)
+    return float(_psd_max(rows, x.v, len(x))[0])
+
+
+def difference_row(x):
+    """(d_X(1), ..., d_X((v-1)/2)) from the definition."""
+    return tuple(x.difference_count(s) for s in range(1, (x.v - 1) // 2 + 1))
 
 
 @st.composite
@@ -63,19 +88,18 @@ def test_symmetry_predicates():
 
 
 def test_difference_row_example():
-    row = QR7.difference_row()
-    assert row == DifferenceRow(7, (1, 1, 1))
+    row = difference_row(QR7)
+    assert row == (1, 1, 1)
+    assert difference_counts(np.array([QR7.mask]), 7).tolist() == [list(row)]
     # independent count over ordered pairs
     for d in range(1, 4):
         n = sum(1 for a in QR7 for b in QR7 if (a - b) % 7 == d)
-        assert n == row.counts[d - 1]
+        assert n == row[d - 1]
 
 
 def test_difference_row_rejects_even_v():
     with pytest.raises(ValueError):
-        CyclicSubset.from_elements(6, [1, 2]).difference_row()
-    with pytest.raises(ValueError):
-        DifferenceRow(6, (0, 0))
+        difference_counts(np.array([CyclicSubset.from_elements(6, [1, 2]).mask]), 6)
 
 
 def test_paf_example():
@@ -85,22 +109,15 @@ def test_paf_example():
 
 
 def test_psd_example():
-    psd = QR7.psd()
+    psd = dft_psd(QR7)
     assert psd[0] == pytest.approx(1.0)
     assert psd[1:] == pytest.approx(np.full(6, 8.0))
-
-
-def test_binary_sequence_round_trip():
-    seq = QR7.binary_sequence()
-    assert seq.entries == (1, -1, -1, 1, -1, 1, 1)
-    assert seq.to_subset() == QR7
-    with pytest.raises(ValueError):
-        BinarySeq(3, (1, 0, 1))
+    assert psd_max(QR7) == pytest.approx(8.0)
 
 
 @given(subsets())
 def test_paf_matches_direct_autocorrelation(x):
-    seq = x.binary_sequence().entries
+    seq = binary_sequence(x)
     v = x.v
     direct = tuple(sum(seq[i] * seq[(i + s) % v] for i in range(v)) for s in range(v))
     assert x.paf() == direct
@@ -109,25 +126,42 @@ def test_paf_matches_direct_autocorrelation(x):
 @given(subsets(max_v=12))
 def test_psd_matches_direct_dft(x):
     v = x.v
-    seq = x.binary_sequence().entries
+    seq = binary_sequence(x)
     direct = [abs(sum(seq[i] * cmath.exp(2j * cmath.pi * i * j / v)
                       for i in range(v))) ** 2 for j in range(v)]
-    assert x.psd() == pytest.approx(direct, abs=1e-8)
+    assert dft_psd(x) == pytest.approx(direct, abs=1e-8)
+    if v > 1:
+        assert psd_max(x) == pytest.approx(max(direct[1:]), abs=1e-8)
 
 
 @given(subsets())
 def test_psd_parseval(x):
-    assert x.psd().sum() == pytest.approx(x.v ** 2)
+    v, k = x.v, len(x)
+    assert dft_psd(x).sum() == pytest.approx(v ** 2)
+    if v > 1:
+        # sum_{j>0} PSD(j) = v^2 - PSD(0): the max lies between mean and sum
+        rest = v ** 2 - (v - 2 * k) ** 2
+        assert rest / (v - 1) - 1e-9 <= psd_max(x) <= rest + 1e-9
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_psd_max_matches_the_dft_at_every_width(data):
+    """`_psd_max`, the filter's PSD, against the FFT oracle for odd v <= 63."""
+    v = data.draw(st.one_of(st.just(63), st.integers(1, 31).map(lambda n: 2 * n + 1)))
+    k = data.draw(st.integers(0, v))
+    x = CyclicSubset.from_elements(v, data.draw(st.permutations(range(v)))[:k])
+    assert abs(psd_max(x) - dft_psd(x)[1:].max()) <= 1e-9 * v * v
 
 
 @given(subsets(), st.integers(-20, 20))
 def test_translation_preserves_difference_row(x, g):
-    assert x.translate(g).difference_row() == x.difference_row()
+    assert difference_row(x.translate(g)) == difference_row(x)
 
 
 @given(subsets())
 def test_negation_preserves_difference_row_and_is_involutive(x):
-    assert x.negate().difference_row() == x.difference_row()
+    assert difference_row(x.negate()) == difference_row(x)
     assert x.negate().negate() == x
 
 
@@ -139,7 +173,7 @@ def test_dilation_preserves_difference_multiset(x, u):
         return
     y = x.dilate(u)
     # row entries permute under dilation; the multiset is invariant
-    assert sorted(y.difference_row().counts) == sorted(x.difference_row().counts)
+    assert sorted(difference_row(y)) == sorted(difference_row(x))
     inv = pow(u, -1, x.v)
     assert y.dilate(inv) == x
 
