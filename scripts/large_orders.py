@@ -9,13 +9,15 @@ admits no family. Where the catalog bundles no classes for a type (e.g.
 ksss at 33 and 37), only whether families exist is compared, with the
 existence table.
 
-These runs grow steeply with v: matching time rises about 4x for each
-step of 2. On a 2-core x86-64 machine, one process, the v = 31 matches
-take 4.5 s for (31;15,15,15,10;24) ksss and 11.5 s for kkss, the
-order-33 kkss reproduction (--order 33 --type kkss) takes 66 s, and
---order 37 --jobs 2 (every type) finishes in 17 minutes; orders 41 and
-up have not been timed with the current matcher. Restrict the workload
-with --order/--type and parallelise with --jobs.
+These runs grow steeply with v. The search joins only the X_1 blocks
+that are least in their unit orbit and expands the families found over
+the units (see gsdf.search). On a 2-core x86-64 machine, one process,
+the v = 31 searches with classification take 1.5 s for
+(31;15,15,15,10;24) ksss and 1.2 s for kkss, the order-33 kkss
+reproduction (--order 33 --type kkss) takes 7 s; with --jobs 2 (every
+type), --order 37 finishes in 38 s and --order 41 in 15 minutes.
+Orders 43 and up have not been timed. Restrict the workload with
+--order/--type and parallelise with --jobs.
 
     python scripts/large_orders.py --order 37 --type kkss --jobs 4
 """
@@ -74,11 +76,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", help="write matched families here")
     args = ap.parse_args(argv)
 
+    try:
+        options = SearchOptions(jobs=args.jobs, threshold=args.threshold)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     orders = args.order or ORDERS
     types = args.type or TYPE_NAMES
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    options = SearchOptions(jobs=args.jobs, threshold=args.threshold)
     t0 = time.time()
     failures = 0
     for v in orders:

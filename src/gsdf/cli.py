@@ -150,12 +150,12 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    options = SearchOptions(jobs=args.jobs, classified=False)
     if not args.recompute:
         for row in table_rows():
             print(f"{row.params} " +
                   " ".join(f"{t}={v}" for t, v in zip(TYPE_NAMES, row.verdicts)))
         return 0
-    options = SearchOptions(jobs=args.jobs, classified=False)
     rows = table_comparison(args.max_v, options)
     bad = 0
     for params, t, expected, got in rows:

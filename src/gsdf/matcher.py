@@ -22,7 +22,10 @@ against the target row before it is emitted.
 
 Solutions are returned as tuples of four CyclicSubset, sorted by their
 mask encodings, independent of threshold and of the number of worker
-processes.
+processes.  The join takes the four files as given: it assumes no
+symmetry of them.  `search.search_param`, whose files are complete
+candidate sets, reduces X_1 to unit-orbit representatives before
+calling it and expands the families afterwards.
 """
 from __future__ import annotations
 
@@ -232,10 +235,12 @@ def bins_match(files, lam: int, threshold: int = DEFAULT_THRESHOLD,
     """All quadruples (X_1..X_4), one block per file, whose rows sum to lam."""
     if threshold < 1:
         raise ValueError("threshold must be positive")
-    cases = match_cases(files, lam)
-    v = files[0].v
     if jobs is None:
         jobs = default_jobs()
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    cases = match_cases(files, lam)
+    v = files[0].v
     if jobs > 1 and len(cases) > 1:
         with get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_solve_case, [(c, threshold) for c in cases])

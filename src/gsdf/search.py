@@ -7,19 +7,33 @@ aggregate over all parameter sets of an order, reproducing the existence
 table: 'yes' when some parameter set admits a family of the type, 'no'
 when the exhaustive runs all come up empty, 'x' when no parameter set
 can carry the type.
+
+The match is reduced by the unit orbits of X_1.  Dilating a block by a
+unit u of Z_v keeps its tag, its size and the multiset of its PSD
+values, so it maps every candidate file onto itself, filtered or not,
+and every family onto a family.  Each family is therefore u F for a
+family F whose X_1 is the least mask of its orbit under the units.
+`search_param` joins only those X_1 with the other three files, dilates
+each family found by every unit, and deduplicates and sorts the result;
+that is exactly the list the unreduced join gives, and every family of
+it is re-verified.  `bins_match` itself is unreduced, as row files given
+to `gsdf match` need not be closed under dilation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .blockgen import collect_rows
 from .catalog import table_rows
-from .equivalence import classify, small_classes
+from .equivalence import classify, small_classes, units
 from .family import Family
 from .matcher import DEFAULT_THRESHOLD, bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
 from .verify import verify_family
+from .zmod import CyclicSubset, dilate_mask
 
 
 @dataclass
@@ -28,6 +42,14 @@ class SearchOptions:
     threshold: int = DEFAULT_THRESHOLD
     jobs: int = 1
     classified: bool = True
+
+    def __post_init__(self):
+        # checked here as well as in bins_match, so bad input fails before
+        # any candidate generation
+        if self.threshold < 1:
+            raise ValueError("threshold must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be positive")
 
 
 @dataclass
@@ -71,6 +93,21 @@ def row_files_for(params: GsParamSet, type_name: str, filtered=True, cache=None)
     return files
 
 
+def orbit_least(v: int, masks: np.ndarray) -> np.ndarray:
+    """The least mask of each mask's orbit under dilation by the units of Z_v."""
+    least = masks.copy()
+    for u in units(v):
+        np.minimum(least, dilate_mask(v, masks, u), out=least)
+    return least
+
+
+def expand_over_units(v: int, quads) -> list:
+    """Every dilate of the mask quadruples, deduplicated and sorted."""
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    images = np.concatenate([dilate_mask(v, quads, u) for u in units(v)])
+    return np.unique(images, axis=0).tolist()
+
+
 def search_param(params: GsParamSet, type_name: str,
                  options: SearchOptions = None, cache=None) -> ParamOutcome:
     """Exhaustive search for one parameter set and type; families re-verified."""
@@ -78,9 +115,14 @@ def search_param(params: GsParamSet, type_name: str,
     if not type_applicable(params, type_name):
         return ParamOutcome(params, type_name, applicable=False)
     files = row_files_for(params, type_name, filtered=options.filtered, cache=cache)
-    quads = bins_match(files, params.lam, threshold=options.threshold,
-                       jobs=options.jobs)
-    families = [Family(params, quad) for quad in quads]
+    v = params.v
+    first = files[0]
+    least = orbit_least(v, first.masks) == first.masks
+    found = bins_match([first.select(least)] + files[1:], params.lam,
+                       threshold=options.threshold, jobs=options.jobs)
+    quads = expand_over_units(v, [[b.mask for b in quad] for quad in found])
+    families = [Family(params, tuple(CyclicSubset(v, m) for m in quad))
+                for quad in quads]
     for fam in families:
         cert = verify_family(fam)
         if not cert.ok:

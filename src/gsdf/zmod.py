@@ -12,7 +12,8 @@ Transformations: negation -X, translation X+g, dilation uX (u a unit),
 complement.  A subset is symmetric when -X = X and skew when v is odd,
 |X| = (v-1)/2 and X `intersect` (-X) is empty.  Negation and dilation
 are implemented once, on masks (`negate_mask`, `dilate_mask`), for
-`CyclicSubset` and the equivalence machinery alike.
+`CyclicSubset`, the equivalence machinery and the search's unit-orbit
+reduction alike; `dilate_mask` also dilates int64 mask arrays.
 """
 from __future__ import annotations
 
@@ -44,11 +45,16 @@ def negate_mask(v: int, mask: int) -> int:
     return _rotate(int(f"{mask:0{v}b}"[::-1], 2), v, 1)
 
 
-def dilate_mask(v: int, mask: int, u: int) -> int:
-    """Mask of uX = {u x mod v : x in X}."""
-    m = 0
-    for e in mask_elements(mask):
-        m |= 1 << (u * e % v)
+def dilate_mask(v: int, mask, u: int):
+    """Mask of uX = {u x mod v : x in X}: bit i moves to bit u i mod v.
+
+    ``mask`` is a Python int or an int64 array of masks (v <= 63, so no
+    bit reaches the sign); the same shift-or serves both.
+    """
+    m = mask & 0
+    for i in range(v):
+        m |= (mask & 1) << u * i % v
+        mask = mask >> 1
     return m
 
 

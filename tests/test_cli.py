@@ -391,3 +391,15 @@ def test_match_honours_jobs_flag(row_files7, tmp_path):
                    "--jobs", "2", "-o", str(par))
     assert rc == 0
     assert base.read_text() == par.read_text()
+
+
+@pytest.mark.parametrize("jobs", ("0", "-2"))
+def test_non_positive_jobs_exit_2(row_files7, jobs):
+    skew, sym = row_files7
+    for argv in (("search", "7", "kkks"),
+                 ("match", skew, skew, skew, sym, "--lam", "3"),
+                 ("table1", "--recompute", "--max-v", "5"),
+                 ("table1",)):
+        rc, out, err = run(*argv, "--jobs", jobs)
+        assert rc == 2 and out == ""
+        assert err == "error: jobs must be positive\n"

@@ -60,3 +60,16 @@ def test_families_where_the_table_says_no(large_orders):
     assert not ok and line.endswith("table says no -> MISMATCH")
     ok, _ = large_orders.check_class_count(49, "kkss", [])
     assert ok
+
+
+@pytest.mark.parametrize("flag", ("--threshold", "--jobs"))
+def test_non_positive_limits_exit_2_before_any_search(large_orders, flag, capsys,
+                                                      monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched despite bad input")
+
+    monkeypatch.setattr(large_orders, "search_param", no_search)
+    assert large_orders.main(["--order", "33", flag, "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag[2:]} must be positive\n"

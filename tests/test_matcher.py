@@ -77,6 +77,9 @@ def test_bad_inputs():
     fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
     with pytest.raises(ValueError):
         bins_match(fs, 3, threshold=0)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            bins_match(fs, 3, jobs=jobs)
     mixed = fs[:3] + [collect_rows(9, 2, "symmetric")]
     with pytest.raises(ValueError):
         match_cases(mixed, 3)

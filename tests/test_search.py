@@ -1,0 +1,95 @@
+"""The unit-orbit reduction of `search_param` and the facts it rests on.
+
+`search_param` joins only the X_1 blocks that are least in their orbit
+under dilation by the units of Z_v, then dilates each family found by
+every unit.  That is sound when every candidate file is mapped onto
+itself by each dilation; the reduced-then-expanded families must then
+equal the unreduced join, family for family and in order.
+"""
+import numpy as np
+import pytest
+
+from gsdf.blockgen import collect_rows
+from gsdf.equivalence import units
+from gsdf.family import format_family
+from gsdf.matcher import bins_match
+from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
+from gsdf.search import (SearchOptions, expand_over_units, orbit_least,
+                         row_files_for, search_param)
+from gsdf.zmod import dilate_mask
+
+ODD_TO_31 = range(1, 32, 2)
+
+
+def kinds_and_sizes(v):
+    yield "skew", (v - 1) // 2
+    for k in range(v + 1):
+        yield "symmetric", k
+
+
+@pytest.mark.parametrize("filtered", (True, False))
+@pytest.mark.parametrize("v", ODD_TO_31)
+def test_candidate_files_are_closed_under_dilation(v, filtered):
+    # with filtered=True this checks the float PSD filter too: it keeps a
+    # block exactly when it keeps every dilate, despite rounding
+    for kind, k in kinds_and_sizes(v):
+        masks = collect_rows(v, k, kind, filtered=filtered).masks
+        for u in units(v):
+            image = np.sort(dilate_mask(v, masks, u))
+            assert np.array_equal(image, masks), (v, k, kind, u)
+
+
+def test_orbit_least_is_the_least_dilate():
+    v = 15
+    masks = collect_rows(v, 7, "skew", filtered=False).masks
+    least = orbit_least(v, masks)
+    for mask, low in zip(masks.tolist()[::37], least.tolist()[::37]):
+        assert low == min(dilate_mask(v, mask, u) for u in units(v))
+
+
+def test_expand_over_units_sorts_and_deduplicates():
+    v = 7
+    quad = [0b0010110, 0b0010110, 0b0010110, 0b0000001]  # {1,2,4} x3, {0}
+    # {1,2,4} is fixed by the squares 1, 2, 4 and sent to {3,5,6} by the rest
+    other = [0b1101000] * 3 + [1]
+    assert expand_over_units(v, [quad]) == [quad, other]
+    assert expand_over_units(v, [quad, other]) == [quad, other]
+    assert expand_over_units(v, []) == []
+
+
+def reduced_equals_unreduced(orders):
+    checked = 0
+    for v in orders:
+        cache = {}
+        for p in searchable_param_sets(v):
+            for t in TYPE_NAMES:
+                if not type_applicable(p, t):
+                    continue
+                out = search_param(p, t, SearchOptions(classified=False), cache)
+                full = bins_match(row_files_for(p, t, cache=cache), p.lam)
+                assert [f.blocks for f in out.families] == full, (p, t)
+                checked += bool(full)
+    return checked
+
+
+def test_reduced_search_equals_unreduced_join():
+    assert reduced_equals_unreduced(range(3, 30, 2)) > 0
+
+
+@pytest.mark.extended
+def test_reduced_search_equals_unreduced_join_at_31():
+    assert reduced_equals_unreduced([31]) > 0
+
+
+def test_jobs_and_threshold_do_not_change_the_reduced_search():
+    p = next(p for p in searchable_param_sets(15) if type_applicable(p, "kkss"))
+    text = ["".join(map(format_family, search_param(p, "kkss", options).families))
+            for options in (SearchOptions(classified=False),
+                            SearchOptions(classified=False, jobs=2, threshold=1))]
+    assert text[0] and text[0] == text[1]
+
+
+@pytest.mark.parametrize("bad", ({"jobs": 0}, {"jobs": -2}, {"threshold": 0}))
+def test_search_options_reject_non_positive_limits(bad):
+    with pytest.raises(ValueError, match="must be positive"):
+        SearchOptions(**bad)

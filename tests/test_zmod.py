@@ -222,3 +222,22 @@ def test_mask_transforms_match_elementwise_definitions(case):
     negated = {-e % v for e in elements}
     assert x.is_symmetric() == (negated == set(elements))
     assert x.is_skew() == (2 * len(elements) + 1 == v and not negated & set(elements))
+
+
+@st.composite
+def wide_mask_arrays(draw):
+    """(v, masks, unit u) for v in 1..63, with v = 63 drawn often."""
+    v = draw(st.one_of(st.just(63), st.integers(1, 63)))
+    masks = draw(st.lists(st.integers(0, (1 << v) - 1), min_size=1, max_size=20))
+    u = draw(st.sampled_from([u for u in range(1, v + 1) if gcd(u, v) == 1]))
+    return v, masks, u
+
+
+@settings(max_examples=300)
+@given(wide_mask_arrays())
+def test_dilate_mask_on_arrays_matches_ints(case):
+    # at v = 63 bit 62 is the highest, so int64 never reaches its sign bit
+    v, masks, u = case
+    image = dilate_mask(v, np.array(masks, dtype=np.int64), u)
+    assert image.dtype == np.int64
+    assert image.tolist() == [dilate_mask(v, m, u) for m in masks]
