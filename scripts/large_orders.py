@@ -17,7 +17,9 @@ the v = 31 searches with classification take 1.5 s for
 reproduction (--order 33 --type kkss) takes 7 s; with --jobs 2 (every
 type), --order 37 finishes in 38 s and --order 41 in 15 minutes.
 Orders 43 and up have not been timed. Restrict the workload with
---order/--type and parallelise with --jobs.
+--order/--type and parallelise with --jobs (default: the GSDF_JOBS
+environment variable, or 1; a value other than a positive integer,
+given either way, exits 2 before any search).
 
     python scripts/large_orders.py --order 37 --type kkss --jobs 4
 """
@@ -29,7 +31,7 @@ import time
 from gsdf.catalog import catalog_groups, table_verdict
 from gsdf.equivalence import canonical_key
 from gsdf.family import write_families
-from gsdf.matcher import DEFAULT_THRESHOLD, default_jobs
+from gsdf.matcher import default_jobs
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
 from gsdf.search import SearchOptions, search_param
 
@@ -71,13 +73,14 @@ def main(argv=None) -> int:
                     help="restrict to one or more orders (default: all)")
     ap.add_argument("--type", choices=TYPE_NAMES, action="append",
                     help="restrict to one or more symmetry types")
-    ap.add_argument("--jobs", type=int, default=default_jobs())
-    ap.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
+    ap.add_argument("--jobs", type=int,
+                    help="worker processes (default: GSDF_JOBS, or 1)")
     ap.add_argument("--out-dir", help="write matched families here")
     args = ap.parse_args(argv)
 
     try:
-        options = SearchOptions(jobs=args.jobs, threshold=args.threshold)
+        options = SearchOptions(
+            jobs=default_jobs() if args.jobs is None else args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .zmod import CyclicSubset
+from .zmod import CyclicSubset, rotate_mask
 
 KINDS = ("skew", "symmetric")
 PSD_REL_EPS = 1e-6
@@ -54,12 +54,6 @@ def check_width(v: int) -> None:
         raise ValueError(f"v={v} is too large: blocks are 64-bit masks, so v <= {MAX_V}")
 
 
-def _rotations(masks: np.ndarray, v: int, d: int) -> np.ndarray:
-    # mask low bits before shifting so intermediates stay below 2^v
-    low = (1 << (v - d)) - 1
-    return ((masks & low) << d) | (masks >> (v - d))
-
-
 def difference_counts(masks: np.ndarray, v: int) -> np.ndarray:
     """Difference rows for a vector of bitmasks; shape (n, (v-1)/2), uint8."""
     if v % 2 == 0:
@@ -67,7 +61,7 @@ def difference_counts(masks: np.ndarray, v: int) -> np.ndarray:
     p = (v - 1) // 2
     out = np.empty((len(masks), p), dtype=np.uint8)
     for d in range(1, p + 1):
-        out[:, d - 1] = np.bitwise_count(masks & _rotations(masks, v, d))
+        out[:, d - 1] = np.bitwise_count(masks & rotate_mask(v, masks, d))
     return out
 
 

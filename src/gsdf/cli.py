@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (or verified), 1 exhaustive search found nothing
 (or a recomputed verdict disagrees with the stored table), 2 bad input.
-The GSDF_JOBS environment variable sets the default worker count.
+The GSDF_JOBS environment variable sets the worker count of `match`,
+`search` and `table1` when --jobs is not given; a value other than a
+positive integer exits 2.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from .blockgen import check_width, collect_rows, read_row_file, write_row_file
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
 from .equivalence import classify, small_classes
 from .family import Family, format_family, read_families, write_families
-from .matcher import DEFAULT_THRESHOLD, bins_match, default_jobs
+from .matcher import bins_match, default_jobs
 from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
                      searchable_param_sets, type_applicable)
 from .search import SearchOptions, search_order, table_comparison
@@ -47,7 +49,7 @@ def cmd_match(args) -> int:
     if len({f.v for f in files}) != 1:
         raise ValueError("row files disagree on v")
     params = GsParamSet(files[0].v, tuple(f.k for f in files), args.lam)
-    quads = bins_match(files, args.lam, threshold=args.threshold, jobs=args.jobs)
+    quads = bins_match(files, args.lam, jobs=args.jobs)
     fams = [Family(params, quad) for quad in quads]
     text = "".join(format_family(f) for f in fams)
     if args.out:
@@ -100,8 +102,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    options = SearchOptions(filtered=not args.no_filter, threshold=args.threshold,
-                            jobs=args.jobs, classified=not args.no_classify)
+    options = SearchOptions(jobs=args.jobs, classified=not args.no_classify)
     params_filter = tuple(map(int, args.param.split(","))) if args.param else None
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)  # fail before a long search
@@ -166,6 +167,9 @@ def cmd_table1(args) -> int:
     return 0 if bad == 0 else 1
 
 
+JOBS_HELP = "worker processes (default: GSDF_JOBS, or 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gsdf",
@@ -191,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match four row files into families")
     p.add_argument("files", nargs=4)
     p.add_argument("--lam", type=int, required=True)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, help=JOBS_HELP)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_match)
 
@@ -212,10 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v", type=int)
     p.add_argument("type", choices=TYPE_NAMES)
     p.add_argument("--param", help="restrict to one size vector k1,k2,k3,k4")
-    p.add_argument("--no-filter", action="store_true")
     p.add_argument("--no-classify", action="store_true")
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, help=JOBS_HELP)
     p.add_argument("--out-dir", help="write family files here")
     p.set_defaults(func=cmd_search)
 
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="existence table; optionally recompute")
     p.add_argument("--recompute", action="store_true")
     p.add_argument("--max-v", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, help=JOBS_HELP)
     p.set_defaults(func=cmd_table1)
     return ap
 
@@ -235,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) is None:
+            args.jobs = default_jobs()
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:  # includes the file-format errors
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from itertools import permutations, product
 from math import gcd
 
 from .family import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, Family, block_tag
-from .zmod import CyclicSubset, _rotate, dilate_mask, mask_elements
+from .zmod import CyclicSubset, dilate_mask, mask_elements, rotate_mask
 
 _TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
 
@@ -99,7 +99,7 @@ def _typed_translates(v, mask):
     """Distinct translates of the set that are skew or symmetric, with tags."""
     seen, out = set(), []
     for g in range(v):
-        t = _rotate(mask, v, g)
+        t = rotate_mask(v, mask, g)
         if t in seen:
             continue
         seen.add(t)
@@ -201,7 +201,7 @@ def _translatable(v, mask_a, mask_b):
         return mask_a == 0
     b0 = (mask_b & -mask_b).bit_length() - 1
     for a in _elements(mask_a):
-        if _rotate(mask_a, v, (b0 - a) % v) == mask_b:
+        if rotate_mask(v, mask_a, b0 - a) == mask_b:
             return True
     return False
 

@@ -7,7 +7,8 @@ unbound column and combine only value quadruples (n1, n2, n3, n4) with
 n1 + n2 + n3 + n4 = lam.  A case whose four sub-sets are small enough is
 finished by a meet-in-the-middle join over the remaining columns: sorting
 the sets by size as a <= b <= c <= d, the join is attempted once
-#a * #d < threshold and #b * #c < threshold, pairing (a, d) and (b, c).
+#a * #d < SPLIT_LIMIT and #b * #c < SPLIT_LIMIT, pairing (a, d) and
+(b, c); larger cases are split on their next column.
 
 Row sums are hashed to 64-bit keys (a random-multiplier dot product,
 linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  The join is
@@ -21,8 +22,9 @@ can share a key, so every candidate quadruple is confirmed exactly
 against the target row before it is emitted.
 
 Solutions are returned as tuples of four CyclicSubset, sorted by their
-mask encodings, independent of threshold and of the number of worker
-processes.  The join takes the four files as given: it assumes no
+mask encodings, independent of the split limit and of the number of
+worker processes `jobs` (the CLI's default is `default_jobs`, read from
+GSDF_JOBS).  The join takes the four files as given: it assumes no
 symmetry of them.  `search.search_param`, whose files are complete
 candidate sets, reduces X_1 to unit-orbit representatives before
 calling it and expands the families afterwards.
@@ -38,7 +40,7 @@ import numpy as np
 
 from .zmod import CyclicSubset
 
-DEFAULT_THRESHOLD = 10 ** 7
+SPLIT_LIMIT = 10 ** 7
 BRUTE_FORCE_GUARD = 10 ** 8
 
 _HASH_MULT = np.random.default_rng(0x9E3779B97F4A7C15).integers(
@@ -48,28 +50,21 @@ _PROBE_CHUNK = 1 << 20
 
 @dataclass
 class MatchCase:
-    """One branch of the bin-and-match recursion.
-
-    ``sums`` records the per-file column value quadruple for each column
-    bound so far (their components add to lam columnwise); ``files`` are
-    the four restricted row files.
-    """
+    """One split of the recursion: the four row files restricted to one
+    value each in a column, the values adding to lam.  `match_cases`
+    returns the splits on the first column, so `_join_case` starts at
+    depth 1."""
 
     v: int
     lam: int
-    sums: tuple
     files: tuple
-
-    @property
-    def depth(self) -> int:
-        return len(self.sums)
 
     @property
     def sizes(self) -> tuple:
         return tuple(len(f.masks) for f in self.files)
 
 
-def _bin_cases(v, lam, sums, files, col):
+def _bin_cases(v, lam, files, col):
     """Split on one column; keep only value quadruples that add to lam."""
     groups = []
     for f in files:
@@ -86,9 +81,8 @@ def _bin_cases(v, lam, sums, files, col):
                 if n4 < 0:
                     break
                 if n4 in groups[3]:
-                    cases.append(MatchCase(
-                        v, lam, sums + ((n1, n2, n3, int(n4)),),
-                        (groups[0][n1], groups[1][n2], groups[2][n3], groups[3][n4])))
+                    cases.append(MatchCase(v, lam, (
+                        groups[0][n1], groups[1][n2], groups[2][n3], groups[3][n4])))
     return cases
 
 
@@ -99,14 +93,14 @@ def match_cases(files, lam: int) -> list:
         raise ValueError("row files disagree on v")
     if (v - 1) // 2 < 1:
         raise ValueError("matching needs at least one difference column")
-    return _bin_cases(v, lam, (), tuple(files), 0)
+    return _bin_cases(v, lam, tuple(files), 0)
 
 
-def _join_case(case: MatchCase, threshold: int) -> list:
+def _join_case(case: MatchCase) -> list:
     v, lam = case.v, case.lam
     ncols = case.files[0].rows.shape[1]
     out = []
-    stack = [(case.depth, case.files)]
+    stack = [(1, case.files)]
     while stack:
         depth, files = stack.pop()
         sizes = [len(f.masks) for f in files]
@@ -118,10 +112,10 @@ def _join_case(case: MatchCase, threshold: int) -> list:
             continue
         order = sorted(range(4), key=lambda i: sizes[i])
         a, b, c, d = (sizes[i] for i in order)
-        if a * d < threshold and b * c < threshold:
+        if a * d < SPLIT_LIMIT and b * c < SPLIT_LIMIT:
             out.extend(_serial_join(files, order, lam, depth, ncols))
             continue
-        for sub in _bin_cases(v, lam, (), files, depth):
+        for sub in _bin_cases(v, lam, files, depth):
             stack.append((depth + 1, sub.files))
     return out
 
@@ -215,38 +209,28 @@ def _serial_join(files, order, lam, depth, ncols):
 
 
 def default_jobs() -> int:
-    """Worker count from the GSDF_JOBS environment variable.
-
-    Unset, invalid or below 1 gives 1.
-    """
-    try:
-        return max(1, int(os.environ.get("GSDF_JOBS", "1")))
-    except ValueError:
+    """Worker count from the GSDF_JOBS environment variable; unset or empty
+    gives 1, anything but a positive integer is a ValueError."""
+    raw = os.environ.get("GSDF_JOBS", "")
+    if not raw:
         return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"GSDF_JOBS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def _solve_case(args):
-    case, threshold = args
-    return _join_case(case, threshold)
-
-
-def bins_match(files, lam: int, threshold: int = DEFAULT_THRESHOLD,
-               jobs: int = 1) -> list:
+def bins_match(files, lam: int, jobs: int = 1) -> list:
     """All quadruples (X_1..X_4), one block per file, whose rows sum to lam."""
-    if threshold < 1:
-        raise ValueError("threshold must be positive")
-    if jobs is None:
-        jobs = default_jobs()
     if jobs < 1:
         raise ValueError("jobs must be positive")
     cases = match_cases(files, lam)
     v = files[0].v
     if jobs > 1 and len(cases) > 1:
         with get_context("fork").Pool(jobs) as pool:
-            chunks = pool.map(_solve_case, [(c, threshold) for c in cases])
+            chunks = pool.map(_join_case, cases)
         quads = [q for chunk in chunks for q in chunk]
     else:
-        quads = [q for c in cases for q in _join_case(c, threshold)]
+        quads = [q for c in cases for q in _join_case(c)]
     quads.sort()
     return [tuple(CyclicSubset(v, m) for m in quad) for quad in quads]
 

@@ -1,12 +1,16 @@
 """End-to-end exhaustive search: parameters -> blocks -> matching -> classes.
 
 For a symmetry type and parameter set (k1 = ... = (v-1)/2 on the skew
-positions), candidate row sets are generated per position, matched into
-families, re-verified from scratch, and optionally classified.  Verdicts
-aggregate over all parameter sets of an order, reproducing the existence
-table: 'yes' when some parameter set admits a family of the type, 'no'
-when the exhaustive runs all come up empty, 'x' when no parameter set
-can carry the type.
+positions), PSD-filtered candidate row sets are generated per position,
+matched into families, re-verified from scratch, and optionally
+classified.  The filter is sound (see `blockgen`), so the search always
+uses it; an unfiltered cross-check joins `collect_rows(..., filtered=False)`
+files with `bins_match`, or runs `gsdf generate --no-filter` and
+`gsdf match`.  `SearchOptions` holds the worker count and whether to
+classify.  Verdicts aggregate over all parameter sets of an order,
+reproducing the existence table: 'yes' when some parameter set admits a
+family of the type, 'no' when the exhaustive runs all come up empty, 'x'
+when no parameter set can carry the type.
 
 The match is reduced by the unit orbits of X_1.  Dilating a block by a
 unit u of Z_v keeps its tag, its size and the multiset of its PSD
@@ -25,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockgen import collect_rows
+from .blockgen import check_width, collect_rows
 from .catalog import table_rows
 from .equivalence import classify, small_classes, units
 from .family import Family
-from .matcher import DEFAULT_THRESHOLD, bins_match
+from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
 from .verify import verify_family
@@ -38,16 +42,12 @@ from .zmod import CyclicSubset, dilate_mask
 
 @dataclass
 class SearchOptions:
-    filtered: bool = True
-    threshold: int = DEFAULT_THRESHOLD
     jobs: int = 1
     classified: bool = True
 
     def __post_init__(self):
         # checked here as well as in bins_match, so bad input fails before
         # any candidate generation
-        if self.threshold < 1:
-            raise ValueError("threshold must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 
@@ -75,18 +75,19 @@ class ParamOutcome:
         return f"{self.params.v}-{self.type_name}-{'-'.join(map(str, self.params.k))}.fam"
 
 
-def row_files_for(params: GsParamSet, type_name: str, filtered=True, cache=None):
-    """The four per-position candidate row sets for a type at a parameter set."""
+def row_files_for(params: GsParamSet, type_name: str, cache=None):
+    """The four per-position filtered candidate row sets for a type at a
+    parameter set."""
     tags = type_tags(type_name)
     v = params.v
     files = []
     for tag, k in zip(tags, params.k):
         kind = "skew" if tag == "k" else "symmetric"
-        key = (v, k, kind, filtered)
+        key = (v, k, kind)
         if cache is not None and key in cache:
             files.append(cache[key])
             continue
-        rf = collect_rows(v, k, kind, filtered=filtered)
+        rf = collect_rows(v, k, kind)
         if cache is not None:
             cache[key] = rf
         files.append(rf)
@@ -114,12 +115,12 @@ def search_param(params: GsParamSet, type_name: str,
     options = options or SearchOptions()
     if not type_applicable(params, type_name):
         return ParamOutcome(params, type_name, applicable=False)
-    files = row_files_for(params, type_name, filtered=options.filtered, cache=cache)
+    files = row_files_for(params, type_name, cache=cache)
     v = params.v
     first = files[0]
     least = orbit_least(v, first.masks) == first.masks
     found = bins_match([first.select(least)] + files[1:], params.lam,
-                       threshold=options.threshold, jobs=options.jobs)
+                       jobs=options.jobs)
     quads = expand_over_units(v, [[b.mask for b in quad] for quad in found])
     families = [Family(params, tuple(CyclicSubset(v, m) for m in quad))
                 for quad in quads]
@@ -139,6 +140,7 @@ def search_order(v: int, type_name: str, options: SearchOptions = None,
     """Search every parameter set of an order (k1 = (v-1)/2) for one type."""
     if type_name not in TYPE_NAMES:
         raise ValueError(f"unknown type {type_name!r}")
+    check_width(v)  # before parameter enumeration, so every type fails alike
     options = options or SearchOptions()
     cache = {}
     outcomes = []

@@ -10,10 +10,12 @@ built on it lives in `blockgen`, with the vectorised difference rows.
 
 Transformations: negation -X, translation X+g, dilation uX (u a unit),
 complement.  A subset is symmetric when -X = X and skew when v is odd,
-|X| = (v-1)/2 and X `intersect` (-X) is empty.  Negation and dilation
-are implemented once, on masks (`negate_mask`, `dilate_mask`), for
-`CyclicSubset`, the equivalence machinery and the search's unit-orbit
-reduction alike; `dilate_mask` also dilates int64 mask arrays.
+|X| = (v-1)/2 and X `intersect` (-X) is empty.  Translation, negation
+and dilation are implemented once, on masks (`rotate_mask`,
+`negate_mask`, `dilate_mask`), for `CyclicSubset`, the vectorised
+difference rows, the equivalence machinery and the search's unit-orbit
+reduction alike; `rotate_mask` and `dilate_mask` also take int64 mask
+arrays.
 """
 from __future__ import annotations
 
@@ -21,13 +23,15 @@ from dataclasses import dataclass
 from math import gcd
 
 
-def _rotate(mask: int, v: int, s: int) -> int:
-    """Rotate a width-v bitmask left by s places (adds s to each element)."""
+def rotate_mask(v: int, mask, s: int):
+    """Mask of X + s: rotate a width-v bitmask left by s places.
+
+    ``mask`` is a Python int or an int64 array of masks.  The low v - s
+    bits are cut out before the shift, so no intermediate value exceeds
+    v bits and nothing reaches the sign bit at v = 63.
+    """
     s %= v
-    if s == 0:
-        return mask
-    full = (1 << v) - 1
-    return ((mask << s) | (mask >> (v - s))) & full
+    return ((mask & ((1 << (v - s)) - 1)) << s) | (mask >> (v - s))
 
 
 def mask_elements(mask: int) -> tuple:
@@ -42,7 +46,7 @@ def mask_elements(mask: int) -> tuple:
 
 def negate_mask(v: int, mask: int) -> int:
     """Mask of -X: reversing v bits sends i to v-1-i, one rotation on to -i."""
-    return _rotate(int(f"{mask:0{v}b}"[::-1], 2), v, 1)
+    return rotate_mask(v, int(f"{mask:0{v}b}"[::-1], 2), 1)
 
 
 def dilate_mask(v: int, mask, u: int):
@@ -107,7 +111,7 @@ class CyclicSubset:
 
     def translate(self, g: int) -> "CyclicSubset":
         """X + g."""
-        return CyclicSubset(self.v, _rotate(self.mask, self.v, g))
+        return CyclicSubset(self.v, rotate_mask(self.v, self.mask, g))
 
     def dilate(self, u: int) -> "CyclicSubset":
         """uX for a unit u of Z_v."""
@@ -129,7 +133,7 @@ class CyclicSubset:
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""
-        return (self.mask & _rotate(self.mask, self.v, s)).bit_count()
+        return (self.mask & rotate_mask(self.v, self.mask, s)).bit_count()
 
     def paf(self) -> tuple:
         """Periodic autocorrelation (PAF(0), ..., PAF(v-1)); PAF(0) = v."""

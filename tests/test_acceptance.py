@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import gsdf.matcher
 from gsdf.blockgen import (PSD_REL_EPS, RowFile, _psd_max, collect_rows,
                            difference_counts)
 from gsdf.catalog import catalog_entries, catalog_groups
@@ -17,15 +18,16 @@ from gsdf.equivalence import (Dilate, apply_transform, are_equivalent,
                               canonical_key, classify,
                               equivalent_by_enumeration, small_classes)
 from gsdf.matcher import bins_match, brute_force_match, default_jobs
-from gsdf.params import GsParamSet
+from gsdf.params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
+                         type_applicable, type_tags)
 from gsdf.search import (SearchOptions, search_order, search_param,
                          table_comparison)
 from gsdf.verify import build_gs_array, circulant, verify_family
 from gsdf.zmod import CyclicSubset
 
 
-def _families(v, type_name, **kw):
-    outs = search_order(v, type_name, SearchOptions(classified=False, **kw))
+def _families(v, type_name):
+    outs = search_order(v, type_name, SearchOptions(classified=False))
     fams = [f for out in outs for f in out.families]
     return fams
 
@@ -170,8 +172,9 @@ def _serialize(quads):
                      for quad in quads)
 
 
-def test_criterion_6_matcher_agrees_with_brute_force():
-    """100 random instances: binned == brute force, output job-independent."""
+def test_criterion_6_matcher_agrees_with_brute_force(monkeypatch):
+    """100 random instances: binned == brute force at every split limit,
+    output job-independent."""
     t0 = time.monotonic()
     rng = np.random.default_rng(33)
     solvable = 0
@@ -179,8 +182,9 @@ def test_criterion_6_matcher_agrees_with_brute_force():
         v = int(rng.choice([5, 7, 9, 11, 13]))
         files, lam = _random_instance(rng, v)
         expected = brute_force_match(files, lam)
-        for threshold in (1, 10, 10 ** 7):
-            assert bins_match(files, lam, threshold=threshold) == expected
+        for limit in (1, 10, 10 ** 7):
+            monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+            assert bins_match(files, lam) == expected
         if expected:
             solvable += 1
             base = _serialize(expected)
@@ -198,11 +202,20 @@ def test_criterion_7_spectral_filter_soundness():
         for block in e.family.blocks:
             rows = difference_counts(np.array([block.mask]), e.v)
             assert _psd_max(rows, e.v, len(block))[0] <= 4 * e.v * (1 + PSD_REL_EPS)
-    for v in (3, 5, 7, 9, 11):
-        for t in ("ksss", "kkss", "kkks"):
-            on = _families(v, t)
-            off = _families(v, t, filtered=False)
-            assert on == off
+    # the search (filtered files) finds exactly what the unfiltered join finds
+    nonempty = 0
+    for v in range(3, 14, 2):
+        for p in searchable_param_sets(v):
+            for t in TYPE_NAMES:
+                if not type_applicable(p, t):
+                    continue
+                off = [collect_rows(v, k, "skew" if tag == "k" else "symmetric",
+                                    filtered=False)
+                       for tag, k in zip(type_tags(t), p.k)]
+                on = search_param(p, t, SearchOptions(classified=False)).families
+                assert [f.blocks for f in on] == bins_match(off, p.lam), (p, t)
+                nonempty += bool(on)
+    assert nonempty >= 10
     assert time.monotonic() - t0 < 5 * 60
 
 

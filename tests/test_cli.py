@@ -9,7 +9,8 @@ import contextlib
 import pytest
 
 import gsdf.cli
-from gsdf.cli import build_parser, main
+import gsdf.matcher
+from gsdf.cli import main
 from gsdf.family import read_families
 from gsdf.verify import verify_family
 from gsdf.zmod import CyclicSubset
@@ -317,6 +318,14 @@ def test_search_param_restriction():
     assert out.splitlines()[0] == "(7;3,3,3,1;3) kkks: yes, 56 families"
 
 
+@pytest.mark.parametrize("type_name", ("ksss", "kkss", "kkks"))
+def test_search_rejects_orders_beyond_mask_width(type_name):
+    rc, out, err = run("search", "65", type_name)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "63" in err
+
+
 def test_search_unknown_param_vector():
     rc, out, _ = run("search", "7", "kkks", "--param", "9,9,9,9")
     assert rc == 2
@@ -374,12 +383,60 @@ def test_table_recompute_small_orders():
 # ---------------------------------------------------------------- plumbing
 
 def test_jobs_default_from_environment(monkeypatch):
+    seen = []
+    monkeypatch.setattr(gsdf.cli, "search_order",
+                        lambda v, t, options, params: seen.append(options.jobs) or [])
     monkeypatch.setenv("GSDF_JOBS", "3")
-    args = build_parser().parse_args(["search", "3", "kkks"])
-    assert args.jobs == 3
-    monkeypatch.setenv("GSDF_JOBS", "not-a-number")
-    args = build_parser().parse_args(["search", "3", "kkks"])
-    assert args.jobs == 1
+    run("search", "3", "kkks")
+    run("search", "3", "kkks", "--jobs", "2")
+    monkeypatch.setenv("GSDF_JOBS", "")
+    run("search", "3", "kkks")
+    monkeypatch.delenv("GSDF_JOBS")
+    run("search", "3", "kkks")
+    assert seen == [3, 2, 1, 1]
+
+
+@pytest.mark.parametrize("value", ("abc", "0", "-2"))
+def test_bad_jobs_environment_exits_2(row_files7, monkeypatch, value):
+    skew, sym = row_files7
+    monkeypatch.setenv("GSDF_JOBS", value)
+    commands = (("search", "7", "kkks"),
+                ("match", skew, skew, skew, sym, "--lam", "3"),
+                ("table1", "--recompute", "--max-v", "5"))
+    for argv in commands:
+        rc, out, err = run(*argv)
+        assert rc == 2 and out == ""
+        assert err == f"error: GSDF_JOBS must be a positive integer, got '{value}'\n"
+    # an explicit --jobs does not read the environment; other commands ignore it
+    for argv in commands:
+        assert run(*argv, "--jobs", "1")[0] == 0
+    assert run("params", "7")[0] == 0
+
+
+def test_search_and_match_drop_the_tuning_flags(row_files7):
+    skew, sym = row_files7
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
+        main(["search", "--help"])
+    help_text = out.getvalue()
+    assert "--jobs" in help_text
+    assert "--threshold" not in help_text and "--no-filter" not in help_text
+    for argv in (("search", "7", "kkks", "--threshold", "5"),
+                 ("search", "7", "kkks", "--no-filter"),
+                 ("match", skew, skew, skew, sym, "--lam", "3", "--threshold", "5")):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(list(argv))
+        assert exc.value.code == 2
+
+
+def test_match_output_is_independent_of_split_limit_and_jobs(row_files7, monkeypatch):
+    skew, sym = row_files7
+    argv = ("match", skew, skew, skew, sym, "--lam", "3")
+    rc, base, _ = run(*argv)
+    assert rc == 0 and base.endswith("# 56 families\n")
+    for limit in (10 ** 7, 10, 1):
+        monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+        for jobs in ("1", "2"):
+            assert run(*argv, "--jobs", jobs) == (0, base, "")
 
 
 def test_match_honours_jobs_flag(row_files7, tmp_path):

@@ -62,14 +62,33 @@ def test_families_where_the_table_says_no(large_orders):
     assert ok
 
 
-@pytest.mark.parametrize("flag", ("--threshold", "--jobs"))
+def no_search(*args, **kwargs):
+    raise AssertionError("searched despite bad input")
+
+
+@pytest.mark.parametrize("flag", ("--jobs",))
 def test_non_positive_limits_exit_2_before_any_search(large_orders, flag, capsys,
                                                       monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched despite bad input")
-
     monkeypatch.setattr(large_orders, "search_param", no_search)
     assert large_orders.main(["--order", "33", flag, "0"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {flag[2:]} must be positive\n"
+
+
+@pytest.mark.parametrize("value", ("abc", "0"))
+def test_bad_jobs_environment_exits_2_before_any_search(large_orders, value, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(large_orders, "search_param", no_search)
+    monkeypatch.setenv("GSDF_JOBS", value)
+    assert large_orders.main(["--order", "33"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: GSDF_JOBS must be a positive integer, got '{value}'\n"
+
+
+def test_threshold_flag_is_gone(large_orders, monkeypatch):
+    monkeypatch.setattr(large_orders, "search_param", no_search)
+    with pytest.raises(SystemExit) as exc:
+        large_orders.main(["--order", "33", "--threshold", "5"])
+    assert exc.value.code == 2

@@ -8,6 +8,9 @@ from gsdf.matcher import (BRUTE_FORCE_GUARD, bins_match, brute_force_match,
                           default_jobs, match_cases)
 from gsdf.zmod import CyclicSubset
 
+# an immediate join, a few splits, and binning down to the last column
+SPLIT_LIMITS = (10 ** 7, 10, 1)
+
 
 def files_for(v, sizes, kinds, filtered=True):
     return [collect_rows(v, k, kind, filtered=filtered)
@@ -37,14 +40,15 @@ def test_match_cases_structure():
     fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
     cases = match_cases(fs, 3)
     assert cases
+    keys = []
     for case in cases:
-        assert sum(case.sums[0]) == 3
-        assert case.depth == 1
         assert all(len(f.masks) > 0 for f in case.files)
         for f, orig in zip(case.files, fs):
             assert set(f.masks.tolist()) <= set(orig.masks.tolist())
+            assert len(set(f.rows[:, 0].tolist())) == 1
+        keys.append(tuple(int(f.rows[0, 0]) for f in case.files))
+        assert sum(keys[-1]) == 3
     # cases partition by value quadruple: no duplicates
-    keys = [c.sums[0] for c in cases]
     assert len(keys) == len(set(keys))
 
 
@@ -55,16 +59,33 @@ def test_no_solution_paths():
     assert match_cases(fs, 50) == []
 
 
-def test_threshold_and_jobs_do_not_change_results():
+def test_threshold_and_jobs_do_not_change_results(monkeypatch):
+    # the split limit is a module constant; patching it covers every path
+    # from an immediate join (10**7) to binning every column (1)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     base = bins_match(fs, 7)
     assert len(base) == 480
-    for threshold in (1, 10, 10 ** 7):
-        assert bins_match(fs, 7, threshold=threshold) == base
-    assert bins_match(fs, 7, jobs=4) == base
     text = lambda sol: "".join(
         format_family(family_from_blocks(13, [b.elements for b in q])) for q in sol)
-    assert text(bins_match(fs, 7, jobs=4)) == text(base)
+    for limit in SPLIT_LIMITS:
+        monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+        for jobs in (1, 2, 4):
+            assert text(bins_match(fs, 7, jobs=jobs)) == text(base)
+
+
+def test_split_limit_1_bins_every_column(monkeypatch):
+    """At limit 1 no case is small enough to join: every family comes from
+    the full-depth product branch, in the parent and in forked workers."""
+    def no_join(*args):
+        raise AssertionError("joined below the split limit")
+
+    monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
+    monkeypatch.setattr(gsdf.matcher, "_serial_join", no_join)
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    expected = brute_force_match(fs, 7)
+    assert len(expected) == 480
+    for jobs in (1, 2):
+        assert bins_match(fs, 7, jobs=jobs) == expected
 
 
 def test_brute_force_guard():
@@ -75,8 +96,6 @@ def test_brute_force_guard():
 
 def test_bad_inputs():
     fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
-    with pytest.raises(ValueError):
-        bins_match(fs, 3, threshold=0)
     for jobs in (0, -2):
         with pytest.raises(ValueError, match="jobs must be positive"):
             bins_match(fs, 3, jobs=jobs)
@@ -103,24 +122,25 @@ def random_instance(rng, v):
     return files, lam
 
 
-def agree_on_random_instances(thresholds) -> int:
-    """Compare bins_match with brute force on 25 random instances; count
-    the solvable ones."""
+def agree_on_random_instances(monkeypatch, limits) -> int:
+    """Compare bins_match with brute force on 25 random instances at each
+    split limit; count the solvable ones."""
     rng = np.random.default_rng(20260823)
     hits = 0
     for trial in range(25):
         v = int(rng.choice([5, 7, 9, 11, 13]))
         files, lam = random_instance(rng, v)
         expected = brute_force_match(files, lam)
-        for threshold in thresholds:
-            assert bins_match(files, lam, threshold=threshold) == expected
+        for limit in limits:
+            monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+            assert bins_match(files, lam) == expected
         hits += bool(expected)
     return hits
 
 
-def test_randomized_agreement_with_brute_force():
+def test_randomized_agreement_with_brute_force(monkeypatch):
     # the sample should contain some solvable instances
-    assert agree_on_random_instances((1, 10 ** 7))
+    assert agree_on_random_instances(monkeypatch, (1, 10 ** 7))
 
 
 def test_exact_confirmation_under_hash_collisions(monkeypatch):
@@ -128,20 +148,24 @@ def test_exact_confirmation_under_hash_collisions(monkeypatch):
     each file's candidates, so nearly every pair meets every pair on its key
     and only the exact row check separates families from collisions."""
     monkeypatch.setattr(gsdf.matcher, "_HASH_MULT", np.ones(64, dtype=np.uint64))
-    assert agree_on_random_instances((1, 10, 10 ** 7))
+    assert agree_on_random_instances(monkeypatch, SPLIT_LIMITS)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     expected = brute_force_match(fs, 7)
     assert len(expected) == 480
-    for threshold in (1, 10, 10 ** 7):
-        assert bins_match(fs, 7, threshold=threshold) == expected
+    for limit in SPLIT_LIMITS:
+        monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+        for jobs in (1, 2):
+            assert bins_match(fs, 7, jobs=jobs) == expected
 
 
 def test_default_jobs_from_environment(monkeypatch):
     monkeypatch.delenv("GSDF_JOBS", raising=False)
     assert default_jobs() == 1
-    for value, jobs in (("3", 3), ("1", 1), ("0", 1), ("-2", 1), ("abc", 1), ("", 1)):
+    for value, jobs in (("3", 3), ("1", 1), ("", 1)):
         monkeypatch.setenv("GSDF_JOBS", value)
         assert default_jobs() == jobs
-    fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
-    monkeypatch.setenv("GSDF_JOBS", "abc")
-    assert len(bins_match(fs, 3, jobs=None)) == 56
+    for value in ("0", "-2", "abc", "1.5"):
+        monkeypatch.setenv("GSDF_JOBS", value)
+        with pytest.raises(ValueError) as err:
+            default_jobs()
+        assert str(err.value) == f"GSDF_JOBS must be a positive integer, got {value!r}"

@@ -9,6 +9,7 @@ equal the unreduced join, family for family and in order.
 import numpy as np
 import pytest
 
+import gsdf.matcher
 from gsdf.blockgen import collect_rows
 from gsdf.equivalence import units
 from gsdf.family import format_family
@@ -81,15 +82,17 @@ def test_reduced_search_equals_unreduced_join_at_31():
     assert reduced_equals_unreduced([31]) > 0
 
 
-def test_jobs_and_threshold_do_not_change_the_reduced_search():
+def test_jobs_and_threshold_do_not_change_the_reduced_search(monkeypatch):
     p = next(p for p in searchable_param_sets(15) if type_applicable(p, "kkss"))
-    text = ["".join(map(format_family, search_param(p, "kkss", options).families))
-            for options in (SearchOptions(classified=False),
-                            SearchOptions(classified=False, jobs=2, threshold=1))]
-    assert text[0] and text[0] == text[1]
+    text = lambda jobs: "".join(map(format_family, search_param(
+        p, "kkss", SearchOptions(classified=False, jobs=jobs)).families))
+    base = text(1)
+    assert base
+    monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
+    assert text(2) == base
 
 
-@pytest.mark.parametrize("bad", ({"jobs": 0}, {"jobs": -2}, {"threshold": 0}))
+@pytest.mark.parametrize("bad", ({"jobs": 0}, {"jobs": -2}))
 def test_search_options_reject_non_positive_limits(bad):
     with pytest.raises(ValueError, match="must be positive"):
         SearchOptions(**bad)

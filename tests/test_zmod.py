@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdf.blockgen import _psd_max, difference_counts
-from gsdf.zmod import CyclicSubset, dilate_mask, mask_elements, negate_mask
+from gsdf.zmod import (CyclicSubset, dilate_mask, mask_elements, negate_mask,
+                       rotate_mask)
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
 
@@ -218,6 +219,8 @@ def test_mask_transforms_match_elementwise_definitions(case):
     assert elements == tuple(i for i in range(v) if mask >> i & 1)
     assert negate_mask(v, mask) == sum(1 << (-x % v) for x in set(elements))
     assert dilate_mask(v, mask, u) == sum(1 << (u * x % v) for x in set(elements))
+    for s in (u, -u):
+        assert rotate_mask(v, mask, s) == sum(1 << ((x + s) % v) for x in set(elements))
     x = CyclicSubset(v, mask)
     negated = {-e % v for e in elements}
     assert x.is_symmetric() == (negated == set(elements))
@@ -241,3 +244,16 @@ def test_dilate_mask_on_arrays_matches_ints(case):
     image = dilate_mask(v, np.array(masks, dtype=np.int64), u)
     assert image.dtype == np.int64
     assert image.tolist() == [dilate_mask(v, m, u) for m in masks]
+
+
+@pytest.mark.parametrize("v", (3, 31, 61, 63))
+def test_rotate_mask_on_arrays_matches_ints(v):
+    # the top bit (bit 62 at v = 63) is set in half the masks: cutting the
+    # low bits before the shift keeps int64 clear of its sign bit
+    rng = np.random.default_rng(v)
+    masks = rng.integers(0, (1 << v) - 1, size=64, dtype=np.int64, endpoint=True)
+    masks[::2] |= 1 << (v - 1)
+    for s in range(-1, v + 1):
+        image = rotate_mask(v, masks, s)
+        assert image.dtype == np.int64 and image.min() >= 0
+        assert image.tolist() == [rotate_mask(v, m, s) for m in masks.tolist()]
