@@ -27,6 +27,15 @@ symmetric aperiodic set admits only the trivial symmetric translate).
 
 Small classes use only global dilations, acting on the unordered multiset
 of tagged blocks; they refine the full classes.
+
+Both keys are invariant under global dilation F -> uF.  Dilation keeps
+tags, the typed translates of uX are u times those of X, and as u' runs
+over the units so does u'u, so the least over units is the same for F
+and uF.  `classify` and `small_classes` therefore label each family by
+its dilation orbit, the least mask quadruple over its dilates
+(`orbit_least`, vectorised per v), and compute one key per label.  A
+search's family list is closed under dilation, so that is one key per
+family the join found before its expansion over the units.
 """
 from __future__ import annotations
 
@@ -34,6 +43,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
+
+import numpy as np
 
 from .family import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, Family, block_tag
 from .zmod import CyclicSubset, dilate_mask, mask_elements, rotate_mask
@@ -86,6 +97,29 @@ def apply_transform(fam: Family, t) -> Family:
 def units(v: int) -> tuple:
     """The units of Z_v, ascending; Z_1 has the one unit 0 (= 1)."""
     return tuple(u for u in range(v) if gcd(u, v) == 1)
+
+
+def orbit_least(v: int, masks) -> np.ndarray:
+    """The least dilate of each mask, over dilation by the units of Z_v.
+
+    ``masks`` is an (n,) int64 array of masks or an (n, 4) array of mask
+    quadruples; quadruples are compared lexicographically and all four
+    masks take the same unit, so a row's result labels its family's
+    dilation orbit.
+    """
+    # int64 holds masks of v <= 63 bits; wider ones stay Python ints
+    masks = np.asarray(masks, dtype=np.int64 if v <= 63 else object)
+    cols = masks if masks.ndim == 2 else masks[:, None]
+    least = cols.copy()
+    for u in units(v):
+        image = dilate_mask(v, cols, u)
+        # lexicographic image < least, decided from the last column back
+        smaller = image[:, -1] < least[:, -1]
+        for j in range(cols.shape[1] - 2, -1, -1):
+            smaller = (image[:, j] < least[:, j]) | (
+                (image[:, j] == least[:, j]) & smaller)
+        np.copyto(least, image, where=smaller[:, None])
+    return least.reshape(masks.shape)
 
 
 # --- cached mask-level helpers ----------------------------------------------
@@ -170,10 +204,29 @@ class FamilyClass:
     members: tuple
 
 
+def _orbit_labels(families) -> list:
+    """(v,) + the least mask quadruple of each family's dilation orbit."""
+    by_v = {}
+    for i, fam in enumerate(families):
+        by_v.setdefault(fam.v, []).append(i)
+    labels = [None] * len(families)
+    for v, idx in by_v.items():
+        quads = [[b.mask for b in families[i].blocks] for i in idx]
+        for i, least in zip(idx, orbit_least(v, quads).tolist()):
+            labels[i] = (v, *least)
+    return labels
+
+
 def _group_by(families, keyfunc) -> list:
-    buckets = {}
-    for fam in families:
-        buckets.setdefault(keyfunc(fam), []).append(fam)
+    """Classes of families under an invariant of dilation, keyfunc called
+    once per dilation orbit present."""
+    families = list(families)
+    keys, buckets = {}, {}
+    for fam, label in zip(families, _orbit_labels(families)):
+        key = keys.get(label)
+        if key is None:
+            key = keys[label] = keyfunc(fam)
+        buckets.setdefault(key, []).append(fam)
     classes = []
     for key in sorted(buckets):
         members = buckets[key]

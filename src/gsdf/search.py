@@ -31,7 +31,7 @@ import numpy as np
 
 from .blockgen import check_width, collect_rows
 from .catalog import table_rows
-from .equivalence import classify, small_classes, units
+from .equivalence import classify, orbit_least, small_classes, units
 from .family import Family
 from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
@@ -92,14 +92,6 @@ def row_files_for(params: GsParamSet, type_name: str, cache=None):
             cache[key] = rf
         files.append(rf)
     return files
-
-
-def orbit_least(v: int, masks: np.ndarray) -> np.ndarray:
-    """The least mask of each mask's orbit under dilation by the units of Z_v."""
-    least = masks.copy()
-    for u in units(v):
-        np.minimum(least, dilate_mask(v, masks, u), out=least)
-    return least
 
 
 def expand_over_units(v: int, quads) -> list:

@@ -21,12 +21,25 @@ matrices (A_1 skew-type plus three symmetric back-circulants B_i = A_i R,
 pairwise amicable), two skew blocks give G-matrices, three give best
 matrices.
 
-`verify_family` builds the four circulants once and derives every
-certificate from them: the Gram sum G = sum A_i A_i^T gives both the
-Gram condition and, through its first row, the difference multiplicities
-(G[0, s] = sum_i PAF_i(s) and PAF(s) = v - 4k + 4 d(s) for a block of
-size k); the array H gives the Hadamard test, and the skew-type test
-reuses its outcome.  Multiplying by R only reverses columns.
+`build_gs_array` is the one construction of H.  Each entry of H is
++-1 times an entry of one of the four first rows: Z_i[r, c] is row i at
+(c - r) mod v, (Z_i R)[r, c] at (-1 - r - c) mod v and (Z_i^T R)[r, c]
+at (r + c + 1) mod v.  So H is a single gather from the four +-1 rows
+(unpacked from the masks' bits) and their negatives, through a (4v, 4v)
+index cached per v.
+
+`verify_family` builds H once, computes P = H H^T once and reads every
+certificate from H and P.  The first block row of H is
+[A_1 | A_2 R | A_3 R | A_4 R], and R R^T = I, so P[:v, :v] is the Gram
+sum G = sum A_i A_i^T: it gives the Gram condition and, through its
+first row, the difference multiplicities (G[0, s] = sum_i PAF_i(s) and
+PAF(s) = v - 4k + 4 d(s) for a block of size k).  H and P give the
+Hadamard test and H + H^T the skew-type test.  The good-matrix test
+(pattern ksss) reads the first block row [A_1 | B_1 | B_2 | B_3]
+(B_i = A_{i+1} R) and adds the one product P cannot give, the pairwise
+products M_i M_j^T of those four blocks that decide amicability.  No
+circulant of a single block is built on that path; the public checks
+below, which also take bare matrices, build them.
 
 All checks are exact integer identities.  The Gram products run in
 float64 through BLAS (numpy has no BLAS for integer matmul), and that is
@@ -37,6 +50,7 @@ integer of absolute value at most the inner dimension, at most
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,11 +58,18 @@ from .family import TAG_SKEW, Family
 from .zmod import CyclicSubset
 
 
+def _pm_rows(v: int, masks) -> np.ndarray:
+    """The +-1 sequences of width-v masks, one row each: -1 where a bit is
+    set.  The bits are unpacked from the masks' bytes, so any v works."""
+    nbytes = (v + 7) // 8
+    data = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    return 1 - 2 * bits.reshape(len(masks), -1)[:, :v].astype(np.int64)
+
+
 def _as_row(x):
     if isinstance(x, CyclicSubset):
-        row = np.ones(x.v, dtype=np.int64)
-        row[list(x.elements)] = -1
-        return row
+        return _pm_rows(x.v, [x.mask])[0]
     row = np.asarray(x, dtype=np.int64)
     if row.ndim != 1:
         raise ValueError("expected a 1-d first row")
@@ -66,9 +87,12 @@ def circulant(x) -> np.ndarray:
     return row[_circulant_index(len(row))]
 
 
+def _family_rows(fam: Family) -> np.ndarray:
+    return _pm_rows(fam.v, [b.mask for b in fam.blocks])
+
+
 def family_circulants(fam: Family) -> list:
-    rows = np.stack([_as_row(b) for b in fam.blocks])
-    return list(rows[:, _circulant_index(fam.v)])
+    return list(_family_rows(fam)[:, _circulant_index(fam.v)])
 
 
 def _matrices(fam_or_mats) -> list:
@@ -136,31 +160,43 @@ def check_gs_matrices(fam_or_mats) -> bool:
     return _is_scalar(_gram(mats), 4 * len(mats[0]))
 
 
-def build_gs_array(fam_or_mats) -> np.ndarray:
-    """The 4v x 4v Goethals-Seidel array, as int64."""
-    z0, z1, z2, z3 = _matrices(fam_or_mats)
-    v = len(z0)
-    z1r, z2r, z3r = z1[:, ::-1], z2[:, ::-1], z3[:, ::-1]
-    z1tr, z2tr, z3tr = z1.T[:, ::-1], z2.T[:, ::-1], z3.T[:, ::-1]
-    layout = ((z0, z1r, z2r, z3r),
-              (-z1r, z0, -z3tr, z2tr),
-              (-z2r, z3tr, z0, -z1tr),
-              (-z3r, -z2tr, z1tr, z0))
-    h = np.empty((4 * v, 4 * v), dtype=np.int64)
-    for i, row in enumerate(layout):
-        for j, block in enumerate(row):
-            h[i * v:(i + 1) * v, j * v:(j + 1) * v] = block
-    return h
+# Block (I, J) of the array as (block i of the family, sign, entry index):
+# "C" circulant (c - r), "R" times R (-1 - r - c), "T" transposed times R
+# (r + c + 1), all mod v.
+_GS_LAYOUT = (((0, 1, "C"), (1, 1, "R"), (2, 1, "R"), (3, 1, "R")),
+              ((1, -1, "R"), (0, 1, "C"), (3, -1, "T"), (2, 1, "T")),
+              ((2, -1, "R"), (3, 1, "T"), (0, 1, "C"), (1, -1, "T")),
+              ((3, -1, "R"), (2, -1, "T"), (1, 1, "T"), (0, 1, "C")))
+
+
+@lru_cache(maxsize=None)
+def _gs_index(v: int) -> np.ndarray:
+    """Index of each entry of the array into [rows, -rows], rows flattened."""
+    r, c = np.ogrid[:v, :v]
+    entry = {"C": (c - r) % v, "R": (-1 - r - c) % v, "T": (r + c + 1) % v}
+    index = np.block([[(i + 4 * (sign < 0)) * v + entry[form]
+                       for i, sign, form in row] for row in _GS_LAYOUT])
+    index.flags.writeable = False
+    return index
+
+
+def build_gs_array(fam: Family) -> np.ndarray:
+    """The 4v x 4v Goethals-Seidel array, as int64, in one gather."""
+    rows = _family_rows(fam).ravel()
+    return np.concatenate((rows, -rows))[_gs_index(fam.v)]
+
+
+def _is_hadamard(h: np.ndarray, p: np.ndarray) -> bool:
+    """h has entries +-1 and p = h h^T is len(h) I."""
+    return bool(((h == 1) | (h == -1)).all()) and _is_scalar(p, len(h))
 
 
 def is_hadamard(h: np.ndarray) -> bool:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         return False
-    if not ((h == 1) | (h == -1)).all():
-        return False
     f = h.astype(np.float64)
-    return _is_scalar(f @ f.T, len(f))
+    return _is_hadamard(h, f @ f.T)
 
 
 def is_skew_hadamard(h: np.ndarray) -> bool:
@@ -168,18 +204,14 @@ def is_skew_hadamard(h: np.ndarray) -> bool:
     return is_hadamard(h) and _is_skew_type(h)
 
 
-def check_good_matrices(fam_or_mats) -> bool:
-    """Good-matrix identities for a family with pattern ksss, or its circulants.
+def _is_good(first_row: np.ndarray) -> bool:
+    """Good-matrix identities on a block row [A_1 | B_1 | B_2 | B_3].
 
-    A_1 must be of skew type, B_i = A_i R symmetric, the four matrices
+    A_1 must be of skew type, the B_i symmetric, the four matrices
     pairwise amicable, and their Gram sum 4vI.
     """
-    if isinstance(fam_or_mats, Family) and fam_or_mats.pattern != "ksss":
-        raise ValueError(
-            f"good matrices need pattern ksss, got {fam_or_mats.pattern!r}")
-    a1, a2, a3, a4 = _matrices(fam_or_mats)
-    v = len(a1)
-    bs = [a2[:, ::-1], a3[:, ::-1], a4[:, ::-1]]
+    v = len(first_row)
+    a1, *bs = np.split(first_row, 4, axis=1)
     if not _is_skew_type(a1) or any(not np.array_equal(b, b.T) for b in bs):
         return False
     # q[i, :, j, :] = M_i M_j^T; amicable iff every such block is symmetric
@@ -188,6 +220,16 @@ def check_good_matrices(fam_or_mats) -> bool:
     if not np.array_equal(q, q.transpose(0, 3, 2, 1)):
         return False
     return _is_scalar(sum(q[i, :, i, :] for i in range(4)), 4 * v)
+
+
+def check_good_matrices(fam_or_mats) -> bool:
+    """Good-matrix identities for a family with pattern ksss, or its circulants
+    A_1..A_4 (B_i = A_{i+1} R)."""
+    if isinstance(fam_or_mats, Family) and fam_or_mats.pattern != "ksss":
+        raise ValueError(
+            f"good matrices need pattern ksss, got {fam_or_mats.pattern!r}")
+    a1, *rest = _matrices(fam_or_mats)
+    return _is_good(np.concatenate([a1] + [a[:, ::-1] for a in rest], axis=1))
 
 
 _SPECIAL_NAMES = {"ksss": "good", "kkss": "g", "kkks": "best"}
@@ -215,25 +257,27 @@ class FamilyCertificate:
 
 
 def verify_family(fam: Family) -> FamilyCertificate:
-    """Run every applicable exact check on a family, from one set of circulants.
+    """Run every applicable exact check on a family, from one array H and
+    its product P = H H^T (plus the amicability product of ksss).
 
     G-matrices (kkss) and best matrices (kkks) are the Gram condition on
     their pattern, so their special certificate is `gs`.
     """
-    mats = family_circulants(fam)
-    gram = _gram(mats)
+    v = fam.v
+    h = build_gs_array(fam).astype(np.float64)
+    p = h @ h.T
+    gram = p[:v, :v]
     diff = _difference_check(gram, fam.blocks)
     lam_matches = diff.ok and diff.lam == fam.params.lam
-    gs = _is_scalar(gram, 4 * fam.v)
-    h = build_gs_array(mats)
-    had = is_hadamard(h)
+    gs = _is_scalar(gram, 4 * v)
+    had = _is_hadamard(h, p)
     tags = fam.tags
     skew_type = (had and _is_skew_type(h)) if tags[0] == TAG_SKEW else None
     pattern = "".join(tags)
     name = _SPECIAL_NAMES.get(pattern, "")
     special = None
     if name:
-        special = check_good_matrices(mats) if pattern == "ksss" else gs
+        special = _is_good(h[:v]) if pattern == "ksss" else gs
     return FamilyCertificate(fam, diff, lam_matches, gs, had, skew_type,
                              name, special)
 

@@ -1,15 +1,23 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+import gsdf.equivalence
 from gsdf.blockgen import collect_rows
 from gsdf.equivalence import (Dilate, Exchange, Negate, Translate,
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
-                              family_sort_key, small_classes, small_key, units)
-from gsdf.family import TAG_NONE, TAG_SKEW, block_tag, family_from_blocks
+                              family_sort_key, orbit_least, small_classes,
+                              small_key, units)
+from gsdf.family import (TAG_NONE, TAG_SKEW, Family, block_tag,
+                         family_from_blocks)
 from gsdf.matcher import bins_match
+from gsdf.params import (TYPE_NAMES, enumerate_param_sets,
+                         searchable_param_sets, type_applicable)
+from gsdf.search import SearchOptions, search_param
+from gsdf.zmod import CyclicSubset
 from gsdf.verify import check_difference_family
 
 
@@ -173,7 +181,6 @@ def test_units():
 def test_skew_translates_can_leave_the_negation_pair():
     # at composite v a skew block can have a skew translate besides {X, -X};
     # the canonical search must look past per-block negations
-    from gsdf.zmod import CyclicSubset
     k = CyclicSubset.from_elements(9, [1, 3, 4, 7])
     t = k.translate(3)
     assert k.is_skew() and t.is_skew()
@@ -231,3 +238,112 @@ def test_representative_is_sort_key_minimal():
     for c in classify(FAMS9):
         rep_key = family_sort_key(c.representative)
         assert all(rep_key <= family_sort_key(m) for m in c.members)
+
+
+# --- classes keyed once per dilation orbit -----------------------------------
+
+@lru_cache(maxsize=None)
+def found(v):
+    """Every family the search finds at v, one list per (set, type)."""
+    return tuple(tuple(search_param(p, t, SearchOptions(classified=False)).families)
+                 for p in searchable_param_sets(v) for t in TYPE_NAMES
+                 if type_applicable(p, t))
+
+
+@lru_cache(maxsize=None)
+def keys_of(fam):
+    return canonical_key(fam), small_key(fam)
+
+
+def dilate(fam, u):
+    return Family(fam.params, tuple(b.dilate(u) for b in fam.blocks))
+
+
+def quad(fam):
+    return tuple(b.mask for b in fam.blocks)
+
+
+def test_keys_are_invariant_under_dilation():
+    # the search's lists are closed under dilation, so u F is found as well
+    # and its key is looked up; a dilate not in the list is keyed directly
+    checked = 0
+    for v in range(3, 22, 2):
+        for fams in found(v):
+            by_quad = {quad(f): f for f in fams}
+            for fam in fams:
+                for u in units(v):
+                    image = dilate(fam, u)
+                    assert keys_of(by_quad.get(quad(image), image)) == keys_of(fam)
+                    checked += 1
+    assert checked > 10000
+
+
+def grouped(families, keyfunc):
+    """Classes from one key per family: (key, size, members, representative)."""
+    buckets = {}
+    for fam in families:
+        buckets.setdefault(keyfunc(fam), []).append(fam)
+    return [(key, len(m), tuple(m), min(m, key=family_sort_key))
+            for key, m in sorted(buckets.items())]
+
+
+def assert_classes_match_per_family_keys(families):
+    for classes, index in ((classify(families), 0), (small_classes(families), 1)):
+        got = [(c.key, c.size, c.members, c.representative) for c in classes]
+        assert got == grouped(families, lambda f: keys_of(f)[index])
+
+
+def test_orbit_keyed_classes_equal_per_family_classes():
+    lists = [fams for v in range(3, 26, 2) for fams in found(v) if fams]
+    for fams in lists:
+        assert_classes_match_per_family_keys(list(fams))
+    rng = random.Random(9)
+    fams = [f for fams in found(13) for f in fams]
+    shuffled = rng.sample(fams, len(fams))
+    assert_classes_match_per_family_keys(shuffled)
+    # not closed under dilation: some dilates of an orbit present, some not
+    assert_classes_match_per_family_keys([f for f in shuffled if rng.random() < 0.4])
+    # two orders in one list, as a family file may hold
+    mixed = fams + [f for fams in found(15) for f in fams]
+    assert_classes_match_per_family_keys(rng.sample(mixed, len(mixed)))
+
+
+def test_untyped_family_after_typed_ones_is_rejected():
+    typed = list(found(7)[0])
+    untyped = family_from_blocks(7, [[1, 2, 4], [1, 2, 4], [1, 2, 4], [1]])
+    for group in (classify, small_classes):
+        with pytest.raises(ValueError, match="typed families"):
+            group(typed + [untyped])
+
+
+def test_keys_are_computed_once_per_dilation_orbit(monkeypatch):
+    fams = [f for fams in found(13) + found(15) for f in fams]
+    orbits = {frozenset(quad(dilate(f, u)) for u in units(f.v)) for f in fams}
+    assert len(orbits) < len(fams) // 4
+    for name, group in (("canonical_key", classify),
+                        ("small_key", small_classes)):
+        calls = []
+        inner = getattr(gsdf.equivalence, name)
+        monkeypatch.setattr(gsdf.equivalence, name,
+                            lambda fam, inner=inner: calls.append(fam) or inner(fam))
+        group(fams)
+        assert len(calls) == len(orbits)
+
+
+def test_orbit_labels_beyond_int64_masks():
+    # v = 65 masks do not fit int64; labels and keys use Python ints
+    v = 65
+    params = next(p for p in enumerate_param_sets(v) if p.k[0] == 32)
+    rng = random.Random(65)
+    skew = CyclicSubset.from_elements(v, [rng.choice((x, v - x)) for x in range(1, 33)])
+    symmetric = [CyclicSubset.from_elements(
+        v, ([0] if k % 2 else []) + [y for x in rng.sample(range(1, 33), k // 2)
+                                     for y in (x, v - x)]) for k in params.k[1:]]
+    fam = Family(params, (skew, *symmetric))
+    assert fam.pattern == "ksss"
+    fams = [fam, dilate(fam, 2), dilate(fam, 64)]
+    assert orbit_least(v, [quad(fam)]).tolist() == [list(min(
+        quad(dilate(fam, u)) for u in units(v)))]
+    classes = classify(fams)
+    assert [(c.size, c.members) for c in classes] == [(3, tuple(fams))]
+    assert_classes_match_per_family_keys(fams)

@@ -11,11 +11,11 @@ import pytest
 
 import gsdf.matcher
 from gsdf.blockgen import collect_rows
-from gsdf.equivalence import units
+from gsdf.equivalence import orbit_least, units
 from gsdf.family import format_family
 from gsdf.matcher import bins_match
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
-from gsdf.search import (SearchOptions, expand_over_units, orbit_least,
+from gsdf.search import (SearchOptions, expand_over_units,
                          row_files_for, search_param)
 from gsdf.zmod import dilate_mask
 
@@ -46,6 +46,16 @@ def test_orbit_least_is_the_least_dilate():
     least = orbit_least(v, masks)
     for mask, low in zip(masks.tolist()[::37], least.tolist()[::37]):
         assert low == min(dilate_mask(v, mask, u) for u in units(v))
+    # quadruples: the lexicographically least dilate, one unit for all four
+    rng = np.random.default_rng(15)
+    quads = rng.choice(masks, size=(60, 4))
+    quads[:20, 1:] = quads[:20, :1]  # ties in the first column
+    quads[20:30, 0] = quads[20:30, 0].min()  # one X_1 for ten rows
+    for quad, low in zip(quads.tolist(), orbit_least(v, quads).tolist()):
+        assert tuple(low) == min(tuple(dilate_mask(v, m, u) for m in quad)
+                                 for u in units(v))
+    assert orbit_least(v, masks[:0]).shape == (0,)
+    assert orbit_least(v, quads[:0]).shape == (0, 4)
 
 
 def test_expand_over_units_sorts_and_deduplicates():
@@ -82,7 +92,7 @@ def test_reduced_search_equals_unreduced_join_at_31():
     assert reduced_equals_unreduced([31]) > 0
 
 
-def test_jobs_and_threshold_do_not_change_the_reduced_search(monkeypatch):
+def test_jobs_and_split_limit_do_not_change_the_reduced_search(monkeypatch):
     p = next(p for p in searchable_param_sets(15) if type_applicable(p, "kkss"))
     text = lambda jobs: "".join(map(format_family, search_param(
         p, "kkss", SearchOptions(classified=False, jobs=jobs)).families))

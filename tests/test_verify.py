@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 import gsdf.search
 from gsdf.catalog import catalog_entries, catalog_entry
 from gsdf.family import Family, family_from_blocks
-from gsdf.params import enumerate_param_sets, searchable_param_sets
+from gsdf.params import (enumerate_param_sets, searchable_param_sets,
+                         type_applicable)
 from gsdf.search import search_param
 from gsdf.verify import (build_gs_array, check_difference_family,
                          check_good_matrices, check_gs_matrices, circulant,
@@ -134,18 +137,78 @@ def test_verify_family_certificate():
     assert cert.special_name == "best" and cert.special is False
 
 
-def test_verify_family_uses_the_public_checks():
-    for e in catalog_entries():
-        fam = e.family
-        cert = verify_family(fam)
-        mats = family_circulants(fam)
+def gs_block_formula(fam):
+    """The Goethals-Seidel array from its block formula, with an explicit R."""
+    v = fam.v
+    z0, z1, z2, z3 = (circulant([-1 if i in b else 1 for i in range(v)])
+                      for b in fam.blocks)
+    r = np.eye(v, dtype=np.int64)[::-1]
+    return np.block([[z0, z1 @ r, z2 @ r, z3 @ r],
+                     [-z1 @ r, z0, -z3.T @ r, z2.T @ r],
+                     [-z2 @ r, z3.T @ r, z0, -z1.T @ r],
+                     [-z3 @ r, -z2.T @ r, z1.T @ r, z0]])
+
+
+def test_gathered_array_is_the_block_formula():
+    rng = np.random.default_rng(25)
+    fams = [family_from_blocks(1, [[], [], [], []])]
+    for v in (*range(3, 26, 2), 65):  # 65: masks wider than int64
+        for params in enumerate_param_sets(v)[:3]:
+            fams.append(Family(params, tuple(
+                CyclicSubset.from_elements(v, rng.choice(v, k, replace=False))
+                for k in params.k)))
+    fams.append(catalog_entry("33-kkss-a").family)
+    for fam in fams:
         h = build_gs_array(fam)
+        assert h.dtype == np.int64
+        assert np.array_equal(h, gs_block_formula(fam)), fam
+
+
+def move_one_element(fam, rng, keep_tags=False):
+    """The family with one element of one block moved to a residue outside it.
+
+    With keep_tags, an x of the skew block X_1 moves to -x, so X_1 stays
+    skew.  A move that keeps the block's difference counts (a translate,
+    say) is drawn again; any other breaks their constant sum.
+    """
+    v = fam.v
+    while True:
+        i = 0 if keep_tags else rng.choice(
+            [j for j, b in enumerate(fam.blocks) if 0 < len(b) < v])
+        b = fam.blocks[i]
+        x = rng.choice(b.elements)
+        out = -x % v if keep_tags else rng.choice([y for y in range(v) if y not in b])
+        moved = CyclicSubset(v, b.mask ^ 1 << x ^ 1 << out)
+        if any(moved.difference_count(s) != b.difference_count(s)
+               for s in range(1, v)):
+            return Family(fam.params, fam.blocks[:i] + (moved,) + fam.blocks[i + 1:])
+
+
+def test_verify_family_uses_the_public_checks():
+    rng = random.Random(4)
+    real = [e.family for e in catalog_entries()]
+    for t in ("kkks", "kkss", "ksss"):
+        found = [f for p in searchable_param_sets(13) if type_applicable(p, t)
+                 for f in search_param(p, t).families]
+        real += rng.sample(found, 4)
+    corrupted = [move_one_element(fam, rng, keep) for fam in real
+                 for keep in (False, True)]
+    assert {f.type_name for f in real} == {"kkks", "kkss", "ksss"}
+    assert {f.pattern for f in corrupted} >= {"kkks", "kkss", "ksss"}
+    for fam in real + corrupted:
+        cert = verify_family(fam)
+        assert cert.ok == (fam in real)
+        mats = family_circulants(fam)
+        h = gs_block_formula(fam)
         assert cert.diff == check_difference_family(fam.blocks)
+        assert cert.lam_matches == (cert.diff.ok and cert.diff.lam == fam.params.lam)
         assert cert.gs == check_gs_matrices(fam) == check_gs_matrices(mats)
         assert cert.hadamard == is_hadamard(h)
-        assert cert.skew_type == is_skew_hadamard(h)
+        assert cert.skew_type == (is_skew_hadamard(h) if fam.tags[0] == "k" else None)
         if fam.pattern == "ksss":
             assert cert.special == check_good_matrices(fam)
+        else:
+            assert cert.special == (cert.gs if cert.special_name else None)
 
 
 @st.composite
