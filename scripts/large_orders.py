@@ -14,7 +14,7 @@ that are least in their unit orbit and expands the families found over
 the units (see gsdf.search). On a 2-core x86-64 machine, one process,
 the v = 31 searches with classification take 1.5 s for
 (31;15,15,15,10;24) ksss and 1.2 s for kkss, the order-33 kkss
-reproduction (--order 33 --type kkss) takes 7 s; with --jobs 2 (every
+reproduction (--order 33 --type kkss) takes 13 s; with --jobs 2 (every
 type), --order 37 finishes in 38 s and --order 41 in 15 minutes.
 Orders 43 and up have not been timed. Restrict the workload with
 --order/--type and parallelise with --jobs (default: the GSDF_JOBS
@@ -81,13 +81,13 @@ def main(argv=None) -> int:
     try:
         options = SearchOptions(
             jobs=default_jobs() if args.jobs is None else args.jobs)
-    except ValueError as exc:
+        if args.out_dir:
+            os.makedirs(args.out_dir, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     orders = args.order or ORDERS
     types = args.type or TYPE_NAMES
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.time()
     failures = 0
     for v in orders:

@@ -146,8 +146,10 @@ def collect_rows(v: int, k: int, kind: str, filtered: bool = True) -> RowFile:
     The filter keeps blocks with max_{j>0} PSD(j) <= 4v, up to a relative
     float tolerance of PSD_REL_EPS.
     """
+    if v < 1 or v % 2 == 0:
+        raise ValueError(f"candidate blocks need a positive odd v, got {v}")
     if kind == "skew":
-        if k != (v - 1) // 2 or v % 2 == 0:
+        if k != (v - 1) // 2:
             raise ValueError(f"skew blocks in Z_{v} have size (v-1)/2, not {k}")
         masks = skew_masks(v)
     elif kind == "symmetric":

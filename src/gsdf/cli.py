@@ -21,6 +21,7 @@ from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
                      searchable_param_sets, type_applicable)
 from .search import SearchOptions, search_order, table_comparison
 from .verify import build_gs_array, verify_family, write_hadamard
+from .zmod import CyclicSubset
 
 
 def cmd_params(args) -> int:
@@ -49,8 +50,8 @@ def cmd_match(args) -> int:
     if len({f.v for f in files}) != 1:
         raise ValueError("row files disagree on v")
     params = GsParamSet(files[0].v, tuple(f.k for f in files), args.lam)
-    quads = bins_match(files, args.lam, jobs=args.jobs)
-    fams = [Family(params, quad) for quad in quads]
+    fams = [Family(params, tuple(CyclicSubset(params.v, m) for m in quad))
+            for quad in bins_match(files, args.lam, jobs=args.jobs)]
     text = "".join(format_family(f) for f in fams)
     if args.out:
         with open(args.out, "w") as fh:
@@ -240,7 +241,9 @@ def main(argv=None) -> int:
             args.jobs = default_jobs()
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:  # includes the file-format errors
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -21,13 +21,14 @@ by a lookup of the unsorted keys in the sorted hit keys.  Distinct rows
 can share a key, so every candidate quadruple is confirmed exactly
 against the target row before it is emitted.
 
-Solutions are returned as tuples of four CyclicSubset, sorted by their
-mask encodings, independent of the split limit and of the number of
-worker processes `jobs` (the CLI's default is `default_jobs`, read from
-GSDF_JOBS).  The join takes the four files as given: it assumes no
-symmetry of them.  `search.search_param`, whose files are complete
-candidate sets, reduces X_1 to unit-orbit representatives before
-calling it and expands the families afterwards.
+Solutions are returned as 4-tuples of int block masks (bit i set when
+i is in the block), sorted, independent of the split limit and of the
+number of worker processes `jobs` (the CLI's default is `default_jobs`,
+read from GSDF_JOBS); callers that want blocks build them from the
+masks.  The join takes the four files as given: it assumes no symmetry
+of them.  `search.search_param`, whose files are complete candidate
+sets, reduces X_1 to unit-orbit representatives before calling it and
+expands the families afterwards.
 """
 from __future__ import annotations
 
@@ -37,8 +38,6 @@ from itertools import product
 from multiprocessing import get_context
 
 import numpy as np
-
-from .zmod import CyclicSubset
 
 SPLIT_LIMIT = 10 ** 7
 BRUTE_FORCE_GUARD = 10 ** 8
@@ -220,11 +219,10 @@ def default_jobs() -> int:
 
 
 def bins_match(files, lam: int, jobs: int = 1) -> list:
-    """All quadruples (X_1..X_4), one block per file, whose rows sum to lam."""
+    """Sorted mask quadruples (X_1..X_4), one block per file, whose rows sum to lam."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
     cases = match_cases(files, lam)
-    v = files[0].v
     if jobs > 1 and len(cases) > 1:
         with get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_join_case, cases)
@@ -232,18 +230,18 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
     else:
         quads = [q for c in cases for q in _join_case(c)]
     quads.sort()
-    return [tuple(CyclicSubset(v, m) for m in quad) for quad in quads]
+    return quads
 
 
 def brute_force_match(files, lam: int, guard: int = BRUTE_FORCE_GUARD) -> list:
-    """Reference matcher: four nested loops with partial-sum pruning."""
+    """Reference matcher, same output as `bins_match`: four nested loops
+    with partial-sum pruning."""
     sizes = [len(f.masks) for f in files]
     work = 1
     for n in sizes:
         work *= n
     if work > guard:
         raise ValueError(f"search space {work} exceeds guard {guard}")
-    v = files[0].v
     r1, r2, r3, r4 = (f.rows.astype(np.int16) for f in files)
     out = []
     for i1 in range(sizes[0]):
@@ -263,4 +261,4 @@ def brute_force_match(files, lam: int, guard: int = BRUTE_FORCE_GUARD) -> list:
                     out.append((int(files[0].masks[i1]), int(files[1].masks[i2]),
                                 int(files[2].masks[i3]), int(files[3].masks[i4])))
     out.sort()
-    return [tuple(CyclicSubset(v, m) for m in quad) for quad in out]
+    return out

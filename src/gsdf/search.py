@@ -1,16 +1,20 @@
 """End-to-end exhaustive search: parameters -> blocks -> matching -> classes.
 
 For a symmetry type and parameter set (k1 = ... = (v-1)/2 on the skew
-positions), PSD-filtered candidate row sets are generated per position,
-matched into families, re-verified from scratch, and optionally
-classified.  The filter is sound (see `blockgen`), so the search always
-uses it; an unfiltered cross-check joins `collect_rows(..., filtered=False)`
-files with `bins_match`, or runs `gsdf generate --no-filter` and
-`gsdf match`.  `SearchOptions` holds the worker count and whether to
-classify.  Verdicts aggregate over all parameter sets of an order,
-reproducing the existence table: 'yes' when some parameter set admits a
-family of the type, 'no' when the exhaustive runs all come up empty, 'x'
-when no parameter set can carry the type.
+positions), PSD-filtered candidate row sets are generated, one per
+distinct (size, kind) of the four positions, matched into families,
+re-verified from scratch, and optionally classified.  No state is kept
+between parameter sets: generation takes seconds at most (2.8 s for the
+975528 skew blocks at v = 45 on a 2-core x86-64 machine), against joins
+of minutes to hours.  The filter is sound (see `blockgen`), so the
+search always uses it; an unfiltered cross-check joins
+`collect_rows(..., filtered=False)` files with `bins_match`, or runs
+`gsdf generate --no-filter` and `gsdf match`.  `SearchOptions` holds the
+worker count and whether to classify.  `search_order` is the one loop
+over the parameter sets of an order; its verdicts reproduce the
+existence table: 'yes' when some parameter set admits a family of the
+type, 'no' when the exhaustive runs all come up empty, 'x' when no
+parameter set can carry the type.
 
 The match is reduced by the unit orbits of X_1.  Dilating a block by a
 unit u of Z_v keeps its tag, its size and the multiset of its PSD
@@ -75,23 +79,13 @@ class ParamOutcome:
         return f"{self.params.v}-{self.type_name}-{'-'.join(map(str, self.params.k))}.fam"
 
 
-def row_files_for(params: GsParamSet, type_name: str, cache=None):
+def row_files_for(params: GsParamSet, type_name: str) -> list:
     """The four per-position filtered candidate row sets for a type at a
-    parameter set."""
-    tags = type_tags(type_name)
-    v = params.v
-    files = []
-    for tag, k in zip(tags, params.k):
-        kind = "skew" if tag == "k" else "symmetric"
-        key = (v, k, kind)
-        if cache is not None and key in cache:
-            files.append(cache[key])
-            continue
-        rf = collect_rows(v, k, kind)
-        if cache is not None:
-            cache[key] = rf
-        files.append(rf)
-    return files
+    parameter set; positions of equal size and kind share one row set."""
+    keys = [(k, "skew" if tag == "k" else "symmetric")
+            for tag, k in zip(type_tags(type_name), params.k)]
+    files = {key: collect_rows(params.v, *key) for key in dict.fromkeys(keys)}
+    return [files[key] for key in keys]
 
 
 def expand_over_units(v: int, quads) -> list:
@@ -102,20 +96,19 @@ def expand_over_units(v: int, quads) -> list:
 
 
 def search_param(params: GsParamSet, type_name: str,
-                 options: SearchOptions = None, cache=None) -> ParamOutcome:
+                 options: SearchOptions = None) -> ParamOutcome:
     """Exhaustive search for one parameter set and type; families re-verified."""
     options = options or SearchOptions()
     if not type_applicable(params, type_name):
         return ParamOutcome(params, type_name, applicable=False)
-    files = row_files_for(params, type_name, cache=cache)
+    files = row_files_for(params, type_name)
     v = params.v
     first = files[0]
     least = orbit_least(v, first.masks) == first.masks
     found = bins_match([first.select(least)] + files[1:], params.lam,
                        jobs=options.jobs)
-    quads = expand_over_units(v, [[b.mask for b in quad] for quad in found])
     families = [Family(params, tuple(CyclicSubset(v, m) for m in quad))
-                for quad in quads]
+                for quad in expand_over_units(v, found)]
     for fam in families:
         cert = verify_family(fam)
         if not cert.ok:
@@ -129,41 +122,25 @@ def search_param(params: GsParamSet, type_name: str,
 
 def search_order(v: int, type_name: str, options: SearchOptions = None,
                  params_filter=None) -> list:
-    """Search every parameter set of an order (k1 = (v-1)/2) for one type."""
+    """Search every parameter set of an order (k1 = (v-1)/2) for one type.
+
+    The outcomes come as a list, so every search has run when this returns."""
     if type_name not in TYPE_NAMES:
         raise ValueError(f"unknown type {type_name!r}")
     check_width(v)  # before parameter enumeration, so every type fails alike
     options = options or SearchOptions()
-    cache = {}
-    outcomes = []
-    for p in searchable_param_sets(v):
-        if params_filter is not None and p.k != tuple(params_filter):
-            continue
-        outcomes.append(search_param(p, type_name, options, cache))
-    return outcomes
-
-
-def computed_verdicts(v: int, options: SearchOptions = None) -> dict:
-    """Recompute the existence verdict of every (parameter set, type) at v."""
-    options = options or SearchOptions(classified=False)
-    cache = {}
-    verdicts = {}
-    for p in searchable_param_sets(v):
-        for t in TYPE_NAMES:
-            verdicts[(p.k, t)] = search_param(p, t, options, cache).verdict
-    return verdicts
+    return [search_param(p, type_name, options) for p in searchable_param_sets(v)
+            if params_filter is None or p.k == tuple(params_filter)]
 
 
 def table_comparison(max_v: int, options: SearchOptions = None) -> list:
     """Recompute table verdicts up to max_v; rows of (params, type, expected, got)."""
-    rows = []
-    per_order = {}
-    for row in table_rows():
-        v = row.params.v
-        if v > max_v:
-            continue
-        if v not in per_order:
-            per_order[v] = computed_verdicts(v, options)
+    options = options or SearchOptions(classified=False)
+    rows = [row for row in table_rows() if row.params.v <= max_v]
+    got = {}
+    for v in sorted({row.params.v for row in rows}):
         for t in TYPE_NAMES:
-            rows.append((row.params, t, row.verdict(t), per_order[v][(row.params.k, t)]))
-    return rows
+            for out in search_order(v, t, options):
+                got[out.params, t] = out.verdict
+    return [(row.params, t, row.verdict(t), got[row.params, t])
+            for row in rows for t in TYPE_NAMES]

@@ -23,7 +23,7 @@ from gsdf.params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
 from gsdf.search import (SearchOptions, search_order, search_param,
                          table_comparison)
 from gsdf.verify import build_gs_array, circulant, verify_family
-from gsdf.zmod import CyclicSubset
+from gsdf.zmod import CyclicSubset, mask_elements
 
 
 def _families(v, type_name):
@@ -167,8 +167,8 @@ def _random_instance(rng, v):
 
 
 def _serialize(quads):
-    return "\n".join(" ".join(",".join(map(str, b.elements)) or "-"
-                              for b in quad)
+    return "\n".join(" ".join(",".join(map(str, mask_elements(m))) or "-"
+                              for m in quad)
                      for quad in quads)
 
 
@@ -213,7 +213,8 @@ def test_criterion_7_spectral_filter_soundness():
                                     filtered=False)
                        for tag, k in zip(type_tags(t), p.k)]
                 on = search_param(p, t, SearchOptions(classified=False)).families
-                assert [f.blocks for f in on] == bins_match(off, p.lam), (p, t)
+                assert [tuple(b.mask for b in f.blocks) for f in on] == \
+                    bins_match(off, p.lam), (p, t)
                 nonempty += bool(on)
     assert nonempty >= 10
     assert time.monotonic() - t0 < 5 * 60

@@ -108,6 +108,16 @@ def test_generate_rejects_orders_beyond_mask_width(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", (("-3", "1", "symmetric"), ("-3", "-2", "skew"),
+                                  ("4", "2", "symmetric"), ("4", "1", "skew")))
+def test_generate_rejects_negative_and_even_orders(tmp_path, argv):
+    out = tmp_path / "rows.txt"
+    rc, stdout, err = run("generate", *argv, "-o", str(out))
+    assert rc == 2 and stdout == ""
+    assert err == f"error: candidate blocks need a positive odd v, got {argv[0]}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- match
 
 @pytest.fixture()
@@ -358,9 +368,9 @@ def test_catalog_show_requires_label():
 
 
 def test_catalog_unknown_label():
-    rc, _, err = run("catalog", "show", "--label", "99-zzzz-q")
-    assert rc == 2
-    assert err.startswith("error:")
+    rc, out, err = run("catalog", "show", "--label", "99-zzzz-q")
+    assert rc == 2 and out == ""
+    assert err == "error: no catalog entry '99-zzzz-q'\n"
 
 
 # ---------------------------------------------------------------- table1

@@ -23,7 +23,7 @@ from gsdf.verify import check_difference_family
 
 def search_families(v, sizes, kinds, lam):
     files = [collect_rows(v, k, kind) for k, kind in zip(sizes, kinds)]
-    return [family_from_blocks(v, [b.elements for b in quad])
+    return [family_from_blocks(v, [CyclicSubset(v, m) for m in quad])
             for quad in bins_match(files, lam)]
 
 

@@ -87,6 +87,17 @@ def test_bad_jobs_environment_exits_2_before_any_search(large_orders, value, cap
     assert err == f"error: GSDF_JOBS must be a positive integer, got '{value}'\n"
 
 
+def test_out_dir_that_is_a_file_exits_2_before_any_search(large_orders, capsys,
+                                                         monkeypatch, tmp_path):
+    monkeypatch.setattr(large_orders, "search_param", no_search)
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert large_orders.main(["--order", "33", "--out-dir", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
 def test_threshold_flag_is_gone(large_orders, monkeypatch):
     monkeypatch.setattr(large_orders, "search_param", no_search)
     with pytest.raises(SystemExit) as exc:

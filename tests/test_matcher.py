@@ -28,11 +28,13 @@ def test_v7_three_skew_one_symmetric():
     sol = bins_match(fs, 3)
     assert len(sol) == 56
     assert sol == brute_force_match(fs, 3)
-    qr = tuple(CyclicSubset.from_elements(7, e) for e in ([1, 2, 4],) * 3 + ([0],))
+    assert all(isinstance(m, int) for quad in sol for m in quad)
+    qr = tuple(CyclicSubset.from_elements(7, e).mask for e in ([1, 2, 4],) * 3 + ([0],))
     assert qr in sol
     # every emitted quadruple re-checked from scratch
     for quad in sol:
-        sums = [sum(b.difference_count(d) for b in quad) for d in range(1, 7)]
+        sums = [sum(CyclicSubset(7, m).difference_count(d) for m in quad)
+                for d in range(1, 7)]
         assert sums == [3] * 6
 
 
@@ -59,14 +61,15 @@ def test_no_solution_paths():
     assert match_cases(fs, 50) == []
 
 
-def test_threshold_and_jobs_do_not_change_results(monkeypatch):
+def test_jobs_and_split_limit_do_not_change_results(monkeypatch):
     # the split limit is a module constant; patching it covers every path
     # from an immediate join (10**7) to binning every column (1)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     base = bins_match(fs, 7)
     assert len(base) == 480
     text = lambda sol: "".join(
-        format_family(family_from_blocks(13, [b.elements for b in q])) for q in sol)
+        format_family(family_from_blocks(13, [CyclicSubset(13, m) for m in q]))
+        for q in sol)
     for limit in SPLIT_LIMITS:
         monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
         for jobs in (1, 2, 4):

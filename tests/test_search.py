@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import gsdf.matcher
+import gsdf.search
 from gsdf.blockgen import collect_rows
 from gsdf.equivalence import orbit_least, units
 from gsdf.family import format_family
 from gsdf.matcher import bins_match
-from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
-from gsdf.search import (SearchOptions, expand_over_units,
-                         row_files_for, search_param)
+from gsdf.params import (TYPE_NAMES, searchable_param_sets, type_applicable,
+                         type_tags)
+from gsdf.search import (SearchOptions, expand_over_units, row_files_for,
+                         search_order, search_param)
 from gsdf.zmod import dilate_mask
 
 ODD_TO_31 = range(1, 32, 2)
@@ -68,17 +70,60 @@ def test_expand_over_units_sorts_and_deduplicates():
     assert expand_over_units(v, []) == []
 
 
+def file_keys(p, type_name):
+    """The (v, k, kind) of each of the four positions of a search."""
+    return [(p.v, k, "skew" if tag == "k" else "symmetric")
+            for tag, k in zip(type_tags(type_name), p.k)]
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The arguments of every `collect_rows` call the search layer makes."""
+    calls = []
+
+    def counting(v, k, kind):
+        calls.append((v, k, kind))
+        return collect_rows(v, k, kind)
+
+    monkeypatch.setattr(gsdf.search, "collect_rows", counting)
+    return calls
+
+
+def test_row_files_share_one_set_per_size_and_kind(generated):
+    checked = 0
+    for p in searchable_param_sets(13):
+        for t in filter(lambda t: type_applicable(p, t), TYPE_NAMES):
+            generated.clear()
+            files, keys = row_files_for(p, t), file_keys(p, t)
+            # ksss at (13;6,6,6,3;8) has a skew and two symmetric blocks of size 6
+            for i in range(4):
+                for j in range(4):
+                    assert (files[i] is files[j]) == (keys[i] == keys[j]), (p, t)
+            assert generated == list(dict.fromkeys(keys))
+            checked += len(set(keys)) < 4
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("type_name", TYPE_NAMES)
+def test_search_order_generates_afresh_for_each_parameter_set(generated, type_name):
+    # kkss at 13 has two applicable sets, each generating its own skew file
+    outcomes = search_order(13, type_name, SearchOptions(classified=False))
+    expected = [key for out in outcomes if out.applicable
+                for key in dict.fromkeys(file_keys(out.params, type_name))]
+    assert sorted(generated) == sorted(expected) and expected
+
+
 def reduced_equals_unreduced(orders):
     checked = 0
     for v in orders:
-        cache = {}
         for p in searchable_param_sets(v):
             for t in TYPE_NAMES:
                 if not type_applicable(p, t):
                     continue
-                out = search_param(p, t, SearchOptions(classified=False), cache)
-                full = bins_match(row_files_for(p, t, cache=cache), p.lam)
-                assert [f.blocks for f in out.families] == full, (p, t)
+                out = search_param(p, t, SearchOptions(classified=False))
+                full = bins_match(row_files_for(p, t), p.lam)
+                masks = [tuple(b.mask for b in f.blocks) for f in out.families]
+                assert masks == full, (p, t)
                 checked += bool(full)
     return checked
 
