@@ -99,8 +99,6 @@ def symmetric_masks(v: int, k: int) -> np.ndarray:
         raise ValueError(f"size {k} out of range")
     p = (v - 1) // 2
     npairs, fixed = divmod(k, 2)
-    if npairs > p:
-        return np.empty(0, dtype=np.int64)
     pair = [(1 << i) | (1 << (v - i)) for i in range(1, p + 1)]
     base = 1 if fixed else 0
     masks = np.fromiter((base + sum(c) for c in combinations(pair, npairs)),
@@ -217,8 +215,7 @@ def read_row_file(path) -> RowFile:
         if not sep:
             raise RowFileFormatError(f"line {lineno}: missing '|' separator")
         try:
-            x = (CyclicSubset.from_elements(v, map(int, left.split(",")))
-                 if left.strip() else CyclicSubset(v, 0))
+            x = CyclicSubset.parse(v, left)
         except ValueError as exc:
             raise RowFileFormatError(f"line {lineno}: {exc}")
         if len(x) != k:

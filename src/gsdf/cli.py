@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .blockgen import check_width, collect_rows, read_row_file, write_row_file
@@ -104,7 +105,12 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     options = SearchOptions(jobs=args.jobs, classified=not args.no_classify)
-    params_filter = tuple(map(int, args.param.split(","))) if args.param else None
+    params_filter = None
+    if args.param is not None:
+        if not re.fullmatch(r"\s*\d+\s*(,\s*\d+\s*){3}", args.param):
+            raise ValueError(f"--param needs four comma-separated sizes "
+                             f"k1,k2,k3,k4, got {args.param!r}")
+        params_filter = tuple(map(int, args.param.split(",")))
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)  # fail before a long search
     outcomes = search_order(args.v, args.type, options, params_filter)

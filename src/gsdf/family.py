@@ -99,20 +99,6 @@ class FamilyFormatError(ValueError):
     pass
 
 
-def _parse_block_line(v, line, lineno):
-    line = line.strip()
-    if not line:
-        return CyclicSubset(v, 0)
-    try:
-        elems = [int(tok) for tok in line.split(",")]
-    except ValueError:
-        raise FamilyFormatError(f"line {lineno}: malformed element list {line!r}")
-    try:
-        return CyclicSubset.from_elements(v, elems)
-    except ValueError as exc:
-        raise FamilyFormatError(f"line {lineno}: {exc}")
-
-
 def read_families(path) -> list:
     """Parse every record in a family file, validating sizes, lambda and tags."""
     with open(path) as fh:
@@ -142,8 +128,12 @@ def read_families(path) -> list:
             raise FamilyFormatError(f"line {lineno}: bad type field {tag_str!r}")
         if pos + 4 >= len(lines):
             raise FamilyFormatError(f"line {lineno}: record truncated")
-        blocks = [_parse_block_line(v, lines[pos + 1 + j][1], lines[pos + 1 + j][0])
-                  for j in range(4)]
+        blocks = []
+        for block_lineno, text in lines[pos + 1:pos + 5]:
+            try:
+                blocks.append(CyclicSubset.parse(v, text))
+            except ValueError as exc:
+                raise FamilyFormatError(f"line {block_lineno}: {exc}")
         try:
             p = GsParamSet(v, (k1, k2, k3, k4), lam)
             fam = Family(p, tuple(blocks))

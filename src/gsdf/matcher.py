@@ -8,7 +8,9 @@ n1 + n2 + n3 + n4 = lam.  A case whose four sub-sets are small enough is
 finished by a meet-in-the-middle join over the remaining columns: sorting
 the sets by size as a <= b <= c <= d, the join is attempted once
 #a * #d < SPLIT_LIMIT and #b * #c < SPLIT_LIMIT, pairing (a, d) and
-(b, c); larger cases are split on their next column.
+(b, c); larger cases are split on their next column.  The join is the
+one base case: a case split on every column is joined over no columns,
+where every quadruple of its files matches.
 
 Row sums are hashed to 64-bit keys (a random-multiplier dot product,
 linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  The join is
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
 from multiprocessing import get_context
 
 import numpy as np
@@ -105,13 +106,9 @@ def _join_case(case: MatchCase) -> list:
         sizes = [len(f.masks) for f in files]
         if min(sizes) == 0:
             continue
-        if depth == ncols:
-            for quad in product(*(f.masks for f in files)):
-                out.append(tuple(int(m) for m in quad))
-            continue
         order = sorted(range(4), key=lambda i: sizes[i])
         a, b, c, d = (sizes[i] for i in order)
-        if a * d < SPLIT_LIMIT and b * c < SPLIT_LIMIT:
+        if depth == ncols or (a * d < SPLIT_LIMIT and b * c < SPLIT_LIMIT):
             out.extend(_serial_join(files, order, lam, depth, ncols))
             continue
         for sub in _bin_cases(v, lam, files, depth):

@@ -9,8 +9,8 @@ difference family with index lambda only if
 
 Any two of the three identities imply the third.  Writing s_i = v - 2 k_i,
 the quadratic condition says 4v = s1^2 + s2^2 + s3^2 + s4^2 with every s_i
-odd when v is odd, so parameter sets biject with such decompositions of 4v
-(for even v, with decompositions v = sum t_i^2, k_i = v/2 - t_i).
+of the parity of v, so parameter sets biject with such decompositions of
+4v, k_i = (v - s_i)/2; one enumeration serves odd and even v alike.
 
 Families whose blocks are skew or symmetric come in three feasible tag
 patterns, named by sorted tags (k = skew, s = symmetric):
@@ -94,27 +94,6 @@ class GsParamSet:
         return GsParamSet(self.v, tuple(sorted(k, reverse=True)), lam)
 
 
-def _odd_square_decompositions(target: int):
-    """Nondecreasing quadruples of odd s_i with sum of squares = target."""
-    out = []
-    s1 = 1
-    while 4 * s1 * s1 <= target:
-        r1 = target - s1 * s1
-        s2 = s1
-        while 3 * s2 * s2 <= r1:
-            r2 = r1 - s2 * s2
-            s3 = s2
-            while 2 * s3 * s3 <= r2:
-                r3 = r2 - s3 * s3
-                s4 = isqrt(r3)
-                if s4 >= s3 and s4 * s4 == r3 and s4 % 2 == 1:
-                    out.append((s1, s2, s3, s4))
-                s3 += 2
-            s2 += 2
-        s1 += 2
-    return out
-
-
 def _square_decompositions(target: int):
     """Nondecreasing quadruples of t_i >= 0 with sum of squares = target."""
     out = []
@@ -140,15 +119,9 @@ def enumerate_param_sets(v: int) -> list:
     if v < 1:
         raise ValueError("v must be positive")
     sets = []
-    if v % 2 == 1:
-        for s in _odd_square_decompositions(4 * v):
+    for s in _square_decompositions(4 * v):
+        if all(si % 2 == v % 2 for si in s):
             k = tuple((v - si) // 2 for si in s)
-            lam = sum(k) - v
-            if lam >= 0:
-                sets.append(GsParamSet(v, k, lam))
-    else:
-        for t in _square_decompositions(v):
-            k = tuple(v // 2 - ti for ti in t)
             lam = sum(k) - v
             if lam >= 0:
                 sets.append(GsParamSet(v, k, lam))
@@ -203,12 +176,10 @@ def kkks_param_set(v: int):
 
 def type_applicable(p: GsParamSet, type_name: str) -> bool:
     """Can parameter set p carry the given tag pattern (skew blocks first)?"""
-    if type_name not in TYPE_NAMES:
-        raise ValueError(f"unknown type {type_name!r}")
+    n_skew = type_tags(type_name).count("k")
     if p.v % 2 == 0:
         return False
     half = (p.v - 1) // 2
-    n_skew = type_name.count("k")
     return all(ki == half for ki in p.k[:n_skew])
 
 

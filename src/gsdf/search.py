@@ -124,13 +124,18 @@ def search_order(v: int, type_name: str, options: SearchOptions = None,
                  params_filter=None) -> list:
     """Search every parameter set of an order (k1 = (v-1)/2) for one type.
 
+    `params_filter`, a size vector (k1, k2, k3, k4), restricts the search
+    to that set; a vector no searchable set of v has is a ValueError.
     The outcomes come as a list, so every search has run when this returns."""
-    if type_name not in TYPE_NAMES:
-        raise ValueError(f"unknown type {type_name!r}")
+    type_tags(type_name)  # an unknown type fails before any work
     check_width(v)  # before parameter enumeration, so every type fails alike
     options = options or SearchOptions()
-    return [search_param(p, type_name, options) for p in searchable_param_sets(v)
+    sets = [p for p in searchable_param_sets(v)
             if params_filter is None or p.k == tuple(params_filter)]
+    if not sets and params_filter is not None:
+        raise ValueError(f"no searchable parameter set of v={v} has sizes "
+                         f"{','.join(map(str, params_filter))}")
+    return [search_param(p, type_name, options) for p in sets]
 
 
 def table_comparison(max_v: int, options: SearchOptions = None) -> list:

@@ -89,6 +89,15 @@ class CyclicSubset:
             mask |= bit
         return cls(v, mask)
 
+    @classmethod
+    def parse(cls, v: int, text: str) -> "CyclicSubset":
+        """Build from comma-separated residues, as in row and family files."""
+        try:
+            elements = [int(tok) for tok in text.split(",")] if text.strip() else []
+        except ValueError:
+            raise ValueError(f"malformed element list {text.strip()!r}") from None
+        return cls.from_elements(v, elements)
+
     @property
     def elements(self) -> tuple:
         return mask_elements(self.mask)

@@ -192,6 +192,14 @@ def test_match_rejects_row_files_beyond_mask_width(tmp_path):
         assert "63" in err
 
 
+def test_match_names_a_malformed_element_list(tmp_path):
+    path = tmp_path / "bad.rows"
+    path.write_text("7 3 skew 28\n1,x,4|1 1 1\n")
+    rc, out, err = run("match", *[str(path)] * 4, "--lam", "3")
+    assert rc == 2 and out == ""
+    assert err == "error: line 2: malformed element list '1,x,4'\n"
+
+
 # ---------------------------------------------------------------- classify
 
 @pytest.fixture()
@@ -260,6 +268,15 @@ def test_verify_empty_file(tmp_path):
     rc, _, err = run("verify", str(path))
     assert rc == 2
     assert "no family records" in err
+
+
+def test_verify_names_a_malformed_element_list(tmp_path):
+    # the same line as a row file with the same bad block gives
+    path = tmp_path / "fam.txt"
+    path.write_text(FAM7.replace("1,2,4", "1,x,4", 1))
+    rc, out, err = run("verify", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: line 2: malformed element list '1,x,4'\n"
 
 
 def test_verify_writes_hadamard_matrix(tmp_path):
@@ -337,9 +354,17 @@ def test_search_rejects_orders_beyond_mask_width(type_name):
 
 
 def test_search_unknown_param_vector():
-    rc, out, _ = run("search", "7", "kkks", "--param", "9,9,9,9")
-    assert rc == 2
-    assert "no applicable parameter sets" in out
+    rc, out, err = run("search", "7", "kkks", "--param", "9,9,9,9")
+    assert rc == 2 and out == ""
+    assert err == "error: no searchable parameter set of v=7 has sizes 9,9,9,9\n"
+
+
+@pytest.mark.parametrize("param", ("a,b", "1,2", "3,3,3,x", "3,3,3,1,0", ""))
+def test_search_param_needs_four_sizes(param):
+    rc, out, err = run("search", "7", "kkks", "--param", param)
+    assert rc == 2 and out == ""
+    assert err == (f"error: --param needs four comma-separated sizes "
+                   f"k1,k2,k3,k4, got {param!r}\n")
 
 
 # ---------------------------------------------------------------- catalog

@@ -77,13 +77,17 @@ def test_jobs_and_split_limit_do_not_change_results(monkeypatch):
 
 
 def test_split_limit_1_bins_every_column(monkeypatch):
-    """At limit 1 no case is small enough to join: every family comes from
-    the full-depth product branch, in the parent and in forked workers."""
-    def no_join(*args):
-        raise AssertionError("joined below the split limit")
+    """At limit 1 no case is small enough to join early: every case is
+    binned on every column and then joined over none, in the parent and in
+    forked workers."""
+    join = gsdf.matcher._serial_join
+
+    def join_at_full_depth(files, order, lam, depth, ncols):
+        assert depth == ncols, f"joined at depth {depth} of {ncols}"
+        return join(files, order, lam, depth, ncols)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
-    monkeypatch.setattr(gsdf.matcher, "_serial_join", no_join)
+    monkeypatch.setattr(gsdf.matcher, "_serial_join", join_at_full_depth)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     expected = brute_force_match(fs, 7)
     assert len(expected) == 480

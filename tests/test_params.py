@@ -70,6 +70,23 @@ def test_enumerate_even_v():
         searchable_param_sets(4)
 
 
+def test_enumeration_is_complete():
+    """Every solution of the counting and trace identities, found by
+    scanning all ordered sizes k1 >= k2 >= k3 >= k4 >= 0 with 2 k1 <= v."""
+    for v in range(1, 61):
+        scanned = []
+        for k1 in range(v // 2 + 1):
+            for k2 in range(k1 + 1):
+                for k3 in range(k2 + 1):
+                    for k4 in range(k3 + 1):
+                        k = (k1, k2, k3, k4)
+                        lam = sum(k) - v
+                        if lam >= 0 and sum(ki * (ki - 1) for ki in k) == lam * (v - 1):
+                            scanned.append((k, lam))
+        got = [(p.k, p.lam) for p in enumerate_param_sets(v)]
+        assert got == sorted(scanned, reverse=True), v
+
+
 @pytest.mark.parametrize("v", range(3, 100, 2))
 def test_ksss_sets_exist_for_every_odd_order(v):
     sets = searchable_param_sets(v)
