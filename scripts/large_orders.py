@@ -12,11 +12,9 @@ existence table.
 These runs grow steeply with v. The search joins only the X_1 blocks
 that are least in their unit orbit and expands the families found over
 the units (see gsdf.search). On a 2-core x86-64 machine, one process,
-the v = 31 searches with classification take 1.5 s for
-(31;15,15,15,10;24) ksss and 1.2 s for kkss, the order-33 kkss
-reproduction (--order 33 --type kkss) takes 13 s; with --jobs 2 (every
-type), --order 37 finishes in 38 s and --order 41 in 15 minutes.
-Orders 43 and up have not been timed. Restrict the workload with
+the order-33 kkss reproduction (--order 33 --type kkss) takes 5 s;
+with --jobs 2 (every type), --order 37 finishes in 19 s and --order 41
+in 196 s. Orders 43 and up have not been timed. Restrict the workload with
 --order/--type and parallelise with --jobs (default: the GSDF_JOBS
 environment variable, or 1; a value other than a positive integer,
 given either way, exits 2 before any search).

@@ -20,7 +20,7 @@ from .family import Family, format_family, read_families, write_families
 from .matcher import bins_match, default_jobs
 from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
                      searchable_param_sets, type_applicable)
-from .search import SearchOptions, search_order, table_comparison
+from .search import SearchOptions, order_param_sets, search_order, table_comparison
 from .verify import build_gs_array, verify_family, write_hadamard
 from .zmod import CyclicSubset
 
@@ -111,12 +111,14 @@ def cmd_search(args) -> int:
             raise ValueError(f"--param needs four comma-separated sizes "
                              f"k1,k2,k3,k4, got {args.param!r}")
         params_filter = tuple(map(int, args.param.split(",")))
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)  # fail before a long search
-    outcomes = search_order(args.v, args.type, options, params_filter)
-    if not outcomes:
+    # bad input fails before the output directory is made, and that
+    # before a long search
+    if not order_param_sets(args.v, args.type, params_filter):
         print("no applicable parameter sets")
         return 2
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
+    outcomes = search_order(args.v, args.type, options, params_filter)
     found = 0
     for out in outcomes:
         print(f"{out.params} {args.type}: {out.verdict}" +

@@ -46,10 +46,8 @@ from math import gcd
 
 import numpy as np
 
-from .family import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, Family, block_tag
+from .family import TAG_CODE, TAG_NONE, Family, block_key, block_tag
 from .zmod import CyclicSubset, dilate_mask, mask_elements, rotate_mask
-
-_TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
 
 
 # --- elementary transformations ---------------------------------------------
@@ -139,17 +137,13 @@ def _typed_translates(v, mask):
         seen.add(t)
         tag = block_tag(CyclicSubset(v, t))
         if tag != TAG_NONE:
-            out.append((t, _TAG_CODE[tag]))
+            out.append((t, TAG_CODE[tag]))
     return tuple(out)
-
-
-def _block_key(v, mask, tagcode):
-    return (-mask.bit_count(), tagcode, _elements(mask))
 
 
 def _dilated_key(v, mask, tagcode, u):
     """Key of the block's dilate uX: the block key of small classes."""
-    return _block_key(v, _dilate(v, mask, u), tagcode)
+    return block_key(_dilate(v, mask, u), tagcode)
 
 
 @lru_cache(maxsize=None)
@@ -163,20 +157,14 @@ def _tagged_blocks(fam: Family):
     tags = fam.tags
     if TAG_NONE in tags:
         raise ValueError("equivalence machinery needs typed families")
-    return tuple((b.mask, _TAG_CODE[t]) for b, t in zip(fam.blocks, tags))
+    return tuple((b.mask, TAG_CODE[t]) for b, t in zip(fam.blocks, tags))
 
 
-def family_sort_key(fam: Family) -> tuple:
-    """The family's own sorted block keys, prefixed by v (no transformations)."""
-    v = fam.v
-    return (v,) + tuple(sorted(_block_key(v, m, tc) for m, tc in _tagged_blocks(fam)))
-
-
-def _least_over_units(fam: Family, block_key) -> tuple:
-    """(v,) + the least over units u of the sorted block_key(v, X, tag, u)."""
+def _least_over_units(fam: Family, unit_key) -> tuple:
+    """(v,) + the least over units u of the sorted unit_key(v, X, tag, u)."""
     v = fam.v
     tagged = _tagged_blocks(fam)
-    return (v,) + min(tuple(sorted(block_key(v, m, tc, u) for m, tc in tagged))
+    return (v,) + min(tuple(sorted(unit_key(v, m, tc, u) for m, tc in tagged))
                       for u in units(v))
 
 
@@ -230,7 +218,7 @@ def _group_by(families, keyfunc) -> list:
     classes = []
     for key in sorted(buckets):
         members = buckets[key]
-        rep = min(members, key=family_sort_key)
+        rep = min(members, key=lambda fam: fam.sort_key)
         classes.append(FamilyClass(key, rep, len(members), tuple(members)))
     return classes
 

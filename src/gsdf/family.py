@@ -12,14 +12,15 @@ s = symmetric, - = neither).  Lines starting with ``#`` are comments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .params import GsParamSet
-from .zmod import CyclicSubset
+from .zmod import CyclicSubset, mask_elements
 
 TAG_SKEW = "k"
 TAG_SYMMETRIC = "s"
 TAG_NONE = "-"
+TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
 
 
 def block_tag(x: CyclicSubset) -> str:
@@ -28,6 +29,13 @@ def block_tag(x: CyclicSubset) -> str:
     if x.is_symmetric():
         return TAG_SYMMETRIC
     return TAG_NONE
+
+
+@lru_cache(maxsize=None)
+def block_key(mask: int, tag_code: int) -> tuple:
+    """Order of tagged blocks in every family key: larger blocks first,
+    then skew before symmetric, then by elements."""
+    return (-mask.bit_count(), tag_code, mask_elements(mask))
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,14 @@ class Family:
     def tags(self) -> tuple:
         """Per-block tags, computed on first read (the blocks are immutable)."""
         return tuple(block_tag(b) for b in self.blocks)
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        """v and the sorted block keys of the family as it stands, computed
+        on first read; classification represents each class by its least
+        member under it.  Typed families only."""
+        return (self.v,) + tuple(sorted(block_key(b.mask, TAG_CODE[t])
+                                        for b, t in zip(self.blocks, self.tags)))
 
     @property
     def is_typed(self) -> bool:

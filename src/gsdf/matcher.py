@@ -1,36 +1,49 @@
 """Matching four candidate row sets into difference families.
 
 Four blocks X_1..X_4 form a difference family with index lam exactly when
-their difference rows sum to the constant row (lam, ..., lam).  Matching
-proceeds column by column: group each row set by its value in the first
-unbound column and combine only value quadruples (n1, n2, n3, n4) with
-n1 + n2 + n3 + n4 = lam.  A case whose four sub-sets are small enough is
-finished by a meet-in-the-middle join over the remaining columns: sorting
-the sets by size as a <= b <= c <= d, the join is attempted once
-#a * #d < SPLIT_LIMIT and #b * #c < SPLIT_LIMIT, pairing (a, d) and
-(b, c); larger cases are split on their next column.  The join is the
-one base case: a case split on every column is joined over no columns,
-where every quadruple of its files matches.
+their difference rows sum to the constant row (lam, ..., lam).  The match
+is a meet in the middle on pair sums.  The four files are sorted by size
+once, as a <= b <= c <= d: the (a, d) pairs form one side and the (b, c)
+pairs the other.  Each file is split into bins by its value in column 0;
+the (a, d) bin products are grouped by their pair sum s = n_a + n_d, and
+each group meets only the (b, c) products whose sum is lam - s.  Every
+pair lands in exactly one group, so the join builds each pair once.
+
+A group is finished by a join over the columns it was not grouped on.
+The side with fewer pairs is stored: its pair-sum keys fill one array
+sized from the bin counts, which is sorted.  The other side is streamed
+in blocks of about _CHUNK keys (small products share a block), so only
+the stored side costs memory.  A group whose stored side holds
+SPLIT_LIMIT pairs or more is refined on its next column by the same
+rule: each product splits into the products of its files' bins there,
+regrouped by their pair sum t, and the (a, d) products of sum t meet
+only the (b, c) products of sum lam - t.  A file met in several groups
+is split once and its bins are shared.  A group refined on every column
+is joined over no columns, where every pair of one side matches every
+pair of the other.  SPLIT_LIMIT = 10**6 keeps a stored side near 8 MB;
+on the order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
 
 Row sums are hashed to 64-bit keys (a random-multiplier dot product,
-linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  The join is
-a sort-merge on these keys: the b x c pair-sum keys are sorted, and the
-needle keys key(target) - key(r_a) - key(r_d) are sorted too, a block of
-a rows at a time, so that looking one sorted array up in the other finds
-the keys on both sides with each search starting where the last ended.
-Only for those few keys are the (a, d) and (b, c) index pairs recovered,
-by a lookup of the unsorted keys in the sorted hit keys.  Distinct rows
-can share a key, so every candidate quadruple is confirmed exactly
-against the target row before it is emitted.
+linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  Each
+streamed block holds the needle keys key(target) - key(r_x) - key(r_y)
+of its pairs; it is sorted, and the shorter of it and the stored keys is
+looked up in the longer, each search starting where the last ended.
+Only for the keys found on both sides are pairs recovered: the streamed
+pairs from their block, the stored pairs by recomputing the stored
+side's sums a block at a time and looking them up in the sorted hit
+keys.  Distinct rows can share a key, so every candidate quadruple is
+confirmed exactly against the target row before it is emitted.
 
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
 number of worker processes `jobs` (the CLI's default is `default_jobs`,
-read from GSDF_JOBS); callers that want blocks build them from the
-masks.  The join takes the four files as given: it assumes no symmetry
-of them.  `search.search_param`, whose files are complete candidate
-sets, reduces X_1 to unit-orbit representatives before calling it and
-expands the families afterwards.
+read from GSDF_JOBS).  Each group left after refinement is one task of
+the pool; the workers are forked holding the groups, so a task is sent
+as its index.  Callers that want blocks build them from the masks.  The
+join takes the four files as given: it assumes no symmetry of them.
+`search.search_param`, whose files are complete candidate sets, reduces
+X_1 to unit-orbit representatives before calling it and expands the
+families afterwards.
 """
 from __future__ import annotations
 
@@ -40,87 +53,111 @@ from multiprocessing import get_context
 
 import numpy as np
 
-SPLIT_LIMIT = 10 ** 7
+SPLIT_LIMIT = 10 ** 6
 BRUTE_FORCE_GUARD = 10 ** 8
 
 _HASH_MULT = np.random.default_rng(0x9E3779B97F4A7C15).integers(
     1, 1 << 63, size=64, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-_PROBE_CHUNK = 1 << 20
+_CHUNK = 1 << 15
 
 
 @dataclass
 class MatchCase:
-    """One split of the recursion: the four row files restricted to one
-    value each in a column, the values adding to lam.  `match_cases`
-    returns the splits on the first column, so `_join_case` starts at
-    depth 1."""
+    """One group of the pair-sum join.
+
+    `sides` holds the (a, d) side and the (b, c) side, each a pair of
+    lists (xs, ys) of row files whose products xs[p] x ys[p] make up the
+    side, and `pairs` the number of pairs of each side; `slots` gives the
+    positions of a, d, b and c among X_1..X_4.  In every column before
+    `depth`, each pair of one side sums to lam minus the sum of each pair
+    of the other.  A row occurs in at most one product of a side.
+    `match_cases` returns the groups on column 0, at depth 1.
+    """
 
     v: int
     lam: int
-    files: tuple
+    depth: int
+    slots: tuple
+    sides: tuple
+    pairs: tuple
 
     @property
     def sizes(self) -> tuple:
-        return tuple(len(f.masks) for f in self.files)
+        """Rows of X_1..X_4 in the group."""
+        out = [0] * 4
+        for slots, side in zip((self.slots[:2], self.slots[2:]), self.sides):
+            for slot, files in zip(slots, side):
+                out[slot] += sum(map(len, files))
+        return tuple(out)
 
 
-def _bin_cases(v, lam, files, col):
-    """Split on one column; keep only value quadruples that add to lam."""
-    groups = []
-    for f in files:
-        vals = f.rows[:, col]
-        uniq = [int(u) for u in np.unique(vals)] if len(vals) else []
-        groups.append({u: f.select(vals == u) for u in uniq if u <= lam})
-    cases = []
-    for n1 in sorted(groups[0]):
-        for n2 in sorted(groups[1]):
-            if n1 + n2 > lam:
-                break
-            for n3 in sorted(groups[2]):
-                n4 = lam - n1 - n2 - n3
-                if n4 < 0:
-                    break
-                if n4 in groups[3]:
-                    cases.append(MatchCase(v, lam, (
-                        groups[0][n1], groups[1][n2], groups[2][n3], groups[3][n4])))
-    return cases
+def _refine(case: MatchCase, bins: dict) -> list:
+    """Split a group on its next column, pairing (a, d) products of sum t
+    there with (b, c) products of sum lam - t.
+
+    A row file is met in several groups, and always split on the same
+    column, so its split is kept in ``bins`` (by id, with the file) and
+    the groups share the pieces."""
+    col, lam = case.depth, case.lam
+
+    def split(f):
+        """(value, rows with that value in the column, their number)."""
+        if id(f) not in bins:
+            vals = f.rows[:, col]
+            pieces = ((int(u), f.select(vals == u)) for u in np.unique(vals))
+            bins[id(f)] = f, [(u, p, len(p)) for u, p in pieces]
+        return bins[id(f)][1]
+
+    by_sum = []
+    for xs, ys in case.sides:
+        products, pairs = {}, {}
+        for x, y in zip(xs, ys):
+            y_bins = split(y)
+            for u, xu, nx in split(x):
+                for w, yw, ny in y_bins:
+                    if u + w <= lam:
+                        sub_xs, sub_ys = products.setdefault(u + w, ([], []))
+                        sub_xs.append(xu)
+                        sub_ys.append(yw)
+                        pairs[u + w] = pairs.get(u + w, 0) + nx * ny
+        by_sum.append((products, pairs))
+    (ad, ad_pairs), (bc, bc_pairs) = by_sum
+    return [MatchCase(case.v, lam, col + 1, case.slots, (ad[t], bc[lam - t]),
+                      (ad_pairs[t], bc_pairs[lam - t]))
+            for t in sorted(ad) if lam - t in bc]
 
 
 def match_cases(files, lam: int) -> list:
-    """Split the four row files on their first column; phase-two entry point."""
+    """The groups on the first column; phase-two entry point."""
     v = files[0].v
     if any(f.v != v for f in files):
         raise ValueError("row files disagree on v")
     if (v - 1) // 2 < 1:
         raise ValueError("matching needs at least one difference column")
-    return _bin_cases(v, lam, tuple(files), 0)
+    a, b, c, d = sorted(range(4), key=lambda i: len(files[i]))
+    whole = MatchCase(v, lam, 0, (a, d, b, c),
+                      (([files[a]], [files[d]]), ([files[b]], [files[c]])),
+                      (len(files[a]) * len(files[d]), len(files[b]) * len(files[c])))
+    return _refine(whole, {})
 
 
-def _join_case(case: MatchCase) -> list:
-    v, lam = case.v, case.lam
-    ncols = case.files[0].rows.shape[1]
-    out = []
-    stack = [(1, case.files)]
+def _leaves(cases) -> list:
+    """Refine groups until each one's stored side is below SPLIT_LIMIT or
+    no column is left."""
+    bins, out, stack = {}, [], list(cases)
     while stack:
-        depth, files = stack.pop()
-        sizes = [len(f.masks) for f in files]
-        if min(sizes) == 0:
-            continue
-        order = sorted(range(4), key=lambda i: sizes[i])
-        a, b, c, d = (sizes[i] for i in order)
-        if depth == ncols or (a * d < SPLIT_LIMIT and b * c < SPLIT_LIMIT):
-            out.extend(_serial_join(files, order, lam, depth, ncols))
-            continue
-        for sub in _bin_cases(v, lam, files, depth):
-            stack.append((depth + 1, sub.files))
+        group = stack.pop()
+        if group.depth == (group.v - 1) // 2 or min(group.pairs) < SPLIT_LIMIT:
+            out.append(group)
+        else:
+            stack.extend(_refine(group, bins))
     return out
 
 
 def _members(values, sorted_keys):
     """Mask of the entries of ``values`` that occur in ``sorted_keys``."""
     pos = np.searchsorted(sorted_keys, values)
-    np.minimum(pos, len(sorted_keys) - 1, out=pos)
-    return sorted_keys[pos] == values
+    return sorted_keys.take(pos, mode="clip") == values
 
 
 def _common(x, y):
@@ -134,72 +171,133 @@ def _common(x, y):
     return x[_members(x, y)]
 
 
-def _serial_join(files, order, lam, depth, ncols):
-    fa, fb, fc, fd = (files[i] for i in order)
-    mult = _HASH_MULT[:ncols - depth]
-    res = slice(depth, ncols)
+class _Side:
+    """One side of a group with its x files and its y files each stacked
+    into one table: product p pairs the x rows xo[p]..xo[p+1] with the y
+    rows yo[p]..yo[p+1]."""
 
-    def keys(f):
-        return (f.rows[:, res].astype(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
+    def __init__(self, tables, pairs, slots, res, mult):
+        self.slots, self.pairs = slots, pairs
+        self.masks = [np.concatenate([f.masks for f in t]) for t in tables]
+        self.rows = [np.concatenate([f.rows[:, res] for f in t]).astype(np.int16)
+                     for t in tables]
+        self.keys = [(r.astype(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
+                     for r in self.rows]
+        self.xo, self.yo = (np.cumsum([0] + [len(f) for f in t]).tolist()
+                            for t in tables)
 
-    ka, kb, kc, kd = keys(fa), keys(fb), keys(fc), keys(fd)
-    target = np.full(ncols - depth, lam, dtype=np.int16)
+    def blocks(self):
+        """The pair-sum keys, at most _CHUNK at a time unless one y table
+        is longer, x-major within each product: (keys, at), where at(j)
+        gives the table rows (x, y) of the pairs whose keys are keys[j].
+        Small products share a block."""
+        segments, size = [], 0
+        for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
+            ny = y1 - y0
+            step = max(1, _CHUNK // ny)
+            for lo in range(x0, x1, step):
+                n = min(step, x1 - lo) * ny
+                if segments and size + n > _CHUNK:
+                    yield self._block(segments, size)
+                    segments, size = [], 0
+                segments.append((size, lo, y0, ny))
+                size += n
+        if segments:
+            yield self._block(segments, size)
+
+    def _block(self, segments, size):
+        """The keys of the segments (start, x0, y0, ny), each the rows from
+        x0 on times the ny rows from y0, placed from position start on."""
+        kx, ky = self.keys
+        keys = np.empty(size, dtype=np.uint64)
+        ends = [seg[0] for seg in segments[1:]] + [size]
+        for (start, x0, y0, ny), end in zip(segments, ends):
+            nx = (end - start) // ny
+            np.add(kx[x0:x0 + nx, None], ky[None, y0:y0 + ny],
+                   out=keys[start:end].reshape(nx, ny))
+        start, x0, y0, ny = np.array(segments).T
+
+        def at(j):
+            i = np.searchsorted(start, j, side="right") - 1
+            r = j - start[i]
+            return x0[i] + r // ny[i], y0[i] + r % ny[i]
+
+        return keys, at
+
+    def recover(self, hit_keys):
+        """The pairs whose key is among the sorted ``hit_keys``, by key:
+        (x, y, key)."""
+        xs, ys = [], []
+        for keys, at in self.blocks():
+            x, y = at(np.nonzero(_members(keys, hit_keys))[0])
+            xs.append(x)
+            ys.append(y)
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        key = self.keys[0][x] + self.keys[1][y]
+        by_key = np.argsort(key)
+        return x[by_key], y[by_key], key[by_key]
+
+
+def _join_case(case: MatchCase) -> list:
+    """Mask quadruples of one group, joined on the hashed row sums of the
+    columns from its depth on; the side with fewer pairs is stored."""
+    ncols = (case.v - 1) // 2
+    mult = _HASH_MULT[:ncols - case.depth]
+    res = slice(case.depth, ncols)
+    sides = (_Side(tables, pairs, slots, res, mult) for tables, pairs, slots
+             in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
+    stored, streamed = sorted(sides, key=lambda s: s.pairs)
+    target = np.full(ncols - case.depth, case.lam, dtype=np.int16)
     key_t = (target.astype(np.uint64) * mult).sum(dtype=np.uint64)
-    nc, nd = len(kc), len(kd)
+    return _join(stored, streamed, target, key_t)
 
-    build = (kb[:, None] + kc[None, :]).ravel()
+
+def _join(stored, streamed, target, key_t) -> list:
+    """Sort-merge join of two sides whose pair rows sum to ``target``,
+    hashed to ``key_t``."""
+    build = np.empty(stored.pairs, dtype=np.uint64)
+    pos = 0
+    for keys, _ in stored.blocks():
+        build[pos:pos + len(keys)] = keys
+        pos += len(keys)
     build.sort()
-    # Probe with the sorted needles key_t - key(a) - key(d), a block of a
-    # rows at a time; then find which unsorted needles carry a hit key.
-    hit_a, hit_d, hit_key = [], [], []
-    rows_a = max(1, _PROBE_CHUNK // nd)
-    for a0 in range(0, len(ka), rows_a):
-        need = (key_t - ka[a0:a0 + rows_a, None] - kd[None, :]).ravel()
+    # Stream the needles key_t - key(x) - key(y) in sorted chunks; then
+    # find which unsorted needles carry a hit key.
+    hit_x, hit_y, hit_key = [], [], []
+    for keys, at in streamed.blocks():
+        need = np.subtract(key_t, keys, out=keys)
         found = _common(np.sort(need), build)
         if len(found):
             j = np.nonzero(_members(need, found))[0]
-            hit_a.append(a0 + j // nd)
-            hit_d.append(j % nd)
+            x, y = at(j)
+            hit_x.append(x)
+            hit_y.append(y)
             hit_key.append(need[j])
     del build
     if not hit_key:
         return []
-    hit_a, hit_d, hit_key = (np.concatenate(x) for x in (hit_a, hit_d, hit_key))
+    hit_x, hit_y, hit_key = (np.concatenate(h) for h in (hit_x, hit_y, hit_key))
+    pair_x, pair_y, pair_key = stored.recover(np.unique(hit_key))
 
-    # Recover the (b, c) pairs whose sum is a hit key, one block of b rows
-    # at a time, without keeping the pair sums.
-    hit_keys = np.unique(hit_key)
-    pair_b, pair_c = [], []
-    rows_b = max(1, _PROBE_CHUNK // nc)
-    for b0 in range(0, len(kb), rows_b):
-        sums = (kb[b0:b0 + rows_b, None] + kc[None, :]).ravel()
-        j = np.nonzero(_members(sums, hit_keys))[0]
-        pair_b.append(b0 + j // nc)
-        pair_c.append(j % nc)
-    pair_b, pair_c = np.concatenate(pair_b), np.concatenate(pair_c)
-    pair_key = kb[pair_b] + kc[pair_c]
-    by_key = np.argsort(pair_key)
-    pair_b, pair_c, pair_key = pair_b[by_key], pair_c[by_key], pair_key[by_key]
-
-    # Every (a, d) hit meets every (b, c) pair of its key; hash collisions
-    # make more than one, so each quadruple is confirmed on its rows.
+    # Every streamed hit meets every stored pair of its key; hash
+    # collisions make more than one, so each quadruple is confirmed on
+    # its rows.
     lo = np.searchsorted(pair_key, hit_key, side="left")
     count = np.searchsorted(pair_key, hit_key, side="right") - lo
-    ra, rb, rc, rd = (f.rows[:, res].astype(np.int16) for f in (fa, fb, fc, fd))
-    masks = (fa.masks, fb.masks, fc.masks, fd.masks)
+    rows, masks = stored.rows + streamed.rows, stored.masks + streamed.masks
+    slots = stored.slots + streamed.slots
     out = []
-    step = max(1, _PROBE_CHUNK // int(count.max()))
+    step = max(1, _CHUNK // int(count.max()))
     for h0 in range(0, len(hit_key), step):
         n = count[h0:h0 + step]
-        qa = np.repeat(hit_a[h0:h0 + step], n)
-        qd = np.repeat(hit_d[h0:h0 + step], n)
         first = np.cumsum(n) - n
         pos = np.repeat(lo[h0:h0 + step] - first, n) + np.arange(n.sum())
-        qb, qc = pair_b[pos], pair_c[pos]
-        ok = ((ra[qa] + rb[qb] + rc[qc] + rd[qd]) == target).all(axis=1)
+        picks = (pair_x[pos], pair_y[pos],
+                 np.repeat(hit_x[h0:h0 + step], n), np.repeat(hit_y[h0:h0 + step], n))
+        ok = (sum(r[i] for r, i in zip(rows, picks)) == target).all(axis=1)
         cols = [None] * 4
-        for slot, m, idx in zip(order, masks, (qa, qb, qc, qd)):
-            cols[slot] = m[idx[ok]].tolist()
+        for slot, m, i in zip(slots, masks, picks):
+            cols[slot] = m[i[ok]].tolist()
         out.extend(zip(*cols))
     return out
 
@@ -215,17 +313,33 @@ def default_jobs() -> int:
     return int(raw)
 
 
+# Set by the initializer of each forked pool worker, never in the parent:
+# the groups reach the workers by fork, not by pickling, which at order
+# 41 cost more than the joins.
+_held = ()
+
+
+def _hold(groups) -> None:
+    global _held
+    _held = groups
+
+
+def _join_held(i: int) -> list:
+    return _join_case(_held[i])
+
+
 def bins_match(files, lam: int, jobs: int = 1) -> list:
     """Sorted mask quadruples (X_1..X_4), one block per file, whose rows sum to lam."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    cases = match_cases(files, lam)
-    if jobs > 1 and len(cases) > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            chunks = pool.map(_join_case, cases)
+    groups = _leaves(match_cases(files, lam))
+    if jobs > 1 and len(groups) > 1:
+        # the workers are forked holding the groups, so a task is an index
+        with get_context("fork").Pool(jobs, _hold, (groups,)) as pool:
+            chunks = pool.map(_join_held, range(len(groups)), chunksize=1)
         quads = [q for chunk in chunks for q in chunk]
     else:
-        quads = [q for c in cases for q in _join_case(c)]
+        quads = [q for g in groups for q in _join_case(g)]
     quads.sort()
     return quads
 

@@ -129,10 +129,14 @@ def enumerate_param_sets(v: int) -> list:
     return sets
 
 
-def searchable_param_sets(v: int) -> list:
-    """Parameter sets with k1 = (v-1)/2, the largest size a skew block allows."""
+def _require_skew_order(v: int) -> None:
     if v % 2 == 0:
         raise ValueError("skew blocks require odd v")
+
+
+def searchable_param_sets(v: int) -> list:
+    """Parameter sets with k1 = (v-1)/2, the largest size a skew block allows."""
+    _require_skew_order(v)
     return [p for p in enumerate_param_sets(v) if 2 * p.k[0] + 1 == v]
 
 
@@ -142,8 +146,7 @@ def kkss_param_sets(v: int) -> list:
     Each representation 2v - 1 = r^2 + s^2 with r > s >= 0 gives
     (v; (v-1)/2, (v-1)/2, (v-r+s)/2, (v-r-s)/2; v-r-1).
     """
-    if v % 2 == 0:
-        raise ValueError("skew blocks require odd v")
+    _require_skew_order(v)
     target = 2 * v - 1
     sets = []
     for s in range(isqrt(target // 2) + 1):
@@ -162,8 +165,7 @@ def kkks_param_set(v: int):
     Requires 4v - 3 = (2r+1)^2, i.e. v = r^2 + r + 1; then
     k4 = r(r-1)/2 and lambda = r^2 - 1.
     """
-    if v % 2 == 0:
-        raise ValueError("skew blocks require odd v")
+    _require_skew_order(v)
     q = isqrt(4 * v - 3)
     if q * q != 4 * v - 3:
         return None

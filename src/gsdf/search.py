@@ -120,21 +120,30 @@ def search_param(params: GsParamSet, type_name: str,
     return out
 
 
-def search_order(v: int, type_name: str, options: SearchOptions = None,
-                 params_filter=None) -> list:
-    """Search every parameter set of an order (k1 = (v-1)/2) for one type.
+def order_param_sets(v: int, type_name: str, params_filter=None) -> list:
+    """The parameter sets of an order (k1 = (v-1)/2) that `search_order`
+    searches for a type.
 
-    `params_filter`, a size vector (k1, k2, k3, k4), restricts the search
-    to that set; a vector no searchable set of v has is a ValueError.
-    The outcomes come as a list, so every search has run when this returns."""
+    `params_filter`, a size vector (k1, k2, k3, k4), restricts them to
+    that set; a vector no searchable set of v has is a ValueError.  Bad
+    input fails here, before any candidate generation."""
     type_tags(type_name)  # an unknown type fails before any work
     check_width(v)  # before parameter enumeration, so every type fails alike
-    options = options or SearchOptions()
     sets = [p for p in searchable_param_sets(v)
             if params_filter is None or p.k == tuple(params_filter)]
     if not sets and params_filter is not None:
         raise ValueError(f"no searchable parameter set of v={v} has sizes "
                          f"{','.join(map(str, params_filter))}")
+    return sets
+
+
+def search_order(v: int, type_name: str, options: SearchOptions = None,
+                 params_filter=None) -> list:
+    """Search the sets `order_param_sets` gives for one type.
+
+    The outcomes come as a list, so every search has run when this returns."""
+    sets = order_param_sets(v, type_name, params_filter)
+    options = options or SearchOptions()
     return [search_param(p, type_name, options) for p in sets]
 
 

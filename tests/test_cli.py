@@ -359,6 +359,15 @@ def test_search_unknown_param_vector():
     assert err == "error: no searchable parameter set of v=7 has sizes 9,9,9,9\n"
 
 
+def test_search_bad_param_leaves_no_output_directory(tmp_path):
+    out_dir = tmp_path / "D"
+    rc, out, err = run("search", "7", "kkks", "--param", "9,9,9,9",
+                       "--out-dir", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err == "error: no searchable parameter set of v=7 has sizes 9,9,9,9\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("param", ("a,b", "1,2", "3,3,3,x", "3,3,3,1,0", ""))
 def test_search_param_needs_four_sizes(param):
     rc, out, err = run("search", "7", "kkks", "--param", param)

@@ -9,8 +9,7 @@ from gsdf.blockgen import collect_rows
 from gsdf.equivalence import (Dilate, Exchange, Negate, Translate,
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
-                              family_sort_key, orbit_least, small_classes,
-                              small_key, units)
+                              orbit_least, small_classes, small_key, units)
 from gsdf.family import (TAG_NONE, TAG_SKEW, Family, block_tag,
                          family_from_blocks)
 from gsdf.matcher import bins_match
@@ -236,8 +235,8 @@ def test_untyped_families_are_rejected():
 
 def test_representative_is_sort_key_minimal():
     for c in classify(FAMS9):
-        rep_key = family_sort_key(c.representative)
-        assert all(rep_key <= family_sort_key(m) for m in c.members)
+        rep_key = c.representative.sort_key
+        assert all(rep_key <= m.sort_key for m in c.members)
 
 
 # --- classes keyed once per dilation orbit -----------------------------------
@@ -283,7 +282,7 @@ def grouped(families, keyfunc):
     buckets = {}
     for fam in families:
         buckets.setdefault(keyfunc(fam), []).append(fam)
-    return [(key, len(m), tuple(m), min(m, key=family_sort_key))
+    return [(key, len(m), tuple(m), min(m, key=lambda fam: fam.sort_key))
             for key, m in sorted(buckets.items())]
 
 

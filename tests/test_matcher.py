@@ -38,20 +38,50 @@ def test_v7_three_skew_one_symmetric():
         assert sums == [3] * 6
 
 
+def side_pairs(case, side):
+    """The (slot, mask, slot, mask) pairs of one side of a group."""
+    sx, sy = case.slots[2 * side:2 * side + 2]
+    return [(sx, int(mx), sy, int(my)) for x, y in zip(*case.sides[side])
+            for mx in x.masks for my in y.masks]
+
+
 def test_match_cases_structure():
-    fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
-    cases = match_cases(fs, 3)
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    lam = 7
+    cases = match_cases(fs, lam)
     assert cases
-    keys = []
+    a, d, b, c = cases[0].slots
+    assert len(fs[a]) <= len(fs[b]) <= len(fs[c]) <= len(fs[d])
+    col0 = [dict(zip(f.masks.tolist(), f.rows[:, 0].tolist())) for f in fs]
+
+    def col0_sum(pair):
+        sx, mx, sy, my = pair
+        return col0[sx][mx] + col0[sy][my]
+
+    seen = ([], [])
     for case in cases:
-        assert all(len(f.masks) > 0 for f in case.files)
-        for f, orig in zip(case.files, fs):
-            assert set(f.masks.tolist()) <= set(orig.masks.tolist())
-            assert len(set(f.rows[:, 0].tolist())) == 1
-        keys.append(tuple(int(f.rows[0, 0]) for f in case.files))
-        assert sum(keys[-1]) == 3
-    # cases partition by value quadruple: no duplicates
-    assert len(keys) == len(set(keys))
+        assert case.depth == 1 and case.slots == (a, d, b, c)
+        sides = [side_pairs(case, side) for side in (0, 1)]
+        # one column-0 sum per side, and the two complete each other to lam
+        sums = [{col0_sum(p) for p in pairs} for pairs in sides]
+        assert len(sums[0]) == len(sums[1]) == 1
+        assert sums[0].pop() + sums[1].pop() == lam
+        rows = [set() for _ in fs]
+        for sx, mx, sy, my in sides[0] + sides[1]:
+            rows[sx].add(mx)
+            rows[sy].add(my)
+        assert case.sizes == tuple(map(len, rows))
+        assert case.pairs == tuple(map(len, sides))
+        for side in (0, 1):
+            seen[side].extend(sides[side])
+    # every pair whose column-0 sum the other side can complete lies in
+    # exactly one case, and no other pair does
+    everything = [[(sx, int(mx), sy, int(my)) for mx in fs[sx].masks for my in fs[sy].masks]
+                  for sx, sy in ((a, d), (b, c))]
+    for side in (0, 1):
+        other = {col0_sum(p) for p in everything[1 - side]}
+        expected = sorted(p for p in everything[side] if lam - col0_sum(p) in other)
+        assert sorted(seen[side]) == expected
 
 
 def test_no_solution_paths():
@@ -77,22 +107,48 @@ def test_jobs_and_split_limit_do_not_change_results(monkeypatch):
 
 
 def test_split_limit_1_bins_every_column(monkeypatch):
-    """At limit 1 no case is small enough to join early: every case is
-    binned on every column and then joined over none, in the parent and in
+    """At limit 1 no group is small enough to join early: every group is
+    refined on every column and then joined over none, in the parent and in
     forked workers."""
-    join = gsdf.matcher._serial_join
+    join = gsdf.matcher._join
 
-    def join_at_full_depth(files, order, lam, depth, ncols):
-        assert depth == ncols, f"joined at depth {depth} of {ncols}"
-        return join(files, order, lam, depth, ncols)
+    def join_over_no_columns(stored, streamed, target, key_t):
+        assert len(target) == 0, f"joined over {len(target)} columns"
+        return join(stored, streamed, target, key_t)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
-    monkeypatch.setattr(gsdf.matcher, "_serial_join", join_at_full_depth)
+    monkeypatch.setattr(gsdf.matcher, "_join", join_over_no_columns)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     expected = brute_force_match(fs, 7)
     assert len(expected) == 480
     for jobs in (1, 2):
         assert bins_match(fs, 7, jobs=jobs) == expected
+
+
+def test_join_builds_each_pair_once(monkeypatch):
+    """Every pair key the join builds, over one match: none twice, and no
+    more than |A||D| + |B||C| in all."""
+    join = gsdf.matcher._join
+    built = []
+
+    def recording_join(stored, streamed, target, key_t):
+        for side in (stored, streamed):
+            (mx, my), (sx, sy) = side.masks, side.slots
+            for keys, at in side.blocks():
+                x, y = at(np.arange(len(keys)))
+                built.extend(zip([sx] * len(x), mx[x].tolist(), [sy] * len(y), my[y].tolist()))
+        return join(stored, streamed, target, key_t)
+
+    monkeypatch.setattr(gsdf.matcher, "_join", recording_join)
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    a, b, c, d = sorted(len(f) for f in fs)
+    expected = brute_force_match(fs, 7)
+    for limit in SPLIT_LIMITS:
+        monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+        built.clear()
+        assert bins_match(fs, 7) == expected
+        assert len(built) == len(set(built))
+        assert 0 < len(built) <= a * d + b * c
 
 
 def test_brute_force_guard():
