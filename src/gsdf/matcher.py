@@ -11,36 +11,43 @@ pair lands in exactly one group, so the join builds each pair once.
 
 A group is finished by a join over the columns it was not grouped on.
 The side with fewer pairs is stored: its pair-sum keys fill one array
-sized from the bin counts, which is sorted.  The other side is streamed
-in blocks of about _CHUNK keys (small products share a block), so only
-the stored side costs memory.  A group whose stored side holds
+sized from the bin counts.  The other side is streamed in blocks of
+about _CHUNK keys (small products share a block), so only the stored
+side costs memory.  A group whose stored side holds
 SPLIT_LIMIT pairs or more is refined on its next column by the same
 rule: each product splits into the products of its files' bins there,
 regrouped by their pair sum t, and the (a, d) products of sum t meet
 only the (b, c) products of sum lam - t.  A file met in several groups
 is split once and its bins are shared.  A group refined on every column
 is joined over no columns, where every pair of one side matches every
-pair of the other.  SPLIT_LIMIT = 10**6 keeps a stored side near 8 MB;
-on the order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
+pair of the other.  SPLIT_LIMIT = 10**6 keeps a stored side's keys near
+8 MB, and its bucket table below 16 MB; on the order-33 and order-37
+kkss searches it beat 5e5, 2e6 and 1e7.
 
 Row sums are hashed to 64-bit keys (a random-multiplier dot product,
-linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  Each
+linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  The stored
+keys are sorted and indexed by their top bits: a table gives the start
+of each of 2**b >= n buckets, so a bucket holds about one key.  Each
 streamed block holds the needle keys key(target) - key(r_x) - key(r_y)
-of its pairs; it is sorted, and the shorter of it and the stored keys is
-looked up in the longer, each search starting where the last ended.
-Only for the keys found on both sides are pairs recovered: the streamed
-pairs from their block, the stored pairs by recomputing the stored
-side's sums a block at a time and looking them up in the sorted hit
-keys.  Distinct rows can share a key, so every candidate quadruple is
-confirmed exactly against the target row before it is emitted.
+of its pairs, looked up as they come: a needle is compared with the
+first key of its bucket, and with the next keys while they are smaller,
+for a few steps; the needles a crowded bucket leaves after that are
+settled by one binary search.  Uniform keys make crowded buckets rare,
+but the result does not rest on it.  Only for the keys found on both
+sides are pairs recovered: the streamed pairs from their block, the
+stored pairs by recomputing the stored side's sums a block at a time and
+looking them up the same way among the hit keys.  Distinct rows can
+share a key, so every candidate quadruple is confirmed exactly against
+the target row before it is emitted.
 
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
 number of worker processes `jobs` (the CLI's default is `default_jobs`,
 read from GSDF_JOBS).  Each group left after refinement is one task of
-the pool; the workers are forked holding the groups, so a task is sent
-as its index.  Callers that want blocks build them from the masks.  The
-join takes the four files as given: it assumes no symmetry of them.
+the pool, handed out by most pairs first; the workers are forked holding
+the groups, so a task is sent as its index.  Callers that want blocks
+build them from the masks.  The join takes the four files as given: it
+assumes no symmetry of them.
 `search.search_param`, whose files are complete candidate sets, reduces
 X_1 to unit-orbit representatives before calling it and expands the
 families afterwards.
@@ -59,6 +66,7 @@ BRUTE_FORCE_GUARD = 10 ** 8
 _HASH_MULT = np.random.default_rng(0x9E3779B97F4A7C15).integers(
     1, 1 << 63, size=64, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
 _CHUNK = 1 << 15
+_ROUNDS = 4
 
 
 @dataclass
@@ -154,21 +162,61 @@ def _leaves(cases) -> list:
     return out
 
 
-def _members(values, sorted_keys):
-    """Mask of the entries of ``values`` that occur in ``sorted_keys``."""
-    pos = np.searchsorted(sorted_keys, values)
-    return sorted_keys.take(pos, mode="clip") == values
+class _Table:
+    """Sorted keys, looked up through buckets on their top bits.
 
-
-def _common(x, y):
-    """Keys of sorted ``x`` that occur in sorted ``y``, with repeats.
-
-    The shorter array is looked up in the longer one; its keys ascend, so
-    each binary search starts where the previous one ended.
+    There are 2**bits >= len(keys) buckets, so a bucket holds about one
+    key.  `start[b]` is the number of keys in buckets below b: the
+    position of bucket b's first key, or of the next key after it when
+    the bucket is empty.  `keys` must not be empty.
     """
-    if len(x) > len(y):
-        x, y = y, x
-    return x[_members(x, y)]
+
+    def __init__(self, keys):
+        self.keys = keys
+        bits = max(1, len(keys).bit_length())
+        self.shift = np.uint64(64 - bits)
+        # count the keys one bucket up, so that the running sum is each
+        # bucket's start; a block at a time, to hold no copy of all keys:
+        # the keys ascend, so a block's buckets form one run
+        self.start = np.zeros((1 << bits) + 1, dtype=np.intp)
+        for lo in range(0, len(keys), _CHUNK):
+            up = self._bucket(keys[lo:lo + _CHUNK])
+            first = int(up[0])
+            up -= first
+            counts = np.bincount(up)
+            self.start[first + 1:first + 1 + len(counts)] += counts
+        np.cumsum(self.start, out=self.start)
+
+    def _bucket(self, values):
+        """Bucket numbers, as a view: values shifted right are below 2**63,
+        and int64 is np.intp on 64-bit platforms."""
+        return (values >> self.shift).view(np.int64)
+
+    def members(self, values):
+        """Mask of the entries of ``values`` that occur among the keys.
+
+        Each value is compared with the first key of its bucket, then with
+        the keys after it while they are smaller: keys in later buckets are
+        larger, so the first key not below the value settles it.  Values
+        not settled in _ROUNDS further steps, which only a crowded bucket
+        leaves, are settled by one binary search over all keys.
+        """
+        keys = self.keys
+        pos = self.start.take(self._bucket(values))
+        key = keys.take(pos, mode="clip")
+        found = key == values
+        left = np.flatnonzero(key < values)
+        pos = pos[left]
+        for _ in range(_ROUNDS):
+            pos += 1
+            val = values[left]
+            key = keys.take(pos, mode="clip")
+            found[left[key == val]] = True
+            more = key < val
+            left, pos = left[more], pos[more]
+        val = values[left]
+        found[left] = keys.take(np.searchsorted(keys, val), mode="clip") == val
+        return found
 
 
 class _Side:
@@ -225,11 +273,11 @@ class _Side:
         return keys, at
 
     def recover(self, hit_keys):
-        """The pairs whose key is among the sorted ``hit_keys``, by key:
-        (x, y, key)."""
+        """The pairs whose key is among ``hit_keys``, by key: (x, y, key)."""
+        table = _Table(np.sort(hit_keys))
         xs, ys = [], []
         for keys, at in self.blocks():
-            x, y = at(np.nonzero(_members(keys, hit_keys))[0])
+            x, y = at(np.flatnonzero(table.members(keys)))
             xs.append(x)
             ys.append(y)
         x, y = np.concatenate(xs), np.concatenate(ys)
@@ -253,7 +301,7 @@ def _join_case(case: MatchCase) -> list:
 
 
 def _join(stored, streamed, target, key_t) -> list:
-    """Sort-merge join of two sides whose pair rows sum to ``target``,
+    """Hash join of two sides whose pair rows sum to ``target``,
     hashed to ``key_t``."""
     build = np.empty(stored.pairs, dtype=np.uint64)
     pos = 0
@@ -261,23 +309,22 @@ def _join(stored, streamed, target, key_t) -> list:
         build[pos:pos + len(keys)] = keys
         pos += len(keys)
     build.sort()
-    # Stream the needles key_t - key(x) - key(y) in sorted chunks; then
-    # find which unsorted needles carry a hit key.
+    table = _Table(build)
+    # look the needles key_t - key(x) - key(y) up a block at a time
     hit_x, hit_y, hit_key = [], [], []
     for keys, at in streamed.blocks():
         need = np.subtract(key_t, keys, out=keys)
-        found = _common(np.sort(need), build)
-        if len(found):
-            j = np.nonzero(_members(need, found))[0]
+        j = np.flatnonzero(table.members(need))
+        if len(j):
             x, y = at(j)
             hit_x.append(x)
             hit_y.append(y)
             hit_key.append(need[j])
-    del build
+    del build, table
     if not hit_key:
         return []
     hit_x, hit_y, hit_key = (np.concatenate(h) for h in (hit_x, hit_y, hit_key))
-    pair_x, pair_y, pair_key = stored.recover(np.unique(hit_key))
+    pair_x, pair_y, pair_key = stored.recover(hit_key)
 
     # Every streamed hit meets every stored pair of its key; hash
     # collisions make more than one, so each quadruple is confirmed on
@@ -334,9 +381,12 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
         raise ValueError("jobs must be positive")
     groups = _leaves(match_cases(files, lam))
     if jobs > 1 and len(groups) > 1:
-        # the workers are forked holding the groups, so a task is an index
+        # the workers are forked holding the groups, so a task is an index;
+        # the groups with most pairs go first, so none of them starts last
+        order = sorted(range(len(groups)), key=lambda i: sum(groups[i].pairs),
+                       reverse=True)
         with get_context("fork").Pool(jobs, _hold, (groups,)) as pool:
-            chunks = pool.map(_join_held, range(len(groups)), chunksize=1)
+            chunks = list(pool.imap_unordered(_join_held, order, chunksize=1))
         quads = [q for chunk in chunks for q in chunk]
     else:
         quads = [q for g in groups for q in _join_case(g)]

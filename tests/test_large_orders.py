@@ -6,6 +6,8 @@ import pytest
 
 from gsdf.catalog import catalog_groups
 from gsdf.equivalence import Dilate, Negate, apply_transform
+from gsdf.params import searchable_param_sets, type_applicable
+from gsdf.search import ParamOutcome
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "large_orders.py"
 
@@ -103,3 +105,22 @@ def test_threshold_flag_is_gone(large_orders, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         large_orders.main(["--order", "33", "--threshold", "5"])
     assert exc.value.code == 2
+
+
+def test_repeated_orders_and_types_are_searched_once(large_orders, capsys, monkeypatch):
+    calls = []
+
+    def counting_search(params, type_name, options):
+        calls.append((params.v, type_name, params.k))
+        return ParamOutcome(params, type_name, True)
+
+    monkeypatch.setattr(large_orders, "search_param", counting_search)
+    large_orders.main(["--order", "37", "--order", "33", "--order", "37",
+                       "--type", "kkss", "--type", "ksss", "--type", "kkss"])
+    # each (order, type) once, in the order first given
+    expected = [(v, t, p.k) for v in (37, 33) for t in ("kkss", "ksss")
+                for p in searchable_param_sets(v) if type_applicable(p, t)]
+    assert calls == expected
+    checks = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
+    assert [line.split(":")[0] for line in checks] == [
+        "v=37 kkss", "v=37 ksss", "v=33 kkss", "v=33 ksss"]

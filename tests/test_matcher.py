@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsdf.blockgen import RowFile, collect_rows, difference_counts
 import gsdf.matcher
@@ -219,6 +221,45 @@ def test_exact_confirmation_under_hash_collisions(monkeypatch):
         monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
         for jobs in (1, 2):
             assert bins_match(fs, 7, jobs=jobs) == expected
+
+
+U64 = 2 ** 64 - 1
+TOP = 2 ** 44  # at most 80 keys make at most 2**7 buckets; 2**44 values share one
+
+
+def key_lists():
+    """Sorted key arrays: anywhere, all in bucket 0, all in the top bucket,
+    all sharing their top bits, and with the extremes 0 and 2**64 - 1."""
+    anywhere = st.integers(0, U64)
+    extremes = st.sampled_from([0, 1, U64 - 1, U64])
+    values = st.one_of(
+        st.lists(st.one_of(anywhere, extremes), min_size=1, max_size=64),
+        st.lists(st.integers(0, TOP - 1), min_size=1, max_size=64),
+        st.lists(st.integers(U64 - TOP + 1, U64), min_size=1, max_size=64),
+        st.integers(0, U64 // TOP).flatmap(lambda top: st.lists(
+            st.integers(top * TOP, top * TOP + TOP - 1), min_size=1, max_size=64)),
+    )
+    # duplicates: each key may repeat
+    return values.flatmap(lambda ks: st.lists(st.sampled_from(ks), max_size=16).map(
+        lambda extra: np.sort(np.array(ks + extra, dtype=np.uint64))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_lists(), st.lists(st.integers(0, U64), max_size=16))
+def test_table_lookup_agrees_with_isin(keys, extra):
+    """The bucket table finds exactly the values np.isin finds, for the
+    keys, their neighbours, and the edges of their buckets and of the
+    buckets beside them, empty or not."""
+    table = gsdf.matcher._Table(keys)
+    width = 1 << int(table.shift)
+    near = set(extra)
+    for k in map(int, keys):
+        b = k // width * width
+        near.update((k - 1, k, k + 1, b - 1, b, b + width - 1, b + width,
+                     k - width, k + width, b + 2 * width))
+    values = np.array(sorted(x for x in near if 0 <= x <= U64), dtype=np.uint64)
+    for needles in (values, values[::-1].copy()):
+        assert (table.members(needles) == np.isin(needles, keys)).all()
 
 
 def test_default_jobs_from_environment(monkeypatch):
