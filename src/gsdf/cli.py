@@ -113,9 +113,7 @@ def cmd_search(args) -> int:
         params_filter = tuple(map(int, args.param.split(",")))
     # bad input fails before the output directory is made, and that
     # before a long search
-    if not order_param_sets(args.v, args.type, params_filter):
-        print("no applicable parameter sets")
-        return 2
+    order_param_sets(args.v, args.type, params_filter)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     outcomes = search_order(args.v, args.type, options, params_filter)

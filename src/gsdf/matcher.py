@@ -21,24 +21,25 @@ only the (b, c) products of sum lam - t.  A file met in several groups
 is split once and its bins are shared.  A group refined on every column
 is joined over no columns, where every pair of one side matches every
 pair of the other.  SPLIT_LIMIT = 10**6 keeps a stored side's keys near
-8 MB, and its bucket table below 16 MB; on the order-33 and order-37
+8 MB, and its bucket table at most 4 MB; on the order-33 and order-37
 kkss searches it beat 5e5, 2e6 and 1e7.
 
 Row sums are hashed to 64-bit keys (a random-multiplier dot product,
-linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  The stored
+linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  A stored
+key keeps its high bits and holds its pair's position on its side in
+the low w bits, w the bit length of the stored pair count.  The stored
 keys are sorted and indexed by their top bits: a table gives the start
 of each of 2**b >= n buckets, so a bucket holds about one key.  Each
 streamed block holds the needle keys key(target) - key(r_x) - key(r_y)
-of its pairs, looked up as they come: a needle is compared with the
-first key of its bucket, and with the next keys while they are smaller,
-for a few steps; the needles a crowded bucket leaves after that are
-settled by one binary search.  Uniform keys make crowded buckets rare,
-but the result does not rest on it.  Only for the keys found on both
-sides are pairs recovered: the streamed pairs from their block, the
-stored pairs by recomputing the stored side's sums a block at a time and
-looking them up the same way among the hit keys.  Distinct rows can
-share a key, so every candidate quadruple is confirmed exactly against
-the target row before it is emitted.
+of its pairs, low w bits cleared, looked up as they come: the first key
+not below a needle, found from its bucket's first key in a few steps or
+else by a binary search, must be within 2**w - 1 of it.  Uniform keys
+make crowded buckets rare, but the result does not rest on it.  A hit's
+stored pairs are the keys in that range, whose low bits give their
+positions, so each side is built and walked once.  Equal keys have equal
+high bits, and distinct rows can share a key, so every candidate
+quadruple is confirmed exactly against the target row before it is
+emitted.
 
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
@@ -168,17 +169,19 @@ class _Table:
     There are 2**bits >= len(keys) buckets, so a bucket holds about one
     key.  `start[b]` is the number of keys in buckets below b: the
     position of bucket b's first key, or of the next key after it when
-    the bucket is empty.  `keys` must not be empty.
+    the bucket is empty.  A value v is found when some key lies in
+    [v, v + low]; values must leave room for that below 2**64.  `keys`
+    must not be empty, and fewer than 2**31, so the int32 starts hold.
     """
 
-    def __init__(self, keys):
-        self.keys = keys
+    def __init__(self, keys, low):
+        self.keys, self.low = keys, low
         bits = max(1, len(keys).bit_length())
         self.shift = np.uint64(64 - bits)
         # count the keys one bucket up, so that the running sum is each
         # bucket's start; a block at a time, to hold no copy of all keys:
         # the keys ascend, so a block's buckets form one run
-        self.start = np.zeros((1 << bits) + 1, dtype=np.intp)
+        self.start = np.zeros((1 << bits) + 1, dtype=np.int32)
         for lo in range(0, len(keys), _CHUNK):
             up = self._bucket(keys[lo:lo + _CHUNK])
             first = int(up[0])
@@ -193,36 +196,38 @@ class _Table:
         return (values >> self.shift).view(np.int64)
 
     def members(self, values):
-        """Mask of the entries of ``values`` that occur among the keys.
+        """Mask of the entries of ``values`` with a key in [value, value + low].
 
         Each value is compared with the first key of its bucket, then with
         the keys after it while they are smaller: keys in later buckets are
-        larger, so the first key not below the value settles it.  Values
+        larger, so the first key not below the value settles it.  In
+        uint64 a key below the value wraps to key - value > low.  Values
         not settled in _ROUNDS further steps, which only a crowded bucket
         leaves, are settled by one binary search over all keys.
         """
-        keys = self.keys
+        keys, low = self.keys, self.low
         pos = self.start.take(self._bucket(values))
         key = keys.take(pos, mode="clip")
-        found = key == values
+        found = key - values <= low
         left = np.flatnonzero(key < values)
         pos = pos[left]
         for _ in range(_ROUNDS):
             pos += 1
             val = values[left]
             key = keys.take(pos, mode="clip")
-            found[left[key == val]] = True
+            found[left[key - val <= low]] = True
             more = key < val
             left, pos = left[more], pos[more]
         val = values[left]
-        found[left] = keys.take(np.searchsorted(keys, val), mode="clip") == val
+        found[left] = keys.take(np.searchsorted(keys, val), mode="clip") - val <= low
         return found
 
 
 class _Side:
     """One side of a group with its x files and its y files each stacked
     into one table: product p pairs the x rows xo[p]..xo[p+1] with the y
-    rows yo[p]..yo[p+1]."""
+    rows yo[p]..yo[p+1].  A pair's position counts the pairs before it,
+    products in order and x-major within each product."""
 
     def __init__(self, tables, pairs, slots, res, mult):
         self.slots, self.pairs = slots, pairs
@@ -235,55 +240,44 @@ class _Side:
                             for t in tables)
 
     def blocks(self):
-        """The pair-sum keys, at most _CHUNK at a time unless one y table
-        is longer, x-major within each product: (keys, at), where at(j)
-        gives the table rows (x, y) of the pairs whose keys are keys[j].
-        Small products share a block."""
-        segments, size = [], 0
+        """The pair-sum keys in position order, at most _CHUNK at a time
+        unless one y table is longer: (offset, keys), keys[j] the key of
+        the pair at position offset + j.  Small products share a block."""
+        segments, size, offset = [], 0, 0
         for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
             ny = y1 - y0
             step = max(1, _CHUNK // ny)
             for lo in range(x0, x1, step):
-                n = min(step, x1 - lo) * ny
-                if segments and size + n > _CHUNK:
-                    yield self._block(segments, size)
-                    segments, size = [], 0
-                segments.append((size, lo, y0, ny))
-                size += n
+                nx = min(step, x1 - lo)
+                if segments and size + nx * ny > _CHUNK:
+                    yield offset, self._block(segments, size)
+                    segments, offset, size = [], offset + size, 0
+                segments.append((lo, nx, y0, ny))
+                size += nx * ny
         if segments:
-            yield self._block(segments, size)
+            yield offset, self._block(segments, size)
 
     def _block(self, segments, size):
-        """The keys of the segments (start, x0, y0, ny), each the rows from
-        x0 on times the ny rows from y0, placed from position start on."""
+        """The keys of the segments (x0, nx, y0, ny), each the nx rows from
+        x0 times the ny rows from y0, one after another."""
         kx, ky = self.keys
         keys = np.empty(size, dtype=np.uint64)
-        ends = [seg[0] for seg in segments[1:]] + [size]
-        for (start, x0, y0, ny), end in zip(segments, ends):
-            nx = (end - start) // ny
+        start = 0
+        for x0, nx, y0, ny in segments:
             np.add(kx[x0:x0 + nx, None], ky[None, y0:y0 + ny],
-                   out=keys[start:end].reshape(nx, ny))
-        start, x0, y0, ny = np.array(segments).T
+                   out=keys[start:start + nx * ny].reshape(nx, ny))
+            start += nx * ny
+        return keys
 
-        def at(j):
-            i = np.searchsorted(start, j, side="right") - 1
-            r = j - start[i]
-            return x0[i] + r // ny[i], y0[i] + r % ny[i]
-
-        return keys, at
-
-    def recover(self, hit_keys):
-        """The pairs whose key is among ``hit_keys``, by key: (x, y, key)."""
-        table = _Table(np.sort(hit_keys))
-        xs, ys = [], []
-        for keys, at in self.blocks():
-            x, y = at(np.flatnonzero(table.members(keys)))
-            xs.append(x)
-            ys.append(y)
-        x, y = np.concatenate(xs), np.concatenate(ys)
-        key = self.keys[0][x] + self.keys[1][y]
-        by_key = np.argsort(key)
-        return x[by_key], y[by_key], key[by_key]
+    def locate(self, positions):
+        """The table rows (x, y) of the pairs at ``positions``."""
+        xo, yo = np.array(self.xo), np.array(self.yo)
+        ny = np.diff(yo)
+        n = np.diff(xo) * ny
+        first = np.cumsum(n) - n
+        p = np.searchsorted(first, positions, side="right") - 1
+        r = positions - first[p]
+        return xo[p] + r // ny[p], yo[p] + r % ny[p]
 
 
 def _join_case(case: MatchCase) -> list:
@@ -303,43 +297,45 @@ def _join_case(case: MatchCase) -> list:
 def _join(stored, streamed, target, key_t) -> list:
     """Hash join of two sides whose pair rows sum to ``target``,
     hashed to ``key_t``."""
-    build = np.empty(stored.pairs, dtype=np.uint64)
-    pos = 0
-    for keys, _ in stored.blocks():
-        build[pos:pos + len(keys)] = keys
-        pos += len(keys)
+    if stored.pairs >= 1 << 31:
+        raise ValueError(f"a stored side of {stored.pairs} pairs exceeds 2**31 - 1")
+    low = np.uint64((1 << stored.pairs.bit_length()) - 1)
+    high = ~low
+    build = np.arange(stored.pairs, dtype=np.uint64)
+    for offset, keys in stored.blocks():
+        keys &= high
+        build[offset:offset + len(keys)] |= keys
     build.sort()
-    table = _Table(build)
+    table = _Table(build, low)
     # look the needles key_t - key(x) - key(y) up a block at a time
-    hit_x, hit_y, hit_key = [], [], []
-    for keys, at in streamed.blocks():
+    hit_pos, hit_need = [], []
+    for offset, keys in streamed.blocks():
         need = np.subtract(key_t, keys, out=keys)
+        need &= high
         j = np.flatnonzero(table.members(need))
         if len(j):
-            x, y = at(j)
-            hit_x.append(x)
-            hit_y.append(y)
-            hit_key.append(need[j])
-    del build, table
-    if not hit_key:
+            hit_pos.append(offset + j)
+            hit_need.append(need[j])
+    del table
+    if not hit_need:
         return []
-    hit_x, hit_y, hit_key = (np.concatenate(h) for h in (hit_x, hit_y, hit_key))
-    pair_x, pair_y, pair_key = stored.recover(hit_key)
+    hit_x, hit_y = streamed.locate(np.concatenate(hit_pos))
+    need = np.concatenate(hit_need)
 
-    # Every streamed hit meets every stored pair of its key; hash
-    # collisions make more than one, so each quadruple is confirmed on
-    # its rows.
-    lo = np.searchsorted(pair_key, hit_key, side="left")
-    count = np.searchsorted(pair_key, hit_key, side="right") - lo
+    # Every streamed hit meets every stored pair whose key has its high
+    # bits; hash collisions and the cut bits make more than one, so each
+    # quadruple is confirmed on its rows.
+    lo = np.searchsorted(build, need, side="left")
+    count = np.searchsorted(build, need | low, side="right") - lo
     rows, masks = stored.rows + streamed.rows, stored.masks + streamed.masks
     slots = stored.slots + streamed.slots
     out = []
     step = max(1, _CHUNK // int(count.max()))
-    for h0 in range(0, len(hit_key), step):
+    for h0 in range(0, len(need), step):
         n = count[h0:h0 + step]
         first = np.cumsum(n) - n
         pos = np.repeat(lo[h0:h0 + step] - first, n) + np.arange(n.sum())
-        picks = (pair_x[pos], pair_y[pos],
+        picks = (*stored.locate((build[pos] & low).view(np.int64)),
                  np.repeat(hit_x[h0:h0 + step], n), np.repeat(hit_y[h0:h0 + step], n))
         ok = (sum(r[i] for r, i in zip(rows, picks)) == target).all(axis=1)
         cols = [None] * 4

@@ -130,6 +130,8 @@ def enumerate_param_sets(v: int) -> list:
 
 
 def _require_skew_order(v: int) -> None:
+    if v < 1:
+        raise ValueError("v must be positive")
     if v % 2 == 0:
         raise ValueError("skew blocks require odd v")
 

@@ -125,15 +125,15 @@ def order_param_sets(v: int, type_name: str, params_filter=None) -> list:
     searches for a type.
 
     `params_filter`, a size vector (k1, k2, k3, k4), restricts them to
-    that set; a vector no searchable set of v has is a ValueError.  Bad
-    input fails here, before any candidate generation."""
+    that set; an order or a vector with no searchable set is a
+    ValueError.  Bad input fails here, before any candidate generation."""
     type_tags(type_name)  # an unknown type fails before any work
     check_width(v)  # before parameter enumeration, so every type fails alike
     sets = [p for p in searchable_param_sets(v)
             if params_filter is None or p.k == tuple(params_filter)]
-    if not sets and params_filter is not None:
-        raise ValueError(f"no searchable parameter set of v={v} has sizes "
-                         f"{','.join(map(str, params_filter))}")
+    if not sets:
+        sizes = "" if params_filter is None else " has sizes " + ",".join(map(str, params_filter))
+        raise ValueError(f"no searchable parameter set of v={v}{sizes}")
     return sets
 
 
@@ -151,6 +151,8 @@ def table_comparison(max_v: int, options: SearchOptions = None) -> list:
     """Recompute table verdicts up to max_v; rows of (params, type, expected, got)."""
     options = options or SearchOptions(classified=False)
     rows = [row for row in table_rows() if row.params.v <= max_v]
+    if not rows:
+        raise ValueError(f"the table has no order v <= {max_v}")
     got = {}
     for v in sorted({row.params.v for row in rows}):
         for t in TYPE_NAMES:

@@ -70,6 +70,14 @@ def test_params_even_order_is_an_error():
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", (("params", "0"), ("params", "-1"),
+                                  ("search", "0", "ksss"), ("search", "-3", "kkss")))
+def test_non_positive_orders_are_an_error(argv):
+    rc, out, err = run(*argv)
+    assert rc == 2 and out == ""
+    assert err == "error: v must be positive\n"
+
+
 # ---------------------------------------------------------------- generate
 
 def test_generate_writes_readable_row_file(tmp_path):
@@ -338,6 +346,14 @@ def test_search_inapplicable_type_returns_one():
     assert out.splitlines()[0] == "(5;2,2,1,1;1) kkks: x"
 
 
+def test_search_order_without_parameter_sets_is_an_error(tmp_path):
+    out_dir = tmp_path / "D"
+    rc, out, err = run("search", "1", "ksss", "--out-dir", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err == "error: no searchable parameter set of v=1\n"
+    assert not out_dir.exists()
+
+
 def test_search_param_restriction():
     rc, out, _ = run("search", "7", "kkks", "--param", "3,3,3,1",
                      "--no-classify")
@@ -422,6 +438,12 @@ def test_table_recompute_small_orders():
     assert rc == 0
     assert out.splitlines()[-1].endswith("0 mismatches")
     assert "MISMATCH" not in out
+
+
+def test_table_recompute_below_the_table_is_an_error():
+    rc, out, err = run("table1", "--recompute", "--max-v", "2")
+    assert rc == 2 and out == ""
+    assert err == "error: the table has no order v <= 2\n"
 
 
 # ---------------------------------------------------------------- plumbing

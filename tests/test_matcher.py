@@ -136,8 +136,8 @@ def test_join_builds_each_pair_once(monkeypatch):
     def recording_join(stored, streamed, target, key_t):
         for side in (stored, streamed):
             (mx, my), (sx, sy) = side.masks, side.slots
-            for keys, at in side.blocks():
-                x, y = at(np.arange(len(keys)))
+            for offset, keys in side.blocks():
+                x, y = side.locate(offset + np.arange(len(keys)))
                 built.extend(zip([sx] * len(x), mx[x].tolist(), [sy] * len(y), my[y].tolist()))
         return join(stored, streamed, target, key_t)
 
@@ -245,21 +245,59 @@ def key_lists():
 
 
 @settings(max_examples=300, deadline=None)
-@given(key_lists(), st.lists(st.integers(0, U64), max_size=16))
-def test_table_lookup_agrees_with_isin(keys, extra):
-    """The bucket table finds exactly the values np.isin finds, for the
-    keys, their neighbours, and the edges of their buckets and of the
-    buckets beside them, empty or not."""
-    table = gsdf.matcher._Table(keys)
+@given(key_lists(), st.lists(st.integers(0, U64), max_size=16),
+       st.sampled_from([0, 1, 2, 5]))
+def test_table_lookup_agrees_with_isin(keys, extra, w):
+    """The bucket table finds exactly the values np.isin finds when its
+    tolerance low is 0, and otherwise exactly the values v, with their
+    low bits clear, that have a key in [v, v | low] -- for the keys, their
+    neighbours, and the edges of their buckets and of the buckets beside
+    them, empty or not."""
+    low = 2 ** w - 1
+    table = gsdf.matcher._Table(keys, np.uint64(low))
     width = 1 << int(table.shift)
     near = set(extra)
     for k in map(int, keys):
         b = k // width * width
         near.update((k - 1, k, k + 1, b - 1, b, b + width - 1, b + width,
-                     k - width, k + width, b + 2 * width))
-    values = np.array(sorted(x for x in near if 0 <= x <= U64), dtype=np.uint64)
-    for needles in (values, values[::-1].copy()):
-        assert (table.members(needles) == np.isin(needles, keys)).all()
+                     k - width, k + width, b + 2 * width, k - low, k - low - 1))
+    values = np.array(sorted({x & ~low for x in near if 0 <= x <= U64}),
+                      dtype=np.uint64)
+    if low:
+        hi = np.searchsorted(keys, values | np.uint64(low), side="right")
+        expected = hi > np.searchsorted(keys, values)
+    else:
+        expected = np.isin(values, keys)
+    for needles, want in ((values, expected), (values[::-1].copy(), expected[::-1])):
+        assert (table.members(needles) == want).all()
+
+
+def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
+    """With _CHUNK = 8: two 2 x 2 products share a block, a 5 x 3 product
+    spans blocks, and a 1 x 11 product is one block longer than _CHUNK.
+    The blocks give every position once, in order, and locate takes each
+    position to the rows whose keys sum to its key."""
+    monkeypatch.setattr(gsdf.matcher, "_CHUNK", 8)
+    skew = collect_rows(13, 6, "skew")
+    sym = collect_rows(13, 4, "symmetric")
+    shape = ((2, 2), (2, 2), (5, 3), (1, 11))
+    xs = [subfile(skew, range(i, i + nx)) for i, (nx, _) in enumerate(shape)]
+    ys = [subfile(sym, range(i, i + ny)) for i, (_, ny) in enumerate(shape)]
+    pairs = sum(nx * ny for nx, ny in shape)
+    side = gsdf.matcher._Side((xs, ys), pairs, (0, 2), slice(0, 6),
+                              gsdf.matcher._HASH_MULT[:6])
+    kx, ky = side.keys
+    sizes, end = [], 0
+    for offset, keys in side.blocks():
+        assert offset == end
+        x, y = side.locate(offset + np.arange(len(keys)))
+        assert (keys == kx[x] + ky[y]).all()
+        sizes.append(len(keys))
+        end += len(keys)
+    assert end == pairs
+    assert sizes == [8, 6, 6, 3, 11]
+    x, y = side.locate(np.arange(pairs))
+    assert len(set(zip(x.tolist(), y.tolist()))) == pairs
 
 
 def test_default_jobs_from_environment(monkeypatch):
