@@ -81,6 +81,9 @@ def cmd_verify(args) -> int:
     if not fams:
         print("error: no family records", file=sys.stderr)
         return 2
+    if args.hadamard and len(fams) != 1:
+        print("error: --hadamard needs a single-record file", file=sys.stderr)
+        return 2
     all_ok = True
     for i, fam in enumerate(fams, 1):
         cert = verify_family(fam)
@@ -95,9 +98,6 @@ def cmd_verify(args) -> int:
         print(f"record {i} {fam.params} {fam.pattern}: " + " ".join(parts))
         all_ok &= cert.ok
     if args.hadamard:
-        if len(fams) != 1:
-            print("error: --hadamard needs a single-record file", file=sys.stderr)
-            return 2
         write_hadamard(args.hadamard, build_gs_array(fams[0]))
         print(f"hadamard matrix of order {4 * fams[0].v} -> {args.hadamard}")
     return 0 if all_ok else 2

@@ -21,15 +21,15 @@ matrices (A_1 skew-type plus three symmetric back-circulants B_i = A_i R,
 pairwise amicable), two skew blocks give G-matrices, three give best
 matrices.
 
-`build_gs_array` is the one construction of H.  Each entry of H is
-+-1 times an entry of one of the four first rows: Z_i[r, c] is row i at
-(c - r) mod v, (Z_i R)[r, c] at (-1 - r - c) mod v and (Z_i^T R)[r, c]
-at (r + c + 1) mod v.  So H is a single gather from the four +-1 rows
-(unpacked from the masks' bits) and their negatives, through a (4v, 4v)
-index cached per v.
+`_gs_array` is the one construction of H (`build_gs_array` is its int64
+form).  Each entry of H is +-1 times an entry of one of the four first
+rows: Z_i[r, c] is row i at (c - r) mod v, (Z_i R)[r, c] at
+(-1 - r - c) mod v and (Z_i^T R)[r, c] at (r + c + 1) mod v.  So H is a
+single gather from the four +-1 rows (unpacked from the masks' bits) and
+their negatives, through a (4v, 4v) index cached per v.
 
 `verify_family` builds H once, computes P = H H^T once and reads every
-certificate from H and P.  The first block row of H is
+certificate from H, H^T and P.  The first block row of H is
 [A_1 | A_2 R | A_3 R | A_4 R], and R R^T = I, so P[:v, :v] is the Gram
 sum G = sum A_i A_i^T: it gives the Gram condition and, through its
 first row, the difference multiplicities (G[0, s] = sum_i PAF_i(s) and
@@ -41,11 +41,18 @@ products M_i M_j^T of those four blocks that decide amicability.  No
 circulant of a single block is built on that path; the public checks
 below, which also take bare matrices, build them.
 
-All checks are exact integer identities.  The Gram products run in
-float64 through BLAS (numpy has no BLAS for integer matmul), and that is
-exact: every entry is +-1, so every product and partial sum is an
-integer of absolute value at most the inner dimension, at most
-4v <= 252 for the orders searched, far below 2^53.
+All checks are exact integer identities.  The products run in floating
+point through BLAS (numpy has no BLAS for integer matmul), and that is
+exact while every partial sum is an integer the format holds.
+`verify_family` gathers H in float32 and runs its products in float32:
+every entry is +-1, so every partial sum is an integer of absolute value
+at most the inner dimension, at most 4v, and float32 holds every integer
+up to 2^24.  That is exact for v <= 2^22; `check_width` caps the search
+at v <= 63, an inner dimension of at most 252.  Each scalar-matrix
+certificate (the Gram sum, P, H + H^T) is one comparison with a cached,
+read-only c I.  The public checks below take arbitrary integer matrices
+and run their products in float64; they are the oracle the certificate
+is tested against.
 """
 from __future__ import annotations
 
@@ -58,13 +65,13 @@ from .family import TAG_SKEW, Family
 from .zmod import CyclicSubset
 
 
-def _pm_rows(v: int, masks) -> np.ndarray:
+def _pm_rows(v: int, masks, dtype=np.int64) -> np.ndarray:
     """The +-1 sequences of width-v masks, one row each: -1 where a bit is
     set.  The bits are unpacked from the masks' bytes, so any v works."""
     nbytes = (v + 7) // 8
     data = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-    return 1 - 2 * bits.reshape(len(masks), -1)[:, :v].astype(np.int64)
+    return np.array((1, -1), dtype)[bits.reshape(len(masks), -1)[:, :v]]
 
 
 def _as_row(x):
@@ -87,8 +94,8 @@ def circulant(x) -> np.ndarray:
     return row[_circulant_index(len(row))]
 
 
-def _family_rows(fam: Family) -> np.ndarray:
-    return _pm_rows(fam.v, [b.mask for b in fam.blocks])
+def _family_rows(fam: Family, dtype=np.int64) -> np.ndarray:
+    return _pm_rows(fam.v, [b.mask for b in fam.blocks], dtype)
 
 
 def family_circulants(fam: Family) -> list:
@@ -107,14 +114,23 @@ def _gram(mats) -> np.ndarray:
     return m @ m.T
 
 
-def _is_scalar(g: np.ndarray, c) -> bool:
-    """g == c I for a square g and c != 0."""
-    return bool((np.diagonal(g) == c).all() and np.count_nonzero(g) == len(g))
+@lru_cache(maxsize=64)
+def _scalar_matrix(n: int, c: int) -> np.ndarray:
+    """c I of order n, read-only, in float32 (exact for |c| < 2^24)."""
+    m = np.zeros((n, n), np.float32)
+    np.fill_diagonal(m, c)
+    m.flags.writeable = False
+    return m
 
 
-def _is_skew_type(h: np.ndarray) -> bool:
-    """h + h^T == 2I."""
-    return _is_scalar(h + h.T, 2)
+def _is_scalar(g: np.ndarray, c: int) -> bool:
+    """g == c I, in one comparison."""
+    return np.array_equal(g, _scalar_matrix(len(g), c))
+
+
+def _is_skew_type(h: np.ndarray, ht: np.ndarray) -> bool:
+    """h + h^T == 2I, with ht = h^T (a view or a copy)."""
+    return _is_scalar(h + ht, 2)
 
 
 @dataclass(frozen=True)
@@ -138,9 +154,9 @@ def _difference_check(gram: np.ndarray, blocks) -> DiffFamilyCheck:
         return DiffFamilyCheck(True, ksum - v, ())
     # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
     paf = gram[0, 1:].astype(np.int64)
-    sums = tuple(((paf - len(blocks) * v + 4 * ksum) // 4).tolist())
-    ok = all(s == sums[0] for s in sums)
-    return DiffFamilyCheck(ok, sums[0] if ok else None, sums)
+    sums = ((paf + (4 * ksum - len(blocks) * v)) // 4).tolist()
+    ok = sums.count(sums[0]) == len(sums)
+    return DiffFamilyCheck(ok, sums[0] if ok else None, tuple(sums))
 
 
 def check_difference_family(blocks) -> DiffFamilyCheck:
@@ -180,10 +196,15 @@ def _gs_index(v: int) -> np.ndarray:
     return index
 
 
-def build_gs_array(fam: Family) -> np.ndarray:
-    """The 4v x 4v Goethals-Seidel array, as int64, in one gather."""
-    rows = _family_rows(fam).ravel()
+def _gs_array(fam: Family, dtype) -> np.ndarray:
+    """The 4v x 4v Goethals-Seidel array in dtype, in one gather."""
+    rows = _family_rows(fam, dtype).ravel()
     return np.concatenate((rows, -rows))[_gs_index(fam.v)]
+
+
+def build_gs_array(fam: Family) -> np.ndarray:
+    """The 4v x 4v Goethals-Seidel array, as int64."""
+    return _gs_array(fam, np.int64)
 
 
 def _is_hadamard(h: np.ndarray, p: np.ndarray) -> bool:
@@ -201,7 +222,7 @@ def is_hadamard(h: np.ndarray) -> bool:
 
 def is_skew_hadamard(h: np.ndarray) -> bool:
     h = np.asarray(h)
-    return is_hadamard(h) and _is_skew_type(h)
+    return is_hadamard(h) and _is_skew_type(h, h.T)
 
 
 def _is_good(first_row: np.ndarray) -> bool:
@@ -211,15 +232,17 @@ def _is_good(first_row: np.ndarray) -> bool:
     pairwise amicable, and their Gram sum 4vI.
     """
     v = len(first_row)
-    a1, *bs = np.split(first_row, 4, axis=1)
-    if not _is_skew_type(a1) or any(not np.array_equal(b, b.T) for b in bs):
+    blocks = first_row.reshape(v, 4, v)  # blocks[:, i] is M_i
+    a1, bs = blocks[:, 0], blocks[:, 1:]
+    if not _is_skew_type(a1, a1.T) or not np.array_equal(
+            bs, bs.transpose(2, 1, 0)):
         return False
     # q[i, :, j, :] = M_i M_j^T; amicable iff every such block is symmetric
-    m = np.concatenate([a1, *bs], dtype=np.float64)
+    m = blocks.transpose(1, 0, 2).reshape(4 * v, v)
     q = (m @ m.T).reshape(4, v, 4, v)
     if not np.array_equal(q, q.transpose(0, 3, 2, 1)):
         return False
-    return _is_scalar(sum(q[i, :, i, :] for i in range(4)), 4 * v)
+    return _is_scalar(np.trace(q, axis1=0, axis2=2), 4 * v)
 
 
 def check_good_matrices(fam_or_mats) -> bool:
@@ -229,7 +252,8 @@ def check_good_matrices(fam_or_mats) -> bool:
         raise ValueError(
             f"good matrices need pattern ksss, got {fam_or_mats.pattern!r}")
     a1, *rest = _matrices(fam_or_mats)
-    return _is_good(np.concatenate([a1] + [a[:, ::-1] for a in rest], axis=1))
+    return _is_good(np.concatenate([a1] + [a[:, ::-1] for a in rest], axis=1,
+                                   dtype=np.float64))
 
 
 _SPECIAL_NAMES = {"ksss": "good", "kkss": "g", "kkks": "best"}
@@ -257,22 +281,25 @@ class FamilyCertificate:
 
 
 def verify_family(fam: Family) -> FamilyCertificate:
-    """Run every applicable exact check on a family, from one array H and
-    its product P = H H^T (plus the amicability product of ksss).
+    """Run every applicable exact check on a family, from one float32 array
+    H and its product P = H H^T (plus the amicability product of ksss).
 
     G-matrices (kkss) and best matrices (kkks) are the Gram condition on
     their pattern, so their special certificate is `gs`.
     """
     v = fam.v
-    h = build_gs_array(fam).astype(np.float64)
-    p = h @ h.T
+    h = _gs_array(fam, np.float32)
+    # a contiguous H^T: numpy hands h @ h.T to syrk, which is slower than
+    # gemm at these sizes, and the skew-type test reads it too
+    ht = h.T.copy()
+    p = h @ ht
     gram = p[:v, :v]
     diff = _difference_check(gram, fam.blocks)
     lam_matches = diff.ok and diff.lam == fam.params.lam
     gs = _is_scalar(gram, 4 * v)
     had = _is_hadamard(h, p)
     tags = fam.tags
-    skew_type = (had and _is_skew_type(h)) if tags[0] == TAG_SKEW else None
+    skew_type = (had and _is_skew_type(h, ht)) if tags[0] == TAG_SKEW else None
     pattern = "".join(tags)
     name = _SPECIAL_NAMES.get(pattern, "")
     special = None

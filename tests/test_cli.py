@@ -3,15 +3,17 @@
 Everything runs in-process through ``main(argv)`` so exit codes and
 stdout/stderr can be asserted directly.
 """
-import io
 import contextlib
+import dataclasses
+import io
 
 import pytest
 
 import gsdf.cli
 import gsdf.matcher
+from gsdf.catalog import catalog_entries
 from gsdf.cli import main
-from gsdf.family import read_families
+from gsdf.family import Family, read_families
 from gsdf.verify import verify_family
 from gsdf.zmod import CyclicSubset
 
@@ -302,9 +304,10 @@ def test_verify_writes_hadamard_matrix(tmp_path):
 def test_verify_hadamard_needs_single_record(tmp_path):
     path = tmp_path / "fams.txt"
     path.write_text(FAM7 + FAM7)
-    rc, _, err = run("verify", str(path), "--hadamard", str(tmp_path / "h"))
-    assert rc == 2
-    assert "single-record" in err
+    rc, out, err = run("verify", str(path), "--hadamard", str(tmp_path / "h"))
+    assert rc == 2 and out == ""
+    assert err == "error: --hadamard needs a single-record file\n"
+    assert not (tmp_path / "h").exists()
 
 
 # ---------------------------------------------------------------- search
@@ -415,6 +418,33 @@ def test_catalog_show_requires_label():
     rc, _, err = run("catalog", "show")
     assert rc == 2
     assert "--label" in err
+
+
+def test_catalog_verify_all():
+    rc, out, _ = run("catalog", "verify-all")
+    lines = out.splitlines()
+    assert rc == 0
+    assert lines[0] == "33-kkss-a (33;16,16,15,11;25) kkss: ok"
+    assert len(lines) == 46 and all(ln.endswith(": ok") for ln in lines[:-1])
+    assert lines[-1] == "45 entries, 0 failures"
+
+
+def test_catalog_verify_all_flags_a_corrupted_entry(monkeypatch):
+    entries = list(catalog_entries())
+    e = entries[5]
+    # move the least element x of the skew block to -x: still skew, no
+    # longer a difference family
+    x, *_ = e.family.blocks[0].elements
+    skew = CyclicSubset(e.v, e.family.blocks[0].mask ^ 1 << x ^ 1 << -x % e.v)
+    entries[5] = dataclasses.replace(e, family=Family(
+        e.params, (skew,) + e.family.blocks[1:]))
+    monkeypatch.setattr(gsdf.cli, "catalog_entries", lambda: tuple(entries))
+    rc, out, _ = run("catalog", "verify-all")
+    lines = out.splitlines()
+    assert rc == 2
+    assert lines[5] == f"{e.label} {e.params} {e.type_name}: FAIL"
+    assert sum(ln.endswith(": ok") for ln in lines) == 44
+    assert lines[-1] == "45 entries, 1 failures"
 
 
 def test_catalog_unknown_label():

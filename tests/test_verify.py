@@ -196,19 +196,68 @@ def test_verify_family_uses_the_public_checks():
     assert {f.type_name for f in real} == {"kkks", "kkss", "ksss"}
     assert {f.pattern for f in corrupted} >= {"kkks", "kkss", "ksss"}
     for fam in real + corrupted:
-        cert = verify_family(fam)
-        assert cert.ok == (fam in real)
-        mats = family_circulants(fam)
-        h = gs_block_formula(fam)
-        assert cert.diff == check_difference_family(fam.blocks)
-        assert cert.lam_matches == (cert.diff.ok and cert.diff.lam == fam.params.lam)
-        assert cert.gs == check_gs_matrices(fam) == check_gs_matrices(mats)
-        assert cert.hadamard == is_hadamard(h)
-        assert cert.skew_type == (is_skew_hadamard(h) if fam.tags[0] == "k" else None)
-        if fam.pattern == "ksss":
-            assert cert.special == check_good_matrices(fam)
+        assert certificate_by_public_checks(fam).ok == (fam in real)
+
+
+def certificate_by_public_checks(fam):
+    """fam's certificate, each field asserted equal to the float64 public
+    check on the block formula's array and the blocks' circulants."""
+    cert = verify_family(fam)
+    mats = family_circulants(fam)
+    h = gs_block_formula(fam)
+    assert cert.family == fam
+    assert cert.diff == check_difference_family(fam.blocks)
+    assert cert.lam_matches == (cert.diff.ok and cert.diff.lam == fam.params.lam)
+    assert cert.gs == check_gs_matrices(fam) == check_gs_matrices(mats)
+    assert cert.hadamard == is_hadamard(h)
+    assert cert.skew_type == (is_skew_hadamard(h) if fam.tags[0] == "k" else None)
+    if fam.pattern == "ksss":
+        assert cert.special_name == "good"
+        assert cert.special == check_good_matrices(fam)
+    else:
+        assert cert.special == (cert.gs if cert.special_name else None)
+    return cert
+
+
+def random_tagged_family(params, pattern, rng):
+    """Random blocks of params' sizes with the tags of pattern ("-" for
+    untagged): a skew block holds one of each pair {x, -x}, a symmetric one
+    whole pairs (and 0 when its size is odd)."""
+    v = params.v
+    halves = range(1, (v + 1) // 2)
+    blocks = []
+    for k, tag in zip(params.k, pattern):
+        if tag == "k":
+            elements = [rng.choice((x, v - x)) for x in halves]
+        elif tag == "s":
+            elements = [0] * (k % 2) + [y for x in rng.sample(halves, k // 2)
+                                        for y in (x, v - x)]
         else:
-            assert cert.special == (cert.gs if cert.special_name else None)
+            elements = rng.sample(range(v), k)
+        blocks.append(CyclicSubset.from_elements(v, elements))
+    return Family(params, tuple(blocks))
+
+
+def test_float32_certificates_at_the_top_of_the_range():
+    # v = 63 is the widest order the search takes: H is 252 x 252 and every
+    # product has inner dimension up to 252; orders 43 and 45 hold the
+    # catalog's good matrices
+    rng = random.Random(63)
+    fams = []
+    for params in enumerate_param_sets(63):
+        patterns = [t for t in ("ksss", "kkss") if type_applicable(params, t)]
+        for pattern in patterns or ["----"]:
+            fams += [random_tagged_family(params, pattern, rng) for _ in range(2)]
+    assert {f.pattern for f in fams} == {"ksss", "kkss", "----"}
+    top = [e.family for e in catalog_entries() if e.v in (43, 45)]
+    assert {f.pattern for f in top} == {"ksss", "kkss", "kkks"}
+    moved = [move_one_element(fam, rng, keep) for fam in fams + top
+             for keep in (False, True) if not keep or fam.tags[0] == "k"]
+    certs = [certificate_by_public_checks(fam) for fam in fams + top + moved]
+    assert [c.ok for c in certs] == [False] * len(fams) + [True] * len(top) + \
+        [False] * len(moved)
+    # tagged random blocks pass the skew and symmetry tests and fail later
+    assert any(c.special is False for c in certs if c.family.pattern == "ksss")
 
 
 @st.composite
