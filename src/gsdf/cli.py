@@ -66,8 +66,16 @@ def cmd_match(args) -> int:
     return 0
 
 
+def _family_records(path) -> list:
+    """The records of a family file; a file without any is an error."""
+    fams = read_families(path)
+    if not fams:
+        raise ValueError("no family records")
+    return fams
+
+
 def cmd_classify(args) -> int:
-    fams = read_families(args.family_file)
+    fams = _family_records(args.family_file)
     classes = small_classes(fams) if args.small else classify(fams)
     kind = "small " if args.small else ""
     print(f"{len(fams)} families, {len(classes)} {kind}equivalence classes")
@@ -77,10 +85,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fams = read_families(args.family_file)
-    if not fams:
-        print("error: no family records", file=sys.stderr)
-        return 2
+    fams = _family_records(args.family_file)
     if args.hadamard and len(fams) != 1:
         print("error: --hadamard needs a single-record file", file=sys.stderr)
         return 2

@@ -21,9 +21,9 @@ For a fixed unit u each block picks its sign and translate on its own, and
 sorting is monotone (x_i <= y_i for every i bounds each order statistic of
 x by that of y), so the least sorted tuple for u is the sorted tuple of the
 blocks' least options.  Dilation preserves tags and u(X + g) = uX + ug, so
-the typed translates of uX are u times those of X, found once per block by
-direct scan (usually just g = 0: a skew set is never periodic, and a
-symmetric aperiodic set admits only the trivial symmetric translate).
+the typed translates of uX are u times those of X (usually just X itself:
+a skew set is never periodic, and a symmetric aperiodic set admits only
+the trivial symmetric translate).
 
 Small classes use only global dilations, acting on the unordered multiset
 of tagged blocks; they refine the full classes.
@@ -33,9 +33,16 @@ tags, the typed translates of uX are u times those of X, and as u' runs
 over the units so does u'u, so the least over units is the same for F
 and uF.  `classify` and `small_classes` therefore label each family by
 its dilation orbit, the least mask quadruple over its dilates
-(`orbit_least`, vectorised per v), and compute one key per label.  A
+(`orbit_least`, vectorised per v), and key one family per label.  A
 search's family list is closed under dilation, so that is one key per
 family the join found before its expansion over the units.
+
+The keys of one order are computed together, in one array pass
+(`_class_keys`): the translates of every distinct block mask, tagged
+through the negation table, the dilates of the typed ones by every unit,
+and an integer per option that sorts as its block key.  Only each
+family's winning options are turned back into block-key tuples.
+`canonical_key` and `small_key` are that pass on one family.
 """
 from __future__ import annotations
 
@@ -46,8 +53,8 @@ from math import gcd
 
 import numpy as np
 
-from .family import TAG_CODE, TAG_NONE, Family, block_key, block_tag
-from .zmod import CyclicSubset, dilate_mask, mask_elements, rotate_mask
+from .family import Family, block_key
+from .zmod import dilate_mask, mask_elements, negate_mask, rotate_mask
 
 
 # --- elementary transformations ---------------------------------------------
@@ -120,68 +127,102 @@ def orbit_least(v: int, masks) -> np.ndarray:
     return least.reshape(masks.shape)
 
 
-# --- cached mask-level helpers ----------------------------------------------
+# --- class keys in one array pass -------------------------------------------
 
-_elements = lru_cache(maxsize=None)(mask_elements)
-_dilate = lru_cache(maxsize=None)(dilate_mask)
+def _lex_least(keys: np.ndarray) -> list:
+    """Columns of the lexicographically least row over axis 0 of (n, m, k) keys.
 
-
-@lru_cache(maxsize=None)
-def _typed_translates(v, mask):
-    """Distinct translates of the set that are skew or symmetric, with tags."""
-    seen, out = set(), []
-    for g in range(v):
-        t = rotate_mask(v, mask, g)
-        if t in seen:
-            continue
-        seen.add(t)
-        tag = block_tag(CyclicSubset(v, t))
-        if tag != TAG_NONE:
-            out.append((t, TAG_CODE[tag]))
-    return tuple(out)
+    Column by column, each of the m slots keeps the rows that reach its
+    least value so far; filling the others with the column's maximum
+    leaves that least value unchanged.
+    """
+    alive = np.ones(keys.shape[:2], dtype=bool)
+    least = []
+    for j in range(keys.shape[2]):
+        col = keys[..., j]
+        low = np.where(alive, col, col.max()).min(axis=0)
+        alive &= col == low
+        least.append(low.tolist())
+    return least
 
 
-def _dilated_key(v, mask, tagcode, u):
-    """Key of the block's dilate uX: the block key of small classes."""
-    return block_key(_dilate(v, mask, u), tagcode)
+def _block_key_of(v: int, packed: int) -> tuple:
+    """The `block_key` a packed key of `_class_keys` stands for."""
+    full = (1 << v) - 1
+    surrogate = packed & ((full << 1) | 1)
+    reversed_mask = full ^ (surrogate & full)
+    mask = rotate_mask(v, negate_mask(v, reversed_mask), -1)
+    return block_key(mask, surrogate >> v)
 
 
-@lru_cache(maxsize=None)
-def _least_option(v, mask, tagcode, u):
-    """Least key of e*u*T over signs e and typed translates T (tagcode unused)."""
-    return min(_dilated_key(v, t, tc, m)
-               for t, tc in _typed_translates(v, mask) for m in (u, v - u))
+def _class_keys(v: int, families, small: bool) -> list:
+    """Canonical keys (or, with ``small``, small keys) of typed families of
+    order v, computed together.
 
-
-def _tagged_blocks(fam: Family):
-    tags = fam.tags
-    if TAG_NONE in tags:
+    Every distinct block mask X is rotated v ways and each translate T is
+    tagged through the negation table.  The typed translates are dilated
+    by every unit.  For blocks of equal size the element-tuple order is
+    the descending order of the bit-reversed mask, rev(uT) = (-u)T
+    rotated by -1, so the integer (tag << v) | (2^v - 1 - rev(uT)) sorts
+    as (tag, elements(uT)), and with (v - |X|) << (v + 1) on top it sorts
+    as `block_key`.  A block's least option under u is the least over its
+    typed translates and signs +-u (for a small key: u X itself); each
+    unit's four options are sorted, and the lexicographically least over
+    the units is turned back into `block_key` tuples.  Those packed keys
+    take v + 7 bits, so from v = 57 on they are Python ints.
+    """
+    masks = [[b.mask for b in fam.blocks] for fam in families]
+    distinct = list(dict.fromkeys(m for quad in masks for m in quad))
+    where = {m: i for i, m in enumerate(distinct)}
+    index = np.array([[where[m] for m in quad] for quad in masks])
+    wide = v + 7 > 63
+    x = np.array(distinct, dtype=np.int64 if v <= 63 else object)
+    sizes = np.array([m.bit_count() for m in distinct],
+                     dtype=object if wide else np.int64)
+    translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
+    negated = negate_mask(v, translates)
+    skew = (translates & negated == 0) & (2 * sizes + 1 == v)[:, None]
+    typed = skew | (translates == negated)
+    if not typed[:, 0].all():
         raise ValueError("equivalence machinery needs typed families")
-    return tuple((b.mask, TAG_CODE[t]) for b, t in zip(fam.blocks, tags))
-
-
-def _least_over_units(fam: Family, unit_key) -> tuple:
-    """(v,) + the least over units u of the sorted unit_key(v, X, tag, u)."""
-    v = fam.v
-    tagged = _tagged_blocks(fam)
-    return (v,) + min(tuple(sorted(unit_key(v, m, tc, u) for m, tc in tagged))
-                      for u in units(v))
+    # row-major, so each mask's typed translates are consecutive, itself first
+    owner, shift = np.nonzero(typed)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    options = translates[owner, shift]
+    tags = (~skew[owner, shift]).astype(object if wide else np.int64)
+    us = units(v)
+    # the units ascend, so row len(us) - 1 - i dilates by -us[i]
+    images = dilate_mask(v, options, us)
+    if wide:
+        images = images.astype(object)
+    full = (1 << v) - 1
+    surrogate = (tags << v) | (full ^ rotate_mask(v, images[::-1], -1))
+    if small:
+        least = surrogate[:, first]
+    else:
+        # u and -u offer the same options, so half the units suffice
+        least = np.minimum(surrogate, surrogate[::-1])[:(len(us) + 1) // 2]
+        least = np.minimum.reduceat(least, first, axis=1)
+    packed = ((v - sizes) << (v + 1)) | least
+    best = _lex_least(np.sort(packed[:, index], axis=-1))
+    return [(v,) + tuple(_block_key_of(v, p) for p in row) for row in zip(*best)]
 
 
 def canonical_key(fam: Family) -> tuple:
     """Least sorted block-key tuple over the typed members of the orbit."""
-    return _least_over_units(fam, _least_option)
+    return _class_keys(fam.v, [fam], small=False)[0]
 
 
 def small_key(fam: Family) -> tuple:
     """Least sorted block-key tuple over global dilations only."""
-    return _least_over_units(fam, _dilated_key)
+    return _class_keys(fam.v, [fam], small=True)[0]
 
 
 def are_equivalent(f1: Family, f2: Family) -> bool:
     if f1.v != f2.v:
         return False
-    return canonical_key(f1) == canonical_key(f2)
+    key1, key2 = _class_keys(f1.v, [f1, f2], small=False)
+    return key1 == key2
 
 
 @dataclass(frozen=True)
@@ -192,28 +233,25 @@ class FamilyClass:
     members: tuple
 
 
-def _orbit_labels(families) -> list:
-    """(v,) + the least mask quadruple of each family's dilation orbit."""
+def _group_by(families, small: bool) -> list:
+    """Classes of families under the canonical (or small) key, computed by
+    one `_class_keys` pass per order over one family of each dilation
+    orbit present, the orbit labelled by its least mask quadruple."""
+    families = list(families)
     by_v = {}
     for i, fam in enumerate(families):
         by_v.setdefault(fam.v, []).append(i)
-    labels = [None] * len(families)
+    keys = [None] * len(families)
     for v, idx in by_v.items():
-        quads = [[b.mask for b in families[i].blocks] for i in idx]
-        for i, least in zip(idx, orbit_least(v, quads).tolist()):
-            labels[i] = (v, *least)
-    return labels
-
-
-def _group_by(families, keyfunc) -> list:
-    """Classes of families under an invariant of dilation, keyfunc called
-    once per dilation orbit present."""
-    families = list(families)
-    keys, buckets = {}, {}
-    for fam, label in zip(families, _orbit_labels(families)):
-        key = keys.get(label)
-        if key is None:
-            key = keys[label] = keyfunc(fam)
+        quads = orbit_least(v, [[b.mask for b in families[i].blocks] for i in idx])
+        labels = list(map(tuple, quads.tolist()))
+        reps = dict(zip(labels, idx))
+        key_of = dict(zip(reps, _class_keys(v, [families[i] for i in reps.values()],
+                                            small)))
+        for i, label in zip(idx, labels):
+            keys[i] = key_of[label]
+    buckets = {}
+    for fam, key in zip(families, keys):
         buckets.setdefault(key, []).append(fam)
     classes = []
     for key in sorted(buckets):
@@ -225,12 +263,12 @@ def _group_by(families, keyfunc) -> list:
 
 def classify(families) -> list:
     """Partition typed families into equivalence classes, sorted by key."""
-    return _group_by(families, canonical_key)
+    return _group_by(families, small=False)
 
 
 def small_classes(families) -> list:
     """Partition under global dilation alone (a refinement of classify)."""
-    return _group_by(families, small_key)
+    return _group_by(families, small=True)
 
 
 # --- reference oracle --------------------------------------------------------
@@ -241,7 +279,7 @@ def _translatable(v, mask_a, mask_b):
     if mask_b == 0:
         return mask_a == 0
     b0 = (mask_b & -mask_b).bit_length() - 1
-    for a in _elements(mask_a):
+    for a in mask_elements(mask_a):
         if rotate_mask(v, mask_a, b0 - a) == mask_b:
             return True
     return False
@@ -268,7 +306,7 @@ def equivalent_by_enumeration(f1: Family, f2: Family) -> bool:
         for signs in product((1, -1), repeat=4):
             mults = [(s * u) % v for s in signs]
             for p in perms:
-                if all(_translatable(v, _dilate(v, m1[p[i]], mults[i]), m2[i])
+                if all(_translatable(v, dilate_mask(v, m1[p[i]], mults[i]), m2[i])
                        for i in range(4)):
                     return True
     return False

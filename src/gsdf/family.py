@@ -24,6 +24,14 @@ TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
 
 
 def block_tag(x: CyclicSubset) -> str:
+    """The block's tag: skew, else symmetric, else none."""
+    return _mask_tag(x.v, x.mask)
+
+
+@lru_cache(maxsize=None)
+def _mask_tag(v: int, mask: int) -> str:
+    """`block_tag` of the subset with this mask, computed once per (v, mask)."""
+    x = CyclicSubset(v, mask)
     if x.is_skew():
         return TAG_SKEW
     if x.is_symmetric():

@@ -91,8 +91,7 @@ def row_files_for(params: GsParamSet, type_name: str) -> list:
 def expand_over_units(v: int, quads) -> list:
     """Every dilate of the mask quadruples, deduplicated and sorted."""
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    images = np.concatenate([dilate_mask(v, quads, u) for u in units(v)])
-    return np.unique(images, axis=0).tolist()
+    return np.unique(dilate_mask(v, quads, units(v)).reshape(-1, 4), axis=0).tolist()
 
 
 def search_param(params: GsParamSet, type_name: str,

@@ -10,28 +10,33 @@ built on it lives in `blockgen`, with the vectorised difference rows.
 
 Transformations: negation -X, translation X+g, dilation uX (u a unit),
 complement.  A subset is symmetric when -X = X and skew when v is odd,
-|X| = (v-1)/2 and X `intersect` (-X) is empty.  Translation, negation
-and dilation are implemented once, on masks (`rotate_mask`,
-`negate_mask`, `dilate_mask`), for `CyclicSubset`, the vectorised
-difference rows, the equivalence machinery and the search's unit-orbit
-reduction alike; `rotate_mask` and `dilate_mask` also take int64 mask
-arrays.
+|X| = (v-1)/2 and X `intersect` (-X) is empty.  Translation and dilation
+are implemented once, on masks (`rotate_mask`, `dilate_mask`), for
+`CyclicSubset`, the vectorised difference rows, the block tags, the
+equivalence machinery and the search's unit-orbit reduction alike, on
+Python ints and on int64 or object arrays of masks.  Dilation looks each
+byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
+on first use; negation is dilation by v - 1 (`negate_mask`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
+import numpy as np
 
-def rotate_mask(v: int, mask, s: int):
+
+def rotate_mask(v: int, mask, s):
     """Mask of X + s: rotate a width-v bitmask left by s places.
 
-    ``mask`` is a Python int or an int64 array of masks.  The low v - s
-    bits are cut out before the shift, so no intermediate value exceeds
-    v bits and nothing reaches the sign bit at v = 63.
+    ``mask`` is a Python int or an array of masks, and ``s`` an int or an
+    array of shifts of the masks' dtype that broadcasts against it.  The
+    low v - s bits are cut out before the shift, so no intermediate value
+    exceeds v bits and nothing reaches the sign bit at v = 63.
     """
-    s %= v
-    return ((mask & ((1 << (v - s)) - 1)) << s) | (mask >> (v - s))
+    s = s % v
+    return ((mask & (((1 << v) - 1) >> s)) << s) | (mask >> (v - s))
 
 
 def mask_elements(mask: int) -> tuple:
@@ -44,22 +49,62 @@ def mask_elements(mask: int) -> tuple:
     return tuple(out)
 
 
-def negate_mask(v: int, mask: int) -> int:
-    """Mask of -X: reversing v bits sends i to v-1-i, one rotation on to -i."""
-    return rotate_mask(v, int(f"{mask:0{v}b}"[::-1], 2), 1)
+@lru_cache(maxsize=None)
+def _dilation_table(v: int, u: int) -> np.ndarray:
+    """Row j, column b: the mask of u times the residues of bit mask b << 8j.
+
+    One row per byte of a width-v mask, ceil(v/8) rows of 256 entries,
+    each the OR of the dilated powers of two that the byte's set bits
+    select (positions from v on select nothing).  Entries are int64 for
+    v <= 63 and Python ints in an object array above.  Built on first
+    use of (v, u) and read-only.
+    """
+    nbytes = -(-v // 8)
+    positions = np.arange(8 * nbytes).reshape(nbytes, 8)
+    powers = np.zeros(positions.shape, dtype=np.int64 if v <= 63 else object)
+    live = positions < v
+    powers[live] = [1 << (u * int(i) % v) for i in positions[live]]
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    table = np.bitwise_or.reduce(bits * powers[:, None, :], axis=2)
+    table.flags.writeable = False
+    return table
 
 
-def dilate_mask(v: int, mask, u: int):
+def dilate_mask(v: int, mask, u):
     """Mask of uX = {u x mod v : x in X}: bit i moves to bit u i mod v.
 
-    ``mask`` is a Python int or an int64 array of masks (v <= 63, so no
-    bit reaches the sign); the same shift-or serves both.
+    ``mask`` is a Python int, an int64 array of masks or an object array
+    of Python-int masks; an array's image is int64 for v <= 63 and
+    object above.  ``u`` is a unit or, for an array, a tuple of units,
+    whose images are stacked on a new leading axis.  Each byte of a mask
+    looks up its image in the (v, u) table of `_dilation_table` and the
+    images are ORed.  An int64 array is read bytewise through a
+    little-endian uint8 view, without shifts.
     """
-    m = mask & 0
-    for i in range(v):
-        m |= (mask & 1) << u * i % v
-        mask = mask >> 1
-    return m
+    if isinstance(u, tuple):
+        table = np.stack([_dilation_table(v, w % v) for w in u], axis=1)
+    else:
+        table = _dilation_table(v, u % v)
+    if not isinstance(mask, np.ndarray):
+        out = 0
+        for j, byte in enumerate(int(mask).to_bytes(len(table), "little")):
+            out |= table.item(j, byte)
+        return out
+    if mask.dtype == object:
+        parts = [(mask >> 8 * j & 255).astype(np.intp) for j in range(len(table))]
+    else:
+        octets = np.ascontiguousarray(mask, dtype="<i8").view(np.uint8)
+        octets = octets.reshape(mask.shape + (8,))
+        parts = [octets[..., j] for j in range(len(table))]
+    out = table[0].take(parts[0], axis=-1)
+    for row, part in zip(table[1:], parts[1:]):
+        out |= row.take(part, axis=-1)
+    return out
+
+
+def negate_mask(v: int, mask):
+    """Mask of -X: dilation by the unit v - 1; takes what `dilate_mask` takes."""
+    return dilate_mask(v, mask, -1)
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,16 @@ def test_classify_order_one_family(tmp_path):
         assert out.splitlines()[1] == "class 1 size 1: (1;0,0,0,0;-1) {} {} {} {}"
 
 
+@pytest.mark.parametrize("extra", ((), ("--small",)))
+def test_classify_file_without_records(tmp_path, extra):
+    # refused as `verify` refuses it, not reported as 0 families in 0 classes
+    path = tmp_path / "fam.txt"
+    path.write_text("# nothing here\n\n")
+    for command in (("classify", str(path), *extra), ("verify", str(path))):
+        rc, out, err = run(*command)
+        assert (rc, out, err) == (2, "", "error: no family records\n")
+
+
 def test_classify_malformed_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("7 3 3 3 1 3 kkks\n1,2,4\n")

@@ -316,17 +316,25 @@ def test_untyped_family_after_typed_ones_is_rejected():
 
 
 def test_keys_are_computed_once_per_dilation_orbit(monkeypatch):
+    # classify and small_classes key the families in `_class_keys` passes;
+    # together those passes receive exactly one family of each orbit
     fams = [f for fams in found(13) + found(15) for f in fams]
     orbits = {frozenset(quad(dilate(f, u)) for u in units(f.v)) for f in fams}
     assert len(orbits) < len(fams) // 4
-    for name, group in (("canonical_key", classify),
-                        ("small_key", small_classes)):
-        calls = []
-        inner = getattr(gsdf.equivalence, name)
-        monkeypatch.setattr(gsdf.equivalence, name,
-                            lambda fam, inner=inner: calls.append(fam) or inner(fam))
+    inner = gsdf.equivalence._class_keys
+    for group in (classify, small_classes):
+        received = []
+
+        def counted(v, families, small):
+            families = list(families)
+            received.extend(families)
+            return inner(v, families, small)
+
+        monkeypatch.setattr(gsdf.equivalence, "_class_keys", counted)
         group(fams)
-        assert len(calls) == len(orbits)
+        assert len(received) == len(orbits)
+        assert {frozenset(quad(dilate(f, u)) for u in units(f.v))
+                for f in received} == orbits
 
 
 def test_orbit_labels_beyond_int64_masks():
@@ -346,3 +354,43 @@ def test_orbit_labels_beyond_int64_masks():
     classes = classify(fams)
     assert [(c.size, c.members) for c in classes] == [(3, tuple(fams))]
     assert_classes_match_per_family_keys(fams)
+
+
+# --- array keys against the brute-force orbit at wide masks --------------------
+
+def random_typed_family(params, rng):
+    """Random blocks of the sizes of ``params``: the first skew, each other
+    block of size (v-1)/2 skew or symmetric at random, the rest symmetric.
+    Typed, but not in general a difference family."""
+    v = params.v
+    half = range(1, (v + 1) // 2)
+
+    def skew():
+        return CyclicSubset.from_elements(v, [rng.choice((x, v - x)) for x in half])
+
+    def symmetric(k):
+        pairs = rng.sample(half, k // 2)
+        elements = [0] * (k % 2) + pairs + [v - x for x in pairs]
+        return CyclicSubset.from_elements(v, elements)
+
+    blocks = [skew()] + [skew() if 2 * k + 1 == v and rng.random() < 0.5
+                         else symmetric(k) for k in params.k[1:]]
+    return Family(params, tuple(blocks))
+
+
+@pytest.mark.parametrize("v", (61, 63, 65))
+def test_array_keys_equal_the_brute_force_keys_at_wide_masks(v):
+    # from v = 57 on the packed (size, surrogate) keys outgrow int64, at
+    # v = 63 the masks use bit 62, and at v = 65 they outgrow int64 too
+    rng = random.Random(v)
+    fams = [random_typed_family(p, rng) for p in enumerate_param_sets(v)
+            if 2 * p.k[0] + 1 == v]
+    fams.append(_typed_random_walk(fams[0], rng))
+    canonical = {f: c.key for c in classify(fams) for f in c.members}
+    small = {f: c.key for c in small_classes(fams) for f in c.members}
+    for fam in fams:
+        assert fam.is_typed
+        assert canonical[fam] == canonical_key(fam) == (v,) + min(_typed_orbit_keys(fam))
+        dilates = (apply_transform(fam, Dilate(u)).blocks for u in units(v))
+        assert small[fam] == small_key(fam) == (v,) + min(
+            tuple(sorted(map(_block_key, blocks))) for blocks in dilates)

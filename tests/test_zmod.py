@@ -257,3 +257,34 @@ def test_rotate_mask_on_arrays_matches_ints(v):
         image = rotate_mask(v, masks, s)
         assert image.dtype == np.int64 and image.min() >= 0
         assert image.tolist() == [rotate_mask(v, m, s) for m in masks.tolist()]
+
+
+@pytest.mark.parametrize("v", (1, 2, 3, 62, 63, 65))
+def test_table_dilation_matches_elementwise_definitions(v):
+    # every unit, on Python ints, int64 arrays (v <= 63) and object arrays;
+    # half the masks have the top bit set, bit 62 at v = 63
+    rng = np.random.default_rng(v)
+    masks = [0, (1 << v) - 1] + [int(b) for b in rng.integers(0, 2, size=(8, v)) @
+                                 [1 << i for i in range(v)]]
+    masks[2::2] = [m | 1 << (v - 1) for m in masks[2::2]]
+    arrays = [np.array(masks, dtype=object)]
+    if v <= 63:
+        arrays.append(np.array(masks, dtype=np.int64))
+    unit_list = tuple(u for u in range(v) if gcd(u, v) == 1)
+
+    def image(mask, u):
+        return sum(1 << (u * x % v) for x in mask_elements(mask))
+
+    for u in unit_list + (-1,):
+        expected = [image(m, u) for m in masks]
+        got = [negate_mask(v, m) for m in masks] if u == -1 else \
+            [dilate_mask(v, m, u) for m in masks]
+        assert got == expected
+        for arr in arrays:
+            out = negate_mask(v, arr) if u == -1 else dilate_mask(v, arr, u)
+            assert out.dtype == (np.int64 if v <= 63 else object)
+            assert out.tolist() == expected
+    # a tuple of units stacks the images, one row per unit
+    for arr in arrays:
+        stacked = dilate_mask(v, arr, unit_list)
+        assert stacked.tolist() == [[image(m, u) for m in masks] for u in unit_list]
