@@ -165,11 +165,15 @@ def cmd_catalog(args) -> int:
 def cmd_table1(args) -> int:
     options = SearchOptions(jobs=args.jobs, classified=False)
     if not args.recompute:
-        for row in table_rows():
+        rows = [row for row in table_rows()
+                if args.max_v is None or row.params.v <= args.max_v]
+        if not rows:
+            raise ValueError(f"the table has no order v <= {args.max_v}")
+        for row in rows:
             print(f"{row.params} " +
                   " ".join(f"{t}={v}" for t, v in zip(TYPE_NAMES, row.verdicts)))
         return 0
-    rows = table_comparison(args.max_v, options)
+    rows = table_comparison(21 if args.max_v is None else args.max_v, options)
     bad = 0
     for params, t, expected, got in rows:
         status = "ok" if expected == got else "MISMATCH"
@@ -239,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="existence table; optionally recompute")
     p.add_argument("--recompute", action="store_true")
-    p.add_argument("--max-v", type=int, default=21)
+    p.add_argument("--max-v", type=int,
+                   help="only the orders v <= MAX_V (default: every row "
+                        "listed; with --recompute, 21)")
     p.add_argument("--jobs", type=int, help=JOBS_HELP)
     p.set_defaults(func=cmd_table1)
     return ap

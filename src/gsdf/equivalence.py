@@ -42,7 +42,10 @@ The keys of one order are computed together, in one array pass
 through the negation table, the dilates of the typed ones by every unit,
 and an integer per option that sorts as its block key.  Only each
 family's winning options are turned back into block-key tuples.
-`canonical_key` and `small_key` are that pass on one family.
+`canonical_key` and `small_key` are that pass on one family.  A class is
+represented by its least member under `Family.sort_key`; the members are
+ranked by the same integers, for each block itself (`_sort_ranks`), in
+one array pass per order.
 """
 from __future__ import annotations
 
@@ -233,31 +236,52 @@ class FamilyClass:
     members: tuple
 
 
+def _sort_ranks(v: int, quads: np.ndarray, sizes: np.ndarray) -> list:
+    """Each typed family's `Family.sort_key` without its v, from its mask
+    quadruple and block sizes: its block keys packed as `_class_keys`
+    packs them (at u = 1, X itself) and sorted, so the rows compare as
+    the sort keys do."""
+    wide = v + 7 > 63
+    if wide:
+        sizes = sizes.astype(object)
+    negated = negate_mask(v, quads)
+    tags = ~((quads & negated == 0) & (2 * sizes + 1 == v))
+    full = (1 << v) - 1
+    packed = (((v - sizes) << (v + 1)) | (tags.astype(sizes.dtype) << v)
+              | (full ^ rotate_mask(v, negated, -1)))
+    return np.sort(packed, axis=1).tolist()
+
+
 def _group_by(families, small: bool) -> list:
     """Classes of families under the canonical (or small) key, computed by
     one `_class_keys` pass per order over one family of each dilation
-    orbit present, the orbit labelled by its least mask quadruple."""
+    orbit present, the orbit labelled by its least mask quadruple.  Each
+    class is represented by its least member under `Family.sort_key`,
+    ranked by `_sort_ranks` in one array pass per order."""
     families = list(families)
     by_v = {}
     for i, fam in enumerate(families):
         by_v.setdefault(fam.v, []).append(i)
-    keys = [None] * len(families)
+    keys, ranks = [None] * len(families), [None] * len(families)
     for v, idx in by_v.items():
-        quads = orbit_least(v, [[b.mask for b in families[i].blocks] for i in idx])
-        labels = list(map(tuple, quads.tolist()))
+        quads = np.array([[b.mask for b in families[i].blocks] for i in idx],
+                         dtype=np.int64 if v <= 63 else object)
+        labels = list(map(tuple, orbit_least(v, quads).tolist()))
         reps = dict(zip(labels, idx))
         key_of = dict(zip(reps, _class_keys(v, [families[i] for i in reps.values()],
                                             small)))
-        for i, label in zip(idx, labels):
-            keys[i] = key_of[label]
+        sizes = np.array([families[i].params.k for i in idx])
+        for i, label, rank in zip(idx, labels, _sort_ranks(v, quads, sizes)):
+            keys[i], ranks[i] = key_of[label], rank
     buckets = {}
-    for fam, key in zip(families, keys):
-        buckets.setdefault(key, []).append(fam)
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
     classes = []
     for key in sorted(buckets):
         members = buckets[key]
-        rep = min(members, key=lambda fam: fam.sort_key)
-        classes.append(FamilyClass(key, rep, len(members), tuple(members)))
+        rep = families[min(members, key=ranks.__getitem__)]
+        classes.append(FamilyClass(key, rep, len(members),
+                                   tuple(families[i] for i in members)))
     return classes
 
 

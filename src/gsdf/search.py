@@ -89,9 +89,19 @@ def row_files_for(params: GsParamSet, type_name: str) -> list:
 
 
 def expand_over_units(v: int, quads) -> list:
-    """Every dilate of the mask quadruples, deduplicated and sorted."""
+    """Every dilate of the mask quadruples, deduplicated and sorted.
+
+    The dilates are sorted lexicographically by `np.lexsort` and each one
+    equal to the one before it is dropped.  `np.unique(axis=0)` gives the
+    same list, but on numpy 2.4 its first call in a process imports
+    `numpy.ma` (14-16 ms on a 2-core x86-64 machine), and a search
+    otherwise imports no module."""
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    return np.unique(dilate_mask(v, quads, units(v)).reshape(-1, 4), axis=0).tolist()
+    dilates = dilate_mask(v, quads, units(v)).reshape(-1, 4)
+    dilates = dilates[np.lexsort(dilates.T[::-1])]
+    fresh = np.ones(len(dilates), dtype=bool)
+    fresh[1:] = (dilates[1:] != dilates[:-1]).any(axis=1)
+    return dilates[fresh].tolist()
 
 
 def search_param(params: GsParamSet, type_name: str,

@@ -25,21 +25,29 @@ matrices.
 form).  Each entry of H is +-1 times an entry of one of the four first
 rows: Z_i[r, c] is row i at (c - r) mod v, (Z_i R)[r, c] at
 (-1 - r - c) mod v and (Z_i^T R)[r, c] at (r + c + 1) mod v.  So H is a
-single gather from the four +-1 rows (unpacked from the masks' bits) and
-their negatives, through a (4v, 4v) index cached per v.
+single `take` from its source, the 8v entries
+[row_1, -row_1, ..., row_4, -row_4], through a flat index of its 16v^2
+entries cached per v.  Each block's [row, -row] is unpacked from the
+mask's bits and cached read-only per (v, mask), as `family._mask_tag`
+caches tags, so a family's source is one concatenate.
 
 `verify_family` builds H once, computes P = H H^T once and reads every
-certificate from H, H^T and P.  The first block row of H is
+certificate from the source, H, H^T and P.  The first block row of H is
 [A_1 | A_2 R | A_3 R | A_4 R], and R R^T = I, so P[:v, :v] is the Gram
 sum G = sum A_i A_i^T: it gives the Gram condition and, through its
-first row, the difference multiplicities (G[0, s] = sum_i PAF_i(s) and
-PAF(s) = v - 4k + 4 d(s) for a block of size k).  H and P give the
-Hadamard test and H + H^T the skew-type test.  The good-matrix test
-(pattern ksss) reads the first block row [A_1 | B_1 | B_2 | B_3]
-(B_i = A_{i+1} R) and adds the one product P cannot give, the pairwise
-products M_i M_j^T of those four blocks that decide amicability.  No
-circulant of a single block is built on that path; the public checks
-below, which also take bare matrices, build them.
+first row (one `tolist`), the difference multiplicities
+(G[0, s] = sum_i PAF_i(s) and PAF(s) = v - 4k + 4 d(s) for a block of
+size k).  P is compared with 4vI once.  G is P's top-left block, so the
+Gram condition holds when P's does, and G is compared on its own only
+when P's fails.  The Hadamard test is P's comparison and the +-1 test,
+which reads the 8v source entries rather than the 16v^2 of H: every
+entry of H is a copy of one of them.  H + H^T gives the skew-type test.
+The good-matrix test (pattern ksss) reads the first block row
+[A_1 | B_1 | B_2 | B_3] (B_i = A_{i+1} R) and adds the one product P
+cannot give, the pairwise products M_i M_j^T of those four blocks that
+decide amicability.  No circulant of a single block is built on that
+path; the public checks below, which also take bare matrices, build
+them.
 
 All checks are exact integer identities.  The products run in floating
 point through BLAS (numpy has no BLAS for integer matmul), and that is
@@ -49,10 +57,10 @@ every entry is +-1, so every partial sum is an integer of absolute value
 at most the inner dimension, at most 4v, and float32 holds every integer
 up to 2^24.  That is exact for v <= 2^22; `check_width` caps the search
 at v <= 63, an inner dimension of at most 252.  Each scalar-matrix
-certificate (the Gram sum, P, H + H^T) is one comparison with a cached,
-read-only c I.  The public checks below take arbitrary integer matrices
-and run their products in float64; they are the oracle the certificate
-is tested against.
+certificate (P, the Gram sum when P fails, H + H^T) is one comparison
+`(x == cI).all()` with a cached, read-only c I.  The public checks below
+take arbitrary integer matrices and run their products in float64; they
+are the oracle the certificate is tested against.
 
 Certification stays one family per call.  On the 3760 families of
 orders 21-25, complete certificates stacked into (c, 4v, 4v) arrays
@@ -100,12 +108,9 @@ def circulant(x) -> np.ndarray:
     return row[_circulant_index(len(row))]
 
 
-def _family_rows(fam: Family, dtype=np.int64) -> np.ndarray:
-    return _pm_rows(fam.v, [b.mask for b in fam.blocks], dtype)
-
-
 def family_circulants(fam: Family) -> list:
-    return list(_family_rows(fam)[:, _circulant_index(fam.v)])
+    rows = _pm_rows(fam.v, [b.mask for b in fam.blocks])
+    return list(rows[:, _circulant_index(fam.v)])
 
 
 def _matrices(fam_or_mats) -> list:
@@ -131,7 +136,7 @@ def _scalar_matrix(n: int, c: int) -> np.ndarray:
 
 def _is_scalar(g: np.ndarray, c: int) -> bool:
     """g == c I, in one comparison."""
-    return np.array_equal(g, _scalar_matrix(len(g), c))
+    return bool((g == _scalar_matrix(len(g), c)).all())
 
 
 def _is_skew_type(h: np.ndarray, ht: np.ndarray) -> bool:
@@ -152,15 +157,16 @@ class DiffFamilyCheck:
         return self.ok
 
 
-def _difference_check(gram: np.ndarray, blocks) -> DiffFamilyCheck:
-    """Difference multiplicities from the first row of the blocks' Gram sum."""
-    v = len(gram)
-    ksum = sum(len(b) for b in blocks)
+def _difference_check(first_row: list, sizes) -> DiffFamilyCheck:
+    """Difference multiplicities from the first row of the Gram sum of
+    blocks of the given sizes, as a list."""
+    v = len(first_row)
+    ksum = sum(sizes)
     if v == 1:
         return DiffFamilyCheck(True, ksum - v, ())
     # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
-    paf = gram[0, 1:].astype(np.int64)
-    sums = ((paf + (4 * ksum - len(blocks) * v)) // 4).tolist()
+    shift = 4 * ksum - len(sizes) * v
+    sums = [(int(g) + shift) // 4 for g in first_row[1:]]
     ok = sums.count(sums[0]) == len(sums)
     return DiffFamilyCheck(ok, sums[0] if ok else None, tuple(sums))
 
@@ -173,7 +179,8 @@ def check_difference_family(blocks) -> DiffFamilyCheck:
     v = blocks[0].v
     if any(b.v != v for b in blocks):
         raise ValueError("blocks live in different groups")
-    return _difference_check(_gram([circulant(b) for b in blocks]), blocks)
+    gram = _gram([circulant(b) for b in blocks])
+    return _difference_check(gram[0].tolist(), [len(b) for b in blocks])
 
 
 def check_gs_matrices(fam_or_mats) -> bool:
@@ -193,29 +200,44 @@ _GS_LAYOUT = (((0, 1, "C"), (1, 1, "R"), (2, 1, "R"), (3, 1, "R")),
 
 @lru_cache(maxsize=None)
 def _gs_index(v: int) -> np.ndarray:
-    """Index of each entry of the array into [rows, -rows], rows flattened."""
+    """Index of each entry of the array, flattened, into its source
+    [row_1, -row_1, ..., row_4, -row_4]."""
     r, c = np.ogrid[:v, :v]
     entry = {"C": (c - r) % v, "R": (-1 - r - c) % v, "T": (r + c + 1) % v}
-    index = np.block([[(i + 4 * (sign < 0)) * v + entry[form]
-                       for i, sign, form in row] for row in _GS_LAYOUT])
+    index = np.block([[(2 * i + (sign < 0)) * v + entry[form]
+                       for i, sign, form in row] for row in _GS_LAYOUT]).ravel()
     index.flags.writeable = False
     return index
 
 
-def _gs_array(fam: Family, dtype) -> np.ndarray:
-    """The 4v x 4v Goethals-Seidel array in dtype, in one gather."""
-    rows = _family_rows(fam, dtype).ravel()
-    return np.concatenate((rows, -rows))[_gs_index(fam.v)]
+# bounded: a long search meets many masks, and each entry holds 8v bytes
+@lru_cache(maxsize=1 << 14)
+def _signed_row(v: int, mask: int) -> np.ndarray:
+    """[row, -row] for the +-1 row of a mask, in float32, read-only."""
+    row = _pm_rows(v, [mask], np.float32)[0]
+    signed = np.concatenate((row, -row))
+    signed.flags.writeable = False
+    return signed
+
+
+def _gs_source(fam: Family) -> np.ndarray:
+    """The 8v entries the array copies: each block's +-1 row and its negative."""
+    return np.concatenate([_signed_row(fam.v, b.mask) for b in fam.blocks])
+
+
+def _gs_array(source: np.ndarray, v: int) -> np.ndarray:
+    """The 4v x 4v Goethals-Seidel array, in one gather from its source."""
+    return source.take(_gs_index(v)).reshape(4 * v, 4 * v)
 
 
 def build_gs_array(fam: Family) -> np.ndarray:
     """The 4v x 4v Goethals-Seidel array, as int64."""
-    return _gs_array(fam, np.int64)
+    return _gs_array(_gs_source(fam), fam.v).astype(np.int64)
 
 
-def _is_hadamard(h: np.ndarray, p: np.ndarray) -> bool:
-    """h has entries +-1 and p = h h^T is len(h) I."""
-    return bool(((h == 1) | (h == -1)).all()) and _is_scalar(p, len(h))
+def _is_pm1(x: np.ndarray) -> bool:
+    """Every entry of x is +1 or -1."""
+    return bool(((x == 1) | (x == -1)).all())
 
 
 def is_hadamard(h: np.ndarray) -> bool:
@@ -223,7 +245,7 @@ def is_hadamard(h: np.ndarray) -> bool:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         return False
     f = h.astype(np.float64)
-    return _is_hadamard(h, f @ f.T)
+    return _is_pm1(h) and _is_scalar(f @ f.T, len(h))
 
 
 def is_skew_hadamard(h: np.ndarray) -> bool:
@@ -240,13 +262,12 @@ def _is_good(first_row: np.ndarray) -> bool:
     v = len(first_row)
     blocks = first_row.reshape(v, 4, v)  # blocks[:, i] is M_i
     a1, bs = blocks[:, 0], blocks[:, 1:]
-    if not _is_skew_type(a1, a1.T) or not np.array_equal(
-            bs, bs.transpose(2, 1, 0)):
+    if not _is_skew_type(a1, a1.T) or not (bs == bs.transpose(2, 1, 0)).all():
         return False
     # q[i, :, j, :] = M_i M_j^T; amicable iff every such block is symmetric
     m = blocks.transpose(1, 0, 2).reshape(4 * v, v)
     q = (m @ m.T).reshape(4, v, 4, v)
-    if not np.array_equal(q, q.transpose(0, 3, 2, 1)):
+    if not (q == q.transpose(0, 3, 2, 1)).all():
         return False
     return _is_scalar(np.trace(q, axis1=0, axis2=2), 4 * v)
 
@@ -294,16 +315,18 @@ def verify_family(fam: Family) -> FamilyCertificate:
     their pattern, so their special certificate is `gs`.
     """
     v = fam.v
-    h = _gs_array(fam, np.float32)
+    source = _gs_source(fam)
+    h = _gs_array(source, v)
     # a contiguous H^T: numpy hands h @ h.T to syrk, which is slower than
     # gemm at these sizes, and the skew-type test reads it too
     ht = h.T.copy()
     p = h @ ht
-    gram = p[:v, :v]
-    diff = _difference_check(gram, fam.blocks)
+    diff = _difference_check(p[0, :v].tolist(), fam.params.k)
     lam_matches = diff.ok and diff.lam == fam.params.lam
-    gs = _is_scalar(gram, 4 * v)
-    had = _is_hadamard(h, p)
+    p_ok = _is_scalar(p, 4 * v)
+    # the Gram sum is P's top-left block, so it is 4vI when P is
+    gs = p_ok or _is_scalar(p[:v, :v], 4 * v)
+    had = p_ok and _is_pm1(source)
     tags = fam.tags
     skew_type = (had and _is_skew_type(h, ht)) if tags[0] == TAG_SKEW else None
     pattern = "".join(tags)

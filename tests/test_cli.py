@@ -473,6 +473,21 @@ def test_table_listing():
     assert "(35;17,16,16,12;26) ksss=yes kkss=x kkks=x" in lines
 
 
+def test_table_listing_up_to_an_order():
+    rc, out, _ = run("table1")
+    lines = out.splitlines()
+    for max_v in (7, 21, 35, 49):
+        rc, cut, _ = run("table1", "--max-v", str(max_v))
+        assert rc == 0
+        assert cut.splitlines() == [ln for ln in lines
+                                    if int(ln[1:ln.index(";")]) <= max_v]
+    assert len(run("table1", "--max-v", "21")[1].splitlines()) < len(lines)
+    assert run("table1", "--max-v", "49")[1] == out
+    rc, out, err = run("table1", "--max-v", "2")
+    assert rc == 2 and out == ""
+    assert err == "error: the table has no order v <= 2\n"
+
+
 def test_table_recompute_small_orders():
     rc, out, _ = run("table1", "--recompute", "--max-v", "5")
     assert rc == 0

@@ -2,11 +2,12 @@ import random
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 import gsdf.equivalence
 from gsdf.blockgen import collect_rows
-from gsdf.equivalence import (Dilate, Exchange, Negate, Translate,
+from gsdf.equivalence import (Dilate, Exchange, Negate, Translate, _class_keys,
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
                               orbit_least, small_classes, small_key, units)
@@ -16,7 +17,7 @@ from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, enumerate_param_sets,
                          searchable_param_sets, type_applicable)
 from gsdf.search import SearchOptions, search_param
-from gsdf.zmod import CyclicSubset
+from gsdf.zmod import CyclicSubset, dilate_mask
 from gsdf.verify import check_difference_family
 
 
@@ -94,9 +95,10 @@ def test_canonical_key_invariant_under_transformations():
 def test_canonical_key_agrees_with_orbit_enumeration_v9():
     fams = FAMS9
     assert len(fams) == 48
+    key = keys_by_family(fams)
     for i in range(len(fams)):
         for j in range(i + 1, len(fams)):
-            assert are_equivalent(fams[i], fams[j]) == \
+            assert (key[fams[i]][0] == key[fams[j]][0]) == \
                 equivalent_by_enumeration(fams[i], fams[j])
 
 
@@ -249,9 +251,15 @@ def found(v):
                  if type_applicable(p, t))
 
 
-@lru_cache(maxsize=None)
-def keys_of(fam):
-    return canonical_key(fam), small_key(fam)
+def keys_by_family(families):
+    """{family: (canonical key, small key)}, one `_class_keys` pass per
+    order and kind.  A pass keys each family of its input on its own, as
+    `canonical_key` and `small_key` do for one."""
+    by_v = {}
+    for fam in dict.fromkeys(families):
+        by_v.setdefault(fam.v, []).append(fam)
+    return {fam: keys for v, fams in by_v.items() for fam, keys in zip(
+        fams, zip(_class_keys(v, fams, small=False), _class_keys(v, fams, small=True)))}
 
 
 def dilate(fam, u):
@@ -269,10 +277,15 @@ def test_keys_are_invariant_under_dilation():
     for v in range(3, 22, 2):
         for fams in found(v):
             by_quad = {quad(f): f for f in fams}
-            for fam in fams:
-                for u in units(v):
-                    image = dilate(fam, u)
-                    assert keys_of(by_quad.get(quad(image), image)) == keys_of(fam)
+            quads = np.array([quad(f) for f in fams], dtype=np.int64).reshape(-1, 4)
+            dilates = dilate_mask(v, quads, units(v)).tolist()  # [unit][family]
+            images = [[by_quad.get(tuple(q)) or dilate(fam, u)
+                       for u, q in zip(units(v), row)]
+                      for fam, row in zip(fams, zip(*dilates))]
+            keys_of = keys_by_family([*fams, *(g for row in images for g in row)])
+            for fam, row in zip(fams, images):
+                for image in row:
+                    assert keys_of[image] == keys_of[fam]
                     checked += 1
     assert checked > 10000
 
@@ -287,9 +300,10 @@ def grouped(families, keyfunc):
 
 
 def assert_classes_match_per_family_keys(families):
+    keys_of = keys_by_family(families)
     for classes, index in ((classify(families), 0), (small_classes(families), 1)):
         got = [(c.key, c.size, c.members, c.representative) for c in classes]
-        assert got == grouped(families, lambda f: keys_of(f)[index])
+        assert got == grouped(families, lambda f: keys_of[f][index])
 
 
 def test_orbit_keyed_classes_equal_per_family_classes():

@@ -86,6 +86,39 @@ def test_match_cases_structure():
         assert sorted(seen[side]) == expected
 
 
+def assert_splits_are_the_unique_values(case):
+    """Refine a group; each file split on the group's column must give its
+    rows grouped by value there, ascending, as np.unique finds them.
+    Returns the refined groups."""
+    bins = {}
+    refined = gsdf.matcher._refine(case, bins)
+    assert len(bins) == len({id(f) for side in case.sides for fs in side for f in fs})
+    for f, pieces in bins.values():
+        vals = f.rows[:, case.depth]
+        oracle = [(u, f.select(vals == u)) for u in np.unique(vals)]
+        assert [u for u, _, _ in pieces] == [u for u, _ in oracle]
+        assert all(type(u) is int for u, _, _ in pieces)
+        for (_, piece, n), (_, want) in zip(pieces, oracle):
+            assert n == len(piece) == len(want)
+            assert np.array_equal(piece.masks, want.masks)
+            assert np.array_equal(piece.rows, want.rows)
+    return refined
+
+
+def test_refine_splits_files_by_their_unique_values():
+    skew, sym = files_for(13, (6, 4), ("skew", "symmetric"))
+    empty = sym.select(np.zeros(len(sym), dtype=bool))
+    for files in ((skew, skew, sym, sym), (empty, skew, sym, sym),
+                  (skew, skew, sym, empty)):
+        whole = gsdf.matcher.MatchCase(
+            13, 7, 0, (0, 3, 1, 2), (([files[0]], [files[3]]), ([files[1]], [files[2]])),
+            (len(files[0]) * len(files[3]), len(files[1]) * len(files[2])))
+        cases = assert_splits_are_the_unique_values(whole)
+        assert bool(cases) == all(map(len, files))
+        for case in cases[:5]:
+            assert_splits_are_the_unique_values(case)
+
+
 def test_no_solution_paths():
     fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
     assert bins_match(fs, 0) == []

@@ -6,6 +6,11 @@ every unit.  That is sound when every candidate file is mapped onto
 itself by each dilation; the reduced-then-expanded families must then
 equal the unreduced join, family for family and in order.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +73,45 @@ def test_expand_over_units_sorts_and_deduplicates():
     assert expand_over_units(v, [quad]) == [quad, other]
     assert expand_over_units(v, [quad, other]) == [quad, other]
     assert expand_over_units(v, []) == []
+
+
+def test_expand_over_units_equals_np_unique():
+    # np.unique(axis=0) is the oracle; v = 63 masks set bit 62, the top
+    # bit int64 leaves them
+    rng = np.random.default_rng(62)
+    for v in (7, 13, 63):
+        quads = rng.integers(0, (1 << v) - 1, size=(60, 4), dtype=np.int64,
+                             endpoint=True)
+        quads[10:20] = quads[:10]  # repeated rows
+        quads[20:30, :2] = quads[20, :2]  # rows that tie on their first columns
+        quads[30:35] = dilate_mask(v, quads[:5], units(v)[-1])  # one orbit twice
+        if v == 63:
+            assert ((quads[:30] >> 62) & 1).any()
+        oracle = np.unique(dilate_mask(v, quads, units(v)).reshape(-1, 4), axis=0)
+        assert expand_over_units(v, quads) == oracle.tolist()
+
+
+def test_a_search_imports_no_module():
+    # on numpy 2.4 the first np.unique of a process imports numpy.ma
+    # (14-16 ms on a 2-core x86-64 machine); a fresh interpreter, since
+    # other tests import it here
+    code = """if True:
+        import sys
+        from gsdf.params import searchable_param_sets, type_applicable
+        from gsdf.search import search_param
+        sets = [p for p in searchable_param_sets(13) if type_applicable(p, "ksss")]
+        before = set(sys.modules)
+        outs = [search_param(p, "ksss") for p in sets]
+        assert all(out.families and out.classes and out.smalls for out in outs)
+        print(sorted(set(sys.modules) - before))
+    """
+    src = str(Path(gsdf.search.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def file_keys(p, type_name):
