@@ -14,12 +14,11 @@ that are least in their unit orbit and expands the families found over
 the units (see gsdf.search). On a 2-core x86-64 machine, one process,
 the order-33 kkss reproduction (--order 33 --type kkss) takes 3 s;
 with --jobs 2 (every type), --order 37 finishes in 9 s and --order 41
-in 119 s. On the same machine the sort-merge probe that the bucket
-table replaced took 5-6 s, 17-21 s and 191 s. Orders 43 and up have
-not been timed. Restrict the workload with --order/--type (a value
-given twice runs once) and parallelise with --jobs (default: the
-GSDF_JOBS environment variable, or 1; a value other than a positive
-integer, given either way, exits 2 before any search).
+in 119 s. Orders 43 and up have not been timed. Restrict the workload
+with --order/--type (a value given twice runs once) and parallelise
+with --jobs (default: the GSDF_JOBS environment variable, or 1; a value
+other than a positive integer, given either way, exits 2 before any
+search).
 
     python scripts/large_orders.py --order 37 --type kkss --jobs 4
 """

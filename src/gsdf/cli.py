@@ -103,6 +103,10 @@ def cmd_verify(args) -> int:
         print(f"record {i} {fam.params} {fam.pattern}: " + " ".join(parts))
         all_ok &= cert.ok
     if args.hadamard:
+        if not cert.hadamard:
+            print("error: the record does not give a Hadamard matrix; "
+                  f"{args.hadamard} not written", file=sys.stderr)
+            return 2
         write_hadamard(args.hadamard, build_gs_array(fams[0]))
         print(f"hadamard matrix of order {4 * fams[0].v} -> {args.hadamard}")
     return 0 if all_ok else 2

@@ -149,8 +149,24 @@ def _lex_least(keys: np.ndarray) -> list:
     return least
 
 
+def _is_skew(v: int, masks, negated, sizes):
+    """Which blocks are skew, from their masks, negations and sizes."""
+    return (masks & negated == 0) & (2 * sizes + 1 == v)
+
+
+def _pack_block_key(v: int, sizes, skew, negated):
+    """Integers that sort as the blocks' `block_key`s, from their sizes,
+    skewness and negations: ((v - |X|) << (v + 1)) | (tag << v) |
+    (2^v - 1 - rev X), as the element tuples of equal-size blocks ascend
+    when their bit-reversed masks rev X (-X rotated by -1) descend.  The
+    keys take v + 7 bits, so from v = 57 on the sizes must be objects."""
+    full = (1 << v) - 1
+    return (((v - sizes) << (v + 1)) | ((~skew).astype(sizes.dtype) << v)
+            | (full ^ rotate_mask(v, negated, -1)))
+
+
 def _block_key_of(v: int, packed: int) -> tuple:
-    """The `block_key` a packed key of `_class_keys` stands for."""
+    """The `block_key` a packed key of `_pack_block_key` stands for."""
     full = (1 << v) - 1
     surrogate = packed & ((full << 1) | 1)
     reversed_mask = full ^ (surrogate & full)
@@ -164,15 +180,11 @@ def _class_keys(v: int, families, small: bool) -> list:
 
     Every distinct block mask X is rotated v ways and each translate T is
     tagged through the negation table.  The typed translates are dilated
-    by every unit.  For blocks of equal size the element-tuple order is
-    the descending order of the bit-reversed mask, rev(uT) = (-u)T
-    rotated by -1, so the integer (tag << v) | (2^v - 1 - rev(uT)) sorts
-    as (tag, elements(uT)), and with (v - |X|) << (v + 1) on top it sorts
-    as `block_key`.  A block's least option under u is the least over its
-    typed translates and signs +-u (for a small key: u X itself); each
-    unit's four options are sorted, and the lexicographically least over
-    the units is turned back into `block_key` tuples.  Those packed keys
-    take v + 7 bits, so from v = 57 on they are Python ints.
+    by every unit and packed by `_pack_block_key` (the negation of uT is
+    (-u)T).  A block's least option under u is the least over its typed
+    translates and signs +-u (for a small key: u X itself); each unit's
+    four options are sorted, and the lexicographically least over the
+    units is turned back into `block_key` tuples.
     """
     masks = [[b.mask for b in fam.blocks] for fam in families]
     distinct = list(dict.fromkeys(m for quad in masks for m in quad))
@@ -184,7 +196,7 @@ def _class_keys(v: int, families, small: bool) -> list:
                      dtype=object if wide else np.int64)
     translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
     negated = negate_mask(v, translates)
-    skew = (translates & negated == 0) & (2 * sizes + 1 == v)[:, None]
+    skew = _is_skew(v, translates, negated, sizes[:, None])
     typed = skew | (translates == negated)
     if not typed[:, 0].all():
         raise ValueError("equivalence machinery needs typed families")
@@ -192,22 +204,19 @@ def _class_keys(v: int, families, small: bool) -> list:
     owner, shift = np.nonzero(typed)
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     options = translates[owner, shift]
-    tags = (~skew[owner, shift]).astype(object if wide else np.int64)
     us = units(v)
     # the units ascend, so row len(us) - 1 - i dilates by -us[i]
     images = dilate_mask(v, options, us)
     if wide:
         images = images.astype(object)
-    full = (1 << v) - 1
-    surrogate = (tags << v) | (full ^ rotate_mask(v, images[::-1], -1))
+    packed = _pack_block_key(v, sizes[owner], skew[owner, shift], images[::-1])
     if small:
-        least = surrogate[:, first]
+        least = packed[:, first]
     else:
         # u and -u offer the same options, so half the units suffice
-        least = np.minimum(surrogate, surrogate[::-1])[:(len(us) + 1) // 2]
+        least = np.minimum(packed, packed[::-1])[:(len(us) + 1) // 2]
         least = np.minimum.reduceat(least, first, axis=1)
-    packed = ((v - sizes) << (v + 1)) | least
-    best = _lex_least(np.sort(packed[:, index], axis=-1))
+    best = _lex_least(np.sort(least[:, index], axis=-1))
     return [(v,) + tuple(_block_key_of(v, p) for p in row) for row in zip(*best)]
 
 
@@ -238,17 +247,12 @@ class FamilyClass:
 
 def _sort_ranks(v: int, quads: np.ndarray, sizes: np.ndarray) -> list:
     """Each typed family's `Family.sort_key` without its v, from its mask
-    quadruple and block sizes: its block keys packed as `_class_keys`
-    packs them (at u = 1, X itself) and sorted, so the rows compare as
-    the sort keys do."""
-    wide = v + 7 > 63
-    if wide:
+    quadruple and block sizes: its block keys packed by `_pack_block_key`
+    and sorted, so the rows compare as the sort keys do."""
+    if v + 7 > 63:
         sizes = sizes.astype(object)
     negated = negate_mask(v, quads)
-    tags = ~((quads & negated == 0) & (2 * sizes + 1 == v))
-    full = (1 << v) - 1
-    packed = (((v - sizes) << (v + 1)) | (tags.astype(sizes.dtype) << v)
-              | (full ^ rotate_mask(v, negated, -1)))
+    packed = _pack_block_key(v, sizes, _is_skew(v, quads, negated, sizes), negated)
     return np.sort(packed, axis=1).tolist()
 
 

@@ -15,11 +15,19 @@ Z_i = A_{i+1}, all products with R reordered as shown):
         [ -Z3 R   -Z2^T R   Z1^T R   Z0    ]
 
 yields a Hadamard matrix of order 4v; when X_1 is skew, H is of skew
-type (H + H^T = 2I).  The three block symmetry patterns correspond to
-the classical special matrix families: one skew block gives good
-matrices (A_1 skew-type plus three symmetric back-circulants B_i = A_i R,
-pairwise amicable), two skew blocks give G-matrices, three give best
-matrices.
+type (H + H^T = 2I).  Each block symmetry pattern names a classical
+special matrix family, and each is the Gram condition on its pattern:
+G-matrices (kkss) and best matrices (kkks) by definition, and good
+matrices (ksss: A_1 of skew type, the back-circulants B_i = A_{i+1} R
+symmetric, all four pairwise amicable) because R X R = X^T for every
+circulant X, so that
+
+- for any circulants A_1 and A, A_1 (A R)^T = A_1 A R = A A_1 R =
+  (A R) A_1^T: A_1 is always amicable with each B_i, and every B_i is
+  symmetric;
+- B_i B_j^T = A_{i+1} A_{j+1}^T, which is symmetric when the blocks are;
+- A_1 is of skew type exactly when X_1 is skew;
+- the Gram sum of (A_1, B_1, B_2, B_3) is the Gram sum of the A_i.
 
 `_gs_array` is the one construction of H (`build_gs_array` is its int64
 form).  Each entry of H is +-1 times an entry of one of the four first
@@ -41,13 +49,10 @@ size k).  P is compared with 4vI once.  G is P's top-left block, so the
 Gram condition holds when P's does, and G is compared on its own only
 when P's fails.  The Hadamard test is P's comparison and the +-1 test,
 which reads the 8v source entries rather than the 16v^2 of H: every
-entry of H is a copy of one of them.  H + H^T gives the skew-type test.
-The good-matrix test (pattern ksss) reads the first block row
-[A_1 | B_1 | B_2 | B_3] (B_i = A_{i+1} R) and adds the one product P
-cannot give, the pairwise products M_i M_j^T of those four blocks that
-decide amicability.  No circulant of a single block is built on that
-path; the public checks below, which also take bare matrices, build
-them.
+entry of H is a copy of one of them.  H + H^T gives the skew-type test,
+and the pattern's special certificate is the Gram condition.  No
+circulant of a single block is built on that path; the public checks
+below, which also take bare matrices, build them.
 
 All checks are exact integer identities.  The products run in floating
 point through BLAS (numpy has no BLAS for integer matmul), and that is
@@ -253,34 +258,25 @@ def is_skew_hadamard(h: np.ndarray) -> bool:
     return is_hadamard(h) and _is_skew_type(h, h.T)
 
 
-def _is_good(first_row: np.ndarray) -> bool:
-    """Good-matrix identities on a block row [A_1 | B_1 | B_2 | B_3].
-
-    A_1 must be of skew type, the B_i symmetric, the four matrices
-    pairwise amicable, and their Gram sum 4vI.
-    """
-    v = len(first_row)
-    blocks = first_row.reshape(v, 4, v)  # blocks[:, i] is M_i
-    a1, bs = blocks[:, 0], blocks[:, 1:]
-    if not _is_skew_type(a1, a1.T) or not (bs == bs.transpose(2, 1, 0)).all():
-        return False
-    # q[i, :, j, :] = M_i M_j^T; amicable iff every such block is symmetric
-    m = blocks.transpose(1, 0, 2).reshape(4 * v, v)
-    q = (m @ m.T).reshape(4, v, 4, v)
-    if not (q == q.transpose(0, 3, 2, 1)).all():
-        return False
-    return _is_scalar(np.trace(q, axis1=0, axis2=2), 4 * v)
-
-
 def check_good_matrices(fam_or_mats) -> bool:
     """Good-matrix identities for a family with pattern ksss, or its circulants
-    A_1..A_4 (B_i = A_{i+1} R)."""
+    A_1..A_4: A_1 of skew type, the B_i = A_{i+1} R symmetric, all four
+    pairwise amicable, and their Gram sum 4vI."""
     if isinstance(fam_or_mats, Family) and fam_or_mats.pattern != "ksss":
         raise ValueError(
             f"good matrices need pattern ksss, got {fam_or_mats.pattern!r}")
     a1, *rest = _matrices(fam_or_mats)
-    return _is_good(np.concatenate([a1] + [a[:, ::-1] for a in rest], axis=1,
-                                   dtype=np.float64))
+    v = len(a1)
+    m = np.concatenate([a1] + [a[:, ::-1] for a in rest], dtype=np.float64)
+    bs = m[v:].reshape(3, v, v)
+    if not _is_skew_type(a1, a1.T) or not (bs == bs.transpose(0, 2, 1)).all():
+        return False
+    # q[i, :, j, :] = M_i M_j^T for M = (A_1, B_1, B_2, B_3); amicable iff
+    # every such block is symmetric
+    q = (m @ m.T).reshape(4, v, 4, v)
+    if not (q == q.transpose(0, 3, 2, 1)).all():
+        return False
+    return _is_scalar(np.trace(q, axis1=0, axis2=2), 4 * v)
 
 
 _SPECIAL_NAMES = {"ksss": "good", "kkss": "g", "kkks": "best"}
@@ -309,10 +305,8 @@ class FamilyCertificate:
 
 def verify_family(fam: Family) -> FamilyCertificate:
     """Run every applicable exact check on a family, from one float32 array
-    H and its product P = H H^T (plus the amicability product of ksss).
-
-    G-matrices (kkss) and best matrices (kkks) are the Gram condition on
-    their pattern, so their special certificate is `gs`.
+    H and its one product P = H H^T.  Good, G- and best matrices are the
+    Gram condition on their pattern, so a named special certificate is `gs`.
     """
     v = fam.v
     source = _gs_source(fam)
@@ -327,13 +321,9 @@ def verify_family(fam: Family) -> FamilyCertificate:
     # the Gram sum is P's top-left block, so it is 4vI when P is
     gs = p_ok or _is_scalar(p[:v, :v], 4 * v)
     had = p_ok and _is_pm1(source)
-    tags = fam.tags
-    skew_type = (had and _is_skew_type(h, ht)) if tags[0] == TAG_SKEW else None
-    pattern = "".join(tags)
-    name = _SPECIAL_NAMES.get(pattern, "")
-    special = None
-    if name:
-        special = _is_good(h[:v]) if pattern == "ksss" else gs
+    skew_type = (had and _is_skew_type(h, ht)) if fam.tags[0] == TAG_SKEW else None
+    name = _SPECIAL_NAMES.get(fam.pattern, "")
+    special = gs if name else None
     return FamilyCertificate(fam, diff, lam_matches, gs, had, skew_type,
                              name, special)
 

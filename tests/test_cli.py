@@ -311,6 +311,20 @@ def test_verify_writes_hadamard_matrix(tmp_path):
     assert all(len(r) == 28 and set(r) <= {"+", "-"} for r in rows)
 
 
+def test_verify_writes_no_hadamard_matrix_for_a_failing_record(tmp_path):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAM7_BAD)
+    mat = tmp_path / "h28.txt"
+    rc, out, err = run("verify", str(fam), "--hadamard", str(mat))
+    assert rc == 2
+    assert out.splitlines() == [
+        "record 1 (7;3,3,3,1;3) kkks: difference-family=FAIL lambda=FAIL "
+        "gram=FAIL hadamard=FAIL skew-type=FAIL best-matrices=FAIL"]
+    assert err == ("error: the record does not give a Hadamard matrix; "
+                   f"{mat} not written\n")
+    assert not mat.exists()
+
+
 def test_verify_hadamard_needs_single_record(tmp_path):
     path = tmp_path / "fams.txt"
     path.write_text(FAM7 + FAM7)

@@ -10,7 +10,7 @@ from gsdf.catalog import catalog_entries, catalog_entry
 from gsdf.family import Family, family_from_blocks
 from gsdf.params import (enumerate_param_sets, searchable_param_sets,
                          type_applicable)
-from gsdf.search import search_param
+from gsdf.search import search_order, search_param
 from gsdf.verify import (build_gs_array, check_difference_family,
                          check_good_matrices, check_gs_matrices, circulant,
                          family_circulants, hadamard_text, is_hadamard,
@@ -118,8 +118,9 @@ def test_good_matrices():
 
 
 def test_g_and_best_matrices():
-    # G-matrices and best matrices are the Gram condition on their pattern
-    for label, name in (("33-kkss-a", "g"), ("43-kkks-a", "best")):
+    # good, G- and best matrices are the Gram condition on their pattern
+    for label, name in (("33-kkss-a", "g"), ("43-kkks-a", "best"),
+                        ("43-ksss-a", "good"), ("45-ksss-a", "good")):
         cert = verify_family(catalog_entry(label).family)
         assert cert.special_name == name
         assert cert.special is True and cert.special == cert.gs
@@ -187,11 +188,14 @@ def move_one_element(fam, rng, keep_tags=False):
 def test_verify_family_uses_the_public_checks():
     rng = random.Random(4)
     real = [e.family for e in catalog_entries()]
-    for t in ("kkks", "kkss", "ksss"):
+    for t in ("kkks", "kkss"):
         found = [f for p in searchable_param_sets(13) if type_applicable(p, t)
                  for f in search_param(p, t).families]
         real += rng.sample(found, 4)
-    corrupted = [move_one_element(fam, rng, keep) for fam in real
+    real += [f for v in range(3, 18, 2) for o in search_order(v, "ksss")
+             for f in o.families]
+    # at v = 3 every move keeps the (empty) difference counts
+    corrupted = [move_one_element(fam, rng, keep) for fam in real if fam.v > 3
                  for keep in (False, True)]
     assert {f.type_name for f in real} == {"kkks", "kkss", "ksss"}
     assert {f.pattern for f in corrupted} >= {"kkks", "kkss", "ksss"}
@@ -211,11 +215,10 @@ def certificate_by_public_checks(fam):
     assert cert.gs == check_gs_matrices(fam) == check_gs_matrices(mats)
     assert cert.hadamard == is_hadamard(h)
     assert cert.skew_type == (is_skew_hadamard(h) if fam.tags[0] == "k" else None)
+    assert cert.special == (cert.gs if cert.special_name else None)
     if fam.pattern == "ksss":
         assert cert.special_name == "good"
         assert cert.special == check_good_matrices(fam)
-    else:
-        assert cert.special == (cert.gs if cert.special_name else None)
     return cert
 
 
