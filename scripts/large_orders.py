@@ -13,8 +13,9 @@ These runs grow steeply with v. The search joins only the X_1 blocks
 that are least in their unit orbit and expands the families found over
 the units (see gsdf.search). On a 2-core x86-64 machine, one process,
 the order-33 kkss reproduction (--order 33 --type kkss) takes 3 s;
-with --jobs 2 (every type), --order 37 finishes in 9 s and --order 41
-in 119 s. Orders 43 and up have not been timed. Restrict the workload
+with --jobs 2 (every type), --order 33 finishes in 2 s, --order 37 in
+7 s and --order 41 in 83 s (ksss "no" in 24 s, the 3 kkss classes in
+59 s). Orders 43 and up have not been timed. Restrict the workload
 with --order/--type (a value given twice runs once) and parallelise
 with --jobs (default: the GSDF_JOBS environment variable, or 1; a value
 other than a positive integer, given either way, exits 2 before any

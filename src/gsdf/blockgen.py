@@ -112,6 +112,8 @@ class RowFile:
     """Candidate blocks of one kind and size, with their difference rows.
 
     The matcher's case splits are row files too, restricted by `select`.
+    `keys` holds the matcher's hash key of each row, or None: the matcher
+    hashes each file it is given once, and its splits carry the keys.
     """
 
     v: int
@@ -120,6 +122,7 @@ class RowFile:
     bound: object  # the PSD bound 4v, or None when the filter was off
     masks: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
+    keys: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -134,8 +137,8 @@ class RowFile:
 
     def select(self, keep) -> "RowFile":
         """The blocks picked by an index or boolean array, in their order."""
-        return RowFile(self.v, self.k, self.kind, self.bound,
-                       self.masks[keep], self.rows[keep])
+        return RowFile(self.v, self.k, self.kind, self.bound, self.masks[keep],
+                       self.rows[keep], None if self.keys is None else self.keys[keep])
 
 
 def collect_rows(v: int, k: int, kind: str, filtered: bool = True) -> RowFile:

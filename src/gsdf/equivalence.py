@@ -57,7 +57,8 @@ from math import gcd
 import numpy as np
 
 from .family import Family, block_key
-from .zmod import dilate_mask, mask_elements, negate_mask, rotate_mask
+from .zmod import (dilate_mask, is_skew_mask, mask_elements, negate_mask,
+                   rotate_mask)
 
 
 # --- elementary transformations ---------------------------------------------
@@ -149,11 +150,6 @@ def _lex_least(keys: np.ndarray) -> list:
     return least
 
 
-def _is_skew(v: int, masks, negated, sizes):
-    """Which blocks are skew, from their masks, negations and sizes."""
-    return (masks & negated == 0) & (2 * sizes + 1 == v)
-
-
 def _pack_block_key(v: int, sizes, skew, negated):
     """Integers that sort as the blocks' `block_key`s, from their sizes,
     skewness and negations: ((v - |X|) << (v + 1)) | (tag << v) |
@@ -165,13 +161,14 @@ def _pack_block_key(v: int, sizes, skew, negated):
             | (full ^ rotate_mask(v, negated, -1)))
 
 
-def _block_key_of(v: int, packed: int) -> tuple:
-    """The `block_key` a packed key of `_pack_block_key` stands for."""
+def _block_key_of(v: int, packed: np.ndarray) -> list:
+    """The `block_key`s that an array of packed keys of `_pack_block_key`
+    stands for, decoded in one array pass."""
     full = (1 << v) - 1
     surrogate = packed & ((full << 1) | 1)
-    reversed_mask = full ^ (surrogate & full)
-    mask = rotate_mask(v, negate_mask(v, reversed_mask), -1)
-    return block_key(mask, surrogate >> v)
+    reversed_masks = full ^ (surrogate & full)
+    masks = rotate_mask(v, negate_mask(v, reversed_masks), -1)
+    return list(map(block_key, masks.tolist(), (surrogate >> v).tolist()))
 
 
 def _class_keys(v: int, families, small: bool) -> list:
@@ -196,7 +193,7 @@ def _class_keys(v: int, families, small: bool) -> list:
                      dtype=object if wide else np.int64)
     translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
     negated = negate_mask(v, translates)
-    skew = _is_skew(v, translates, negated, sizes[:, None])
+    skew = is_skew_mask(v, translates, negated, sizes[:, None])
     typed = skew | (translates == negated)
     if not typed[:, 0].all():
         raise ValueError("equivalence machinery needs typed families")
@@ -217,7 +214,8 @@ def _class_keys(v: int, families, small: bool) -> list:
         least = np.minimum(packed, packed[::-1])[:(len(us) + 1) // 2]
         least = np.minimum.reduceat(least, first, axis=1)
     best = _lex_least(np.sort(least[:, index], axis=-1))
-    return [(v,) + tuple(_block_key_of(v, p) for p in row) for row in zip(*best)]
+    keys = _block_key_of(v, np.array(best, dtype=least.dtype).T.ravel())
+    return [(v,) + tuple(keys[i:i + 4]) for i in range(0, len(keys), 4)]
 
 
 def canonical_key(fam: Family) -> tuple:
@@ -252,7 +250,7 @@ def _sort_ranks(v: int, quads: np.ndarray, sizes: np.ndarray) -> list:
     if v + 7 > 63:
         sizes = sizes.astype(object)
     negated = negate_mask(v, quads)
-    packed = _pack_block_key(v, sizes, _is_skew(v, quads, negated, sizes), negated)
+    packed = _pack_block_key(v, sizes, is_skew_mask(v, quads, negated, sizes), negated)
     return np.sort(packed, axis=1).tolist()
 
 

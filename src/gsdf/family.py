@@ -8,14 +8,21 @@ followed by four lines of comma-separated block elements in ascending
 order (an empty line denotes the empty block).  `type` gives the
 positional block tags, e.g. ``kkss`` or ``skss`` (k = skew,
 s = symmetric, - = neither).  Lines starting with ``#`` are comments.
+
+Block tags are computed per distinct mask and cached (`mask_tags`): a
+search tags all of its families' distinct masks in one `negate_mask`
+array pass, and `Family.tags` then reads each block's tag from the
+cache; a mask not cached is tagged by the same pass on its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .params import GsParamSet
-from .zmod import CyclicSubset, mask_elements
+from .zmod import CyclicSubset, MaskCache, is_skew_mask, mask_elements, negate_mask
 
 TAG_SKEW = "k"
 TAG_SYMMETRIC = "s"
@@ -28,15 +35,23 @@ def block_tag(x: CyclicSubset) -> str:
     return _mask_tag(x.v, x.mask)
 
 
-@lru_cache(maxsize=None)
+def _tags(v: int, masks: list) -> list:
+    """The tags of width-v masks, from one `negate_mask` pass over them."""
+    x = np.array(masks, dtype=np.int64 if v <= 63 else object)
+    negated = negate_mask(v, x)
+    sizes = np.array([m.bit_count() for m in masks], dtype=x.dtype)
+    return np.where(is_skew_mask(v, x, negated, sizes), TAG_SKEW,
+                    np.where(negated == x, TAG_SYMMETRIC, TAG_NONE)).tolist()
+
+
+# the tags of a list of width-v masks, each computed once per (v, mask);
+# bounded, as a long run meets many masks
+mask_tags = MaskCache(_tags, 1 << 14)
+
+
 def _mask_tag(v: int, mask: int) -> str:
-    """`block_tag` of the subset with this mask, computed once per (v, mask)."""
-    x = CyclicSubset(v, mask)
-    if x.is_skew():
-        return TAG_SKEW
-    if x.is_symmetric():
-        return TAG_SYMMETRIC
-    return TAG_NONE
+    """`block_tag` of the subset with this mask: `mask_tags` of one mask."""
+    return mask_tags.one(v, mask)
 
 
 @lru_cache(maxsize=None)

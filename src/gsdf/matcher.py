@@ -22,27 +22,41 @@ is split once and its bins are shared.  A file's bins on a column are
 its values there, ascending, read as the nonzero counts of `np.bincount`
 of the uint8 column: `np.unique` on numpy 2.4 imports `numpy.ma` on its
 first call in a process (14-16 ms on a 2-core x86-64 machine).  A group
-refined on every column is joined over no columns, where every pair of
-one side matches every pair of the other.  SPLIT_LIMIT = 10**6 keeps a stored side's keys near
-8 MB, and its bucket table at most 4 MB; on the order-33 and order-37
-kkss searches it beat 5e5, 2e6 and 1e7.
+refined on every column is joined like any other; there every pair of
+one side matches every pair of the other.  SPLIT_LIMIT = 10**6 keeps a
+stored side's keys near 8 MB, its bucket table at most 4 MB and its
+occupancy array at most 8 MB; on the order-33 and order-37 kkss searches
+it beat 5e5, 2e6 and 1e7.
 
-Row sums are hashed to 64-bit keys (a random-multiplier dot product,
-linear in the row, so key(r_b + r_c) = key(r_b) + key(r_c)).  A stored
-key keeps its high bits and holds its pair's position on its side in
-the low w bits, w the bit length of the stored pair count.  The stored
-keys are sorted and indexed by their top bits: a table gives the start
-of each of 2**b >= n buckets, so a bucket holds about one key.  Each
-streamed block holds the needle keys key(target) - key(r_x) - key(r_y)
-of its pairs, low w bits cleared, looked up as they come: the first key
-not below a needle, found from its bucket's first key in a few steps or
-else by a binary search, must be within 2**w - 1 of it.  Uniform keys
-make crowded buckets rare, but the result does not rest on it.  A hit's
-stored pairs are the keys in that range, whose low bits give their
-positions, so each side is built and walked once.  Equal keys have equal
-high bits, and distinct rows can share a key, so every candidate
-quadruple is confirmed exactly against the target row before it is
-emitted.
+Rows are hashed to 64-bit keys once per match, over all (v-1)/2 columns:
+a dot product with a fixed random multiplier per column, linear in the
+row, so key(r_b + r_c) = key(r_b) + key(r_c).  `match_cases` hashes each
+file, and the pieces `_refine` splits off carry their keys.  In a group
+at depth d, every quadruple sums to lam in the columns before d, so it
+is a family exactly when its rows sum to the all-lam row in every
+column: the join's target is that row and its key, the same test as one
+over the columns from d on up to a constant that cancels.  A stored key
+keeps its high bits and holds its pair's position on its side in the
+low w bits, w the bit length of the stored pair count.  The stored keys
+are sorted and indexed by their top bits: an occupancy array marks which
+of 2**(b+3) cells hold a key, and a table gives the start of each of
+2**b >= n buckets, so a bucket holds about one key.  Each streamed block
+holds the needle keys key(target) - key(r_x) - key(r_y) of its pairs,
+low w bits cleared, looked up as they come.  A matching key lies in
+[needle, needle + 2**w - 1], so it shares every bit of the needle above
+the low w, and lies in the needle's cell as long as a cell spans at
+least 2**w values; `_Table` keeps that for every w, widening the cells
+when b + 3 + w would pass 64 bits.  So one lookup rejects each needle
+whose cell is empty: fewer than one cell in 8 holds a key, and hits are
+rare.  For the others, the first key not below the needle, found from
+its bucket's first key in a few steps or else by a binary search, must
+be within 2**w - 1 of it.  Uniform keys make crowded buckets rare, but
+the result does not rest on it.  A hit's stored pairs are the keys in that range,
+whose low bits give their positions, so each side is built and walked
+once.  Equal keys have equal high bits, and distinct rows can share a
+key, so every candidate quadruple is confirmed exactly on its full rows
+against the target row before it is emitted; a side stacks its rows
+only for that, in a group with hits.
 
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
@@ -59,7 +73,8 @@ families afterwards.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from multiprocessing import get_context
 
 import numpy as np
@@ -140,13 +155,27 @@ def _refine(case: MatchCase, bins: dict) -> list:
             for t in sorted(ad) if lam - t in bc]
 
 
+def _hash(rows) -> np.ndarray:
+    """The key of each row: its dot product with the multipliers, one per
+    column, mod 2**64."""
+    keys = np.zeros(len(rows), dtype=np.uint64)
+    for col, mult in zip(rows.T, _HASH_MULT):
+        keys += col.astype(np.uint64) * mult
+    return keys
+
+
 def match_cases(files, lam: int) -> list:
-    """The groups on the first column; phase-two entry point."""
+    """The groups on the first column; phase-two entry point.  Each file is
+    hashed here, once, and the groups' pieces of it carry its keys."""
     v = files[0].v
     if any(f.v != v for f in files):
         raise ValueError("row files disagree on v")
     if (v - 1) // 2 < 1:
         raise ValueError("matching needs at least one difference column")
+    # a file given at several positions stays one file, hashed and split once
+    hashed = {id(f): f for f in files}
+    hashed = {i: replace(f, keys=_hash(f.rows)) for i, f in hashed.items()}
+    files = [hashed[id(f)] for f in files]
     a, b, c, d = sorted(range(4), key=lambda i: len(files[i]))
     whole = MatchCase(v, lam, 0, (a, d, b, c),
                       (([files[a]], [files[d]]), ([files[b]], [files[c]])),
@@ -168,53 +197,68 @@ def _leaves(cases) -> list:
 
 
 class _Table:
-    """Sorted keys, looked up through buckets on their top bits.
+    """Sorted keys, looked up through an occupancy array and buckets on
+    their top bits.
 
     There are 2**bits >= len(keys) buckets, so a bucket holds about one
     key.  `start[b]` is the number of keys in buckets below b: the
     position of bucket b's first key, or of the next key after it when
-    the bucket is empty.  A value v is found when some key lies in
-    [v, v + low]; values must leave room for that below 2**64.  `keys`
-    must not be empty, and fewer than 2**31, so the int32 starts hold.
+    the bucket is empty.  `occupied` marks the cells, on the top
+    bits + 3 bits (8 per bucket), that hold a key.  A value v is found
+    when some key lies in [v, v + low]; values must have the bits of low
+    clear, so that such a key shares every bit of v above them.  The
+    cells are never narrower than low, so it also shares v's cell.
+    `keys` must not be empty, and fewer than 2**31, so the int32 starts
+    hold.
     """
 
     def __init__(self, keys, low):
         self.keys, self.low = keys, low
         bits = max(1, len(keys).bit_length())
         self.shift = np.uint64(64 - bits)
+        cells = min(bits + 3, 64 - int(low).bit_length())
+        self.cell_shift = np.uint64(64 - cells)
+        self.occupied = np.zeros(1 << cells, dtype=bool)
         # count the keys one bucket up, so that the running sum is each
         # bucket's start; a block at a time, to hold no copy of all keys:
         # the keys ascend, so a block's buckets form one run
         self.start = np.zeros((1 << bits) + 1, dtype=np.int32)
         for lo in range(0, len(keys), _CHUNK):
-            up = self._bucket(keys[lo:lo + _CHUNK])
+            block = keys[lo:lo + _CHUNK]
+            self.occupied[self._top(block, self.cell_shift)] = True
+            up = self._top(block, self.shift)
             first = int(up[0])
             up -= first
             counts = np.bincount(up)
             self.start[first + 1:first + 1 + len(counts)] += counts
         np.cumsum(self.start, out=self.start)
 
-    def _bucket(self, values):
-        """Bucket numbers, as a view: values shifted right are below 2**63,
-        and int64 is np.intp on 64-bit platforms."""
-        return (values >> self.shift).view(np.int64)
+    @staticmethod
+    def _top(values, shift):
+        """Values shifted right, as an int64 view: a shift of at least one
+        leaves them below 2**63, and int64 is np.intp on 64-bit platforms."""
+        return (values >> shift).view(np.int64)
 
     def members(self, values):
         """Mask of the entries of ``values`` with a key in [value, value + low].
 
-        Each value is compared with the first key of its bucket, then with
-        the keys after it while they are smaller: keys in later buckets are
-        larger, so the first key not below the value settles it.  In
-        uint64 a key below the value wraps to key - value > low.  Values
-        not settled in _ROUNDS further steps, which only a crowded bucket
-        leaves, are settled by one binary search over all keys.
+        A value whose cell holds no key has none.  Each other value is
+        compared with the first key of its bucket, then with the keys after
+        it while they are smaller: keys in later buckets are larger, so the
+        first key not below the value settles it.  In uint64 a key below
+        the value wraps to key - value > low.  Values not settled in
+        _ROUNDS further steps, which only a crowded bucket leaves, are
+        settled by one binary search over all keys.
         """
         keys, low = self.keys, self.low
-        pos = self.start.take(self._bucket(values))
+        found = self.occupied.take(self._top(values, self.cell_shift))
+        left = np.flatnonzero(found)
+        val = values[left]
+        pos = self.start.take(self._top(val, self.shift))
         key = keys.take(pos, mode="clip")
-        found = key - values <= low
-        left = np.flatnonzero(key < values)
-        pos = pos[left]
+        found[left] = key - val <= low
+        more = key < val
+        left, pos = left[more], pos[more]
         for _ in range(_ROUNDS):
             pos += 1
             val = values[left]
@@ -233,15 +277,19 @@ class _Side:
     rows yo[p]..yo[p+1].  A pair's position counts the pairs before it,
     products in order and x-major within each product."""
 
-    def __init__(self, tables, pairs, slots, res, mult):
-        self.slots, self.pairs = slots, pairs
+    def __init__(self, tables, pairs, slots):
+        self.tables, self.slots, self.pairs = tables, slots, pairs
         self.masks = [np.concatenate([f.masks for f in t]) for t in tables]
-        self.rows = [np.concatenate([f.rows[:, res] for f in t]).astype(np.int16)
-                     for t in tables]
-        self.keys = [(r.astype(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
-                     for r in self.rows]
+        self.keys = [np.concatenate([f.keys for f in t]) for t in tables]
         self.xo, self.yo = (np.cumsum([0] + [len(f) for f in t]).tolist()
                             for t in tables)
+
+    @cached_property
+    def rows(self):
+        """Each table's difference rows, as int16; stacked only when a
+        hit is confirmed, which few groups have."""
+        return [np.concatenate([f.rows for f in t]).astype(np.int16)
+                for t in self.tables]
 
     def blocks(self):
         """The pair-sum keys in position order, at most _CHUNK at a time
@@ -285,17 +333,15 @@ class _Side:
 
 
 def _join_case(case: MatchCase) -> list:
-    """Mask quadruples of one group, joined on the hashed row sums of the
-    columns from its depth on; the side with fewer pairs is stored."""
-    ncols = (case.v - 1) // 2
-    mult = _HASH_MULT[:ncols - case.depth]
-    res = slice(case.depth, ncols)
-    sides = (_Side(tables, pairs, slots, res, mult) for tables, pairs, slots
+    """Mask quadruples of one group, joined on their hashed row sums; the
+    side with fewer pairs is stored.  Every quadruple of the group sums to
+    lam in the columns before its depth, so it is a family exactly when
+    its rows sum to the all-lam row."""
+    sides = (_Side(tables, pairs, slots) for tables, pairs, slots
              in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
     stored, streamed = sorted(sides, key=lambda s: s.pairs)
-    target = np.full(ncols - case.depth, case.lam, dtype=np.int16)
-    key_t = (target.astype(np.uint64) * mult).sum(dtype=np.uint64)
-    return _join(stored, streamed, target, key_t)
+    target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
+    return _join(stored, streamed, target, _hash(target[None])[0])
 
 
 def _join(stored, streamed, target, key_t) -> list:

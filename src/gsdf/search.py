@@ -26,6 +26,11 @@ each family found by every unit, and deduplicates and sorts the result;
 that is exactly the list the unreduced join gives, and every family of
 it is re-verified.  `bins_match` itself is unreduced, as row files given
 to `gsdf match` need not be closed under dilation.
+
+The expanded families share their blocks: each distinct mask becomes one
+`CyclicSubset`, and its tag and its signed row (`verify_family`'s source)
+are computed in one array pass each over the distinct masks, found by a
+sort, before any family reads them from the caches.
 """
 from __future__ import annotations
 
@@ -36,11 +41,11 @@ import numpy as np
 from .blockgen import check_width, collect_rows
 from .catalog import table_rows
 from .equivalence import classify, orbit_least, small_classes, units
-from .family import Family
+from .family import Family, mask_tags
 from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
-from .verify import verify_family
+from .verify import signed_rows, verify_family
 from .zmod import CyclicSubset, dilate_mask
 
 
@@ -88,8 +93,9 @@ def row_files_for(params: GsParamSet, type_name: str) -> list:
     return [files[key] for key in keys]
 
 
-def expand_over_units(v: int, quads) -> list:
-    """Every dilate of the mask quadruples, deduplicated and sorted.
+def expand_over_units(v: int, quads) -> np.ndarray:
+    """Every dilate of the mask quadruples, deduplicated and sorted, as an
+    (n, 4) int64 array.
 
     The dilates are sorted lexicographically by `np.lexsort` and each one
     equal to the one before it is dropped.  `np.unique(axis=0)` gives the
@@ -101,7 +107,7 @@ def expand_over_units(v: int, quads) -> list:
     dilates = dilates[np.lexsort(dilates.T[::-1])]
     fresh = np.ones(len(dilates), dtype=bool)
     fresh[1:] = (dilates[1:] != dilates[:-1]).any(axis=1)
-    return dilates[fresh].tolist()
+    return dilates[fresh]
 
 
 def search_param(params: GsParamSet, type_name: str,
@@ -116,8 +122,15 @@ def search_param(params: GsParamSet, type_name: str,
     least = orbit_least(v, first.masks) == first.masks
     found = bins_match([first.select(least)] + files[1:], params.lam,
                        jobs=options.jobs)
-    families = [Family(params, tuple(CyclicSubset(v, m) for m in quad))
-                for quad in expand_over_units(v, found)]
+    quads = expand_over_units(v, found)
+    masks = np.sort(quads, axis=None)
+    distinct = masks[np.diff(masks, prepend=-1) != 0].tolist()
+    # fill the caches that the families' tags and certificates read
+    mask_tags(v, distinct)
+    signed_rows(v, distinct)
+    blocks = {m: CyclicSubset(v, m) for m in distinct}
+    families = [Family(params, tuple(map(blocks.__getitem__, quad)))
+                for quad in quads.tolist()]
     for fam in families:
         cert = verify_family(fam)
         if not cert.ok:

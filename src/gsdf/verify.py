@@ -36,8 +36,11 @@ rows: Z_i[r, c] is row i at (c - r) mod v, (Z_i R)[r, c] at
 single `take` from its source, the 8v entries
 [row_1, -row_1, ..., row_4, -row_4], through a flat index of its 16v^2
 entries cached per v.  Each block's [row, -row] is unpacked from the
-mask's bits and cached read-only per (v, mask), as `family._mask_tag`
-caches tags, so a family's source is one concatenate.
+mask's bits and cached read-only per (v, mask) (`signed_rows`), as
+`family.mask_tags` caches tags, so a family's source is one
+concatenate.  A search unpacks all of its families' distinct masks in one
+`_pm_rows` call before it certifies them; a mask not cached is unpacked
+by the same call on its own.
 
 `verify_family` builds H once, computes P = H H^T once and reads every
 certificate from the source, H, H^T and P.  The first block row of H is
@@ -81,7 +84,7 @@ from functools import lru_cache
 import numpy as np
 
 from .family import TAG_SKEW, Family
-from .zmod import CyclicSubset
+from .zmod import CyclicSubset, MaskCache
 
 
 def _pm_rows(v: int, masks, dtype=np.int64) -> np.ndarray:
@@ -215,14 +218,23 @@ def _gs_index(v: int) -> np.ndarray:
     return index
 
 
-# bounded: a long search meets many masks, and each entry holds 8v bytes
-@lru_cache(maxsize=1 << 14)
-def _signed_row(v: int, mask: int) -> np.ndarray:
-    """[row, -row] for the +-1 row of a mask, in float32, read-only."""
-    row = _pm_rows(v, [mask], np.float32)[0]
-    signed = np.concatenate((row, -row))
+def _signed(v: int, masks: list) -> np.ndarray:
+    """[row, -row] for the +-1 row of each mask, in float32, read-only,
+    from one `_pm_rows` call."""
+    rows = _pm_rows(v, masks, np.float32)
+    signed = np.concatenate((rows, -rows), axis=1)
     signed.flags.writeable = False
     return signed
+
+
+# [row, -row] of a list of width-v masks, each unpacked once per (v, mask);
+# bounded, as a long search meets many masks and each entry holds 8v bytes
+signed_rows = MaskCache(_signed, 1 << 14)
+
+
+def _signed_row(v: int, mask: int) -> np.ndarray:
+    """`signed_rows` of one mask."""
+    return signed_rows.one(v, mask)
 
 
 def _gs_source(fam: Family) -> np.ndarray:

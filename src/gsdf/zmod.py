@@ -16,7 +16,10 @@ are implemented once, on masks (`rotate_mask`, `dilate_mask`), for
 equivalence machinery and the search's unit-orbit reduction alike, on
 Python ints and on int64 or object arrays of masks.  Dilation looks each
 byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
-on first use; negation is dilation by v - 1 (`negate_mask`).
+on first use; negation is dilation by v - 1 (`negate_mask`), and
+`is_skew_mask` is the one skew test, on masks and their negations.
+`MaskCache` keeps values computed per mask by an array function: the
+block tags of `family` and the signed rows of `verify`.
 """
 from __future__ import annotations
 
@@ -107,6 +110,41 @@ def negate_mask(v: int, mask):
     return dilate_mask(v, mask, -1)
 
 
+def is_skew_mask(v: int, masks, negated, sizes):
+    """Which blocks are skew, from their masks, negations and sizes: Python
+    ints, or arrays that broadcast together."""
+    return (masks & negated == 0) & (2 * sizes + 1 == v)
+
+
+class MaskCache:
+    """Values of width-v masks, computed by an array function and kept.
+
+    ``cache(v, masks)`` gives the values of a list of int masks, in order:
+    the distinct masks it does not hold go to ``compute(v, missing)`` in
+    one call, which returns their values in order.  `one` is that call
+    for one mask, a dict lookup when the mask is held.  A fill that would
+    take the cache past `size` masks empties it first, so it holds at most
+    `size` masks, or the masks of one fill.
+    """
+
+    def __init__(self, compute, size: int):
+        self.compute, self.size, self.values = compute, size, {}
+
+    def __call__(self, v: int, masks) -> list:
+        values = self.values
+        missing = [m for m in dict.fromkeys(masks) if (v, m) not in values]
+        if missing:
+            if len(values) + len(missing) > self.size:
+                values.clear()
+                missing = list(dict.fromkeys(masks))
+            values.update(zip([(v, m) for m in missing], self.compute(v, missing)))
+        return [values[v, m] for m in masks]
+
+    def one(self, v: int, mask: int):
+        value = self.values.get((v, mask))
+        return self(v, [mask])[0] if value is None else value
+
+
 @dataclass(frozen=True)
 class CyclicSubset:
     """A subset of Z_v backed by a bitmask."""
@@ -181,9 +219,7 @@ class CyclicSubset:
         return negate_mask(self.v, self.mask) == self.mask
 
     def is_skew(self) -> bool:
-        if self.v % 2 == 0 or 2 * len(self) + 1 != self.v:
-            return False
-        return self.mask & negate_mask(self.v, self.mask) == 0
+        return is_skew_mask(self.v, self.mask, negate_mask(self.v, self.mask), len(self))
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""

@@ -7,17 +7,19 @@ import pytest
 
 import gsdf.equivalence
 from gsdf.blockgen import collect_rows
-from gsdf.equivalence import (Dilate, Exchange, Negate, Translate, _class_keys,
+from gsdf.equivalence import (Dilate, Exchange, Negate, Translate, _block_key_of,
+                              _class_keys, _pack_block_key,
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
                               orbit_least, small_classes, small_key, units)
-from gsdf.family import (TAG_NONE, TAG_SKEW, Family, block_tag,
-                         family_from_blocks)
+from gsdf.family import (TAG_CODE, TAG_NONE, TAG_SKEW, Family, block_key,
+                         block_tag, family_from_blocks)
 from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, enumerate_param_sets,
                          searchable_param_sets, type_applicable)
 from gsdf.search import SearchOptions, search_param
-from gsdf.zmod import CyclicSubset, dilate_mask
+from gsdf.zmod import (CyclicSubset, dilate_mask, is_skew_mask, negate_mask,
+                       rotate_mask)
 from gsdf.verify import check_difference_family
 
 
@@ -408,3 +410,30 @@ def test_array_keys_equal_the_brute_force_keys_at_wide_masks(v):
         dilates = (apply_transform(fam, Dilate(u)).blocks for u in units(v))
         assert small[fam] == small_key(fam) == (v,) + min(
             tuple(sorted(map(_block_key, blocks))) for blocks in dilates)
+
+
+def block_key_of_one(v, packed):
+    """The scalar definition of `_block_key_of`, one packed key at a time."""
+    full = (1 << v) - 1
+    surrogate = packed & ((full << 1) | 1)
+    mask = rotate_mask(v, negate_mask(v, full ^ (surrogate & full)), -1)
+    return block_key(mask, surrogate >> v)
+
+
+@pytest.mark.parametrize("v", (13, 61, 63, 65))
+def test_block_keys_decode_in_one_pass(v):
+    # packed keys are int64 at v = 13 and objects from v = 57 on; masks
+    # use bit 62 at v = 63 and outgrow int64 at v = 65
+    rng = random.Random(v)
+    blocks = [b for p in enumerate_param_sets(v) if 2 * p.k[0] + 1 == v
+              for _ in range(3) for b in random_typed_family(p, rng).blocks]
+    masks = [b.mask for b in blocks]
+    wide = v + 7 > 63
+    x = np.array(masks, dtype=np.int64 if v <= 63 else object)
+    sizes = np.array([m.bit_count() for m in masks], dtype=object if wide else np.int64)
+    negated = negate_mask(v, x)
+    packed = _pack_block_key(v, sizes, is_skew_mask(v, x, negated, sizes), negated)
+    assert packed.dtype == (object if wide else np.int64)
+    decoded = _block_key_of(v, packed)
+    assert decoded == [block_key_of_one(v, p) for p in packed.tolist()]
+    assert decoded == [block_key(b.mask, TAG_CODE[block_tag(b)]) for b in blocks]

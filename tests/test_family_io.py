@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from gsdf.catalog import catalog_entries
 from gsdf.family import (TAG_NONE, Family, FamilyFormatError, block_tag,
-                         family_from_blocks, format_family, read_families,
-                         write_families)
+                         family_from_blocks, format_family, mask_tags,
+                         read_families, write_families)
 from gsdf.params import GsParamSet
 from gsdf.zmod import CyclicSubset
 
@@ -42,6 +44,23 @@ def test_tags_are_the_block_tags():
         assert e.family.type_name == e.type_name
         untyped += not moved.is_typed
     assert untyped == len(catalog_entries())
+
+
+@pytest.mark.parametrize("v", (1, 2, 7, 13, 63, 65))
+def test_mask_tags_are_the_subset_predicates(v):
+    # one array pass over int64 masks, and over Python ints at v = 65
+    rng = random.Random(v)
+    half = range(1, (v + 1) // 2)
+    subsets = [CyclicSubset(v, rng.getrandbits(v)) for _ in range(40)]
+    for _ in range(10):
+        subsets.append(CyclicSubset.from_elements(v, [rng.choice((x, v - x)) for x in half]))
+        subsets.append(CyclicSubset.from_elements(v, [0] * rng.randint(0, 1) + [
+            y for x in rng.sample(half, len(half) // 2) for y in (x, v - x)]))
+    want = ["k" if x.is_skew() else "s" if x.is_symmetric() else "-" for x in subsets]
+    assert v <= 2 or set(want) == {"k", "s", "-"}
+    mask_tags.values.clear()
+    assert mask_tags(v, [x.mask for x in subsets]) == want
+    assert [block_tag(x) for x in subsets] == want
 
 
 def test_family_validation():

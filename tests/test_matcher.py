@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,11 @@ def subfile(rf, picks):
     """Restrict a row file to selected row indices (keeps sorting)."""
     idx = np.asarray(sorted(picks))
     return RowFile(rf.v, rf.k, rf.kind, rf.bound, rf.masks[idx], rf.rows[idx])
+
+
+def hashed(rf):
+    """The row file with its rows' keys, as `match_cases` hashes it."""
+    return replace(rf, keys=gsdf.matcher._hash(rf.rows))
 
 
 def test_v7_three_skew_one_symmetric():
@@ -102,11 +109,13 @@ def assert_splits_are_the_unique_values(case):
             assert n == len(piece) == len(want)
             assert np.array_equal(piece.masks, want.masks)
             assert np.array_equal(piece.rows, want.rows)
+            # the pieces carry their keys, hashed over every column
+            assert np.array_equal(piece.keys, gsdf.matcher._hash(want.rows))
     return refined
 
 
 def test_refine_splits_files_by_their_unique_values():
-    skew, sym = files_for(13, (6, 4), ("skew", "symmetric"))
+    skew, sym = map(hashed, files_for(13, (6, 4), ("skew", "symmetric")))
     empty = sym.select(np.zeros(len(sym), dtype=bool))
     for files in ((skew, skew, sym, sym), (empty, skew, sym, sym),
                   (skew, skew, sym, empty)):
@@ -143,16 +152,16 @@ def test_jobs_and_split_limit_do_not_change_results(monkeypatch):
 
 def test_split_limit_1_bins_every_column(monkeypatch):
     """At limit 1 no group is small enough to join early: every group is
-    refined on every column and then joined over none, in the parent and in
-    forked workers."""
-    join = gsdf.matcher._join
+    refined on every column and then joined, in the parent and in forked
+    workers."""
+    join_case = gsdf.matcher._join_case
 
-    def join_over_no_columns(stored, streamed, target, key_t):
-        assert len(target) == 0, f"joined over {len(target)} columns"
-        return join(stored, streamed, target, key_t)
+    def join_at_the_last_column(case):
+        assert case.depth == (case.v - 1) // 2, f"joined at depth {case.depth}"
+        return join_case(case)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
-    monkeypatch.setattr(gsdf.matcher, "_join", join_over_no_columns)
+    monkeypatch.setattr(gsdf.matcher, "_join_case", join_at_the_last_column)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     expected = brute_force_match(fs, 7)
     assert len(expected) == 480
@@ -279,21 +288,25 @@ def key_lists():
 
 @settings(max_examples=300, deadline=None)
 @given(key_lists(), st.lists(st.integers(0, U64), max_size=16),
-       st.sampled_from([0, 1, 2, 5]))
+       st.sampled_from([0, 1, 2, 5, 31, 58, 61, 63]))
 def test_table_lookup_agrees_with_isin(keys, extra, w):
-    """The bucket table finds exactly the values np.isin finds when its
-    tolerance low is 0, and otherwise exactly the values v, with their
-    low bits clear, that have a key in [v, v | low] -- for the keys, their
-    neighbours, and the edges of their buckets and of the buckets beside
-    them, empty or not."""
+    """The table finds exactly the values np.isin finds when its tolerance
+    low is 0, and otherwise exactly the values v, with their low bits
+    clear, that have a key in [v, v | low] -- for the keys, their
+    neighbours, and the edges of their buckets and occupancy cells and of
+    the buckets and cells beside them, empty or not.  A stored side of
+    the join has fewer than 2**31 pairs, so its w is at most 31; larger w
+    are where the cells must widen to keep a key in its needle's cell."""
     low = 2 ** w - 1
     table = gsdf.matcher._Table(keys, np.uint64(low))
-    width = 1 << int(table.shift)
+    assert int(table.cell_shift) >= w
     near = set(extra)
-    for k in map(int, keys):
-        b = k // width * width
-        near.update((k - 1, k, k + 1, b - 1, b, b + width - 1, b + width,
-                     k - width, k + width, b + 2 * width, k - low, k - low - 1))
+    for width in (1 << int(table.shift), 1 << int(table.cell_shift)):
+        for k in map(int, keys):
+            b = k // width * width
+            near.update((k - 1, k, k + 1, b - 1, b, b + width - 1, b + width,
+                         k - width, k + width, b - width, b + 2 * width,
+                         k - low, k - low - 1))
     values = np.array(sorted({x & ~low for x in near if 0 <= x <= U64}),
                       dtype=np.uint64)
     if low:
@@ -314,11 +327,10 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     skew = collect_rows(13, 6, "skew")
     sym = collect_rows(13, 4, "symmetric")
     shape = ((2, 2), (2, 2), (5, 3), (1, 11))
-    xs = [subfile(skew, range(i, i + nx)) for i, (nx, _) in enumerate(shape)]
-    ys = [subfile(sym, range(i, i + ny)) for i, (_, ny) in enumerate(shape)]
+    xs = [hashed(subfile(skew, range(i, i + nx))) for i, (nx, _) in enumerate(shape)]
+    ys = [hashed(subfile(sym, range(i, i + ny))) for i, (_, ny) in enumerate(shape)]
     pairs = sum(nx * ny for nx, ny in shape)
-    side = gsdf.matcher._Side((xs, ys), pairs, (0, 2), slice(0, 6),
-                              gsdf.matcher._HASH_MULT[:6])
+    side = gsdf.matcher._Side((xs, ys), pairs, (0, 2))
     kx, ky = side.keys
     sizes, end = [], 0
     for offset, keys in side.blocks():

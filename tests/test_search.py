@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gsdf.family
 import gsdf.matcher
 import gsdf.search
+import gsdf.verify
 from gsdf.blockgen import collect_rows
 from gsdf.equivalence import orbit_least, units
 from gsdf.family import format_family
@@ -70,9 +72,9 @@ def test_expand_over_units_sorts_and_deduplicates():
     quad = [0b0010110, 0b0010110, 0b0010110, 0b0000001]  # {1,2,4} x3, {0}
     # {1,2,4} is fixed by the squares 1, 2, 4 and sent to {3,5,6} by the rest
     other = [0b1101000] * 3 + [1]
-    assert expand_over_units(v, [quad]) == [quad, other]
-    assert expand_over_units(v, [quad, other]) == [quad, other]
-    assert expand_over_units(v, []) == []
+    assert expand_over_units(v, [quad]).tolist() == [quad, other]
+    assert expand_over_units(v, [quad, other]).tolist() == [quad, other]
+    assert expand_over_units(v, []).shape == (0, 4)
 
 
 def test_expand_over_units_equals_np_unique():
@@ -88,7 +90,7 @@ def test_expand_over_units_equals_np_unique():
         if v == 63:
             assert ((quads[:30] >> 62) & 1).any()
         oracle = np.unique(dilate_mask(v, quads, units(v)).reshape(-1, 4), axis=0)
-        assert expand_over_units(v, quads) == oracle.tolist()
+        assert np.array_equal(expand_over_units(v, quads), oracle)
 
 
 def test_a_search_imports_no_module():
@@ -112,6 +114,34 @@ def test_a_search_imports_no_module():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
+    """The expanded families share one CyclicSubset per distinct mask, and
+    the blocks' tags and signed rows come from one array pass each over
+    the distinct masks: `negate_mask` in `family` and `_pm_rows` in
+    `verify` are each called once, with every one of them."""
+    calls = []
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(v, masks, *args):
+            calls.append((name, len(masks)))
+            return inner(v, masks, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(gsdf.family, "negate_mask")
+    count(gsdf.verify, "_pm_rows")
+    gsdf.family.mask_tags.values.clear()
+    gsdf.verify.signed_rows.values.clear()
+    params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
+    families = search_param(params, "kkks").families
+    distinct = {b.mask for fam in families for b in fam.blocks}
+    assert len(distinct) < 4 * len(families)
+    assert len({id(b) for fam in families for b in fam.blocks}) == len(distinct)
+    assert calls == [("negate_mask", len(distinct)), ("_pm_rows", len(distinct))]
 
 
 def file_keys(p, type_name):

@@ -169,20 +169,29 @@ def move_one_element(fam, rng, keep_tags=False):
     """The family with one element of one block moved to a residue outside it.
 
     With keep_tags, an x of the skew block X_1 moves to -x, so X_1 stays
-    skew.  A move that keeps the block's difference counts (a translate,
-    say) is drawn again; any other breaks their constant sum.
+    skew.  Moves (block, x, target) are drawn from rng and each is tried
+    once: one that keeps the block's difference counts (a translate, say)
+    is passed over, and any other breaks their constant sum.  When every
+    move keeps them, as at v = 3, it is a ValueError.
     """
     v = fam.v
-    while True:
-        i = 0 if keep_tags else rng.choice(
-            [j for j, b in enumerate(fam.blocks) if 0 < len(b) < v])
+    movable = [0] if keep_tags else [j for j, b in enumerate(fam.blocks) if 0 < len(b) < v]
+    moves = sum(len(fam.blocks[i]) * (1 if keep_tags else v - len(fam.blocks[i]))
+                for i in movable)
+    tried = set()
+    while len(tried) < moves:
+        i = movable[0] if keep_tags else rng.choice(movable)
         b = fam.blocks[i]
         x = rng.choice(b.elements)
         out = -x % v if keep_tags else rng.choice([y for y in range(v) if y not in b])
+        if (i, x, out) in tried:
+            continue
+        tried.add((i, x, out))
         moved = CyclicSubset(v, b.mask ^ 1 << x ^ 1 << out)
         if any(moved.difference_count(s) != b.difference_count(s)
                for s in range(1, v)):
             return Family(fam.params, fam.blocks[:i] + (moved,) + fam.blocks[i + 1:])
+    raise ValueError(f"no move of one element changes a block of {fam}")
 
 
 def test_verify_family_uses_the_public_checks():
@@ -201,6 +210,17 @@ def test_verify_family_uses_the_public_checks():
     assert {f.pattern for f in corrupted} >= {"kkks", "kkss", "ksss"}
     for fam in real + corrupted:
         assert certificate_by_public_checks(fam).ok == (fam in real)
+
+
+def test_move_one_element_refuses_order_3():
+    # every block of an order-3 family has at most one element, or two, so
+    # each move gives a translate and keeps the difference counts
+    fams = [f for o in search_order(3, "ksss") for f in o.families]
+    assert fams
+    for fam in fams:
+        for keep in (False, True):
+            with pytest.raises(ValueError, match="no move"):
+                move_one_element(fam, random.Random(3), keep)
 
 
 def certificate_by_public_checks(fam):

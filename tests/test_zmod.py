@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdf.blockgen import _psd_max, difference_counts
-from gsdf.zmod import (CyclicSubset, dilate_mask, mask_elements, negate_mask,
-                       rotate_mask)
+from gsdf.zmod import (CyclicSubset, MaskCache, dilate_mask, mask_elements,
+                       negate_mask, rotate_mask)
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
 
@@ -86,6 +86,28 @@ def test_symmetry_predicates():
     assert not CyclicSubset.from_elements(6, [1, 2]).is_skew()  # even v never skew
     assert CyclicSubset(7, 0).is_symmetric()
     assert not CyclicSubset(7, 0).is_skew()
+
+
+def test_mask_cache_computes_each_mask_once_per_fill_and_stays_bounded():
+    calls = []
+
+    def compute(v, masks):
+        calls.append((v, masks))
+        return [1000 * v + m for m in masks]
+
+    cache = MaskCache(compute, 3)
+    assert cache(7, [1, 2, 1]) == [7001, 7002, 7001]
+    assert cache.one(7, 2) == 7002 and cache(7, [2, 1]) == [7002, 7001]
+    assert calls == [(7, [1, 2])]
+    assert cache.one(9, 1) == 9001  # (v, mask) is the key
+    assert calls[-1] == (9, [1]) and len(cache.values) == 3
+    # a fill past the bound empties the cache first, and recomputes the
+    # masks of the call that it held
+    assert cache(7, [1, 4]) == [7001, 7004]
+    assert calls[-1] == (7, [1, 4]) and len(cache.values) == 2
+    # one fill over the bound is held whole
+    assert cache(7, [5, 6, 8, 10]) == [7005, 7006, 7008, 7010]
+    assert len(cache.values) == 4
 
 
 def test_difference_row_example():
