@@ -11,7 +11,8 @@ from .matcher import bins_match, brute_force_match, match_cases
 from .params import (GsParamSet, enumerate_param_sets, kkks_param_set,
                      kkss_param_sets, searchable_param_sets)
 from .verify import (build_gs_array, check_difference_family, check_gs_matrices,
-                     is_hadamard, is_skew_hadamard, verify_family)
+                     is_hadamard, is_skew_hadamard, verify_families,
+                     verify_family)
 from .zmod import CyclicSubset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,7 +37,6 @@ sorted by block encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -99,10 +98,15 @@ def symmetric_masks(v: int, k: int) -> np.ndarray:
         raise ValueError(f"size {k} out of range")
     p = (v - 1) // 2
     npairs, fixed = divmod(k, 2)
-    pair = [(1 << i) | (1 << (v - i)) for i in range(1, p + 1)]
-    base = 1 if fixed else 0
-    masks = np.fromiter((base + sum(c) for c in combinations(pair, npairs)),
-                        dtype=np.int64)
+    # Pascal's recurrence: after pair i, level[r] holds the masks of r of
+    # the first i pairs; a level that the remaining pairs cannot fill up
+    # to npairs is no longer extended
+    level = [np.zeros(1, np.int64)] + [np.zeros(0, np.int64)] * npairs
+    for i in range(1, p + 1):
+        pair = (1 << i) | (1 << (v - i))
+        for r in range(min(i, npairs), max(0, npairs - p + i - 1), -1):
+            level[r] = np.concatenate((level[r], level[r - 1] + pair))
+    masks = level[npairs] + fixed
     masks.sort()
     return masks
 

@@ -21,7 +21,7 @@ from .matcher import bins_match, default_jobs
 from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
                      searchable_param_sets, type_applicable)
 from .search import SearchOptions, order_param_sets, search_order, table_comparison
-from .verify import build_gs_array, verify_family, write_hadamard
+from .verify import build_gs_array, verify_families, write_hadamard
 from .zmod import CyclicSubset
 
 
@@ -90,8 +90,8 @@ def cmd_verify(args) -> int:
         print("error: --hadamard needs a single-record file", file=sys.stderr)
         return 2
     all_ok = True
-    for i, fam in enumerate(fams, 1):
-        cert = verify_family(fam)
+    for i, cert in enumerate(verify_families(fams), 1):
+        fam = cert.family
         parts = [f"difference-family={'ok' if cert.diff.ok else 'FAIL'}",
                  f"lambda={'ok' if cert.lam_matches else 'FAIL'}",
                  f"gram={'ok' if cert.gs else 'FAIL'}",
@@ -156,13 +156,13 @@ def cmd_catalog(args) -> int:
         return 0
     # verify-all
     bad = []
-    for e in catalog_entries():
-        cert = verify_family(e.family)
+    entries = catalog_entries()
+    for e, cert in zip(entries, verify_families(e.family for e in entries)):
         print(f"{e.label} {e.params} {e.type_name}: "
               f"{'ok' if cert.ok else 'FAIL'}")
         if not cert.ok:
             bad.append(e.label)
-    print(f"{len(catalog_entries())} entries, {len(bad)} failures")
+    print(f"{len(entries)} entries, {len(bad)} failures")
     return 0 if not bad else 2
 
 

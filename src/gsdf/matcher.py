@@ -75,15 +75,30 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from multiprocessing import get_context
 
 import numpy as np
 
 SPLIT_LIMIT = 10 ** 6
 BRUTE_FORCE_GUARD = 10 ** 8
 
-_HASH_MULT = np.random.default_rng(0x9E3779B97F4A7C15).integers(
-    1, 1 << 63, size=64, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(seed: int, n: int) -> list:
+    """The first n outputs of the SplitMix64 generator from seed."""
+    out = []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+# one odd multiplier per difference column, in pure Python: numpy.random
+# would be an import of its own
+_HASH_MULT = np.array([m | 1 for m in _splitmix64(0x9E3779B97F4A7C15, 64)],
+                      dtype=np.uint64)
 _CHUNK = 1 << 15
 _ROUNDS = 4
 
@@ -427,6 +442,7 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
         raise ValueError("jobs must be positive")
     groups = _leaves(match_cases(files, lam))
     if jobs > 1 and len(groups) > 1:
+        from multiprocessing import get_context  # only a parallel match needs it
         # the workers are forked holding the groups, so a task is an index;
         # the groups with most pairs go first, so none of them starts last
         order = sorted(range(len(groups)), key=lambda i: sum(groups[i].pairs),

@@ -28,9 +28,11 @@ it is re-verified.  `bins_match` itself is unreduced, as row files given
 to `gsdf match` need not be closed under dilation.
 
 The expanded families share their blocks: each distinct mask becomes one
-`CyclicSubset`, and its tag and its signed row (`verify_family`'s source)
-are computed in one array pass each over the distinct masks, found by a
-sort, before any family reads them from the caches.
+`CyclicSubset`, and its tag is computed in one array pass over the
+distinct masks, found by a sort, before any family reads it from the
+cache.  The families are certified in one `verify_families` call, which
+unpacks their distinct masks in one pass of its own and checks them a
+chunk at a time; the search raises on the first certificate that fails.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ from .family import Family, mask_tags
 from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
-from .verify import signed_rows, verify_family
+# verify_family stays a name of this module: bench/spans.py wraps it
+from .verify import verify_families, verify_family  # noqa: F401
 from .zmod import CyclicSubset, dilate_mask
 
 
@@ -125,16 +128,14 @@ def search_param(params: GsParamSet, type_name: str,
     quads = expand_over_units(v, found)
     masks = np.sort(quads, axis=None)
     distinct = masks[np.diff(masks, prepend=-1) != 0].tolist()
-    # fill the caches that the families' tags and certificates read
+    # fill the cache that the families' tags read
     mask_tags(v, distinct)
-    signed_rows(v, distinct)
     blocks = {m: CyclicSubset(v, m) for m in distinct}
     families = [Family(params, tuple(map(blocks.__getitem__, quad)))
                 for quad in quads.tolist()]
-    for fam in families:
-        cert = verify_family(fam)
+    for cert in verify_families(families):
         if not cert.ok:
-            raise RuntimeError(f"matcher emitted an invalid family: {fam}")
+            raise RuntimeError(f"matcher emitted an invalid family: {cert.family}")
     out = ParamOutcome(params, type_name, True, families)
     if options.classified and families:
         out.classes = classify(families)

@@ -29,62 +29,83 @@ circulant X, so that
 - A_1 is of skew type exactly when X_1 is skew;
 - the Gram sum of (A_1, B_1, B_2, B_3) is the Gram sum of the A_i.
 
-`_gs_array` is the one construction of H (`build_gs_array` is its int64
-form).  Each entry of H is +-1 times an entry of one of the four first
-rows: Z_i[r, c] is row i at (c - r) mod v, (Z_i R)[r, c] at
-(-1 - r - c) mod v and (Z_i^T R)[r, c] at (r + c + 1) mod v.  So H is a
-single `take` from its source, the 8v entries
-[row_1, -row_1, ..., row_4, -row_4], through a flat index of its 16v^2
-entries cached per v.  Each block's [row, -row] is unpacked from the
-mask's bits and cached read-only per (v, mask) (`signed_rows`), as
-`family.mask_tags` caches tags, so a family's source is one
-concatenate.  A search unpacks all of its families' distinct masks in one
-`_pm_rows` call before it certifies them; a mask not cached is unpacked
-by the same call on its own.
+Each entry of H is +-1 times an entry of one of the four first rows:
+Z_i[r, c] is row i at (c - r) mod v, (Z_i R)[r, c] at (-1 - r - c) mod v
+and (Z_i^T R)[r, c] at (r + c + 1) mod v.  So H is a single `take` from
+its source, the 8v entries [row_1, -row_1, ..., row_4, -row_4], through
+a flat index of its 16v^2 entries cached per v (`_gs_index`).
+`_gs_arrays` is the one construction of H, for a stack of sources at
+once; `build_gs_array` is its int64 form for one family.
 
-`verify_family` builds H once, computes P = H H^T once and reads every
-certificate from the source, H, H^T and P.  The first block row of H is
-[A_1 | A_2 R | A_3 R | A_4 R], and R R^T = I, so P[:v, :v] is the Gram
-sum G = sum A_i A_i^T: it gives the Gram condition and, through its
-first row (one `tolist`), the difference multiplicities
+`verify_families` certifies a list of families, one run of consecutive
+families of one order v at a time.  It finds the run's distinct masks by
+a sort, unpacks them all in one `_pm_rows` call and maps each block to
+its row.  The +-1 test runs once, over those distinct rows: every entry
+of H is a copy of an entry of its four rows or their negatives.  The run
+is then certified _CHUNK = 8 families at a time, in three float32
+buffers of 8 (or, for a shorter run, N) 4v x 4v slots, allocated once
+per run: the chunk's H are one `take` of
+their sources along axis 1, its H^T one `copyto`, and each P = H H^T one
+2-D `matmul` into its slot.  A short last chunk uses the leading slots
+only.  Every certificate of a family is read from its H, H^T and P.  The
+first block row of H is [A_1 | A_2 R | A_3 R | A_4 R], and R R^T = I, so
+P[:v, :v] is the Gram sum G = sum A_i A_i^T: it gives the Gram condition
+and, through its first row, the difference multiplicities
 (G[0, s] = sum_i PAF_i(s) and PAF(s) = v - 4k + 4 d(s) for a block of
-size k).  P is compared with 4vI once.  G is P's top-left block, so the
-Gram condition holds when P's does, and G is compared on its own only
-when P's fails.  The Hadamard test is P's comparison and the +-1 test,
-which reads the 8v source entries rather than the 16v^2 of H: every
-entry of H is a copy of one of them.  H + H^T gives the skew-type test,
-and the pattern's special certificate is the Gram condition.  No
-circulant of a single block is built on that path; the public checks
-below, which also take bare matrices, build them.
+size k), read for the whole chunk in one integer pass.  The chunk's P
+are compared with 4vI in one comparison.  G is P's top-left block, so
+the Gram condition holds when P's does, and G is compared on its own
+only for a P that fails.  The Hadamard test is P's comparison and the
++-1 test.  H + H^T, summed into the P buffers once P has been read,
+gives the skew-type tests, and the pattern's special certificate is the
+Gram condition.  The certificates are yielded a chunk at a time, so no
+list of them stays alive; `verify_family` is `verify_families` of one
+family.  No circulant of a single block is built on that path; the
+public checks below, which also take bare matrices, build them.
 
 All checks are exact integer identities.  The products run in floating
 point through BLAS (numpy has no BLAS for integer matmul), and that is
 exact while every partial sum is an integer the format holds.
-`verify_family` gathers H in float32 and runs its products in float32:
+`verify_families` gathers H in float32 and runs its products in float32:
 every entry is +-1, so every partial sum is an integer of absolute value
 at most the inner dimension, at most 4v, and float32 holds every integer
 up to 2^24.  That is exact for v <= 2^22; `check_width` caps the search
 at v <= 63, an inner dimension of at most 252.  Each scalar-matrix
 certificate (P, the Gram sum when P fails, H + H^T) is one comparison
-`(x == cI).all()` with a cached, read-only c I.  The public checks below
-take arbitrary integer matrices and run their products in float64; they
-are the oracle the certificate is tested against.
+`x == cI` with a cached, read-only c I.  The public checks below take
+arbitrary integer matrices and run their products in float64; they are
+the oracle the certificate is tested against.
 
-Certification stays one family per call.  On the 3760 families of
-orders 21-25, complete certificates stacked into (c, 4v, 4v) arrays
-took as long as per-family ones or longer at every c from 8 to 64; from
-c = 32 on even the stacked gather, product and comparisons alone did,
-as the float32 temporaries leave the cache.
+What a chunk batches was measured on the 3760 families of orders 21-25
+(a 2-core x86-64 machine, numpy 2.4, one BLAS thread, best of 7 warm
+passes).  One family per call took 185-204 ms, about 50 us a family, of
+which the float32 product is 14-15 us at v = 25; the rest was
+per-family overhead: some 15 small numpy calls, cache lookups and a
+Python pass over the difference sums.  In chunks of c families they took
+137-152 ms at c = 4, 115-126 ms at c = 8, 124-137 ms at c = 16 and
+135-155 ms at c = 32, where the buffers outgrow the cache.  The product
+stays one 2-D `matmul` per family: a stacked `matmul` over the chunk was
+no faster over the whole certificate, and slower (19 against 14 us per
+family) on an earlier measurement.  The gather is one `take` along
+axis 1: at v = 21-29 it took 4-8 us per family, against 6-10 us for a
+1-D `take` per family and 9-32 us for the fancy index `source[:, index]`.
+The certificates are yielded a chunk at a time; returning a list of all
+of them, gathered from one (N, 8v) source, raised a search's peak RSS by
+1.7-3.0 MiB.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
 from .family import TAG_SKEW, Family
-from .zmod import CyclicSubset, MaskCache
+from .zmod import CyclicSubset
+
+_CHUNK = 8  # families per chunk of `verify_families`
 
 
 def _pm_rows(v: int, masks, dtype=np.int64) -> np.ndarray:
@@ -142,9 +163,14 @@ def _scalar_matrix(n: int, c: int) -> np.ndarray:
     return m
 
 
+def _are_scalar(g: np.ndarray, c: int) -> np.ndarray:
+    """g[i] == c I for each matrix of a stack g, in one comparison."""
+    return (g == _scalar_matrix(g.shape[-1], c)).all(axis=(-2, -1))
+
+
 def _is_scalar(g: np.ndarray, c: int) -> bool:
-    """g == c I, in one comparison."""
-    return bool((g == _scalar_matrix(len(g), c)).all())
+    """g == c I."""
+    return bool(_are_scalar(g, c))
 
 
 def _is_skew_type(h: np.ndarray, ht: np.ndarray) -> bool:
@@ -165,18 +191,19 @@ class DiffFamilyCheck:
         return self.ok
 
 
-def _difference_check(first_row: list, sizes) -> DiffFamilyCheck:
-    """Difference multiplicities from the first row of the Gram sum of
-    blocks of the given sizes, as a list."""
-    v = len(first_row)
-    ksum = sum(sizes)
+def _difference_checks(first_rows: np.ndarray, ksums, nblocks: int) -> list:
+    """Difference multiplicities from the first rows of Gram sums, an
+    (m, v) float array: row i is of nblocks blocks of total size ksums[i].
+    One integer pass over all m rows."""
+    v = first_rows.shape[1]
     if v == 1:
-        return DiffFamilyCheck(True, ksum - v, ())
+        return [DiffFamilyCheck(True, ksum - v, ()) for ksum in ksums]
     # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
-    shift = 4 * ksum - len(sizes) * v
-    sums = [(int(g) + shift) // 4 for g in first_row[1:]]
-    ok = sums.count(sums[0]) == len(sums)
-    return DiffFamilyCheck(ok, sums[0] if ok else None, tuple(sums))
+    shift = 4 * np.array(ksums, np.int64)[:, None] - nblocks * v
+    sums = (first_rows[:, 1:].astype(np.int64) + shift) // 4
+    ok = (sums == sums[:, :1]).all(axis=1)
+    return [DiffFamilyCheck(o, s[0] if o else None, tuple(s))
+            for o, s in zip(ok.tolist(), sums.tolist())]
 
 
 def check_difference_family(blocks) -> DiffFamilyCheck:
@@ -188,7 +215,7 @@ def check_difference_family(blocks) -> DiffFamilyCheck:
     if any(b.v != v for b in blocks):
         raise ValueError("blocks live in different groups")
     gram = _gram([circulant(b) for b in blocks])
-    return _difference_check(gram[0].tolist(), [len(b) for b in blocks])
+    return _difference_checks(gram[:1], [sum(map(len, blocks))], len(blocks))[0]
 
 
 def check_gs_matrices(fam_or_mats) -> bool:
@@ -218,43 +245,25 @@ def _gs_index(v: int) -> np.ndarray:
     return index
 
 
-def _signed(v: int, masks: list) -> np.ndarray:
-    """[row, -row] for the +-1 row of each mask, in float32, read-only,
-    from one `_pm_rows` call."""
-    rows = _pm_rows(v, masks, np.float32)
-    signed = np.concatenate((rows, -rows), axis=1)
-    signed.flags.writeable = False
-    return signed
-
-
-# [row, -row] of a list of width-v masks, each unpacked once per (v, mask);
-# bounded, as a long search meets many masks and each entry holds 8v bytes
-signed_rows = MaskCache(_signed, 1 << 14)
-
-
-def _signed_row(v: int, mask: int) -> np.ndarray:
-    """`signed_rows` of one mask."""
-    return signed_rows.one(v, mask)
-
-
-def _gs_source(fam: Family) -> np.ndarray:
-    """The 8v entries the array copies: each block's +-1 row and its negative."""
-    return np.concatenate([_signed_row(fam.v, b.mask) for b in fam.blocks])
-
-
-def _gs_array(source: np.ndarray, v: int) -> np.ndarray:
-    """The 4v x 4v Goethals-Seidel array, in one gather from its source."""
-    return source.take(_gs_index(v)).reshape(4 * v, 4 * v)
+def _gs_arrays(sources: np.ndarray, v: int, out=None) -> np.ndarray:
+    """The 4v x 4v Goethals-Seidel array of each source, a row of the
+    (m, 8v) array sources, in one gather; into out when given.  The index
+    is in range, and "wrap" keeps numpy from buffering `out`."""
+    m = len(sources)
+    flat = None if out is None else out.reshape(m, -1)
+    h = sources.take(_gs_index(v), axis=1, out=flat, mode="wrap")
+    return h.reshape(m, 4 * v, 4 * v)
 
 
 def build_gs_array(fam: Family) -> np.ndarray:
     """The 4v x 4v Goethals-Seidel array, as int64."""
-    return _gs_array(_gs_source(fam), fam.v).astype(np.int64)
+    rows = _pm_rows(fam.v, [b.mask for b in fam.blocks])
+    return _gs_arrays(np.concatenate((rows, -rows), axis=1).reshape(1, -1), fam.v)[0]
 
 
-def _is_pm1(x: np.ndarray) -> bool:
-    """Every entry of x is +1 or -1."""
-    return bool(((x == 1) | (x == -1)).all())
+def _is_pm1(x: np.ndarray, axis=None):
+    """Every entry of x is +1 or -1 (or of each line along axis)."""
+    return ((x == 1) | (x == -1)).all(axis=axis)
 
 
 def is_hadamard(h: np.ndarray) -> bool:
@@ -262,7 +271,7 @@ def is_hadamard(h: np.ndarray) -> bool:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         return False
     f = h.astype(np.float64)
-    return _is_pm1(h) and _is_scalar(f @ f.T, len(h))
+    return bool(_is_pm1(h)) and _is_scalar(f @ f.T, len(h))
 
 
 def is_skew_hadamard(h: np.ndarray) -> bool:
@@ -315,29 +324,64 @@ class FamilyCertificate:
         return all(checks)
 
 
-def verify_family(fam: Family) -> FamilyCertificate:
-    """Run every applicable exact check on a family, from one float32 array
-    H and its one product P = H H^T.  Good, G- and best matrices are the
-    Gram condition on their pattern, so a named special certificate is `gs`.
+def _verify_run(v: int, fams: list):
+    """`verify_families` of families of one order v."""
+    n = 4 * v
+    masks = np.array([[b.mask for b in f.blocks] for f in fams],
+                     dtype=np.int64 if v <= 63 else object).ravel()
+    # the distinct masks by a sort, and each block's row among them
+    order = np.argsort(masks)
+    fresh = np.ones(len(masks), dtype=bool)
+    fresh[1:] = masks[order[1:]] != masks[order[:-1]]
+    block_row = np.empty(len(masks), dtype=np.intp)
+    block_row[order] = np.cumsum(fresh) - 1
+    block_row = block_row.reshape(-1, 4)
+    rows = _pm_rows(v, masks[order[fresh]].tolist(), np.float32)
+    # every entry of H is a copy of an entry of its four rows or their negatives
+    pm1 = _is_pm1(rows, axis=1)[block_row].all(axis=1)
+    signed = np.concatenate((rows, -rows), axis=1)
+    c = min(_CHUNK, len(fams))
+    h, ht, p = (np.empty((c, n, n), np.float32) for _ in range(3))
+    for start in range(0, len(fams), c):
+        chunk = fams[start:start + c]
+        m = len(chunk)
+        hc, htc, pc = h[:m], ht[:m], p[:m]
+        _gs_arrays(signed[block_row[start:start + m]].reshape(m, -1), v, out=hc)
+        # a contiguous H^T: numpy hands h @ h.T to syrk, which is slower
+        # than gemm at these sizes, and the skew-type test reads it too
+        np.copyto(htc, hc.transpose(0, 2, 1))
+        for i in range(m):
+            np.matmul(hc[i], htc[i], out=pc[i])
+        p_ok = _are_scalar(pc, 4 * v)
+        gs = p_ok.tolist()
+        # the Gram sum is P's top-left block, so it is 4vI when P is
+        for i in np.flatnonzero(~p_ok):
+            gs[i] = _is_scalar(pc[i, :v, :v], 4 * v)
+        diffs = _difference_checks(pc[:, 0, :v], [sum(f.params.k) for f in chunk], 4)
+        had = p_ok & pm1[start:start + m]
+        skew_type = had & _are_scalar(np.add(hc, htc, out=pc), 2)
+        for fam, diff, g, hd, sk in zip(chunk, diffs, gs, had.tolist(),
+                                        skew_type.tolist()):
+            name = _SPECIAL_NAMES.get(fam.pattern, "")
+            yield FamilyCertificate(
+                fam, diff, diff.ok and diff.lam == fam.params.lam, g, hd,
+                sk if fam.tags[0] == TAG_SKEW else None, name, g if name else None)
+
+
+def verify_families(fams):
+    """Run every applicable exact check on each family, and yield the
+    certificates in order.  Each family is read from one float32 array H
+    and its one product P = H H^T, computed `_CHUNK` families at a time
+    (see the module docstring).  Good, G- and best matrices are the Gram
+    condition on their pattern, so a named special certificate is `gs`.
     """
-    v = fam.v
-    source = _gs_source(fam)
-    h = _gs_array(source, v)
-    # a contiguous H^T: numpy hands h @ h.T to syrk, which is slower than
-    # gemm at these sizes, and the skew-type test reads it too
-    ht = h.T.copy()
-    p = h @ ht
-    diff = _difference_check(p[0, :v].tolist(), fam.params.k)
-    lam_matches = diff.ok and diff.lam == fam.params.lam
-    p_ok = _is_scalar(p, 4 * v)
-    # the Gram sum is P's top-left block, so it is 4vI when P is
-    gs = p_ok or _is_scalar(p[:v, :v], 4 * v)
-    had = p_ok and _is_pm1(source)
-    skew_type = (had and _is_skew_type(h, ht)) if fam.tags[0] == TAG_SKEW else None
-    name = _SPECIAL_NAMES.get(fam.pattern, "")
-    special = gs if name else None
-    return FamilyCertificate(fam, diff, lam_matches, gs, had, skew_type,
-                             name, special)
+    for v, run in groupby(fams, attrgetter("v")):
+        yield from _verify_run(v, list(run))
+
+
+def verify_family(fam: Family) -> FamilyCertificate:
+    """`verify_families` of one family."""
+    return next(verify_families([fam]))
 
 
 def hadamard_text(h: np.ndarray) -> str:

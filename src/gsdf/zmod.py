@@ -19,7 +19,7 @@ byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
 on first use; negation is dilation by v - 1 (`negate_mask`), and
 `is_skew_mask` is the one skew test, on masks and their negations.
 `MaskCache` keeps values computed per mask by an array function: the
-block tags of `family` and the signed rows of `verify`.
+block tags of `family`.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -31,6 +32,22 @@ def test_symmetric_generation_is_exhaustive(v):
         brute = {m for m in range(1 << v)
                  if CyclicSubset(v, m).is_symmetric() and m.bit_count() == k}
         assert got == brute
+
+
+def symmetric_by_combinations(v, k):
+    """The symmetric k-subsets of Z_v by definition: every choice of
+    k // 2 pairs {i, v - i}, with 0 when k is odd."""
+    pairs = [(1 << i) | (1 << (v - i)) for i in range(1, (v + 1) // 2)]
+    return sorted(k % 2 + sum(c) for c in combinations(pairs, k // 2))
+
+
+@pytest.mark.parametrize("v, ks", [*((v, range(v + 1)) for v in range(1, 32, 2)),
+                                   (41, [16]), (43, [19])])
+def test_symmetric_masks_are_the_combinations(v, ks):
+    for k in ks:
+        masks = symmetric_masks(v, k)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == symmetric_by_combinations(v, k), (v, k)
 
 
 def test_symmetric_fixed_point_membership():

@@ -107,20 +107,37 @@ def test_a_search_imports_no_module():
         assert all(out.families and out.classes and out.smalls for out in outs)
         print(sorted(set(sys.modules) - before))
     """
+    assert run_fresh(code) == "[]\n"
+
+
+def test_importing_gsdf_loads_neither_multiprocessing_nor_numpy_random():
+    # a parallel match imports multiprocessing itself, and the matcher's
+    # hash multipliers come from a few lines of SplitMix64
+    code = """if True:
+        import sys
+        import gsdf
+        print([m for m in ("multiprocessing", "numpy.random") if m in sys.modules])
+    """
+    assert run_fresh(code) == "[]\n"
+
+
+def run_fresh(code: str) -> str:
+    """The output of code run in a fresh interpreter that imports gsdf
+    from this source tree."""
     src = str(Path(gsdf.search.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
 
 
 def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     """The expanded families share one CyclicSubset per distinct mask, and
-    the blocks' tags and signed rows come from one array pass each over
-    the distinct masks: `negate_mask` in `family` and `_pm_rows` in
-    `verify` are each called once, with every one of them."""
+    the blocks' tags and +-1 rows come from one array pass each over the
+    distinct masks: `negate_mask` in `family` and `_pm_rows` in `verify`
+    are each called once, with every one of them."""
     calls = []
 
     def count(module, name):
@@ -135,7 +152,6 @@ def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     count(gsdf.family, "negate_mask")
     count(gsdf.verify, "_pm_rows")
     gsdf.family.mask_tags.values.clear()
-    gsdf.verify.signed_rows.values.clear()
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     families = search_param(params, "kkks").families
     distinct = {b.mask for fam in families for b in fam.blocks}

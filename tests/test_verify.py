@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gsdf.search
+import gsdf.verify
 from gsdf.catalog import catalog_entries, catalog_entry
 from gsdf.family import Family, family_from_blocks
 from gsdf.params import (enumerate_param_sets, searchable_param_sets,
@@ -14,7 +15,8 @@ from gsdf.search import search_order, search_param
 from gsdf.verify import (build_gs_array, check_difference_family,
                          check_good_matrices, check_gs_matrices, circulant,
                          family_circulants, hadamard_text, is_hadamard,
-                         is_skew_hadamard, verify_family, write_hadamard)
+                         is_skew_hadamard, verify_families, verify_family,
+                         write_hadamard)
 from gsdf.zmod import CyclicSubset
 
 
@@ -224,9 +226,14 @@ def test_move_one_element_refuses_order_3():
 
 
 def certificate_by_public_checks(fam):
-    """fam's certificate, each field asserted equal to the float64 public
+    """fam's certificate, by `checked_by_public_checks`."""
+    return checked_by_public_checks(verify_family(fam))
+
+
+def checked_by_public_checks(cert):
+    """The certificate, each field asserted equal to the float64 public
     check on the block formula's array and the blocks' circulants."""
-    cert = verify_family(fam)
+    fam = cert.family
     mats = family_circulants(fam)
     h = gs_block_formula(fam)
     assert cert.family == fam
@@ -313,17 +320,120 @@ def test_certificates_agree_with_bit_level_counts(fam):
 
 
 def test_search_verifies_each_family_once(monkeypatch):
-    # bench/spans.py times verification by wrapping this module-global name
-    seen = []
+    # one `verify_families` call with every family, each certificate consumed
+    calls, yielded = [], []
 
-    def counting(fam):
-        seen.append(fam)
-        return verify_family(fam)
+    def counting(fams):
+        calls.append(list(fams))
+        for cert in verify_families(calls[-1]):
+            yielded.append(cert.family)
+            yield cert
 
-    monkeypatch.setattr(gsdf.search, "verify_family", counting)
+    monkeypatch.setattr(gsdf.search, "verify_families", counting)
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     out = search_param(params, "kkks")
-    assert out.families and seen == out.families
+    assert out.families and calls == [out.families]
+    assert yielded == out.families
+
+
+CHUNK = gsdf.verify._CHUNK
+
+
+@pytest.fixture(scope="module")
+def order_7():
+    """Every family of order 7, in a fixed random order: two parameter
+    sets, and the patterns of all three types."""
+    fams = [f for t in ("ksss", "kkss", "kkks") for o in search_order(7, t)
+            for f in o.families]
+    random.Random(7).shuffle(fams)
+    assert len({f.params for f in fams}) == 2 and len({f.pattern for f in fams}) == 3
+    return fams
+
+
+@pytest.mark.parametrize("n", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3))
+def test_batched_certificates_are_the_public_checks(order_7, n):
+    fams = order_7[:n]
+    certs = [checked_by_public_checks(c) for c in verify_families(fams)]
+    assert [c.family for c in certs] == fams and all(c.ok for c in certs)
+    assert list(verify_families([])) == []
+
+
+# first and last slot of the first chunk and of a full chunk before the
+# short tail, and the first and last slot of the tail
+@pytest.mark.parametrize("slot", (0, CHUNK - 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 2))
+def test_a_corrupted_family_fails_in_any_slot(order_7, slot):
+    fams = order_7[:2 * CHUNK + 3]
+    fams[slot] = move_one_element(fams[slot], random.Random(slot))
+    certs = [checked_by_public_checks(c) for c in verify_families(fams)]
+    assert [c.family for c in certs] == fams
+    assert [c.ok for c in certs] == [i != slot for i in range(len(fams))]
+
+
+def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7):
+    # as a family file can: runs of one order longer than a chunk, single
+    # families between them, good and corrupted ones
+    rng = random.Random(13)
+    order_13 = [f for t in ("ksss", "kkss") for o in search_order(13, t)
+                for f in o.families]
+    fams = (rng.sample(order_13, CHUNK + 2) + [e.family for e in catalog_entries()]
+            + [family_from_blocks(1, [[], [], [], []])] + order_7[:3]
+            + [random_tagged_family(next(p for p in enumerate_param_sets(63)
+                                         if type_applicable(p, "ksss")), "ksss", rng)]
+            + order_7[3:CHUNK + 5])
+    for i in range(1, len(fams), 5):
+        if fams[i].v > 3:
+            fams[i] = move_one_element(fams[i], rng)
+    certs = [checked_by_public_checks(c) for c in verify_families(iter(fams))]
+    assert [c.family for c in certs] == fams
+    assert {True, False} == {c.ok for c in certs}
+    assert len({(f.v, f.params, f.pattern) for f in fams}) >= 10
+
+
+def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch):
+    """Two masks at v = 3 unpack to integer rows that are not +-1 but keep
+    the Gram sum of a family using them 4vI: (3, 3, 3) + (3, -1, -1) +
+    (1, 0, 0) + (5, -2, -2).  Its P is 4vI and its array is still not
+    Hadamard; the typed families of the call, which never use those masks,
+    still are."""
+    pm_rows = gsdf.verify._pm_rows
+    fake = {0b011: (-1, 0, 0), 0b101: (-2, 0, 1)}
+
+    def faked(v, masks, *args):
+        rows = pm_rows(v, masks, *args)
+        for i, m in enumerate(masks):
+            if v == 3 and m in fake:
+                rows[i] = fake[m]
+        return rows
+
+    monkeypatch.setattr(gsdf.verify, "_pm_rows", faked)
+    bad = family_from_blocks(3, [[], [0], [0, 1], [0, 2]])
+    good = [f for t in ("ksss", "kkss", "kkks") for o in search_order(3, t)
+            for f in o.families]
+    # bad's first block is +-1, and bad sits in the second chunk
+    fams = good[:CHUNK + 2] + [bad] + good[CHUNK + 2:]
+    certs = list(verify_families(fams))
+    assert [c.family for c in certs] == fams
+    cert = certs[CHUNK + 2]
+    assert cert.diff.ok and cert.lam_matches and cert.gs
+    assert not cert.hadamard and not cert.ok
+    assert all(c.ok for c in certs if c is not cert)
+
+
+def test_the_gram_certificate_reads_the_first_block_row(monkeypatch, order_7):
+    """With the second block row of H a copy of the first, P is not 4vI,
+    but its top-left block is still the Gram sum: `gs` and the difference
+    sums hold for a difference family, in every slot of a chunk."""
+    gs_index = gsdf.verify._gs_index
+
+    def doubled(v):
+        index = gs_index(v).reshape(4 * v, 4 * v).copy()
+        index[v:2 * v] = index[:v]
+        return index.ravel()
+
+    monkeypatch.setattr(gsdf.verify, "_gs_index", doubled)
+    for cert in verify_families(order_7[:CHUNK + 3]):
+        assert cert.diff.ok and cert.lam_matches and cert.gs
+        assert not cert.hadamard and not cert.ok
 
 
 def test_hadamard_text_output(tmp_path):
