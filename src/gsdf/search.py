@@ -30,9 +30,12 @@ to `gsdf match` need not be closed under dilation.
 The expanded families share their blocks: each distinct mask becomes one
 `CyclicSubset`, and its tag is computed in one array pass over the
 distinct masks, found by a sort, before any family reads it from the
-cache.  The families are certified in one `verify_families` call, which
+cache.  The families are certified in one `verify_families` pass, which
 unpacks their distinct masks in one pass of its own and checks them a
-chunk at a time; the search raises on the first certificate that fails.
+chunk at a time.  The search asks for each family's certificate with one
+`verify_family` call, which takes it from that pass, so certification
+stays one call per family at the layer boundary while its work is
+batched; the search raises on the first certificate that fails.
 """
 from __future__ import annotations
 
@@ -47,8 +50,7 @@ from .family import Family, mask_tags
 from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
-# verify_family stays a name of this module: bench/spans.py wraps it
-from .verify import verify_families, verify_family  # noqa: F401
+from .verify import verify_families, verify_family
 from .zmod import CyclicSubset, dilate_mask
 
 
@@ -133,9 +135,10 @@ def search_param(params: GsParamSet, type_name: str,
     blocks = {m: CyclicSubset(v, m) for m in distinct}
     families = [Family(params, tuple(map(blocks.__getitem__, quad)))
                 for quad in quads.tolist()]
-    for cert in verify_families(families):
-        if not cert.ok:
-            raise RuntimeError(f"matcher emitted an invalid family: {cert.family}")
+    certificates = verify_families(families)
+    for fam in families:
+        if not verify_family(fam, certificates).ok:
+            raise RuntimeError(f"matcher emitted an invalid family: {fam}")
     out = ParamOutcome(params, type_name, True, families)
     if options.classified and families:
         out.classes = classify(families)

@@ -59,8 +59,9 @@ only for a P that fails.  The Hadamard test is P's comparison and the
 +-1 test.  H + H^T, summed into the P buffers once P has been read,
 gives the skew-type tests, and the pattern's special certificate is the
 Gram condition.  The certificates are yielded a chunk at a time, so no
-list of them stays alive; `verify_family` is `verify_families` of one
-family.  No circulant of a single block is built on that path; the
+list of them stays alive.  `verify_family` is `verify_families` of one
+family, or takes a family's certificate from a `verify_families` pass
+that its caller walks family by family, as the search does.  No circulant of a single block is built on that path; the
 public checks below, which also take bare matrices, build them.
 
 All checks are exact integer identities.  The products run in floating
@@ -379,9 +380,16 @@ def verify_families(fams):
         yield from _verify_run(v, list(run))
 
 
-def verify_family(fam: Family) -> FamilyCertificate:
-    """`verify_families` of one family."""
-    return next(verify_families([fam]))
+def verify_family(fam: Family, certificates=None) -> FamilyCertificate:
+    """The certificate of `fam`: `verify_families` of that one family, or
+    the next certificate of `certificates`, a `verify_families` iterator
+    over a list the caller walks in order.  A caller that asks for each
+    family's certificate on its own so still pays for a chunk's work once.
+    A certificate of another family is a ValueError."""
+    cert = next(verify_families([fam]) if certificates is None else certificates)
+    if cert.family is not fam:
+        raise ValueError(f"the next certificate is not that of {fam}")
+    return cert
 
 
 def hadamard_text(h: np.ndarray) -> str:

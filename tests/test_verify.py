@@ -321,7 +321,8 @@ def test_certificates_agree_with_bit_level_counts(fam):
 
 def test_search_verifies_each_family_once(monkeypatch):
     # one `verify_families` call with every family, each certificate consumed
-    calls, yielded = [], []
+    # by one `verify_family` call per family, in order
+    calls, yielded, asked = [], [], []
 
     def counting(fams):
         calls.append(list(fams))
@@ -329,11 +330,25 @@ def test_search_verifies_each_family_once(monkeypatch):
             yielded.append(cert.family)
             yield cert
 
+    def asking(fam, certificates=None):
+        asked.append(fam)
+        return verify_family(fam, certificates)
+
     monkeypatch.setattr(gsdf.search, "verify_families", counting)
+    monkeypatch.setattr(gsdf.search, "verify_family", asking)
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     out = search_param(params, "kkks")
     assert out.families and calls == [out.families]
-    assert yielded == out.families
+    assert yielded == asked == out.families
+
+
+def test_verify_family_takes_the_next_certificate_of_its_family(order_7):
+    fams = order_7[:CHUNK + 1]
+    certificates = verify_families(fams)
+    assert [verify_family(f, certificates) for f in fams] == list(verify_families(fams))
+    certificates = verify_families(fams)
+    with pytest.raises(ValueError, match="not that of"):
+        verify_family(fams[1], certificates)
 
 
 CHUNK = gsdf.verify._CHUNK
@@ -380,6 +395,12 @@ def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7):
             + [random_tagged_family(next(p for p in enumerate_param_sets(63)
                                          if type_applicable(p, "ksss")), "ksss", rng)]
             + order_7[3:CHUNK + 5])
+    # v = 65: masks wider than int64, sorted as Python ints; a family, the
+    # same with an element moved (three blocks shared), and it again
+    wide = random_tagged_family(next(p for p in enumerate_param_sets(65)
+                                     if type_applicable(p, "ksss")), "ksss", rng)
+    assert max(b.mask for b in wide.blocks) >= 1 << 63
+    fams[CHUNK:CHUNK] = [wide, move_one_element(wide, rng), wide]
     for i in range(1, len(fams), 5):
         if fams[i].v > 3:
             fams[i] = move_one_element(fams[i], rng)
