@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (or verified), 1 exhaustive search found nothing
-(or a recomputed verdict disagrees with the stored table), 2 bad input.
+(or a recomputed verdict disagrees with the stored table), 2 bad input,
+141 the reader of standard output closed it (as SIGPIPE would end the
+process; nothing is printed).
 The GSDF_JOBS environment variable sets the worker count of `match`,
 `search` and `table1` when --jobs is not given; a value other than a
 positive integer exits 2.
@@ -260,7 +262,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) is None:
             args.jobs = default_jobs()
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # nothing more can be written to stdout, not even at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError) as exc:  # includes the file-format errors
         # str() of a KeyError quotes its message; print the message itself
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

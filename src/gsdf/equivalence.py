@@ -57,8 +57,8 @@ from math import gcd
 import numpy as np
 
 from .family import Family, block_key
-from .zmod import (dilate_mask, is_skew_mask, mask_elements, negate_mask,
-                   rotate_mask)
+from .zmod import (dilate_mask, distinct_masks, is_skew_mask, mask_elements,
+                   negate_mask, rotate_mask)
 
 
 # --- elementary transformations ---------------------------------------------
@@ -163,33 +163,35 @@ def _pack_block_key(v: int, sizes, skew, negated):
 
 def _block_key_of(v: int, packed: np.ndarray) -> list:
     """The `block_key`s that an array of packed keys of `_pack_block_key`
-    stands for, decoded in one array pass."""
+    stands for, decoded in one array pass, each distinct key once."""
+    distinct, index = distinct_masks(packed)
     full = (1 << v) - 1
-    surrogate = packed & ((full << 1) | 1)
+    surrogate = distinct & ((full << 1) | 1)
     reversed_masks = full ^ (surrogate & full)
     masks = rotate_mask(v, negate_mask(v, reversed_masks), -1)
-    return list(map(block_key, masks.tolist(), (surrogate >> v).tolist()))
+    keys = list(map(block_key, masks.tolist(), (surrogate >> v).tolist()))
+    return list(map(keys.__getitem__, index.tolist()))
 
 
 def _class_keys(v: int, families, small: bool) -> list:
     """Canonical keys (or, with ``small``, small keys) of typed families of
     order v, computed together.
 
-    Every distinct block mask X is rotated v ways and each translate T is
-    tagged through the negation table.  The typed translates are dilated
-    by every unit and packed by `_pack_block_key` (the negation of uT is
-    (-u)T).  A block's least option under u is the least over its typed
-    translates and signs +-u (for a small key: u X itself); each unit's
-    four options are sorted, and the lexicographically least over the
-    units is turned back into `block_key` tuples.
+    The distinct block masks come from `distinct_masks`.  Each one, X, is
+    rotated v ways and each translate T is tagged through the negation
+    table.  The typed translates are dilated by every unit and packed by
+    `_pack_block_key` (the negation of uT is (-u)T).  A block's least
+    option under u is the least over its typed translates and signs +-u
+    (for a small key: u X itself); each unit's four options are sorted,
+    and the lexicographically least over the units is turned back into
+    `block_key` tuples.
     """
-    masks = [[b.mask for b in fam.blocks] for fam in families]
-    distinct = list(dict.fromkeys(m for quad in masks for m in quad))
-    where = {m: i for i, m in enumerate(distinct)}
-    index = np.array([[where[m] for m in quad] for quad in masks])
+    masks = np.array([[b.mask for b in fam.blocks] for fam in families],
+                     dtype=np.int64 if v <= 63 else object)
+    x, index = distinct_masks(masks.ravel())
+    index = index.reshape(-1, 4)
     wide = v + 7 > 63
-    x = np.array(distinct, dtype=np.int64 if v <= 63 else object)
-    sizes = np.array([m.bit_count() for m in distinct],
+    sizes = np.array([m.bit_count() for m in x.tolist()],
                      dtype=object if wide else np.int64)
     translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
     negated = negate_mask(v, translates)

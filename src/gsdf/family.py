@@ -9,52 +9,20 @@ order (an empty line denotes the empty block).  `type` gives the
 positional block tags, e.g. ``kkss`` or ``skss`` (k = skew,
 s = symmetric, - = neither).  Lines starting with ``#`` are comments.
 
-Block tags are computed per distinct mask and cached (`mask_tags`): a
-search tags all of its families' distinct masks in one `negate_mask`
-array pass, and `Family.tags` then reads each block's tag from the
-cache; a mask not cached is tagged by the same pass on its own.
+`Family.tags` reads each block's `CyclicSubset.tag`, which the block
+computes once; families that share a block share its tag.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import cached_property
 
 from .params import GsParamSet
-from .zmod import CyclicSubset, MaskCache, is_skew_mask, mask_elements, negate_mask
+from .zmod import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, CyclicSubset, mask_elements
 
-TAG_SKEW = "k"
-TAG_SYMMETRIC = "s"
-TAG_NONE = "-"
 TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
 
 
-def block_tag(x: CyclicSubset) -> str:
-    """The block's tag: skew, else symmetric, else none."""
-    return _mask_tag(x.v, x.mask)
-
-
-def _tags(v: int, masks: list) -> list:
-    """The tags of width-v masks, from one `negate_mask` pass over them."""
-    x = np.array(masks, dtype=np.int64 if v <= 63 else object)
-    negated = negate_mask(v, x)
-    sizes = np.array([m.bit_count() for m in masks], dtype=x.dtype)
-    return np.where(is_skew_mask(v, x, negated, sizes), TAG_SKEW,
-                    np.where(negated == x, TAG_SYMMETRIC, TAG_NONE)).tolist()
-
-
-# the tags of a list of width-v masks, each computed once per (v, mask);
-# bounded, as a long run meets many masks
-mask_tags = MaskCache(_tags, 1 << 14)
-
-
-def _mask_tag(v: int, mask: int) -> str:
-    """`block_tag` of the subset with this mask: `mask_tags` of one mask."""
-    return mask_tags.one(v, mask)
-
-
-@lru_cache(maxsize=None)
 def block_key(mask: int, tag_code: int) -> tuple:
     """Order of tagged blocks in every family key: larger blocks first,
     then skew before symmetric, then by elements."""
@@ -84,7 +52,7 @@ class Family:
     @cached_property
     def tags(self) -> tuple:
         """Per-block tags, computed on first read (the blocks are immutable)."""
-        return tuple(block_tag(b) for b in self.blocks)
+        return tuple(b.tag for b in self.blocks)
 
     @cached_property
     def sort_key(self) -> tuple:

@@ -27,15 +27,15 @@ that is exactly the list the unreduced join gives, and every family of
 it is re-verified.  `bins_match` itself is unreduced, as row files given
 to `gsdf match` need not be closed under dilation.
 
-The expanded families share their blocks: each distinct mask becomes one
-`CyclicSubset`, and its tag is computed in one array pass over the
-distinct masks, found by a sort, before any family reads it from the
-cache.  The families are certified in one `verify_families` pass, which
-unpacks their distinct masks in one pass of its own and checks them a
-chunk at a time.  The search asks for each family's certificate with one
-`verify_family` call, which takes it from that pass, so certification
-stays one call per family at the layer boundary while its work is
-batched; the search raises on the first certificate that fails.
+The expanded families share their blocks: each distinct mask, found by
+`distinct_masks`, becomes one `CyclicSubset`, which computes its tag
+when a family first reads it.  The families are certified in one
+`verify_families` pass, which unpacks their distinct masks in one pass
+of its own and checks them a chunk at a time.  The search asks for each
+family's certificate with one `verify_family` call, which takes it from
+that pass, so certification stays one call per family at the layer
+boundary while its work is batched; the search raises on the first
+certificate that fails.
 """
 from __future__ import annotations
 
@@ -46,12 +46,12 @@ import numpy as np
 from .blockgen import check_width, collect_rows
 from .catalog import table_rows
 from .equivalence import classify, orbit_least, small_classes, units
-from .family import Family, mask_tags
+from .family import Family
 from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
 from .verify import verify_families, verify_family
-from .zmod import CyclicSubset, dilate_mask
+from .zmod import CyclicSubset, dilate_mask, distinct_masks
 
 
 @dataclass
@@ -127,14 +127,10 @@ def search_param(params: GsParamSet, type_name: str,
     least = orbit_least(v, first.masks) == first.masks
     found = bins_match([first.select(least)] + files[1:], params.lam,
                        jobs=options.jobs)
-    quads = expand_over_units(v, found)
-    masks = np.sort(quads, axis=None)
-    distinct = masks[np.diff(masks, prepend=-1) != 0].tolist()
-    # fill the cache that the families' tags read
-    mask_tags(v, distinct)
-    blocks = {m: CyclicSubset(v, m) for m in distinct}
+    distinct, index = distinct_masks(expand_over_units(v, found).ravel())
+    blocks = [CyclicSubset(v, m) for m in distinct.tolist()]
     families = [Family(params, tuple(map(blocks.__getitem__, quad)))
-                for quad in quads.tolist()]
+                for quad in index.reshape(-1, 4).tolist()]
     certificates = verify_families(families)
     for fam in families:
         if not verify_family(fam, certificates).ok:

@@ -14,8 +14,15 @@ Z_i = A_{i+1}, all products with R reordered as shown):
         [ -Z2 R    Z3^T R   Z0      -Z1^T R ]
         [ -Z3 R   -Z2^T R   Z1^T R   Z0    ]
 
-yields a Hadamard matrix of order 4v; when X_1 is skew, H is of skew
-type (H + H^T = 2I).  Each block symmetry pattern names a classical
+yields a Hadamard matrix of order 4v.  Since R X R = X^T for every
+circulant X, (X R)^T = R X^T = X R and (X^T R)^T = R X = X^T R: every
+block X R and X^T R of H is symmetric, and the two blocks of each
+off-diagonal pair carry opposite signs, so they cancel in H + H^T, which
+is I_4 (x) (A_1 + A_1^T).  A_1 + A_1^T = 2I exactly when 0 is not in X_1
+and X_1 holds exactly one of s, -s for each s != 0, that is when X_1 is
+skew.  So H is of skew type (H + H^T = 2I) exactly when X_1 is skew, and
+the skew-type certificate of a family with a skew X_1 is its Hadamard
+certificate.  Each block symmetry pattern names a classical
 special matrix family, and each is the Gram condition on its pattern:
 G-matrices (kkss) and best matrices (kkks) by definition, and good
 matrices (ksss: A_1 of skew type, the back-circulants B_i = A_{i+1} R
@@ -38,16 +45,16 @@ a flat index of its 16v^2 entries cached per v (`_gs_index`).
 once; `build_gs_array` is its int64 form for one family.
 
 `verify_families` certifies a list of families, one run of consecutive
-families of one order v at a time.  It finds the run's distinct masks by
-a sort, unpacks them all in one `_pm_rows` call and maps each block to
-its row.  The +-1 test runs once, over those distinct rows: every entry
-of H is a copy of an entry of its four rows or their negatives.  The run
-is then certified _CHUNK = 8 families at a time, in three float32
-buffers of 8 (or, for a shorter run, N) 4v x 4v slots, allocated once
-per run: the chunk's H are one `take` of
-their sources along axis 1, its H^T one `copyto`, and each P = H H^T one
-2-D `matmul` into its slot.  A short last chunk uses the leading slots
-only.  Every certificate of a family is read from its H, H^T and P.  The
+families of one order v at a time.  It finds the run's distinct masks
+(`distinct_masks`), unpacks them all in one `_pm_rows` call and maps
+each block to its row.  The +-1 test runs once, over those distinct
+rows: every entry of H is a copy of an entry of its four rows or their
+negatives.  The run is then certified _CHUNK = 8 families at a time, in
+three float32 buffers of 8 (or, for a shorter run, N) 4v x 4v slots,
+allocated once per run: the chunk's H are one `take` of their sources
+along axis 1, its H^T one `copyto`, and each P = H H^T one 2-D `matmul`
+into its slot.  A short last chunk uses the leading slots only.  Every
+certificate of a family is read from its P, its rows and its tags.  The
 first block row of H is [A_1 | A_2 R | A_3 R | A_4 R], and R R^T = I, so
 P[:v, :v] is the Gram sum G = sum A_i A_i^T: it gives the Gram condition
 and, through its first row, the difference multiplicities
@@ -56,13 +63,14 @@ size k), read for the whole chunk in one integer pass.  The chunk's P
 are compared with 4vI in one comparison.  G is P's top-left block, so
 the Gram condition holds when P's does, and G is compared on its own
 only for a P that fails.  The Hadamard test is P's comparison and the
-+-1 test.  H + H^T, summed into the P buffers once P has been read,
-gives the skew-type tests, and the pattern's special certificate is the
-Gram condition.  The certificates are yielded a chunk at a time, so no
-list of them stays alive.  `verify_family` is `verify_families` of one
-family, or takes a family's certificate from a `verify_families` pass
-that its caller walks family by family, as the search does.  No circulant of a single block is built on that path; the
-public checks below, which also take bare matrices, build them.
++-1 test; the skew-type test is the Hadamard test when X_1 is skew (see
+above), and the pattern's special certificate is the Gram condition.
+The certificates are yielded a chunk at a time, so no list of them
+stays alive.  `verify_family` is `verify_families` of one family, or
+takes a family's certificate from a `verify_families` pass that its
+caller walks family by family, as the search does.  No circulant of a
+single block is built on that path; the public checks below, which also
+take bare matrices, build them.
 
 All checks are exact integer identities.  The products run in floating
 point through BLAS (numpy has no BLAS for integer matmul), and that is
@@ -72,7 +80,7 @@ every entry is +-1, so every partial sum is an integer of absolute value
 at most the inner dimension, at most 4v, and float32 holds every integer
 up to 2^24.  That is exact for v <= 2^22; `check_width` caps the search
 at v <= 63, an inner dimension of at most 252.  Each scalar-matrix
-certificate (P, the Gram sum when P fails, H + H^T) is one comparison
+certificate (P, and the Gram sum when P fails) is one comparison
 `x == cI` with a cached, read-only c I.  The public checks below take
 arbitrary integer matrices and run their products in float64; they are
 the oracle the certificate is tested against.
@@ -103,8 +111,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .family import TAG_SKEW, Family
-from .zmod import CyclicSubset
+from .family import Family
+from .zmod import TAG_SKEW, CyclicSubset, distinct_masks
 
 _CHUNK = 8  # families per chunk of `verify_families`
 
@@ -174,9 +182,9 @@ def _is_scalar(g: np.ndarray, c: int) -> bool:
     return bool(_are_scalar(g, c))
 
 
-def _is_skew_type(h: np.ndarray, ht: np.ndarray) -> bool:
-    """h + h^T == 2I, with ht = h^T (a view or a copy)."""
-    return _is_scalar(h + ht, 2)
+def _is_skew_type(h: np.ndarray) -> bool:
+    """h + h^T == 2I."""
+    return _is_scalar(h + h.T, 2)
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def is_hadamard(h: np.ndarray) -> bool:
 
 def is_skew_hadamard(h: np.ndarray) -> bool:
     h = np.asarray(h)
-    return is_hadamard(h) and _is_skew_type(h, h.T)
+    return is_hadamard(h) and _is_skew_type(h)
 
 
 def check_good_matrices(fam_or_mats) -> bool:
@@ -291,7 +299,7 @@ def check_good_matrices(fam_or_mats) -> bool:
     v = len(a1)
     m = np.concatenate([a1] + [a[:, ::-1] for a in rest], dtype=np.float64)
     bs = m[v:].reshape(3, v, v)
-    if not _is_skew_type(a1, a1.T) or not (bs == bs.transpose(0, 2, 1)).all():
+    if not _is_skew_type(a1) or not (bs == bs.transpose(0, 2, 1)).all():
         return False
     # q[i, :, j, :] = M_i M_j^T for M = (A_1, B_1, B_2, B_3); amicable iff
     # every such block is symmetric
@@ -330,14 +338,9 @@ def _verify_run(v: int, fams: list):
     n = 4 * v
     masks = np.array([[b.mask for b in f.blocks] for f in fams],
                      dtype=np.int64 if v <= 63 else object).ravel()
-    # the distinct masks by a sort, and each block's row among them
-    order = np.argsort(masks)
-    fresh = np.ones(len(masks), dtype=bool)
-    fresh[1:] = masks[order[1:]] != masks[order[:-1]]
-    block_row = np.empty(len(masks), dtype=np.intp)
-    block_row[order] = np.cumsum(fresh) - 1
+    distinct, block_row = distinct_masks(masks)
     block_row = block_row.reshape(-1, 4)
-    rows = _pm_rows(v, masks[order[fresh]].tolist(), np.float32)
+    rows = _pm_rows(v, distinct.tolist(), np.float32)
     # every entry of H is a copy of an entry of its four rows or their negatives
     pm1 = _is_pm1(rows, axis=1)[block_row].all(axis=1)
     signed = np.concatenate((rows, -rows), axis=1)
@@ -349,7 +352,7 @@ def _verify_run(v: int, fams: list):
         hc, htc, pc = h[:m], ht[:m], p[:m]
         _gs_arrays(signed[block_row[start:start + m]].reshape(m, -1), v, out=hc)
         # a contiguous H^T: numpy hands h @ h.T to syrk, which is slower
-        # than gemm at these sizes, and the skew-type test reads it too
+        # than gemm at these sizes
         np.copyto(htc, hc.transpose(0, 2, 1))
         for i in range(m):
             np.matmul(hc[i], htc[i], out=pc[i])
@@ -360,13 +363,11 @@ def _verify_run(v: int, fams: list):
             gs[i] = _is_scalar(pc[i, :v, :v], 4 * v)
         diffs = _difference_checks(pc[:, 0, :v], [sum(f.params.k) for f in chunk], 4)
         had = p_ok & pm1[start:start + m]
-        skew_type = had & _are_scalar(np.add(hc, htc, out=pc), 2)
-        for fam, diff, g, hd, sk in zip(chunk, diffs, gs, had.tolist(),
-                                        skew_type.tolist()):
+        for fam, diff, g, hd in zip(chunk, diffs, gs, had.tolist()):
             name = _SPECIAL_NAMES.get(fam.pattern, "")
             yield FamilyCertificate(
                 fam, diff, diff.ok and diff.lam == fam.params.lam, g, hd,
-                sk if fam.tags[0] == TAG_SKEW else None, name, g if name else None)
+                hd if fam.tags[0] == TAG_SKEW else None, name, g if name else None)
 
 
 def verify_families(fams):
@@ -374,7 +375,9 @@ def verify_families(fams):
     certificates in order.  Each family is read from one float32 array H
     and its one product P = H H^T, computed `_CHUNK` families at a time
     (see the module docstring).  Good, G- and best matrices are the Gram
-    condition on their pattern, so a named special certificate is `gs`.
+    condition on their pattern, so a named special certificate is `gs`;
+    a skew X_1 makes H of skew type exactly when it is Hadamard, so the
+    skew-type certificate is `hadamard`.
     """
     for v, run in groupby(fams, attrgetter("v")):
         yield from _verify_run(v, list(run))

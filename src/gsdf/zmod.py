@@ -18,13 +18,15 @@ Python ints and on int64 or object arrays of masks.  Dilation looks each
 byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
 on first use; negation is dilation by v - 1 (`negate_mask`), and
 `is_skew_mask` is the one skew test, on masks and their negations.
-`MaskCache` keeps values computed per mask by an array function: the
-block tags of `family`.
+A block's tag (skew, else symmetric, else none) is computed once per
+`CyclicSubset`, on first read (`CyclicSubset.tag`).  `distinct_masks` is
+the one dedupe of an array of masks, for the search, the certificates
+and the class keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -116,33 +118,24 @@ def is_skew_mask(v: int, masks, negated, sizes):
     return (masks & negated == 0) & (2 * sizes + 1 == v)
 
 
-class MaskCache:
-    """Values of width-v masks, computed by an array function and kept.
+def distinct_masks(masks):
+    """The distinct masks of a 1-d int64 or object array, ascending, and
+    the index of each mask among them: what `np.unique(masks,
+    return_inverse=True)` gives, from a stable argsort and an adjacent
+    compare, without the `numpy.ma` import of that call's first use in a
+    process."""
+    order = np.argsort(masks, kind="stable")
+    ordered = masks[order]
+    fresh = np.ones(len(masks), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(masks), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ordered[fresh], inverse
 
-    ``cache(v, masks)`` gives the values of a list of int masks, in order:
-    the distinct masks it does not hold go to ``compute(v, missing)`` in
-    one call, which returns their values in order.  `one` is that call
-    for one mask, a dict lookup when the mask is held.  A fill that would
-    take the cache past `size` masks empties it first, so it holds at most
-    `size` masks, or the masks of one fill.
-    """
 
-    def __init__(self, compute, size: int):
-        self.compute, self.size, self.values = compute, size, {}
-
-    def __call__(self, v: int, masks) -> list:
-        values = self.values
-        missing = [m for m in dict.fromkeys(masks) if (v, m) not in values]
-        if missing:
-            if len(values) + len(missing) > self.size:
-                values.clear()
-                missing = list(dict.fromkeys(masks))
-            values.update(zip([(v, m) for m in missing], self.compute(v, missing)))
-        return [values[v, m] for m in masks]
-
-    def one(self, v: int, mask: int):
-        value = self.values.get((v, mask))
-        return self(v, [mask])[0] if value is None else value
+TAG_SKEW = "k"
+TAG_SYMMETRIC = "s"
+TAG_NONE = "-"
 
 
 @dataclass(frozen=True)
@@ -220,6 +213,13 @@ class CyclicSubset:
 
     def is_skew(self) -> bool:
         return is_skew_mask(self.v, self.mask, negate_mask(self.v, self.mask), len(self))
+
+    @cached_property
+    def tag(self) -> str:
+        """Skew, else symmetric, else none; computed on first read."""
+        if self.is_skew():
+            return TAG_SKEW
+        return TAG_SYMMETRIC if self.is_symmetric() else TAG_NONE
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""

@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface.
 
-Everything runs in-process through ``main(argv)`` so exit codes and
-stdout/stderr can be asserted directly.
+Everything but the closed-pipe test runs in-process through
+``main(argv)`` so exit codes and stdout/stderr can be asserted directly.
 """
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,25 @@ def test_match_streams_to_stdout(row_files7):
     assert rc == 0
     # 56 records of five lines each, then the trailing count line
     assert len(out.splitlines()) == 56 * 5 + 1
+
+
+def test_a_closed_stdout_ends_quietly_with_status_141(tmp_path):
+    # the 2016 (21;10,10,10,6;15) kkks families overflow a pipe buffer, so
+    # the reader closes the pipe while `match` is still writing
+    skew, sym = tmp_path / "skew10.rows", tmp_path / "sym6.rows"
+    run("generate", "21", "10", "skew", "-o", str(skew))
+    run("generate", "21", "6", "symmetric", "-o", str(sym))
+    src = str(Path(gsdf.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["match", str(skew), str(skew), str(skew), str(sym), "--lam", "15"]
+    proc = subprocess.Popen([sys.executable, "-m", "gsdf.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"21 10 10 10 6 15 kkks\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_match_reports_no_solutions(tmp_path):

@@ -13,7 +13,7 @@ from gsdf.equivalence import (Dilate, Exchange, Negate, Translate, _block_key_of
                               classify, equivalent_by_enumeration,
                               orbit_least, small_classes, small_key, units)
 from gsdf.family import (TAG_CODE, TAG_NONE, TAG_SKEW, Family, block_key,
-                         block_tag, family_from_blocks)
+                         family_from_blocks)
 from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, enumerate_param_sets,
                          searchable_param_sets, type_applicable)
@@ -116,7 +116,7 @@ def test_canonical_key_agrees_with_orbit_enumeration_v13_sampled():
 
 def _block_key(b):
     """(-size, tag code, elements) of a typed block: skew 0, symmetric 1."""
-    return (-len(b), 0 if block_tag(b) == TAG_SKEW else 1, b.elements)
+    return (-len(b), 0 if b.tag == TAG_SKEW else 1, b.elements)
 
 
 def _exchanges(fam):
@@ -141,7 +141,7 @@ def _typed_options(fam, i, u):
     for signed in (dilated, apply_transform(dilated, Negate(i))):
         for g in range(fam.v):
             b = apply_transform(signed, Translate(i, g)).blocks[i]
-            if block_tag(b) != TAG_NONE:
+            if b.tag != TAG_NONE:
                 options.add(_block_key(b))
     return options
 
@@ -436,4 +436,4 @@ def test_block_keys_decode_in_one_pass(v):
     assert packed.dtype == (object if wide else np.int64)
     decoded = _block_key_of(v, packed)
     assert decoded == [block_key_of_one(v, p) for p in packed.tolist()]
-    assert decoded == [block_key(b.mask, TAG_CODE[block_tag(b)]) for b in blocks]
+    assert decoded == [block_key(b.mask, TAG_CODE[b.tag]) for b in blocks]

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from gsdf.catalog import catalog_entries
-from gsdf.family import (TAG_NONE, Family, FamilyFormatError, block_tag,
-                         family_from_blocks, format_family, mask_tags,
-                         read_families, write_families)
+from gsdf.family import (TAG_NONE, Family, FamilyFormatError, family_from_blocks,
+                         format_family, read_families, write_families)
 from gsdf.params import GsParamSet
 from gsdf.zmod import CyclicSubset
 
@@ -22,23 +21,25 @@ def test_family_construction():
     assert fam.is_typed
 
 
-def test_block_tags():
-    assert block_tag(CyclicSubset.from_elements(7, [1, 2, 4])) == "k"
-    assert block_tag(CyclicSubset.from_elements(7, [0, 2, 5])) == "s"
-    assert block_tag(CyclicSubset.from_elements(7, [1, 3, 6])) == "-"
+def test_subset_tags():
+    assert CyclicSubset.from_elements(7, [1, 2, 4]).tag == "k"
+    assert CyclicSubset.from_elements(7, [0, 2, 5]).tag == "s"
+    assert CyclicSubset.from_elements(7, [1, 3, 6]).tag == "-"
+    # skew and symmetric at once: skew wins
+    assert CyclicSubset(1, 0).tag == "k"
     untyped = family_from_blocks(7, [[1, 2, 4], [1, 2, 4], [1, 2, 4], [1]])
     assert not untyped.is_typed
     with pytest.raises(ValueError):
         untyped.type_name
 
 
-def test_tags_are_the_block_tags():
+def test_family_tags_are_the_subset_tags():
     untyped = 0
     for e in catalog_entries():
         blocks = e.family.blocks
         moved = Family(e.params, tuple(b.translate(i + 1) for i, b in enumerate(blocks)))
         for fam in (e.family, moved):
-            assert fam.tags == tuple(block_tag(b) for b in fam.blocks)
+            assert fam.tags == tuple(b.tag for b in fam.blocks)
             assert fam.pattern == "".join(fam.tags)
             assert fam.is_typed == (TAG_NONE not in fam.tags)
         assert e.family.type_name == e.type_name
@@ -47,8 +48,7 @@ def test_tags_are_the_block_tags():
 
 
 @pytest.mark.parametrize("v", (1, 2, 7, 13, 63, 65))
-def test_mask_tags_are_the_subset_predicates(v):
-    # one array pass over int64 masks, and over Python ints at v = 65
+def test_subset_tag_is_the_subset_predicates(v):
     rng = random.Random(v)
     half = range(1, (v + 1) // 2)
     subsets = [CyclicSubset(v, rng.getrandbits(v)) for _ in range(40)]
@@ -58,9 +58,7 @@ def test_mask_tags_are_the_subset_predicates(v):
             y for x in rng.sample(half, len(half) // 2) for y in (x, v - x)]))
     want = ["k" if x.is_skew() else "s" if x.is_symmetric() else "-" for x in subsets]
     assert v <= 2 or set(want) == {"k", "s", "-"}
-    mask_tags.values.clear()
-    assert mask_tags(v, [x.mask for x in subsets]) == want
-    assert [block_tag(x) for x in subsets] == want
+    assert [x.tag for x in subsets] == want
 
 
 def test_family_validation():

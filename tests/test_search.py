@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gsdf.family
 import gsdf.matcher
 import gsdf.search
 import gsdf.verify
@@ -26,7 +25,7 @@ from gsdf.params import (TYPE_NAMES, searchable_param_sets, type_applicable,
                          type_tags)
 from gsdf.search import (SearchOptions, expand_over_units, row_files_for,
                          search_order, search_param)
-from gsdf.zmod import dilate_mask
+from gsdf.zmod import CyclicSubset, dilate_mask
 
 ODD_TO_31 = range(1, 32, 2)
 
@@ -134,30 +133,30 @@ def run_fresh(code: str) -> str:
 
 
 def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
-    """The expanded families share one CyclicSubset per distinct mask, and
-    the blocks' tags and +-1 rows come from one array pass each over the
-    distinct masks: `negate_mask` in `family` and `_pm_rows` in `verify`
-    are each called once, with every one of them."""
-    calls = []
+    """The expanded families share one CyclicSubset per distinct mask, each
+    of which is tagged exactly once, and the blocks' +-1 rows come from one
+    `_pm_rows` call in `verify`, with every distinct mask."""
+    tagged, unpacked = [], []
+    is_skew, pm_rows = CyclicSubset.is_skew, gsdf.verify._pm_rows
 
-    def count(module, name):
-        inner = getattr(module, name)
+    def counted_is_skew(x):
+        tagged.append(id(x))
+        return is_skew(x)
 
-        def counted(v, masks, *args):
-            calls.append((name, len(masks)))
-            return inner(v, masks, *args)
+    def counted_pm_rows(v, masks, *args):
+        unpacked.append(len(masks))
+        return pm_rows(v, masks, *args)
 
-        monkeypatch.setattr(module, name, counted)
-
-    count(gsdf.family, "negate_mask")
-    count(gsdf.verify, "_pm_rows")
-    gsdf.family.mask_tags.values.clear()
+    monkeypatch.setattr(CyclicSubset, "is_skew", counted_is_skew)
+    monkeypatch.setattr(gsdf.verify, "_pm_rows", counted_pm_rows)
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     families = search_param(params, "kkks").families
     distinct = {b.mask for fam in families for b in fam.blocks}
+    blocks = {id(b) for fam in families for b in fam.blocks}
     assert len(distinct) < 4 * len(families)
-    assert len({id(b) for fam in families for b in fam.blocks}) == len(distinct)
-    assert calls == [("negate_mask", len(distinct)), ("_pm_rows", len(distinct))]
+    assert len(blocks) == len(distinct)
+    assert sorted(tagged) == sorted(blocks)
+    assert unpacked == [len(distinct)]
 
 
 def file_keys(p, type_name):

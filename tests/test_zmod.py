@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdf.blockgen import _psd_max, difference_counts
-from gsdf.zmod import (CyclicSubset, MaskCache, dilate_mask, mask_elements,
+from gsdf.zmod import (CyclicSubset, dilate_mask, distinct_masks, mask_elements,
                        negate_mask, rotate_mask)
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
@@ -88,26 +88,20 @@ def test_symmetry_predicates():
     assert not CyclicSubset(7, 0).is_skew()
 
 
-def test_mask_cache_computes_each_mask_once_per_fill_and_stays_bounded():
-    calls = []
-
-    def compute(v, masks):
-        calls.append((v, masks))
-        return [1000 * v + m for m in masks]
-
-    cache = MaskCache(compute, 3)
-    assert cache(7, [1, 2, 1]) == [7001, 7002, 7001]
-    assert cache.one(7, 2) == 7002 and cache(7, [2, 1]) == [7002, 7001]
-    assert calls == [(7, [1, 2])]
-    assert cache.one(9, 1) == 9001  # (v, mask) is the key
-    assert calls[-1] == (9, [1]) and len(cache.values) == 3
-    # a fill past the bound empties the cache first, and recomputes the
-    # masks of the call that it held
-    assert cache(7, [1, 4]) == [7001, 7004]
-    assert calls[-1] == (7, [1, 4]) and len(cache.values) == 2
-    # one fill over the bound is held whole
-    assert cache(7, [5, 6, 8, 10]) == [7005, 7006, 7008, 7010]
-    assert len(cache.values) == 4
+@pytest.mark.parametrize("masks", (
+    np.array([9, 3, 9, 1 << 62, 0, 3, (1 << 62) | 9, 9], dtype=np.int64),
+    np.array([1 << 62], dtype=np.int64),
+    np.array([], dtype=np.int64),
+    # v = 65: Python ints, some of them at or above 2^63
+    np.array([1 << 64, 1 << 63, 5, (1 << 65) - 1, 1 << 63, 5, 1 << 64], dtype=object),
+), ids=("repeats", "one", "empty", "objects"))
+def test_distinct_masks_is_np_unique_with_inverse(masks):
+    distinct, inverse = distinct_masks(masks)
+    want, want_inverse = np.unique(masks, return_inverse=True)
+    assert distinct.dtype == masks.dtype and inverse.shape == masks.shape
+    assert distinct.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+    assert distinct[inverse].tolist() == masks.tolist()
 
 
 def test_difference_row_example():
