@@ -23,7 +23,7 @@ from .matcher import bins_match, default_jobs
 from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
                      searchable_param_sets, type_applicable)
 from .search import SearchOptions, order_param_sets, search_order, table_comparison
-from .verify import build_gs_array, verify_families, write_hadamard
+from .verify import build_gs_array, is_hadamard, verify_families, write_hadamard
 from .zmod import CyclicSubset
 
 
@@ -109,7 +109,14 @@ def cmd_verify(args) -> int:
             print("error: the record does not give a Hadamard matrix; "
                   f"{args.hadamard} not written", file=sys.stderr)
             return 2
-        write_hadamard(args.hadamard, build_gs_array(fams[0]))
+        # the certificate reads no array, so the one written is checked by
+        # its own product first
+        h = build_gs_array(fams[0])
+        if not is_hadamard(h):
+            print("error: the assembled array is not a Hadamard matrix; "
+                  f"{args.hadamard} not written", file=sys.stderr)
+            return 2
+        write_hadamard(args.hadamard, h)
         print(f"hadamard matrix of order {4 * fams[0].v} -> {args.hadamard}")
     return 0 if all_ok else 2
 

@@ -30,12 +30,13 @@ to `gsdf match` need not be closed under dilation.
 The expanded families share their blocks: each distinct mask, found by
 `distinct_masks`, becomes one `CyclicSubset`, which computes its tag
 when a family first reads it.  The families are certified in one
-`verify_families` pass, which unpacks their distinct masks in one pass
-of its own and checks them a chunk at a time.  The search asks for each
-family's certificate with one `verify_family` call, which takes it from
-that pass, so certification stays one call per family at the layer
-boundary while its work is batched; the search raises on the first
-certificate that fails.
+`verify_families` pass, which unpacks their distinct masks and computes
+each one's autocorrelation row once, and reads every certificate from
+the sum of a family's four rows, a slice of families at a time.  The
+search asks for each family's certificate with one `verify_family`
+call, which takes it from that pass, so certification stays one call
+per family at the layer boundary while its work is batched; the search
+raises on the first certificate that fails.
 """
 from __future__ import annotations
 

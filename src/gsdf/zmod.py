@@ -19,9 +19,9 @@ byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
 on first use; negation is dilation by v - 1 (`negate_mask`), and
 `is_skew_mask` is the one skew test, on masks and their negations.
 A block's tag (skew, else symmetric, else none) is computed once per
-`CyclicSubset`, on first read (`CyclicSubset.tag`).  `distinct_masks` is
-the one dedupe of an array of masks, for the search, the certificates
-and the class keys.
+`CyclicSubset`, on first read (`CyclicSubset.tag`), from one negation of
+its mask.  `distinct_masks` is the one dedupe of an array of masks, for
+the search, the certificates and the class keys.
 """
 from __future__ import annotations
 
@@ -216,10 +216,12 @@ class CyclicSubset:
 
     @cached_property
     def tag(self) -> str:
-        """Skew, else symmetric, else none; computed on first read."""
-        if self.is_skew():
+        """Skew, else symmetric, else none; computed on first read, from
+        one negation of the mask for both tests."""
+        negated = negate_mask(self.v, self.mask)
+        if is_skew_mask(self.v, self.mask, negated, len(self)):
             return TAG_SKEW
-        return TAG_SYMMETRIC if self.is_symmetric() else TAG_NONE
+        return TAG_SYMMETRIC if negated == self.mask else TAG_NONE
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""

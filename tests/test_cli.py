@@ -348,6 +348,29 @@ def test_verify_writes_no_hadamard_matrix_for_a_failing_record(tmp_path):
     assert not mat.exists()
 
 
+def test_verify_checks_the_array_it_writes(tmp_path, monkeypatch):
+    # a record whose certificate passes, with one entry of its array flipped
+    build = gsdf.cli.build_gs_array
+
+    def flipped(fam):
+        h = build(fam)
+        h[3, 5] *= -1
+        return h
+
+    monkeypatch.setattr(gsdf.cli, "build_gs_array", flipped)
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAM7)
+    mat = tmp_path / "h28.txt"
+    rc, out, err = run("verify", str(fam), "--hadamard", str(mat))
+    assert rc == 2
+    assert out.splitlines() == [
+        "record 1 (7;3,3,3,1;3) kkks: difference-family=ok lambda=ok "
+        "gram=ok hadamard=ok skew-type=ok best-matrices=ok"]
+    assert err == ("error: the assembled array is not a Hadamard matrix; "
+                   f"{mat} not written\n")
+    assert not mat.exists()
+
+
 def test_verify_hadamard_needs_single_record(tmp_path):
     path = tmp_path / "fams.txt"
     path.write_text(FAM7 + FAM7)

@@ -9,6 +9,7 @@ equal the unreduced join, family for family and in order.
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,17 +138,19 @@ def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     of which is tagged exactly once, and the blocks' +-1 rows come from one
     `_pm_rows` call in `verify`, with every distinct mask."""
     tagged, unpacked = [], []
-    is_skew, pm_rows = CyclicSubset.is_skew, gsdf.verify._pm_rows
+    tag, pm_rows = CyclicSubset.tag.func, gsdf.verify._pm_rows
 
-    def counted_is_skew(x):
+    def counted_tag(x):
         tagged.append(id(x))
-        return is_skew(x)
+        return tag(x)
 
     def counted_pm_rows(v, masks, *args):
         unpacked.append(len(masks))
         return pm_rows(v, masks, *args)
 
-    monkeypatch.setattr(CyclicSubset, "is_skew", counted_is_skew)
+    counted = cached_property(counted_tag)
+    counted.__set_name__(CyclicSubset, "tag")
+    monkeypatch.setattr(CyclicSubset, "tag", counted)
     monkeypatch.setattr(gsdf.verify, "_pm_rows", counted_pm_rows)
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     families = search_param(params, "kkks").families

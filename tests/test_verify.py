@@ -268,10 +268,10 @@ def random_tagged_family(params, pattern, rng):
     return Family(params, tuple(blocks))
 
 
-def test_float32_certificates_at_the_top_of_the_range():
-    # v = 63 is the widest order the search takes: H is 252 x 252 and every
-    # product has inner dimension up to 252; orders 43 and 45 hold the
-    # catalog's good matrices
+def test_certificates_at_the_top_of_the_range():
+    # v = 63 is the widest order the search takes, with Gram rows of up
+    # to 4v = 252 and public checks on 252 x 252 arrays; orders 43 and 45
+    # hold the catalog's good matrices
     rng = random.Random(63)
     fams = []
     for params in enumerate_param_sets(63):
@@ -342,8 +342,8 @@ def test_search_verifies_each_family_once(monkeypatch):
     assert yielded == asked == out.families
 
 
-def test_verify_family_takes_the_next_certificate_of_its_family(order_7):
-    fams = order_7[:CHUNK + 1]
+def test_verify_family_takes_the_next_certificate_of_its_family(order_7, small_slices):
+    fams = order_7[:SLICE + 1]
     certificates = verify_families(fams)
     assert [verify_family(f, certificates) for f in fams] == list(verify_families(fams))
     certificates = verify_families(fams)
@@ -351,7 +351,14 @@ def test_verify_family_takes_the_next_certificate_of_its_family(order_7):
         verify_family(fams[1], certificates)
 
 
-CHUNK = gsdf.verify._CHUNK
+# the slice length the slot tests run `verify_families` with, so that a
+# short list spans several slices; the default is gsdf.verify._SLICE
+SLICE = 8
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    monkeypatch.setattr(gsdf.verify, "_SLICE", SLICE)
 
 
 @pytest.fixture(scope="module")
@@ -365,42 +372,42 @@ def order_7():
     return fams
 
 
-@pytest.mark.parametrize("n", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3))
-def test_batched_certificates_are_the_public_checks(order_7, n):
+@pytest.mark.parametrize("n", (1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3))
+def test_batched_certificates_are_the_public_checks(order_7, small_slices, n):
     fams = order_7[:n]
     certs = [checked_by_public_checks(c) for c in verify_families(fams)]
     assert [c.family for c in certs] == fams and all(c.ok for c in certs)
     assert list(verify_families([])) == []
 
 
-# first and last slot of the first chunk and of a full chunk before the
+# first and last slot of the first slice and of a full slice before the
 # short tail, and the first and last slot of the tail
-@pytest.mark.parametrize("slot", (0, CHUNK - 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 2))
-def test_a_corrupted_family_fails_in_any_slot(order_7, slot):
-    fams = order_7[:2 * CHUNK + 3]
+@pytest.mark.parametrize("slot", (0, SLICE - 1, 2 * SLICE - 1, 2 * SLICE, 2 * SLICE + 2))
+def test_a_corrupted_family_fails_in_any_slot(order_7, small_slices, slot):
+    fams = order_7[:2 * SLICE + 3]
     fams[slot] = move_one_element(fams[slot], random.Random(slot))
     certs = [checked_by_public_checks(c) for c in verify_families(fams)]
     assert [c.family for c in certs] == fams
     assert [c.ok for c in certs] == [i != slot for i in range(len(fams))]
 
 
-def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7):
-    # as a family file can: runs of one order longer than a chunk, single
+def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7, small_slices):
+    # as a family file can: runs of one order longer than a slice, single
     # families between them, good and corrupted ones
     rng = random.Random(13)
     order_13 = [f for t in ("ksss", "kkss") for o in search_order(13, t)
                 for f in o.families]
-    fams = (rng.sample(order_13, CHUNK + 2) + [e.family for e in catalog_entries()]
+    fams = (rng.sample(order_13, SLICE + 2) + [e.family for e in catalog_entries()]
             + [family_from_blocks(1, [[], [], [], []])] + order_7[:3]
             + [random_tagged_family(next(p for p in enumerate_param_sets(63)
                                          if type_applicable(p, "ksss")), "ksss", rng)]
-            + order_7[3:CHUNK + 5])
+            + order_7[3:SLICE + 5])
     # v = 65: masks wider than int64, sorted as Python ints; a family, the
     # same with an element moved (three blocks shared), and it again
     wide = random_tagged_family(next(p for p in enumerate_param_sets(65)
                                      if type_applicable(p, "ksss")), "ksss", rng)
     assert max(b.mask for b in wide.blocks) >= 1 << 63
-    fams[CHUNK:CHUNK] = [wide, move_one_element(wide, rng), wide]
+    fams[SLICE:SLICE] = [wide, move_one_element(wide, rng), wide]
     for i in range(1, len(fams), 5):
         if fams[i].v > 3:
             fams[i] = move_one_element(fams[i], rng)
@@ -410,11 +417,11 @@ def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7):
     assert len({(f.v, f.params, f.pattern) for f in fams}) >= 10
 
 
-def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch):
+def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch, small_slices):
     """Two masks at v = 3 unpack to integer rows that are not +-1 but keep
     the Gram sum of a family using them 4vI: (3, 3, 3) + (3, -1, -1) +
-    (1, 0, 0) + (5, -2, -2).  Its P is 4vI and its array is still not
-    Hadamard; the typed families of the call, which never use those masks,
+    (1, 0, 0) + (5, -2, -2).  Its Gram sum is 4vI and its array is still
+    not Hadamard; the typed families of the call, which never use those masks,
     still are."""
     pm_rows = gsdf.verify._pm_rows
     fake = {0b011: (-1, 0, 0), 0b101: (-2, 0, 1)}
@@ -430,31 +437,44 @@ def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch):
     bad = family_from_blocks(3, [[], [0], [0, 1], [0, 2]])
     good = [f for t in ("ksss", "kkss", "kkks") for o in search_order(3, t)
             for f in o.families]
-    # bad's first block is +-1, and bad sits in the second chunk
-    fams = good[:CHUNK + 2] + [bad] + good[CHUNK + 2:]
+    # bad's first block is +-1, and bad sits in the second slice
+    fams = good[:SLICE + 2] + [bad] + good[SLICE + 2:]
     certs = list(verify_families(fams))
     assert [c.family for c in certs] == fams
-    cert = certs[CHUNK + 2]
+    cert = certs[SLICE + 2]
     assert cert.diff.ok and cert.lam_matches and cert.gs
     assert not cert.hadamard and not cert.ok
     assert all(c.ok for c in certs if c is not cert)
 
 
-def test_the_gram_certificate_reads_the_first_block_row(monkeypatch, order_7):
-    """With the second block row of H a copy of the first, P is not 4vI,
-    but its top-left block is still the Gram sum: `gs` and the difference
-    sums hold for a difference family, in every slot of a chunk."""
-    gs_index = gsdf.verify._gs_index
+def test_certificates_build_no_array(monkeypatch, order_7):
+    """With the Goethals-Seidel array out of reach, every certificate
+    still equals the public checks: they are read from the blocks' PAF
+    rows alone."""
+    def unreachable(*args):
+        raise AssertionError("the array was built")
 
-    def doubled(v):
-        index = gs_index(v).reshape(4 * v, 4 * v).copy()
-        index[v:2 * v] = index[:v]
-        return index.ravel()
+    monkeypatch.setattr(gsdf.verify, "_gs_index", unreachable)
+    monkeypatch.setattr(gsdf.verify, "build_gs_array", unreachable)
+    fams = order_7 + [e.family for e in catalog_entries()]
+    certs = [checked_by_public_checks(c) for c in verify_families(fams)]
+    assert [c.family for c in certs] == fams and all(c.ok for c in certs)
 
-    monkeypatch.setattr(gsdf.verify, "_gs_index", doubled)
-    for cert in verify_families(order_7[:CHUNK + 3]):
-        assert cert.diff.ok and cert.lam_matches and cert.gs
-        assert not cert.hadamard and not cert.ok
+
+def test_the_hadamard_certificate_is_the_arrays_product():
+    # H H^T = I_4 (x) G: the certificate read from G and the +-1 rows is
+    # the float64 product of the assembled array, for families that pass
+    # and, moved one element, fail
+    rng = random.Random(17)
+    fams = [f for v in range(3, 18, 2) for t in ("ksss", "kkss", "kkks")
+            for o in search_order(v, t) for f in o.families]
+    fams += [e.family for e in catalog_entries()]
+    assert {f.type_name for f in fams} == {"ksss", "kkss", "kkks"}
+    fams += [move_one_element(f, rng) for f in rng.sample(fams, 200) if f.v > 3]
+    certs = list(verify_families(fams))
+    assert [c.family for c in certs] == fams
+    assert [c.hadamard for c in certs] == [is_hadamard(build_gs_array(f)) for f in fams]
+    assert {c.hadamard for c in certs} == {True, False}
 
 
 def test_hadamard_text_output(tmp_path):
