@@ -14,12 +14,13 @@ that are least in their unit orbit and expands the families found over
 the units (see gsdf.search). On a 2-core x86-64 machine, one process,
 the order-33 kkss reproduction (--order 33 --type kkss) takes 3 s;
 with --jobs 2 (every type), --order 33 finishes in 2 s, --order 37 in
-7 s and --order 41 in 83 s (ksss "no" in 24 s, the 3 kkss classes in
-59 s). Orders 43 and up have not been timed. Restrict the workload
-with --order/--type (a value given twice runs once) and parallelise
-with --jobs (default: the GSDF_JOBS environment variable, or 1; a value
-other than a positive integer, given either way, exits 2 before any
-search).
+6.3-7.1 s (three runs; the joins take most of it) and --order 41 in 83 s
+(ksss "no" in 24 s, the 3 kkss classes in 59 s). Orders 43 and up have
+not been timed. Each parameter set's line gives its families, classes
+and small classes. Restrict the workload with --order/--type (a value
+given twice runs once) and parallelise with --jobs (default: the
+GSDF_JOBS environment variable, or 1; a value other than a positive
+integer, given either way, exits 2 before any search).
 
     python scripts/large_orders.py --order 37 --type kkss --jobs 4
 """
@@ -104,8 +105,8 @@ def main(argv=None) -> int:
                 out = search_param(params, type_name, options)
                 reps.extend(c.representative for c in out.classes)
                 print(f"v={v} {type_name} {params}: {len(out.families)} "
-                      f"families, {len(out.classes)} classes "
-                      f"[{time.time() - t0:.0f}s]")
+                      f"families, {len(out.classes)} classes, "
+                      f"{len(out.smalls)} small classes [{time.time() - t0:.0f}s]")
                 if args.out_dir and out.families:
                     path = os.path.join(args.out_dir, out.file_name)
                     write_families(path, out.families)

@@ -31,11 +31,16 @@ of tagged blocks; they refine the full classes.
 Both keys are invariant under global dilation F -> uF.  Dilation keeps
 tags, the typed translates of uX are u times those of X, and as u' runs
 over the units so does u'u, so the least over units is the same for F
-and uF.  `classify` and `small_classes` therefore label each family by
-its dilation orbit, the least mask quadruple over its dilates
-(`orbit_least`, vectorised per v), and key one family per label.  A
-search's family list is closed under dilation, so that is one key per
-family the join found before its expansion over the units.
+and uF.  `classify` and `small_classes` therefore work per orbit, not
+per family.  Per order, the families' masks are gathered once
+(`family_masks`); each family is labelled by its dilation orbit, the
+least mask quadruple over its dilates (`orbit_least`, vectorised per v),
+and the orbits are numbered by one lexicographic sort and an adjacent
+compare of those quadruples (`distinct_masks`).  One family of each
+orbit is keyed, and each orbit's key gives its class, so a family's
+class is one lookup in an array of orbit classes.  A search's family
+list is closed under dilation, so that is one key per family the join
+found before its expansion over the units.
 
 The keys of one order are computed together, in one array pass
 (`_class_keys`): the translates of every distinct block mask, tagged
@@ -43,9 +48,12 @@ through the negation table, the dilates of the typed ones by every unit,
 and an integer per option that sorts as its block key.  Only each
 family's winning options are turned back into block-key tuples.
 `canonical_key` and `small_key` are that pass on one family.  A class is
-represented by its least member under `Family.sort_key`; the members are
-ranked by the same integers, for each block itself (`_sort_ranks`), in
-one array pass per order.
+represented by its first least member under `Family.sort_key`, in input
+order.  The members are ranked by the same integers, for each block
+itself (`_sort_ranks`), in one array pass per order; one stable sort of
+the families by class and rank gives each class's representative, and
+one stable argsort of the class ids gives each class's members, in
+input order.
 """
 from __future__ import annotations
 
@@ -53,10 +61,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
+from operator import attrgetter
 
 import numpy as np
 
-from .family import Family, block_key
+from .family import Family, block_key, family_masks
 from .zmod import (dilate_mask, distinct_masks, is_skew_mask, mask_elements,
                    negate_mask, rotate_mask)
 
@@ -173,7 +182,7 @@ def _block_key_of(v: int, packed: np.ndarray) -> list:
     return list(map(keys.__getitem__, index.tolist()))
 
 
-def _class_keys(v: int, families, small: bool) -> list:
+def _class_keys(v: int, families: list, small: bool) -> list:
     """Canonical keys (or, with ``small``, small keys) of typed families of
     order v, computed together.
 
@@ -186,13 +195,10 @@ def _class_keys(v: int, families, small: bool) -> list:
     and the lexicographically least over the units is turned back into
     `block_key` tuples.
     """
-    masks = np.array([[b.mask for b in fam.blocks] for fam in families],
-                     dtype=np.int64 if v <= 63 else object)
-    x, index = distinct_masks(masks.ravel())
+    x, index = distinct_masks(family_masks(v, families).ravel())
     index = index.reshape(-1, 4)
     wide = v + 7 > 63
-    sizes = np.array([m.bit_count() for m in x.tolist()],
-                     dtype=object if wide else np.int64)
+    sizes = np.bitwise_count(x).astype(object if wide else np.int64)
     translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
     negated = negate_mask(v, translates)
     skew = is_skew_mask(v, translates, negated, sizes[:, None])
@@ -245,48 +251,56 @@ class FamilyClass:
     members: tuple
 
 
-def _sort_ranks(v: int, quads: np.ndarray, sizes: np.ndarray) -> list:
+def _sort_ranks(v: int, quads: np.ndarray) -> np.ndarray:
     """Each typed family's `Family.sort_key` without its v, from its mask
-    quadruple and block sizes: its block keys packed by `_pack_block_key`
-    and sorted, so the rows compare as the sort keys do."""
-    if v + 7 > 63:
-        sizes = sizes.astype(object)
+    quadruple: its block keys packed by `_pack_block_key` and sorted, so
+    the rows compare lexicographically as the sort keys do."""
+    sizes = np.bitwise_count(quads).astype(object if v + 7 > 63 else np.int64)
     negated = negate_mask(v, quads)
     packed = _pack_block_key(v, sizes, is_skew_mask(v, quads, negated, sizes), negated)
-    return np.sort(packed, axis=1).tolist()
+    return np.sort(packed, axis=1)
 
 
 def _group_by(families, small: bool) -> list:
-    """Classes of families under the canonical (or small) key, computed by
-    one `_class_keys` pass per order over one family of each dilation
-    orbit present, the orbit labelled by its least mask quadruple.  Each
-    class is represented by its least member under `Family.sort_key`,
-    ranked by `_sort_ranks` in one array pass per order."""
+    """Classes of families under the canonical (or small) key.
+
+    Per order, the families' masks are gathered once (`family_masks`) and
+    each family is labelled by its dilation orbit, the least quadruple
+    over its dilates (`orbit_least`), numbered by `distinct_masks`.  One
+    `_class_keys` pass keys one family of each orbit, and each orbit's
+    key gives its class.  A class is represented by its first least
+    member under `Family.sort_key`, in input order: the families of an
+    order are sorted stably by class and then by `_sort_ranks`, and each
+    class's first is taken.  The members, in input order, come from one
+    stable argsort of the class ids."""
     families = list(families)
-    by_v = {}
-    for i, fam in enumerate(families):
-        by_v.setdefault(fam.v, []).append(i)
-    keys, ranks = [None] * len(families), [None] * len(families)
-    for v, idx in by_v.items():
-        quads = np.array([[b.mask for b in families[i].blocks] for i in idx],
-                         dtype=np.int64 if v <= 63 else object)
-        labels = list(map(tuple, orbit_least(v, quads).tolist()))
-        reps = dict(zip(labels, idx))
-        key_of = dict(zip(reps, _class_keys(v, [families[i] for i in reps.values()],
-                                            small)))
-        sizes = np.array([families[i].params.k for i in idx])
-        for i, label, rank in zip(idx, labels, _sort_ranks(v, quads, sizes)):
-            keys[i], ranks[i] = key_of[label], rank
-    buckets = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(key, []).append(i)
-    classes = []
-    for key in sorted(buckets):
-        members = buckets[key]
-        rep = families[min(members, key=ranks.__getitem__)]
-        classes.append(FamilyClass(key, rep, len(members),
-                                   tuple(families[i] for i in members)))
-    return classes
+    vs = np.fromiter(map(attrgetter("params.v"), families), np.int64, len(families))
+    orbit = np.empty(len(families), np.intp)  # numbered over all orders
+    keys, ranked = [], []  # each orbit's key; each order's positions and ranks
+    for v in dict.fromkeys(vs.tolist()):
+        idx = np.flatnonzero(vs == v)
+        fams = [families[i] for i in idx.tolist()]
+        quads = family_masks(v, fams)
+        _, label = distinct_masks(orbit_least(v, quads))
+        one = np.empty(label.max() + 1, np.intp)  # one family of each orbit
+        one[label] = np.arange(len(label))
+        orbit[idx] = label + len(keys)
+        keys += _class_keys(v, [fams[i] for i in one.tolist()], small)
+        ranked.append((idx, _sort_ranks(v, quads)))
+    class_keys = sorted(set(keys))
+    class_id = {key: i for i, key in enumerate(class_keys)}
+    class_of = np.array([class_id[key] for key in keys], np.intp)[orbit]
+    reps = np.empty(len(class_keys), np.intp)
+    for idx, ranks in ranked:
+        order = idx[np.lexsort((*ranks.T[::-1], class_of[idx]))]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = class_of[order[1:]] != class_of[order[:-1]]
+        reps[class_of[order[first]]] = order[first]
+    members = list(map(families.__getitem__,
+                       np.argsort(class_of, kind="stable").tolist()))
+    ends = np.cumsum(np.bincount(class_of, minlength=len(class_keys))).tolist()
+    return [FamilyClass(key, families[rep], end - start, tuple(members[start:end]))
+            for key, rep, start, end in zip(class_keys, reps.tolist(), [0] + ends, ends)]
 
 
 def classify(families) -> list:

@@ -11,11 +11,17 @@ s = symmetric, - = neither).  Lines starting with ``#`` are comments.
 
 `Family.tags` reads each block's `CyclicSubset.tag`, which the block
 computes once; families that share a block share its tag.
+`family_masks` gathers the block masks of a list of families into one
+array, for the certificates and the classification.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 from .params import GsParamSet
 from .zmod import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, CyclicSubset, mask_elements
@@ -39,9 +45,11 @@ class Family:
     def __post_init__(self):
         if len(self.blocks) != 4:
             raise ValueError("a family has exactly four blocks")
-        if any(b.v != self.params.v for b in self.blocks):
+        a, b, c, d = self.blocks
+        if not a.v == b.v == c.v == d.v == self.params.v:
             raise ValueError("blocks live in different groups")
-        sizes = tuple(len(b) for b in self.blocks)
+        sizes = (a.mask.bit_count(), b.mask.bit_count(), c.mask.bit_count(),
+                 d.mask.bit_count())
         if sizes != self.params.k:
             raise ValueError(f"block sizes {sizes} do not match {self.params}")
 
@@ -80,6 +88,15 @@ class Family:
 
     def __str__(self):
         return f"{self.params} " + " ".join(str(b) for b in self.blocks)
+
+
+def family_masks(v: int, families: list) -> np.ndarray:
+    """The block masks of families of order v, one row of four per family,
+    read in one pass over the blocks: int64 for v <= 63, Python ints in an
+    object array above."""
+    blocks = chain.from_iterable(map(attrgetter("blocks"), families))
+    return np.fromiter(map(attrgetter("mask"), blocks),
+                       np.int64 if v <= 63 else object, 4 * len(families)).reshape(-1, 4)
 
 
 def family_from_blocks(v: int, blocks) -> Family:

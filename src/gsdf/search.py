@@ -28,15 +28,20 @@ it is re-verified.  `bins_match` itself is unreduced, as row files given
 to `gsdf match` need not be closed under dilation.
 
 The expanded families share their blocks: each distinct mask, found by
-`distinct_masks`, becomes one `CyclicSubset`, which computes its tag
-when a family first reads it.  The families are certified in one
-`verify_families` pass, which unpacks their distinct masks and computes
-each one's autocorrelation row once, and reads every certificate from
-the sum of a family's four rows, a slice of families at a time.  The
-search asks for each family's certificate with one `verify_family`
-call, which takes it from that pass, so certification stays one call
-per family at the layer boundary while its work is batched; the search
-raises on the first certificate that fails.
+`distinct_masks`, becomes one `CyclicSubset`, and the families are built
+from them a column of blocks at a time.  After the join, the work is one
+array pass per distinct block and per dilation orbit; per family, only
+the `Family` object, its certificate and its one `verify_family` call
+remain.  The families are certified in one `verify_families` pass,
+which reads each distinct block's tag once, from the block, unpacks
+the distinct masks and computes each one's autocorrelation row once,
+and reads every certificate from the sum of a family's four rows, a
+slice of families at a time.  The search asks for each family's
+certificate with one `verify_family` call, which takes it from that
+pass, so certification stays one call per family at the layer boundary
+while its work is batched; the search raises on the first certificate
+that fails.  `classify` and `small_classes` then key one family per
+dilation orbit (see `equivalence`).
 """
 from __future__ import annotations
 
@@ -101,19 +106,9 @@ def row_files_for(params: GsParamSet, type_name: str) -> list:
 
 def expand_over_units(v: int, quads) -> np.ndarray:
     """Every dilate of the mask quadruples, deduplicated and sorted, as an
-    (n, 4) int64 array.
-
-    The dilates are sorted lexicographically by `np.lexsort` and each one
-    equal to the one before it is dropped.  `np.unique(axis=0)` gives the
-    same list, but on numpy 2.4 its first call in a process imports
-    `numpy.ma` (14-16 ms on a 2-core x86-64 machine), and a search
-    otherwise imports no module."""
+    (n, 4) int64 array (`distinct_masks` of the dilates)."""
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    dilates = dilate_mask(v, quads, units(v)).reshape(-1, 4)
-    dilates = dilates[np.lexsort(dilates.T[::-1])]
-    fresh = np.ones(len(dilates), dtype=bool)
-    fresh[1:] = (dilates[1:] != dilates[:-1]).any(axis=1)
-    return dilates[fresh]
+    return distinct_masks(dilate_mask(v, quads, units(v)).reshape(-1, 4))[0]
 
 
 def search_param(params: GsParamSet, type_name: str,
@@ -130,8 +125,9 @@ def search_param(params: GsParamSet, type_name: str,
                        jobs=options.jobs)
     distinct, index = distinct_masks(expand_over_units(v, found).ravel())
     blocks = [CyclicSubset(v, m) for m in distinct.tolist()]
-    families = [Family(params, tuple(map(blocks.__getitem__, quad)))
-                for quad in index.reshape(-1, 4).tolist()]
+    # the families' blocks, gathered a column at a time
+    columns = (map(blocks.__getitem__, col) for col in index.reshape(-1, 4).T.tolist())
+    families = [Family(params, quad) for quad in zip(*columns)]
     certificates = verify_families(families)
     for fam in families:
         if not verify_family(fam, certificates).ok:

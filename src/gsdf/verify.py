@@ -57,18 +57,27 @@ row_4, -row_4], through a flat index of its 16v^2 entries (`_gs_index`).
 No certificate builds H.
 
 `verify_families` certifies a list of families, one run of consecutive
-families of one order v at a time.  It finds the run's distinct masks
-(`distinct_masks`), unpacks them all in one `_pm_rows` call and maps
-each block to its row.  The +-1 test and the exact PAF row (`_pafs`, one
-pass per shift) are computed once per distinct row.  The run is then
-certified _SLICE = 256 families at a time: a family's first Gram row is
-the sum of its four blocks' PAF rows, gathered for the slice in one
-index.
+families of one order v at a time, with one array pass per distinct
+block.  The run's masks are gathered once (`family_masks`) and
+deduplicated (`distinct_masks`).  Each distinct mask's tag is read once,
+from one block with that mask (`CyclicSubset.tag`), and its row is
+unpacked, all rows in one `_pm_rows` call; the +-1 test and the exact
+PAF row (`_pafs`, one pass per shift) are computed once per distinct
+row.  Each family's pattern, and whether its X_1 is skew, are gathered
+from those tags through the run's (n, 4) block index, so certification
+reads no `Family.tags`.  The run is then certified _SLICE = 256 families
+at a time: a family's first Gram row is the sum of its four blocks' PAF
+rows, gathered for the slice in one index.
 `gs` is that row being 4v e_0; the difference sums are read from it for
 the slice in one integer pass (`_difference_checks`); `hadamard` is `gs`
 and the +-1 test of the family's four rows; the skew-type certificate is
 `hadamard` when X_1 is skew (see above), and the pattern's special
-certificate is `gs`.  A slice's certificates are yielded before the
+certificate is `gs`.  The families of a run that pass share one frozen
+`DiffFamilyCheck` per index lam; only a failing family gets a check of
+its own, with its sums.  A `FamilyCertificate` is a named tuple:
+immutable, and built without a frozen dataclass's setattr per field.
+The per-family work left is that tuple and a comparison of lam with the
+family's parameters.  A slice's certificates are yielded before the
 next slice is built, so beyond the run's masks and distinct rows at most
 _SLICE x 4 x v integers and _SLICE certificates are held at once.
 `verify_family` is `verify_families` of one family, or takes a family's
@@ -88,13 +97,14 @@ are the oracle the certificates are tested against, and `gsdf verify
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .family import Family
-from .zmod import TAG_SKEW, CyclicSubset, distinct_masks
+from .family import Family, family_masks
+from .zmod import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, CyclicSubset, distinct_masks
 
 _SLICE = 256  # families per slice of `verify_families`
 
@@ -168,19 +178,30 @@ class DiffFamilyCheck:
         return self.ok
 
 
-def _difference_checks(first_rows: np.ndarray, ksums, nblocks: int) -> list:
+def _difference_checks(first_rows: np.ndarray, ksums, nblocks: int,
+                       passing: dict) -> list:
     """Difference multiplicities from the first rows of Gram sums, an
     (m, v) integer or integral float array: row i is of nblocks blocks of
-    total size ksums[i].  One int32 pass over all m rows."""
+    total size ksums[i].  One int32 pass over all m rows.  The rows that
+    pass share one check per index, kept in `passing` across calls; a
+    failing row gets a check of its own sums."""
     v = first_rows.shape[1]
+    ksums = np.asarray(ksums, np.int32)
     if v == 1:
-        return [DiffFamilyCheck(True, ksum - v, ()) for ksum in ksums]
-    # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
-    shift = 4 * np.array(ksums, np.int32)[:, None] - nblocks * v
-    sums = (first_rows[:, 1:].astype(np.int32) + shift) // 4
-    ok = (sums == sums[:, :1]).all(axis=1)
-    return [DiffFamilyCheck(o, s[0] if o else None, tuple(s))
-            for o, s in zip(ok.tolist(), sums.tolist())]
+        lams, oks = (ksums - v).tolist(), [True] * len(ksums)
+    else:
+        # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
+        shift = 4 * ksums[:, None] - nblocks * v
+        sums = (first_rows[:, 1:].astype(np.int32) + shift) // 4
+        lams, oks = sums[:, 0].tolist(), (sums == sums[:, :1]).all(axis=1).tolist()
+    checks = []
+    for i, (ok, lam) in enumerate(zip(oks, lams)):
+        if not ok:
+            check = DiffFamilyCheck(False, None, tuple(sums[i].tolist()))
+        elif (check := passing.get(lam)) is None:
+            check = passing[lam] = DiffFamilyCheck(True, lam, (lam,) * (v - 1))
+        checks.append(check)
+    return checks
 
 
 def check_difference_family(blocks) -> DiffFamilyCheck:
@@ -192,7 +213,7 @@ def check_difference_family(blocks) -> DiffFamilyCheck:
     if any(b.v != v for b in blocks):
         raise ValueError("blocks live in different groups")
     gram = _gram([circulant(b) for b in blocks])
-    return _difference_checks(gram[:1], [sum(map(len, blocks))], len(blocks))[0]
+    return _difference_checks(gram[:1], [sum(map(len, blocks))], len(blocks), {})[0]
 
 
 def check_gs_matrices(fam_or_mats) -> bool:
@@ -269,8 +290,9 @@ def check_good_matrices(fam_or_mats) -> bool:
 _SPECIAL_NAMES = {"ksss": "good", "kkss": "g", "kkks": "best"}
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
+class FamilyCertificate(NamedTuple):
+    """Every check of one family; `ok` when all that apply pass."""
+
     family: Family
     diff: DiffFamilyCheck
     lam_matches: bool
@@ -282,12 +304,9 @@ class FamilyCertificate:
 
     @property
     def ok(self) -> bool:
-        checks = [self.diff.ok, self.lam_matches, self.gs, self.hadamard]
-        if self.skew_type is not None:
-            checks.append(self.skew_type)
-        if self.special is not None:
-            checks.append(self.special)
-        return all(checks)
+        return all((self.diff.ok, self.lam_matches, self.gs, self.hadamard,
+                    self.skew_type is None or self.skew_type,
+                    self.special is None or self.special))
 
 
 def _pafs(rows: np.ndarray) -> np.ndarray:
@@ -301,16 +320,29 @@ def _pafs(rows: np.ndarray) -> np.ndarray:
     return pafs.T
 
 
+_TAGS = (TAG_SKEW, TAG_SYMMETRIC, TAG_NONE)
+# the special name of each pattern, at index 27 t_1 + 9 t_2 + 3 t_3 + t_4
+# for the indices t_i of its tags in _TAGS
+_PATTERN_SPECIAL = np.array([_SPECIAL_NAMES.get("".join(p), "")
+                             for p in product(_TAGS, repeat=4)], dtype=object)
+
+
 def _verify_run(v: int, fams: list):
     """`verify_families` of families of one order v."""
-    masks = np.array([[b.mask for b in f.blocks] for f in fams],
-                     dtype=np.int64 if v <= 63 else object).ravel()
-    distinct, block_row = distinct_masks(masks)
+    distinct, block_row = distinct_masks(family_masks(v, fams).ravel())
+    # each distinct mask's tag, as its index in _TAGS, read from one block
+    # with that mask: flat position i is block i % 4 of family i // 4
+    one = np.empty(len(distinct), np.intp)
+    one[block_row] = np.arange(len(block_row))
+    tags = np.array([_TAGS.index(fams[i >> 2].blocks[i & 3].tag)
+                     for i in one.tolist()])
     block_row = block_row.reshape(-1, 4)
+    sizes = np.bitwise_count(distinct)
     rows = _pm_rows(v, distinct.tolist(), np.int32)
     pm1, pafs = _is_pm1(rows, axis=1), _pafs(rows)
     target = np.zeros(v, np.int32)
     target[0] = 4 * v  # the first row of 4vI
+    passing = {}
     for start in range(0, len(fams), _SLICE):
         part = fams[start:start + _SLICE]
         blocks = block_row[start:start + _SLICE]
@@ -318,12 +350,14 @@ def _verify_run(v: int, fams: list):
         first_rows = pafs[blocks].sum(axis=1, dtype=np.int32)
         gs = (first_rows == target).all(axis=1)
         had = gs & pm1[blocks].all(axis=1)
-        diffs = _difference_checks(first_rows, [sum(f.params.k) for f in part], 4)
-        for fam, diff, g, hd in zip(part, diffs, gs.tolist(), had.tolist()):
-            name = _SPECIAL_NAMES.get(fam.pattern, "")
-            yield FamilyCertificate(
-                fam, diff, diff.ok and diff.lam == fam.params.lam, g, hd,
-                hd if fam.tags[0] == TAG_SKEW else None, name, g if name else None)
+        diffs = _difference_checks(first_rows, sizes[blocks].sum(axis=1), 4, passing)
+        names = _PATTERN_SPECIAL[tags[blocks] @ (27, 9, 3, 1)]
+        x1_skew = tags[blocks[:, 0]] == _TAGS.index(TAG_SKEW)
+        skew = np.where(x1_skew, had.astype(object), None)
+        special = np.where(names != "", gs.astype(object), None)
+        lam_matches = [d.ok and d.lam == f.params.lam for d, f in zip(diffs, part)]
+        yield from map(FamilyCertificate, part, diffs, lam_matches, gs.tolist(),
+                       had.tolist(), skew.tolist(), names.tolist(), special.tolist())
 
 
 def verify_families(fams):
@@ -337,7 +371,7 @@ def verify_families(fams):
     of skew type exactly when it is Hadamard, so the skew-type
     certificate is `hadamard`.
     """
-    for v, run in groupby(fams, attrgetter("v")):
+    for v, run in groupby(fams, attrgetter("params.v")):
         yield from _verify_run(v, list(run))
 
 

@@ -20,8 +20,9 @@ on first use; negation is dilation by v - 1 (`negate_mask`), and
 `is_skew_mask` is the one skew test, on masks and their negations.
 A block's tag (skew, else symmetric, else none) is computed once per
 `CyclicSubset`, on first read (`CyclicSubset.tag`), from one negation of
-its mask.  `distinct_masks` is the one dedupe of an array of masks, for
-the search, the certificates and the class keys.
+its mask.  `distinct_masks` is the one dedupe of an array of masks, or
+of mask quadruples, for the search, the certificates, the class keys and
+the dilation orbits.
 """
 from __future__ import annotations
 
@@ -121,13 +122,15 @@ def is_skew_mask(v: int, masks, negated, sizes):
 def distinct_masks(masks):
     """The distinct masks of a 1-d int64 or object array, ascending, and
     the index of each mask among them: what `np.unique(masks,
-    return_inverse=True)` gives, from a stable argsort and an adjacent
-    compare, without the `numpy.ma` import of that call's first use in a
-    process."""
-    order = np.argsort(masks, kind="stable")
+    return_inverse=True)` gives, from an argsort and an adjacent compare,
+    without the `numpy.ma` import of that call's first use in a process.
+    The rows of a 2-d array are taken as wholes and ordered
+    lexicographically, as `np.unique(axis=0)` orders them."""
+    order = np.argsort(masks) if masks.ndim == 1 else np.lexsort(masks.T[::-1])
     ordered = masks[order]
     fresh = np.ones(len(masks), dtype=bool)
-    fresh[1:] = ordered[1:] != ordered[:-1]
+    changed = ordered[1:] != ordered[:-1]
+    fresh[1:] = changed if masks.ndim == 1 else changed.any(axis=1)
     inverse = np.empty(len(masks), dtype=np.intp)
     inverse[order] = np.cumsum(fresh) - 1
     return ordered[fresh], inverse

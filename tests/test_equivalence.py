@@ -305,7 +305,19 @@ def assert_classes_match_per_family_keys(families):
     keys_of = keys_by_family(families)
     for classes, index in ((classify(families), 0), (small_classes(families), 1)):
         got = [(c.key, c.size, c.members, c.representative) for c in classes]
-        assert got == grouped(families, lambda f: keys_of[f][index])
+        want = grouped(families, lambda f: keys_of[f][index])
+        assert got == want
+        # the very objects, in input order: equal copies and repeats are
+        # kept apart, and the representative is the first least one
+        assert [(list(map(id, c.members)), id(c.representative)) for c in classes] == \
+            [(list(map(id, m)), id(rep)) for _, _, m, rep in want]
+
+
+def swapped(fam):
+    """fam with its first two blocks exchanged, which must be of one size:
+    a family of the same sort key."""
+    a, b, c, d = fam.blocks
+    return Family(fam.params, (b, a, c, d))
 
 
 def test_orbit_keyed_classes_equal_per_family_classes():
@@ -321,6 +333,25 @@ def test_orbit_keyed_classes_equal_per_family_classes():
     # two orders in one list, as a family file may hold
     mixed = fams + [f for fams in found(15) for f in fams]
     assert_classes_match_per_family_keys(rng.sample(mixed, len(mixed)))
+    # repeated families: the same objects again, and equal copies
+    part = rng.sample(fams, 40)
+    copies = [Family(f.params, f.blocks) for f in part[:10]]
+    assert_classes_match_per_family_keys(part + part[::3] + copies + part[:5])
+    # representatives that tie on rank: a family and its two equal-size
+    # skew blocks exchanged, in either order, with nothing less in its class
+    kkss = [f for f in fams if f.pattern == "kkss" and f.blocks[0] != f.blocks[1]]
+    ties = [g for f in rng.sample(kkss, 30) for g in rng.sample([f, swapped(f)], 2)]
+    assert ties[0].sort_key == ties[1].sort_key and ties[0] != ties[1]
+    assert_classes_match_per_family_keys(ties)
+    assert_classes_match_per_family_keys(ties[::-1] + rng.sample(kkss, 20))
+    # v = 65 (object masks): an orbit not closed under dilation, another
+    # family, and repeats, between families of two small orders
+    params = next(p for p in enumerate_param_sets(65) if p.k[0] == 32)
+    wide = [random_typed_family(params, rng) for _ in range(2)]
+    wide = [wide[0], dilate(wide[0], 2), wide[1], dilate(wide[0], 64), wide[0]]
+    assert max(b.mask for f in wide for b in f.blocks) >= 1 << 63
+    small = rng.sample(mixed, 30)
+    assert_classes_match_per_family_keys(small[:10] + wide[:3] + small[10:] + wide[3:])
 
 
 def test_untyped_family_after_typed_ones_is_rejected():

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from gsdf.catalog import catalog_entries
 from gsdf.family import (TAG_NONE, Family, FamilyFormatError, family_from_blocks,
-                         format_family, read_families, write_families)
-from gsdf.params import GsParamSet
+                         family_masks, format_family, read_families,
+                         write_families)
+from gsdf.params import GsParamSet, enumerate_param_sets
 from gsdf.zmod import CyclicSubset
 
 
@@ -62,11 +64,36 @@ def test_subset_tag_is_the_subset_predicates(v):
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
-        Family(GsParamSet.parse("(7;3,3,3,1;3)"),
-               tuple(CyclicSubset.from_elements(7, [1, 2, 4]) for _ in range(4)))
-    with pytest.raises(ValueError):
-        family_from_blocks(7, [[1], [1], [1]])
+    params = GsParamSet.parse("(7;3,3,3,1;3)")
+    qr = CyclicSubset.from_elements(7, [1, 2, 4])
+    with pytest.raises(ValueError, match=r"^block sizes \(3, 3, 3, 3\) do not match "
+                       r"\(7;3,3,3,1;3\)$"):
+        Family(params, (qr,) * 4)
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="^a family has exactly four blocks$"):
+            Family(params, (qr,) * n)
+    # a block of another group in any position, sizes matching or not
+    for i in range(4):
+        for other in (CyclicSubset(9, 0b111), CyclicSubset(9, 1)):
+            blocks = [qr, qr, qr, CyclicSubset(7, 1)]
+            blocks[i] = other
+            with pytest.raises(ValueError, match="^blocks live in different groups$"):
+                Family(params, tuple(blocks))
+
+
+def test_family_masks_gathers_every_block_in_order():
+    fams = [e.family for e in catalog_entries()][:5]
+    masks = family_masks(fams[0].v, fams[:1] * 2)
+    assert masks.dtype == np.int64 and masks.shape == (2, 4)
+    assert masks.tolist() == [[b.mask for b in fams[0].blocks]] * 2
+    assert family_masks(7, []).shape == (0, 4)
+    # v = 65: Python ints in an object array, some at or above 2^63
+    params = enumerate_param_sets(65)[0]
+    top = [sum(1 << e for e in range(65 - k, 65)) for k in params.k]
+    wide = Family(params, tuple(CyclicSubset(65, m) for m in top))
+    masks = family_masks(65, [wide, wide])
+    assert masks.dtype == object and min(top) >= 1 << 63
+    assert masks.tolist() == [top] * 2
 
 
 def test_round_trip_single(tmp_path):

@@ -124,3 +124,18 @@ def test_repeated_orders_and_types_are_searched_once(large_orders, capsys, monke
     checks = [line for line in capsys.readouterr().out.splitlines() if " -> " in line]
     assert [line.split(":")[0] for line in checks] == [
         "v=37 kkss", "v=37 ksss", "v=33 kkss", "v=33 ksss"]
+
+
+def test_each_set_reports_its_classes_and_small_classes(large_orders, capsys,
+                                                         monkeypatch):
+    def stub_search(params, type_name, options):
+        # stand-in outcome lists: only their lengths are printed
+        return ParamOutcome(params, type_name, True, families=[None] * 12,
+                            classes=[], smalls=[None] * 5)
+
+    monkeypatch.setattr(large_orders, "search_param", stub_search)
+    large_orders.main(["--order", "33", "--type", "kkss"])
+    sets = [p for p in searchable_param_sets(33) if type_applicable(p, "kkss")]
+    lines = [line for line in capsys.readouterr().out.splitlines() if " [" in line]
+    assert [line.split(" [")[0] for line in lines] == [
+        f"v=33 kkss {p}: 12 families, 0 classes, 5 small classes" for p in sets]

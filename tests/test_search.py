@@ -20,7 +20,7 @@ import gsdf.search
 import gsdf.verify
 from gsdf.blockgen import collect_rows
 from gsdf.equivalence import orbit_least, units
-from gsdf.family import format_family
+from gsdf.family import Family, format_family
 from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, searchable_param_sets, type_applicable,
                          type_tags)
@@ -160,6 +160,37 @@ def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     assert len(blocks) == len(distinct)
     assert sorted(tagged) == sorted(blocks)
     assert unpacked == [len(distinct)]
+
+
+def test_a_search_reads_no_family_tags_and_shares_passing_checks(monkeypatch):
+    """Certification reads each distinct block's tag from the block, never
+    `Family.tags` (nor the pattern built on it), and the families of a
+    search, which share one index, share one passing `DiffFamilyCheck`."""
+    tagged, built = [], []
+    tags, check = Family.tags.func, gsdf.verify.DiffFamilyCheck
+
+    def counted_tags(fam):
+        tagged.append(fam)
+        return tags(fam)
+
+    def counted_check(ok, lam, sums):
+        built.append((ok, lam))
+        return check(ok, lam, sums)
+
+    counted = cached_property(counted_tags)
+    counted.__set_name__(Family, "tags")
+    monkeypatch.setattr(Family, "tags", counted)
+    monkeypatch.setattr(gsdf.verify, "DiffFamilyCheck", counted_check)
+    lams = set()
+    for p in searchable_param_sets(15):
+        for t in TYPE_NAMES:
+            if type_applicable(p, t):
+                built.clear()
+                out = search_param(p, t)
+                assert len(out.families) > 50 and tagged == []
+                assert built == [(True, p.lam)]
+                lams.add(p.lam)
+    assert len(lams) == 2
 
 
 def file_keys(p, type_name):

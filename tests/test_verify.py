@@ -12,11 +12,11 @@ from gsdf.family import Family, family_from_blocks
 from gsdf.params import (enumerate_param_sets, searchable_param_sets,
                          type_applicable)
 from gsdf.search import search_order, search_param
-from gsdf.verify import (build_gs_array, check_difference_family,
-                         check_good_matrices, check_gs_matrices, circulant,
-                         family_circulants, hadamard_text, is_hadamard,
-                         is_skew_hadamard, verify_families, verify_family,
-                         write_hadamard)
+from gsdf.verify import (DiffFamilyCheck, build_gs_array,
+                         check_difference_family, check_good_matrices,
+                         check_gs_matrices, circulant, family_circulants,
+                         hadamard_text, is_hadamard, is_skew_hadamard,
+                         verify_families, verify_family, write_hadamard)
 from gsdf.zmod import CyclicSubset
 
 
@@ -389,6 +389,13 @@ def test_a_corrupted_family_fails_in_any_slot(order_7, small_slices, slot):
     certs = [checked_by_public_checks(c) for c in verify_families(fams)]
     assert [c.family for c in certs] == fams
     assert [c.ok for c in certs] == [i != slot for i in range(len(fams))]
+    # the corrupted family's check holds its own sums; the passing ones of
+    # one index are one check, equal to the check built on its own
+    assert not certs[slot].diff.ok and len(set(certs[slot].diff.sums)) > 1
+    shared = {c.diff.lam: c.diff for c in certs if c.diff.ok}
+    assert all(c.diff is shared[c.diff.lam] for c in certs if c.diff.ok)
+    for lam, check in shared.items():
+        assert check == DiffFamilyCheck(True, lam, (lam,) * 6)
 
 
 def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7, small_slices):
@@ -415,6 +422,18 @@ def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7, small_slices
     assert [c.family for c in certs] == fams
     assert {True, False} == {c.ok for c in certs}
     assert len({(f.v, f.params, f.pattern) for f in fams}) >= 10
+
+
+def test_certificates_are_immutable_records(order_7):
+    fams = order_7[:3] + [move_one_element(order_7[3], random.Random(3))]
+    certs = list(verify_families(fams))
+    assert certs == list(verify_families(fams)) == [verify_family(f) for f in fams]
+    assert certs[0] != certs[1] and [c.ok for c in certs] == [True] * 3 + [False]
+    assert certs[0]._fields == ("family", "diff", "lam_matches", "gs", "hadamard",
+                                "skew_type", "special_name", "special")
+    with pytest.raises(AttributeError):
+        certs[0].gs = False
+    assert not certs[0]._replace(hadamard=False).ok
 
 
 def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch, small_slices):

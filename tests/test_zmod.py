@@ -104,6 +104,23 @@ def test_distinct_masks_is_np_unique_with_inverse(masks):
     assert distinct[inverse].tolist() == masks.tolist()
 
 
+@pytest.mark.parametrize("dtype", (np.int64, object))
+def test_distinct_masks_of_rows_orders_them_lexicographically(dtype):
+    # rows that repeat, tie on leading columns, or differ only in the last;
+    # as objects, entries at and above 2^63 (v = 65)
+    high = 1 << 64 if dtype is object else 1 << 62
+    rows = np.array([[3, 1, 2, 0], [3, 1, 2, 0], [3, 1, 0, 9], [high, 0, 0, 0],
+                     [0, high, 5, 5], [3, 1, 2, 1], [0, high, 5, 5], [0, 0, 0, 0]],
+                    dtype=dtype)
+    distinct, inverse = distinct_masks(rows)
+    want = sorted(set(map(tuple, rows.tolist())))
+    assert distinct.dtype == rows.dtype and inverse.shape == (len(rows),)
+    assert list(map(tuple, distinct.tolist())) == want
+    assert distinct[inverse].tolist() == rows.tolist()
+    distinct, inverse = distinct_masks(rows[:0])
+    assert distinct.shape == (0, 4) and inverse.shape == (0,)
+
+
 def test_difference_row_example():
     row = difference_row(QR7)
     assert row == (1, 1, 1)
