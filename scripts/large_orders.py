@@ -11,16 +11,17 @@ existence table.
 
 These runs grow steeply with v. The search joins only the X_1 blocks
 that are least in their unit orbit and expands the families found over
-the units (see gsdf.search). On a 2-core x86-64 machine, one process,
-the order-33 kkss reproduction (--order 33 --type kkss) takes 3 s;
-with --jobs 2 (every type), --order 33 finishes in 2 s, --order 37 in
-6.3-7.1 s (three runs; the joins take most of it) and --order 41 in 83 s
-(ksss "no" in 24 s, the 3 kkss classes in 59 s). Orders 43 and up have
-not been timed. Each parameter set's line gives its families, classes
-and small classes. Restrict the workload with --order/--type (a value
-given twice runs once) and parallelise with --jobs (default: the
-GSDF_JOBS environment variable, or 1; a value other than a positive
-integer, given either way, exits 2 before any search).
+the units (see gsdf.search). On a 2-core x86-64 machine with
+OPENBLAS_NUM_THREADS=1, one process, the order-33 kkss reproduction
+(--order 33 --type kkss) takes 1.5-1.8 s; with --jobs 2 (every type),
+--order 33 finishes in 2 s, --order 37 in 6.5-7.5 s (three runs; the
+joins take most of it) and --order 41 in 68-73 s (two runs; alone, its
+ksss "no" takes 21-22 s). Orders 43 and up have not been timed. Each
+parameter set's line gives its families, classes and small classes.
+Restrict the workload with --order/--type (a value given twice runs
+once) and parallelise with --jobs (default: the GSDF_JOBS environment
+variable, or 1; a value other than a positive integer, given either
+way, exits 2 before any search).
 
     python scripts/large_orders.py --order 37 --type kkss --jobs 4
 """

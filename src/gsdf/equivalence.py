@@ -32,7 +32,8 @@ Both keys are invariant under global dilation F -> uF.  Dilation keeps
 tags, the typed translates of uX are u times those of X, and as u' runs
 over the units so does u'u, so the least over units is the same for F
 and uF.  `classify` and `small_classes` therefore work per orbit, not
-per family.  Per order, the families' masks are gathered once
+per family.  `dilation_orbits` finds the orbits once, and a search hands
+its result to both.  Per order, the families' masks are gathered once
 (`family_masks`); each family is labelled by its dilation orbit, the
 least mask quadruple over its dilates (`orbit_least`, vectorised per v),
 and the orbits are numbered by one lexicographic sort and an adjacent
@@ -50,7 +51,7 @@ family's winning options are turned back into block-key tuples.
 `canonical_key` and `small_key` are that pass on one family.  A class is
 represented by its first least member under `Family.sort_key`, in input
 order.  The members are ranked by the same integers, for each block
-itself (`_sort_ranks`), in one array pass per order; one stable sort of
+itself (`_sort_ranks`), in the same pass per order; one stable sort of
 the families by class and rank gives each class's representative, and
 one stable argsort of the class ids gives each class's members, in
 input order.
@@ -61,7 +62,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, is_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -261,22 +263,29 @@ def _sort_ranks(v: int, quads: np.ndarray) -> np.ndarray:
     return np.sort(packed, axis=1)
 
 
-def _group_by(families, small: bool) -> list:
-    """Classes of families under the canonical (or small) key.
+class Orbits(NamedTuple):
+    """The dilation orbits of a family list, which `classify` and
+    `small_classes` share: `orbit` numbers each family's orbit over all
+    orders; per order, `keyed` holds (v, one family of each orbit, in
+    orbit order) and `ranked` (the families' positions, their
+    `_sort_ranks` rows)."""
+
+    families: list
+    orbit: np.ndarray
+    keyed: list
+    ranked: list
+
+
+def dilation_orbits(families) -> Orbits:
+    """The families' dilation orbits, one pass per order.
 
     Per order, the families' masks are gathered once (`family_masks`) and
-    each family is labelled by its dilation orbit, the least quadruple
-    over its dilates (`orbit_least`), numbered by `distinct_masks`.  One
-    `_class_keys` pass keys one family of each orbit, and each orbit's
-    key gives its class.  A class is represented by its first least
-    member under `Family.sort_key`, in input order: the families of an
-    order are sorted stably by class and then by `_sort_ranks`, and each
-    class's first is taken.  The members, in input order, come from one
-    stable argsort of the class ids."""
+    each family is labelled by its orbit, the least quadruple over its
+    dilates (`orbit_least`), numbered by `distinct_masks`."""
     families = list(families)
     vs = np.fromiter(map(attrgetter("params.v"), families), np.int64, len(families))
-    orbit = np.empty(len(families), np.intp)  # numbered over all orders
-    keys, ranked = [], []  # each orbit's key; each order's positions and ranks
+    orbit = np.empty(len(families), np.intp)
+    keyed, ranked, count = [], [], 0
     for v in dict.fromkeys(vs.tolist()):
         idx = np.flatnonzero(vs == v)
         fams = [families[i] for i in idx.tolist()]
@@ -284,14 +293,34 @@ def _group_by(families, small: bool) -> list:
         _, label = distinct_masks(orbit_least(v, quads))
         one = np.empty(label.max() + 1, np.intp)  # one family of each orbit
         one[label] = np.arange(len(label))
-        orbit[idx] = label + len(keys)
-        keys += _class_keys(v, [fams[i] for i in one.tolist()], small)
+        orbit[idx] = label + count
+        count += len(one)
+        keyed.append((v, [fams[i] for i in one.tolist()]))
         ranked.append((idx, _sort_ranks(v, quads)))
+    return Orbits(families, orbit, keyed, ranked)
+
+
+def _group_by(families, small: bool, orbits) -> list:
+    """Classes of families under the canonical (or small) key.
+
+    One `_class_keys` pass per order keys one family of each orbit, and
+    each orbit's key gives its class.  A class is represented by its
+    first least member under `Family.sort_key`, in input order: the
+    families of an order are sorted stably by class and then by
+    `_sort_ranks`, and each class's first is taken.  The members, in
+    input order, come from one stable argsort of the class ids."""
+    if orbits is None:
+        orbits = dilation_orbits(families)
+    elif not (len(orbits.families) == len(families)
+              and all(map(is_, orbits.families, families))):
+        raise ValueError("the orbits were computed for another family list")
+    families = orbits.families
+    keys = [key for v, fams in orbits.keyed for key in _class_keys(v, fams, small)]
     class_keys = sorted(set(keys))
     class_id = {key: i for i, key in enumerate(class_keys)}
-    class_of = np.array([class_id[key] for key in keys], np.intp)[orbit]
+    class_of = np.array([class_id[key] for key in keys], np.intp)[orbits.orbit]
     reps = np.empty(len(class_keys), np.intp)
-    for idx, ranks in ranked:
+    for idx, ranks in orbits.ranked:
         order = idx[np.lexsort((*ranks.T[::-1], class_of[idx]))]
         first = np.ones(len(order), dtype=bool)
         first[1:] = class_of[order[1:]] != class_of[order[:-1]]
@@ -303,14 +332,16 @@ def _group_by(families, small: bool) -> list:
             for key, rep, start, end in zip(class_keys, reps.tolist(), [0] + ends, ends)]
 
 
-def classify(families) -> list:
-    """Partition typed families into equivalence classes, sorted by key."""
-    return _group_by(families, small=False)
+def classify(families, orbits: Orbits = None) -> list:
+    """Partition typed families into equivalence classes, sorted by key;
+    ``orbits``, `dilation_orbits` of the same list, saves computing them."""
+    return _group_by(families, False, orbits)
 
 
-def small_classes(families) -> list:
-    """Partition under global dilation alone (a refinement of classify)."""
-    return _group_by(families, small=True)
+def small_classes(families, orbits: Orbits = None) -> list:
+    """Partition under global dilation alone (a refinement of classify);
+    ``orbits`` as for `classify`."""
+    return _group_by(families, True, orbits)
 
 
 # --- reference oracle --------------------------------------------------------

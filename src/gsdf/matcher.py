@@ -24,9 +24,9 @@ of the uint8 column: `np.unique` on numpy 2.4 imports `numpy.ma` on its
 first call in a process (14-16 ms on a 2-core x86-64 machine).  A group
 refined on every column is joined like any other; there every pair of
 one side matches every pair of the other.  SPLIT_LIMIT = 10**6 keeps a
-stored side's keys near 8 MB, its bucket table at most 4 MB and its
-occupancy array at most 8 MB; on the order-33 and order-37 kkss searches
-it beat 5e5, 2e6 and 1e7.
+stored side's keys near 8 MB and each of its two occupancy arrays at
+most 8 MB; on the order-33 and order-37 kkss searches it beat 5e5, 2e6
+and 1e7.
 
 Rows are hashed to 64-bit keys once per match, over all (v-1)/2 columns:
 a dot product with a fixed random multiplier per column, linear in the
@@ -37,26 +37,28 @@ is a family exactly when its rows sum to the all-lam row in every
 column: the join's target is that row and its key, the same test as one
 over the columns from d on up to a constant that cancels.  A stored key
 keeps its high bits and holds its pair's position on its side in the
-low w bits, w the bit length of the stored pair count.  The stored keys
-are sorted and indexed by their top bits: an occupancy array marks which
-of 2**(b+3) cells hold a key, and a table gives the start of each of
-2**b >= n buckets, so a bucket holds about one key.  Each streamed block
-holds the needle keys key(target) - key(r_x) - key(r_y) of its pairs,
-low w bits cleared, looked up as they come.  A matching key lies in
-[needle, needle + 2**w - 1], so it shares every bit of the needle above
-the low w, and lies in the needle's cell as long as a cell spans at
-least 2**w values; `_Table` keeps that for every w, widening the cells
-when b + 3 + w would pass 64 bits.  So one lookup rejects each needle
-whose cell is empty: fewer than one cell in 8 holds a key, and hits are
-rare.  For the others, the first key not below the needle, found from
-its bucket's first key in a few steps or else by a binary search, must
-be within 2**w - 1 of it.  Uniform keys make crowded buckets rare, but
-the result does not rest on it.  A hit's stored pairs are the keys in that range,
-whose low bits give their positions, so each side is built and walked
-once.  Equal keys have equal high bits, and distinct rows can share a
-key, so every candidate quadruple is confirmed exactly on its full rows
-against the target row before it is emitted; a side stacks its rows
-only for that, in a group with hits.
+low w bits, w the bit length of the stored pair count.  The n stored
+keys are sorted, and two occupancy arrays of 2**(b+3) cells, 2**b >= n,
+mark the cells that hold a key: one on the keys' top b + 3 bits, one on
+the b + 3 bits just above the low w.  The streamed side's x keys become
+key(target) - key(r_x) once per group, so each streamed block of needle
+keys key(target) - key(r_x) - key(r_y) is one broadcast subtraction,
+looked up as it comes.  A matching key lies in [c, c + 2**w - 1], c the
+needle with its low w bits clear, so it shares every bit of the needle
+above the low w; both fields read only such bits (narrowing to 64 - w
+bits when b + 3 + w would pass 64), so a needle with a match passes
+both arrays.  Fewer than one cell in 8 holds a key: of the 1.14M
+needles of the (29;14,13,12,10;20) ksss search, 8.8% pass the first
+array and 0.8% both.  Only those have their low bits cleared, and each
+is settled by one binary search: the first key not below c must be
+within 2**w - 1 of it.  The filters reject only needles with no key in
+range, so the result does not rest on the keys being uniform.  A hit's
+stored pairs are the keys in that range, whose low bits give their
+positions, so each side is built and walked once.  Equal keys have
+equal high bits, and distinct rows can share a key, so every candidate
+quadruple is confirmed exactly on its full rows against the target row
+before it is emitted; a side stacks its rows and masks only for that,
+in a group with hits.
 
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
@@ -100,7 +102,6 @@ def _splitmix64(seed: int, n: int) -> list:
 _HASH_MULT = np.array([m | 1 for m in _splitmix64(0x9E3779B97F4A7C15, 64)],
                       dtype=np.uint64)
 _CHUNK = 1 << 15
-_ROUNDS = 4
 
 
 @dataclass
@@ -212,78 +213,57 @@ def _leaves(cases) -> list:
 
 
 class _Table:
-    """Sorted keys, looked up through an occupancy array and buckets on
-    their top bits.
+    """Sorted keys, looked up through two occupancy filters and one binary
+    search.
 
-    There are 2**bits >= len(keys) buckets, so a bucket holds about one
-    key.  `start[b]` is the number of keys in buckets below b: the
-    position of bucket b's first key, or of the next key after it when
-    the bucket is empty.  `occupied` marks the cells, on the top
-    bits + 3 bits (8 per bucket), that hold a key.  A value v is found
-    when some key lies in [v, v + low]; values must have the bits of low
-    clear, so that such a key shares every bit of v above them.  The
-    cells are never narrower than low, so it also shares v's cell.
-    `keys` must not be empty, and fewer than 2**31, so the int32 starts
-    hold.
+    A value v is found when some key lies in [c, c + low], low = 2**w - 1
+    and c = v with the bits of low clear: such a key shares every bit of
+    v above the low w.  Each filter marks which of 2**cells cells hold a
+    key, cells = bits + 3 for 2**bits >= len(keys), so fewer than one
+    cell in 8 is marked: `by_top` on the top cells bits, `by_above` on
+    the cells bits just above the low w.  Both fields read only bits
+    above the low w, narrowing to 64 - w bits when bits + 3 + w would
+    pass 64 (the two then read the same bits), so a value with a key in
+    range passes both.  `keys` must not be empty.
     """
 
     def __init__(self, keys, low):
         self.keys, self.low = keys, low
-        bits = max(1, len(keys).bit_length())
-        self.shift = np.uint64(64 - bits)
-        cells = min(bits + 3, 64 - int(low).bit_length())
-        self.cell_shift = np.uint64(64 - cells)
-        self.occupied = np.zeros(1 << cells, dtype=bool)
-        # count the keys one bucket up, so that the running sum is each
-        # bucket's start; a block at a time, to hold no copy of all keys:
-        # the keys ascend, so a block's buckets form one run
-        self.start = np.zeros((1 << bits) + 1, dtype=np.int32)
+        w = int(low).bit_length()
+        cells = min(max(1, len(keys).bit_length()) + 3, 64 - w)
+        self.top = np.uint64(64 - cells)
+        self.w, self.field = np.uint64(w), np.uint64((1 << cells) - 1)
+        self.by_top = np.zeros(1 << cells, dtype=bool)
+        self.by_above = np.zeros(1 << cells, dtype=bool)
+        # a block at a time, to hold no copy of all keys
         for lo in range(0, len(keys), _CHUNK):
             block = keys[lo:lo + _CHUNK]
-            self.occupied[self._top(block, self.cell_shift)] = True
-            up = self._top(block, self.shift)
-            first = int(up[0])
-            up -= first
-            counts = np.bincount(up)
-            self.start[first + 1:first + 1 + len(counts)] += counts
-        np.cumsum(self.start, out=self.start)
+            self.by_top[self._top(block)] = True
+            self.by_above[self._above(block)] = True
 
-    @staticmethod
-    def _top(values, shift):
-        """Values shifted right, as an int64 view: a shift of at least one
-        leaves them below 2**63, and int64 is np.intp on 64-bit platforms."""
-        return (values >> shift).view(np.int64)
+    # Both fields are below 2**63 (the top one is shifted by at least one
+    # bit), so they are viewed as int64, which is np.intp on 64-bit platforms.
+    def _top(self, values):
+        return (values >> self.top).view(np.int64)
 
-    def members(self, values):
-        """Mask of the entries of ``values`` with a key in [value, value + low].
+    def _above(self, values):
+        return ((values >> self.w) & self.field).view(np.int64)
 
-        A value whose cell holds no key has none.  Each other value is
-        compared with the first key of its bucket, then with the keys after
-        it while they are smaller: keys in later buckets are larger, so the
-        first key not below the value settles it.  In uint64 a key below
-        the value wraps to key - value > low.  Values not settled in
-        _ROUNDS further steps, which only a crowded bucket leaves, are
-        settled by one binary search over all keys.
+    def probe(self, values):
+        """(i, c): the indices of the entries of ``values`` that are
+        found, ascending, and those values with the bits of low clear.
+
+        A value that passes both filters is settled by the first key not
+        below c: in uint64 a key below wraps to key - c > low.
         """
-        keys, low = self.keys, self.low
-        found = self.occupied.take(self._top(values, self.cell_shift))
-        left = np.flatnonzero(found)
-        val = values[left]
-        pos = self.start.take(self._top(val, self.shift))
-        key = keys.take(pos, mode="clip")
-        found[left] = key - val <= low
-        more = key < val
-        left, pos = left[more], pos[more]
-        for _ in range(_ROUNDS):
-            pos += 1
-            val = values[left]
-            key = keys.take(pos, mode="clip")
-            found[left[key - val <= low]] = True
-            more = key < val
-            left, pos = left[more], pos[more]
-        val = values[left]
-        found[left] = keys.take(np.searchsorted(keys, val), mode="clip") - val <= low
-        return found
+        i = np.flatnonzero(self.by_top.take(self._top(values)))
+        val = values[i]
+        passed = self.by_above.take(self._above(val))
+        i, val = i[passed], val[passed]
+        val &= ~self.low
+        keys = self.keys
+        found = keys.take(np.searchsorted(keys, val), mode="clip") - val <= self.low
+        return i[found], val[found]
 
 
 class _Side:
@@ -294,10 +274,14 @@ class _Side:
 
     def __init__(self, tables, pairs, slots):
         self.tables, self.slots, self.pairs = tables, slots, pairs
-        self.masks = [np.concatenate([f.masks for f in t]) for t in tables]
         self.keys = [np.concatenate([f.keys for f in t]) for t in tables]
         self.xo, self.yo = (np.cumsum([0] + [len(f) for f in t]).tolist()
                             for t in tables)
+
+    @cached_property
+    def masks(self):
+        """Each table's block masks; stacked only for a group with hits."""
+        return [np.concatenate([f.masks for f in t]) for t in self.tables]
 
     @cached_property
     def rows(self):
@@ -306,10 +290,15 @@ class _Side:
         return [np.concatenate([f.rows for f in t]).astype(np.int16)
                 for t in self.tables]
 
-    def blocks(self):
-        """The pair-sum keys in position order, at most _CHUNK at a time
-        unless one y table is longer: (offset, keys), keys[j] the key of
-        the pair at position offset + j.  Small products share a block."""
+    def blocks(self, key_t=None):
+        """The pair keys key(x) + key(y) in position order, or with
+        ``key_t`` the needles key_t - key(x) - key(y), at most _CHUNK at a
+        time unless one y table is longer: (offset, keys), keys[j] that
+        of the pair at position offset + j.  Small products share a block."""
+        kx, ky = self.keys
+        op = np.add
+        if key_t is not None:
+            kx, op = key_t - kx, np.subtract
         segments, size, offset = [], 0, 0
         for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
             ny = y1 - y0
@@ -317,22 +306,22 @@ class _Side:
             for lo in range(x0, x1, step):
                 nx = min(step, x1 - lo)
                 if segments and size + nx * ny > _CHUNK:
-                    yield offset, self._block(segments, size)
+                    yield offset, self._block(segments, size, op, kx, ky)
                     segments, offset, size = [], offset + size, 0
                 segments.append((lo, nx, y0, ny))
                 size += nx * ny
         if segments:
-            yield offset, self._block(segments, size)
+            yield offset, self._block(segments, size, op, kx, ky)
 
-    def _block(self, segments, size):
-        """The keys of the segments (x0, nx, y0, ny), each the nx rows from
-        x0 times the ny rows from y0, one after another."""
-        kx, ky = self.keys
+    @staticmethod
+    def _block(segments, size, op, kx, ky):
+        """op(kx[x], ky[y]) over the segments (x0, nx, y0, ny), each the nx
+        rows from x0 times the ny rows from y0, one after another."""
         keys = np.empty(size, dtype=np.uint64)
         start = 0
         for x0, nx, y0, ny in segments:
-            np.add(kx[x0:x0 + nx, None], ky[None, y0:y0 + ny],
-                   out=keys[start:start + nx * ny].reshape(nx, ny))
+            op(kx[x0:x0 + nx, None], ky[None, y0:y0 + ny],
+               out=keys[start:start + nx * ny].reshape(nx, ny))
             start += nx * ny
         return keys
 
@@ -372,15 +361,12 @@ def _join(stored, streamed, target, key_t) -> list:
         build[offset:offset + len(keys)] |= keys
     build.sort()
     table = _Table(build, low)
-    # look the needles key_t - key(x) - key(y) up a block at a time
     hit_pos, hit_need = [], []
-    for offset, keys in streamed.blocks():
-        need = np.subtract(key_t, keys, out=keys)
-        need &= high
-        j = np.flatnonzero(table.members(need))
+    for offset, needles in streamed.blocks(key_t):
+        j, need = table.probe(needles)
         if len(j):
             hit_pos.append(offset + j)
-            hit_need.append(need[j])
+            hit_need.append(need)
     del table
     if not hit_need:
         return []

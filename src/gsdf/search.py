@@ -40,8 +40,9 @@ slice of families at a time.  The search asks for each family's
 certificate with one `verify_family` call, which takes it from that
 pass, so certification stays one call per family at the layer boundary
 while its work is batched; the search raises on the first certificate
-that fails.  `classify` and `small_classes` then key one family per
-dilation orbit (see `equivalence`).
+that fails.  The families' dilation orbits are then found once
+(`dilation_orbits`), and `classify` and `small_classes` share them,
+each keying one family per orbit (see `equivalence`).
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ import numpy as np
 
 from .blockgen import check_width, collect_rows
 from .catalog import table_rows
-from .equivalence import classify, orbit_least, small_classes, units
+from .equivalence import (classify, dilation_orbits, orbit_least,
+                          small_classes, units)
 from .family import Family
 from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
@@ -134,8 +136,9 @@ def search_param(params: GsParamSet, type_name: str,
             raise RuntimeError(f"matcher emitted an invalid family: {fam}")
     out = ParamOutcome(params, type_name, True, families)
     if options.classified and families:
-        out.classes = classify(families)
-        out.smalls = small_classes(families)
+        orbits = dilation_orbits(families)
+        out.classes = classify(families, orbits)
+        out.smalls = small_classes(families, orbits)
     return out
 
 

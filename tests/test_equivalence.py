@@ -384,6 +384,44 @@ def test_keys_are_computed_once_per_dilation_orbit(monkeypatch):
                 for f in received} == orbits
 
 
+def test_shared_orbits_give_the_same_classes():
+    # one dilation_orbits pass serves both partitions, with the classes
+    # each gives on its own; it must be of the very list it is given with
+    fams = [f for fams in found(13) + found(15) for f in fams]
+    orbits = gsdf.equivalence.dilation_orbits(fams)
+    for group in (classify, small_classes):
+        assert group(fams, orbits) == group(fams)
+    for other in (fams[:-1], fams[::-1], list(fams)[:-1] + [fams[0]]):
+        for group in (classify, small_classes):
+            with pytest.raises(ValueError, match="another family list"):
+                group(other, orbits)
+
+
+def test_a_search_finds_each_orbit_once_for_both_partitions(monkeypatch):
+    # family_masks, orbit_least, distinct_masks and _sort_ranks run over a
+    # search's families once for classify and small_classes together
+    p, t, families = next((p, t, fams) for fams, (p, t) in zip(found(13), (
+        (p, t) for p in searchable_param_sets(13) for t in TYPE_NAMES
+        if type_applicable(p, t))) if fams)
+    orbits = {frozenset(quad(dilate(f, u)) for u in units(13)) for f in families}
+    n = len(families)
+    assert 1 < len(orbits) < n
+    calls = []
+    for name in ("family_masks", "orbit_least", "distinct_masks", "_sort_ranks"):
+        inner = getattr(gsdf.equivalence, name)
+
+        def counted(*args, name=name, inner=inner):
+            arg = args[-1]
+            calls.append((name, len(arg) if isinstance(arg, list) else np.shape(arg)))
+            return inner(*args)
+
+        monkeypatch.setattr(gsdf.equivalence, name, counted)
+    out = search_param(p, t)
+    assert list(out.families) == list(families) and out.classes and out.smalls
+    whole = sorted(name for name, rows in calls if rows in (n, (n, 4)))
+    assert whole == ["_sort_ranks", "distinct_masks", "family_masks", "orbit_least"]
+
+
 def test_orbit_labels_beyond_int64_masks():
     # v = 65 masks do not fit int64; labels and keys use Python ints
     v = 65

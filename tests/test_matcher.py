@@ -266,12 +266,12 @@ def test_exact_confirmation_under_hash_collisions(monkeypatch):
 
 
 U64 = 2 ** 64 - 1
-TOP = 2 ** 44  # at most 80 keys make at most 2**7 buckets; 2**44 values share one
+TOP = 2 ** 44  # at most 80 keys make top cells of at most 2**10 bits; 2**44 values share one
 
 
 def key_lists():
-    """Sorted key arrays: anywhere, all in bucket 0, all in the top bucket,
-    all sharing their top bits, and with the extremes 0 and 2**64 - 1."""
+    """Sorted key arrays: anywhere, all in the first top cell, all in the
+    last, all sharing their top bits, and with the extremes 0 and 2**64 - 1."""
     anywhere = st.integers(0, U64)
     extremes = st.sampled_from([0, 1, U64 - 1, U64])
     values = st.one_of(
@@ -286,43 +286,72 @@ def key_lists():
         lambda extra: np.sort(np.array(ks + extra, dtype=np.uint64))))
 
 
+def probe_agrees(table, keys, values, low):
+    """The table finds exactly the values np.isin finds when low is 0, and
+    otherwise exactly the values v with a key in [c, c | low], c = v with
+    the bits of low clear, and returns those c; in either order."""
+    clear = values & np.uint64(U64 ^ low)
+    if low:
+        hi = np.searchsorted(keys, clear | np.uint64(low), side="right")
+        expected = np.flatnonzero(hi > np.searchsorted(keys, clear))
+    else:
+        expected = np.flatnonzero(np.isin(values, keys))
+    for order in (np.arange(len(values)), np.arange(len(values))[::-1]):
+        i, found = table.probe(values[order])
+        assert (np.diff(i) > 0).all()
+        assert np.array_equal(np.sort(order[i]), expected)
+        assert np.array_equal(found, clear[order[i]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(key_lists(), st.lists(st.integers(0, U64), max_size=16),
        st.sampled_from([0, 1, 2, 5, 31, 58, 61, 63]))
 def test_table_lookup_agrees_with_isin(keys, extra, w):
-    """The table finds exactly the values np.isin finds when its tolerance
-    low is 0, and otherwise exactly the values v, with their low bits
-    clear, that have a key in [v, v | low] -- for the keys, their
-    neighbours, and the edges of their buckets and occupancy cells and of
-    the buckets and cells beside them, empty or not.  A stored side of
-    the join has fewer than 2**31 pairs, so its w is at most 31; larger w
-    are where the cells must widen to keep a key in its needle's cell."""
+    """`probe_agrees` for the keys, their neighbours, and the edges of
+    their cells in both filters' fields and of the cells beside them,
+    empty or not, with and without low bits set.  The cells of `by_above`
+    are 2**w values wide and repeat every 2**(w + cells) values.  A
+    stored side of the join has fewer than 2**31 pairs, so its w is at
+    most 31; larger w are where the fields must narrow to read only
+    bits above the low w."""
     low = 2 ** w - 1
     table = gsdf.matcher._Table(keys, np.uint64(low))
-    assert int(table.cell_shift) >= w
+    cells = int(table.field).bit_length()
+    assert int(table.top) >= w and int(table.w) == w and w + cells <= 64
     near = set(extra)
-    for width in (1 << int(table.shift), 1 << int(table.cell_shift)):
+    for width in (1 << int(table.top), 1 << w, 1 << (w + cells)):
         for k in map(int, keys):
             b = k // width * width
             near.update((k - 1, k, k + 1, b - 1, b, b + width - 1, b + width,
                          k - width, k + width, b - width, b + 2 * width,
-                         k - low, k - low - 1))
-    values = np.array(sorted({x & ~low for x in near if 0 <= x <= U64}),
-                      dtype=np.uint64)
-    if low:
-        hi = np.searchsorted(keys, values | np.uint64(low), side="right")
-        expected = hi > np.searchsorted(keys, values)
-    else:
-        expected = np.isin(values, keys)
-    for needles, want in ((values, expected), (values[::-1].copy(), expected[::-1])):
-        assert (table.members(needles) == want).all()
+                         k - low, k - low - 1, k | low, (k | low) + 1))
+    values = np.array(sorted(x for x in near if 0 <= x <= U64), dtype=np.uint64)
+    probe_agrees(table, keys, values, low)
+
+
+def test_table_both_cells_occupied_by_other_keys():
+    """A value whose `by_top` cell holds one key and whose `by_above` cell
+    holds another passes both filters and is still not found: no key is
+    in its range, and the binary search says so."""
+    w = 2
+    low = 2 ** w - 1
+    keys = np.array([0, 3 << 61 | 7 << w], dtype=np.uint64)
+    table = gsdf.matcher._Table(keys, np.uint64(low))
+    assert int(table.top) == 59 and int(table.field) == 31
+    values = np.array([7 << w, 7 << w | 1, 7 << w | low], dtype=np.uint64)
+    assert table.by_top[table._top(values)].all()
+    assert table.by_above[table._above(values)].all()
+    i, found = table.probe(values)
+    assert len(i) == len(found) == 0
+    probe_agrees(table, keys, np.concatenate([values, keys]), low)
 
 
 def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     """With _CHUNK = 8: two 2 x 2 products share a block, a 5 x 3 product
     spans blocks, and a 1 x 11 product is one block longer than _CHUNK.
     The blocks give every position once, in order, and locate takes each
-    position to the rows whose keys sum to its key."""
+    position to the rows whose keys sum to its key, or, as needles for
+    key_t, to the rows whose keys key_t less its needle is the sum of."""
     monkeypatch.setattr(gsdf.matcher, "_CHUNK", 8)
     skew = collect_rows(13, 6, "skew")
     sym = collect_rows(13, 4, "symmetric")
@@ -332,15 +361,20 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     pairs = sum(nx * ny for nx, ny in shape)
     side = gsdf.matcher._Side((xs, ys), pairs, (0, 2))
     kx, ky = side.keys
-    sizes, end = [], 0
-    for offset, keys in side.blocks():
-        assert offset == end
-        x, y = side.locate(offset + np.arange(len(keys)))
-        assert (keys == kx[x] + ky[y]).all()
-        sizes.append(len(keys))
-        end += len(keys)
-    assert end == pairs
-    assert sizes == [8, 6, 6, 3, 11]
+    key_t = np.uint64(0x9E3779B97F4A7C15)
+    for needles in (False, True):
+        sizes, end = [], 0
+        for offset, keys in side.blocks(key_t) if needles else side.blocks():
+            assert offset == end
+            x, y = side.locate(offset + np.arange(len(keys)))
+            if needles:
+                assert (keys == key_t - kx[x] - ky[y]).all()
+            else:
+                assert (keys == kx[x] + ky[y]).all()
+            sizes.append(len(keys))
+            end += len(keys)
+        assert end == pairs
+        assert sizes == [8, 6, 6, 3, 11]
     x, y = side.locate(np.arange(pairs))
     assert len(set(zip(x.tolist(), y.tolist()))) == pairs
 
