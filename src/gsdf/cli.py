@@ -16,7 +16,7 @@ import re
 import sys
 
 from .blockgen import check_width, collect_rows, read_row_file, write_row_file
-from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows
+from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows_up_to
 from .equivalence import classify, small_classes
 from .family import Family, format_family, read_families, write_families
 from .matcher import bins_match, default_jobs
@@ -178,11 +178,7 @@ def cmd_catalog(args) -> int:
 def cmd_table1(args) -> int:
     options = SearchOptions(jobs=args.jobs, classified=False)
     if not args.recompute:
-        rows = [row for row in table_rows()
-                if args.max_v is None or row.params.v <= args.max_v]
-        if not rows:
-            raise ValueError(f"the table has no order v <= {args.max_v}")
-        for row in rows:
+        for row in table_rows_up_to(args.max_v):
             print(f"{row.params} " +
                   " ".join(f"{t}={v}" for t, v in zip(TYPE_NAMES, row.verdicts)))
         return 0

@@ -17,16 +17,19 @@ side costs memory.  A group whose stored side holds
 SPLIT_LIMIT pairs or more is refined on its next column by the same
 rule: each product splits into the products of its files' bins there,
 regrouped by their pair sum t, and the (a, d) products of sum t meet
-only the (b, c) products of sum lam - t.  A file met in several groups
-is split once and its bins are shared.  A file's bins on a column are
-its values there, ascending, read as the nonzero counts of `np.bincount`
-of the uint8 column: `np.unique` on numpy 2.4 imports `numpy.ma` on its
-first call in a process (14-16 ms on a 2-core x86-64 machine).  A group
+only the (b, c) products of sum lam - t.  Within one first-column
+group, a file met in several groups is split once and its bins are
+shared.  A file's bins on a column are its values there, ascending,
+read as the nonzero counts of `np.bincount` of the uint8 column:
+`np.unique` on numpy 2.4 imports `numpy.ma` on its first call in a
+process (14-16 ms on a 2-core x86-64 machine).  A group
 refined on every column is joined like any other; there every pair of
-one side matches every pair of the other.  SPLIT_LIMIT = 10**6 keeps a
-stored side's keys near 8 MB and each of its two occupancy arrays at
-most 8 MB; on the order-33 and order-37 kkss searches it beat 5e5, 2e6
-and 1e7.
+one side matches every pair of the other.  A first-column group is
+refined depth first and each piece is joined as it is reached, so a
+process holds the pieces of one first-column group's current path, not
+every leaf of the search.  SPLIT_LIMIT = 10**6 keeps a stored side's
+keys near 8 MB and each of its two occupancy arrays at most 8 MB; on
+the order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
 
 Rows are hashed to 64-bit keys once per match, over all (v-1)/2 columns:
 a dot product with a fixed random multiplier per column, linear in the
@@ -63,11 +66,12 @@ in a group with hits.
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
 number of worker processes `jobs` (the CLI's default is `default_jobs`,
-read from GSDF_JOBS).  Each group left after refinement is one task of
-the pool, handed out by most pairs first; the workers are forked holding
-the groups, so a task is sent as its index.  Callers that want blocks
-build them from the masks.  The join takes the four files as given: it
-assumes no symmetry of them.
+read from GSDF_JOBS).  Each first-column group is one task, refined and
+joined where it runs.  The pool has one worker per group at most, and
+hands the groups out by most pairs first; the workers are forked holding
+the first-column groups, so a task is sent as its index and the parent
+refines nothing.  Callers that want blocks build them from the masks.
+The join takes the four files as given: it assumes no symmetry of them.
 `search.search_param`, whose files are complete candidate sets, reduces
 X_1 to unit-orbit representatives before calling it and expands the
 families afterwards.
@@ -197,19 +201,6 @@ def match_cases(files, lam: int) -> list:
                       (([files[a]], [files[d]]), ([files[b]], [files[c]])),
                       (len(files[a]) * len(files[d]), len(files[b]) * len(files[c])))
     return _refine(whole, {})
-
-
-def _leaves(cases) -> list:
-    """Refine groups until each one's stored side is below SPLIT_LIMIT or
-    no column is left."""
-    bins, out, stack = {}, [], list(cases)
-    while stack:
-        group = stack.pop()
-        if group.depth == (group.v - 1) // 2 or min(group.pairs) < SPLIT_LIMIT:
-            out.append(group)
-        else:
-            stack.extend(_refine(group, bins))
-    return out
 
 
 class _Table:
@@ -396,6 +387,20 @@ def _join(stored, streamed, target, key_t) -> list:
     return out
 
 
+def _match_group(case: MatchCase) -> list:
+    """Mask quadruples of one group, refined depth first: a piece is
+    joined as soon as its stored side is below SPLIT_LIMIT or no column
+    is left, so only the current path's siblings wait."""
+    bins, out, stack = {}, [], [case]
+    while stack:
+        group = stack.pop()
+        if group.depth == (group.v - 1) // 2 or min(group.pairs) < SPLIT_LIMIT:
+            out.extend(_join_case(group))
+        else:
+            stack.extend(_refine(group, bins))
+    return out
+
+
 def default_jobs() -> int:
     """Worker count from the GSDF_JOBS environment variable; unset or empty
     gives 1, anything but a positive integer is a ValueError."""
@@ -419,15 +424,16 @@ def _hold(groups) -> None:
 
 
 def _join_held(i: int) -> list:
-    return _join_case(_held[i])
+    return _match_group(_held[i])
 
 
 def bins_match(files, lam: int, jobs: int = 1) -> list:
     """Sorted mask quadruples (X_1..X_4), one block per file, whose rows sum to lam."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    groups = _leaves(match_cases(files, lam))
-    if jobs > 1 and len(groups) > 1:
+    groups = match_cases(files, lam)
+    jobs = min(jobs, len(groups))
+    if jobs > 1:
         from multiprocessing import get_context  # only a parallel match needs it
         # the workers are forked holding the groups, so a task is an index;
         # the groups with most pairs go first, so none of them starts last
@@ -437,7 +443,7 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
             chunks = list(pool.imap_unordered(_join_held, order, chunksize=1))
         quads = [q for chunk in chunks for q in chunk]
     else:
-        quads = [q for g in groups for q in _join_case(g)]
+        quads = [q for g in groups for q in _match_group(g)]
     quads.sort()
     return quads
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockgen import check_width, collect_rows
-from .catalog import table_rows
+from .catalog import table_rows_up_to
 from .equivalence import (classify, dilation_orbits, orbit_least,
                           small_classes, units)
 from .family import Family
@@ -172,9 +172,7 @@ def search_order(v: int, type_name: str, options: SearchOptions = None,
 def table_comparison(max_v: int, options: SearchOptions = None) -> list:
     """Recompute table verdicts up to max_v; rows of (params, type, expected, got)."""
     options = options or SearchOptions(classified=False)
-    rows = [row for row in table_rows() if row.params.v <= max_v]
-    if not rows:
-        raise ValueError(f"the table has no order v <= {max_v}")
+    rows = table_rows_up_to(max_v)
     got = {}
     for v in sorted({row.params.v for row in rows}):
         for t in TYPE_NAMES:

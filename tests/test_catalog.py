@@ -1,7 +1,7 @@
 import pytest
 
 from gsdf.catalog import (catalog_entries, catalog_entry, catalog_groups,
-                          table_rows, table_verdict)
+                          table_rows, table_rows_up_to, table_verdict)
 from gsdf.equivalence import classify, small_classes
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
 
@@ -64,6 +64,16 @@ def test_table_rows_are_the_searchable_parameter_sets():
         by_v.setdefault(row.params.v, []).append(row.params)
     for v in range(3, 50, 2):
         assert sorted(by_v[v]) == sorted(searchable_param_sets(v))
+
+
+def test_table_rows_up_to_an_order():
+    rows = table_rows()
+    assert table_rows_up_to(None) == rows
+    for max_v in (3, 20, 21, 49):
+        assert table_rows_up_to(max_v) == tuple(r for r in rows if r.params.v <= max_v)
+    with pytest.raises(ValueError) as err:
+        table_rows_up_to(2)
+    assert str(err.value) == "the table has no order v <= 2"
 
 
 def test_verdict_x_iff_type_inapplicable():

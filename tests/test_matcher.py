@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +169,74 @@ def test_split_limit_1_bins_every_column(monkeypatch):
     assert len(expected) == 480
     for jobs in (1, 2):
         assert bins_match(fs, 7, jobs=jobs) == expected
+
+
+def test_each_first_column_group_is_refined_and_joined_where_it_runs(
+        monkeypatch, tmp_path):
+    """At limit 1, serially, a group is joined before the last refinement:
+    the walk is depth first.  With a pool, only workers refine below the
+    first column; the calls are logged to a file with their pid, as the
+    forked workers' own lists never reach the parent."""
+    refine, join_case = gsdf.matcher._refine, gsdf.matcher._join_case
+    log = tmp_path / "calls"
+
+    def record(name, case):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {name} {case.depth}\n")
+
+    def logged_refine(case, bins):
+        record("refine", case)
+        return refine(case, bins)
+
+    def logged_join_case(case):
+        record("join", case)
+        return join_case(case)
+
+    monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
+    monkeypatch.setattr(gsdf.matcher, "_refine", logged_refine)
+    monkeypatch.setattr(gsdf.matcher, "_join_case", logged_join_case)
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    expected = brute_force_match(fs, 7)
+    for jobs in (1, 2):
+        log.write_text("")
+        assert bins_match(fs, 7, jobs=jobs) == expected
+        calls = [ln.split() for ln in log.read_text().splitlines()]
+        names = [name for _, name, _ in calls]
+        last_refine = len(names) - 1 - names[::-1].index("refine")
+        parent = str(os.getpid())
+        if jobs == 1:
+            assert {pid for pid, _, _ in calls} == {parent}
+            assert "join" in names[:last_refine]
+        else:
+            assert [(name, depth) for pid, name, depth in calls if pid == parent] == [
+                ("refine", "0")]
+            assert {pid for pid, name, depth in calls
+                    if name == "refine" and depth != "0"} - {parent}
+
+
+def test_the_pool_has_no_idle_workers(monkeypatch):
+    """A pool gets one worker per first-column group at most, and none
+    when there is only one worker to start."""
+    get_context, sizes = multiprocessing.get_context, []
+
+    class Recording:
+        def __init__(self, ctx):
+            self.ctx = ctx
+
+        def Pool(self, processes, *args):
+            sizes.append(processes)
+            return self.ctx.Pool(processes, *args)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: Recording(get_context(method)))
+    fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
+    groups = len(match_cases(fs, 3))
+    assert 1 < groups < 8
+    expected = brute_force_match(fs, 3)
+    for jobs, pool in ((8, groups), (2, 2), (1, None)):
+        sizes.clear()
+        assert bins_match(fs, 3, jobs=jobs) == expected
+        assert sizes == ([] if pool is None else [pool])
 
 
 def test_join_builds_each_pair_once(monkeypatch):
