@@ -7,7 +7,10 @@ when k is odd, giving C((v-1)/2, floor(k/2)) candidates.
 
 Every generated block is reduced to its difference row
 (d_X(1), ..., d_X((v-1)/2)), computed for a whole mask vector at once by
-`difference_counts`.  The rows give the power spectral density of the
+`difference_counts`, the one home of difference rows: it takes any
+v >= 1, so the certificates in `verify` read their blocks' rows from it
+too, while the generators and row files here take odd v only.  The
+rows give the power spectral density of the
 block's binary sequence x (x_i = -1 if i in X else +1),
 
     PSD(j) = |sum_i x_i w^{ij}|^2,  w = exp(2 pi I / v),
@@ -54,11 +57,12 @@ def check_width(v: int) -> None:
 
 
 def difference_counts(masks: np.ndarray, v: int) -> np.ndarray:
-    """Difference rows for a vector of bitmasks; shape (n, (v-1)/2), uint8."""
-    if v % 2 == 0:
-        raise ValueError("difference rows are defined for odd v only")
-    p = (v - 1) // 2
-    out = np.empty((len(masks), p), dtype=np.uint8)
+    """Difference rows (d_X(1), ..., d_X(floor(v/2))) for a vector of
+    width-v bitmasks, int64 or object; d_X(v - s) = d_X(s) gives the rest.
+    Shape (n, floor(v/2)), of the least unsigned type that holds v: uint8
+    up to v = 255."""
+    p = v // 2
+    out = np.empty((len(masks), p), dtype=np.min_scalar_type(v))
     for d in range(1, p + 1):
         out[:, d - 1] = np.bitwise_count(masks & rotate_mask(v, masks, d))
     return out

@@ -45,8 +45,8 @@ found before its expansion over the units.
 
 The keys of one order are computed together, in one array pass
 (`_class_keys`): the translates of every distinct block mask, tagged
-through the negation table, the dilates of the typed ones by every unit,
-and an integer per option that sorts as its block key.  Only each
+by `tag_codes`, the dilates of the typed ones by every unit, and an
+integer per option that sorts as its block key.  Only each
 family's winning options are turned back into block-key tuples.
 `canonical_key` and `small_key` are that pass on one family.  A class is
 represented by its first least member under `Family.sort_key`, in input
@@ -68,8 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import Family, block_key, family_masks
-from .zmod import (dilate_mask, distinct_masks, is_skew_mask, mask_elements,
-                   negate_mask, rotate_mask)
+from .zmod import (dilate_mask, distinct_masks, mask_elements, negate_mask,
+                   rotate_mask, tag_codes)
 
 
 # --- elementary transformations ---------------------------------------------
@@ -189,8 +189,8 @@ def _class_keys(v: int, families: list, small: bool) -> list:
     order v, computed together.
 
     The distinct block masks come from `distinct_masks`.  Each one, X, is
-    rotated v ways and each translate T is tagged through the negation
-    table.  The typed translates are dilated by every unit and packed by
+    rotated v ways and each translate T is tagged by `tag_codes`.  The
+    typed translates are dilated by every unit and packed by
     `_pack_block_key` (the negation of uT is (-u)T).  A block's least
     option under u is the least over its typed translates and signs +-u
     (for a small key: u X itself); each unit's four options are sorted,
@@ -202,9 +202,8 @@ def _class_keys(v: int, families: list, small: bool) -> list:
     wide = v + 7 > 63
     sizes = np.bitwise_count(x).astype(object if wide else np.int64)
     translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
-    negated = negate_mask(v, translates)
-    skew = is_skew_mask(v, translates, negated, sizes[:, None])
-    typed = skew | (translates == negated)
+    codes = tag_codes(v, translates)
+    skew, typed = codes == 0, codes < 2
     if not typed[:, 0].all():
         raise ValueError("equivalence machinery needs typed families")
     # row-major, so each mask's typed translates are consecutive, itself first
@@ -258,8 +257,8 @@ def _sort_ranks(v: int, quads: np.ndarray) -> np.ndarray:
     quadruple: its block keys packed by `_pack_block_key` and sorted, so
     the rows compare lexicographically as the sort keys do."""
     sizes = np.bitwise_count(quads).astype(object if v + 7 > 63 else np.int64)
-    negated = negate_mask(v, quads)
-    packed = _pack_block_key(v, sizes, is_skew_mask(v, quads, negated, sizes), negated)
+    skew = tag_codes(v, quads) == 0
+    packed = _pack_block_key(v, sizes, skew, negate_mask(v, quads))
     return np.sort(packed, axis=1)
 
 

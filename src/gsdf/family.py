@@ -10,7 +10,9 @@ positional block tags, e.g. ``kkss`` or ``skss`` (k = skew,
 s = symmetric, - = neither).  Lines starting with ``#`` are comments.
 
 `Family.tags` reads each block's `CyclicSubset.tag`, which the block
-computes once; families that share a block share its tag.
+computes once; families that share a block share its tag.  A block
+key's tag code is the tag's index in `TAGS`, the code `tag_codes`
+gives.
 `family_masks` gathers the block masks of a list of families into one
 array, for the certificates and the classification.
 """
@@ -24,9 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from .params import GsParamSet
-from .zmod import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, CyclicSubset, mask_elements
-
-TAG_CODE = {TAG_SKEW: 0, TAG_SYMMETRIC: 1}
+from .zmod import TAG_NONE, TAGS, CyclicSubset, mask_elements
 
 
 def block_key(mask: int, tag_code: int) -> tuple:
@@ -67,7 +67,7 @@ class Family:
         """v and the sorted block keys of the family as it stands, computed
         on first read; classification represents each class by its least
         member under it.  Typed families only."""
-        return (self.v,) + tuple(sorted(block_key(b.mask, TAG_CODE[t])
+        return (self.v,) + tuple(sorted(block_key(b.mask, TAGS.index(t))
                                         for b, t in zip(self.blocks, self.tags)))
 
     @property

@@ -33,9 +33,10 @@ from them a column of blocks at a time.  After the join, the work is one
 array pass per distinct block and per dilation orbit; per family, only
 the `Family` object, its certificate and its one `verify_family` call
 remain.  The families are certified in one `verify_families` pass,
-which reads each distinct block's tag once, from the block, unpacks
-the distinct masks and computes each one's autocorrelation row once,
-and reads every certificate from the sum of a family's four rows, a
+which tags the distinct masks in one `tag_codes` call, so no block's
+tag is read, takes each one's difference row once from
+`difference_counts`, unpacks them once for the +-1 test, and reads
+every certificate from the sum of a family's four difference rows, a
 slice of families at a time.  The search asks for each family's
 certificate with one `verify_family` call, which takes it from that
 pass, so certification stays one call per family at the layer boundary

@@ -59,40 +59,45 @@ No certificate builds H.
 `verify_families` certifies a list of families, one run of consecutive
 families of one order v at a time, with one array pass per distinct
 block.  The run's masks are gathered once (`family_masks`) and
-deduplicated (`distinct_masks`).  Each distinct mask's tag is read once,
-from one block with that mask (`CyclicSubset.tag`), and its row is
-unpacked, all rows in one `_pm_rows` call; the +-1 test and the exact
-PAF row (`_pafs`, one pass per shift) are computed once per distinct
-row.  Each family's pattern, and whether its X_1 is skew, are gathered
-from those tags through the run's (n, 4) block index, so certification
-reads no `Family.tags`.  The run is then certified _SLICE = 256 families
-at a time: a family's first Gram row is the sum of its four blocks' PAF
-rows, gathered for the slice in one index.
-`gs` is that row being 4v e_0; the difference sums are read from it for
-the slice in one integer pass (`_difference_checks`); `hadamard` is `gs`
-and the +-1 test of the family's four rows; the skew-type certificate is
-`hadamard` when X_1 is skew (see above), and the pattern's special
-certificate is `gs`.  The families of a run that pass share one frozen
-`DiffFamilyCheck` per index lam; only a failing family gets a check of
-its own, with its sums.  A `FamilyCertificate` is a named tuple:
-immutable, and built without a frozen dataclass's setattr per field.
-The per-family work left is that tuple and a comparison of lam with the
-family's parameters.  A slice's certificates are yielded before the
-next slice is built, so beyond the run's masks and distinct rows at most
-_SLICE x 4 x v integers and _SLICE certificates are held at once.
-`verify_family` is `verify_families` of one family, or takes a family's
-certificate from a `verify_families` pass that its caller walks family
-by family, as the search does.  No circulant, array or matrix product is
-built on that path; the public checks below, which also take bare
-matrices, build them.
+deduplicated (`distinct_masks`).  The distinct masks are tagged in one
+`tag_codes` call, their difference rows d(1), ..., d(floor(v/2)) come
+from one `difference_counts` call (`blockgen`, the one home of
+difference rows), and their +-1 rows from one `_pm_rows` call, for the
++-1 test.  Each family's pattern, and whether its X_1 is skew, are
+gathered from those tag codes through the run's (n, 4) block index, so
+certification reads no tag of a block or a family.  The run is then
+certified _SLICE = 256 families at a time: a family's difference sums
+D(s) = sum_i d_i(s) are the sum of its four blocks' rows, gathered for
+the slice in one index, and D(v - s) = D(s) gives the shifts past v/2.
+By the PAF identity above, G[0, s] = 4v - 4 sum k_i + 4 D(s), so `gs`
+(G = 4vI) is D(s) = sum k_i - v at every s != 0; the difference-family
+checks are read from the sums in one integer pass
+(`_difference_checks`); `hadamard` is `gs` and the +-1 test of the
+family's four rows; the skew-type certificate is `hadamard` when X_1 is
+skew (see above), and the pattern's special certificate is `gs`.  The
+families of a run that pass share one frozen `DiffFamilyCheck` per index
+lam; only a failing family gets a check of its own, with its sums.  A
+`FamilyCertificate` is a named tuple: immutable, and built without a
+frozen dataclass's setattr per field.  The per-family work left is that
+tuple and a comparison of lam with the family's parameters.  A slice's
+certificates are yielded before the next slice is built, so beyond the
+run's masks and distinct rows at most _SLICE x 4 x v/2 counts and
+_SLICE certificates are held at once.  `verify_family` is
+`verify_families` of one family, or takes a family's certificate from a
+`verify_families` pass that its caller walks family by family, as the
+search does.  No circulant, array or matrix product is built on that
+path; the public checks below, which also take bare matrices, build
+them.
 
-All checks are exact integer identities.  The PAF rows and their sums
-are int32: |PAF(s)| <= v and a Gram row entry is at most 4v in absolute
-value.  The public checks below take arbitrary integer matrices and run
-their products in float64 through BLAS (numpy has no BLAS for integer
-matmul), exact while every partial sum is an integer below 2^53; they
-are the oracle the certificates are tested against, and `gsdf verify
---hadamard` checks the one matrix it writes with `is_hadamard`.
+All checks are exact integer identities.  A difference row holds counts
+of at most v, in the least unsigned type that holds v (uint8 up to
+v = 255), and the sums are int64.  The public checks below take
+arbitrary integer matrices and run their products in float64 through
+BLAS (numpy has no BLAS for integer matmul), exact while every partial
+sum is an integer below 2^53.  `check_difference_family` reads its
+difference sums off its own first Gram row, not off `difference_counts`.
+They are the oracle the certificates are tested against, and `gsdf
+verify --hadamard` checks the one matrix it writes with `is_hadamard`.
 """
 from __future__ import annotations
 
@@ -103,8 +108,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blockgen import difference_counts
 from .family import Family, family_masks
-from .zmod import TAG_NONE, TAG_SKEW, TAG_SYMMETRIC, CyclicSubset, distinct_masks
+from .zmod import TAGS, CyclicSubset, distinct_masks, tag_codes
 
 _SLICE = 256  # families per slice of `verify_families`
 
@@ -178,28 +184,21 @@ class DiffFamilyCheck:
         return self.ok
 
 
-def _difference_checks(first_rows: np.ndarray, ksums, nblocks: int,
-                       passing: dict) -> list:
-    """Difference multiplicities from the first rows of Gram sums, an
-    (m, v) integer or integral float array: row i is of nblocks blocks of
-    total size ksums[i].  One int32 pass over all m rows.  The rows that
-    pass share one check per index, kept in `passing` across calls; a
-    failing row gets a check of its own sums."""
-    v = first_rows.shape[1]
-    ksums = np.asarray(ksums, np.int32)
-    if v == 1:
-        lams, oks = (ksums - v).tolist(), [True] * len(ksums)
-    else:
-        # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
-        shift = 4 * ksums[:, None] - nblocks * v
-        sums = (first_rows[:, 1:].astype(np.int32) + shift) // 4
+def _difference_checks(sums: np.ndarray, ksums, passing: dict) -> list:
+    """Difference-family checks from difference sums, an (m, v - 1)
+    integer array: row i holds D(1), ..., D(v - 1) of blocks of total size
+    ksums[i].  The rows that pass share one check per index, kept in
+    `passing` across calls; a failing row gets a check of its own sums."""
+    if sums.shape[1]:
         lams, oks = sums[:, 0].tolist(), (sums == sums[:, :1]).all(axis=1).tolist()
+    else:  # v = 1: no shift to check, and the index is sum k - v
+        lams, oks = (np.asarray(ksums) - 1).tolist(), [True] * len(sums)
     checks = []
     for i, (ok, lam) in enumerate(zip(oks, lams)):
         if not ok:
             check = DiffFamilyCheck(False, None, tuple(sums[i].tolist()))
         elif (check := passing.get(lam)) is None:
-            check = passing[lam] = DiffFamilyCheck(True, lam, (lam,) * (v - 1))
+            check = passing[lam] = DiffFamilyCheck(True, lam, (lam,) * sums.shape[1])
         checks.append(check)
     return checks
 
@@ -212,8 +211,11 @@ def check_difference_family(blocks) -> DiffFamilyCheck:
     v = blocks[0].v
     if any(b.v != v for b in blocks):
         raise ValueError("blocks live in different groups")
+    ksum = sum(map(len, blocks))
+    # G[0, s] = sum_i PAF_i(s) = n v - 4 sum k_i + 4 sum_i d_i(s)
     gram = _gram([circulant(b) for b in blocks])
-    return _difference_checks(gram[:1], [sum(map(len, blocks))], len(blocks), {})[0]
+    sums = (gram[0, 1:] - len(blocks) * v + 4 * ksum) // 4
+    return _difference_checks(sums[None].astype(np.int64), [ksum], {})[0]
 
 
 def check_gs_matrices(fam_or_mats) -> bool:
@@ -309,50 +311,34 @@ class FamilyCertificate(NamedTuple):
                     self.special is None or self.special))
 
 
-def _pafs(rows: np.ndarray) -> np.ndarray:
-    """The periodic autocorrelation PAF(s) = sum_c r[c] r[c + s] of each
-    row of an (m, v) integer array, in int32, one pass per shift."""
-    v = rows.shape[1]
-    twice = np.concatenate((rows, rows), axis=1)
-    pafs = np.empty((v, len(rows)), np.int32)
-    for s in range(v):
-        np.einsum("ij,ij->i", rows, twice[:, s:s + v], out=pafs[s])
-    return pafs.T
-
-
-_TAGS = (TAG_SKEW, TAG_SYMMETRIC, TAG_NONE)
 # the special name of each pattern, at index 27 t_1 + 9 t_2 + 3 t_3 + t_4
-# for the indices t_i of its tags in _TAGS
+# for the codes t_i of its tags (`tag_codes`)
 _PATTERN_SPECIAL = np.array([_SPECIAL_NAMES.get("".join(p), "")
-                             for p in product(_TAGS, repeat=4)], dtype=object)
+                             for p in product(TAGS, repeat=4)], dtype=object)
 
 
 def _verify_run(v: int, fams: list):
     """`verify_families` of families of one order v."""
     distinct, block_row = distinct_masks(family_masks(v, fams).ravel())
-    # each distinct mask's tag, as its index in _TAGS, read from one block
-    # with that mask: flat position i is block i % 4 of family i // 4
-    one = np.empty(len(distinct), np.intp)
-    one[block_row] = np.arange(len(block_row))
-    tags = np.array([_TAGS.index(fams[i >> 2].blocks[i & 3].tag)
-                     for i in one.tolist()])
     block_row = block_row.reshape(-1, 4)
-    sizes = np.bitwise_count(distinct)
-    rows = _pm_rows(v, distinct.tolist(), np.int32)
-    pm1, pafs = _is_pm1(rows, axis=1), _pafs(rows)
-    target = np.zeros(v, np.int32)
-    target[0] = 4 * v  # the first row of 4vI
+    tags = tag_codes(v, distinct)
+    sizes = np.bitwise_count(distinct).astype(np.int64)
+    rows = difference_counts(distinct, v)
+    pm1 = _is_pm1(_pm_rows(v, distinct.tolist(), np.int32), axis=1)
+    s = np.arange(1, v)
+    fold = np.minimum(s, v - s) - 1  # column of D(s) in a row of D(1..v/2)
     passing = {}
     for start in range(0, len(fams), _SLICE):
         part = fams[start:start + _SLICE]
         blocks = block_row[start:start + _SLICE]
-        # the first row of G = sum A_i A_i^T, which is circulant
-        first_rows = pafs[blocks].sum(axis=1, dtype=np.int32)
-        gs = (first_rows == target).all(axis=1)
+        sums = rows[blocks].sum(axis=1, dtype=np.int64)
+        ksums = sizes[blocks].sum(axis=1)
+        # G = 4vI: D(s) = sum k - v at every shift s != 0
+        gs = (sums == (ksums - v)[:, None]).all(axis=1)
         had = gs & pm1[blocks].all(axis=1)
-        diffs = _difference_checks(first_rows, sizes[blocks].sum(axis=1), 4, passing)
+        diffs = _difference_checks(sums[:, fold], ksums, passing)
         names = _PATTERN_SPECIAL[tags[blocks] @ (27, 9, 3, 1)]
-        x1_skew = tags[blocks[:, 0]] == _TAGS.index(TAG_SKEW)
+        x1_skew = tags[blocks[:, 0]] == 0
         skew = np.where(x1_skew, had.astype(object), None)
         special = np.where(names != "", gs.astype(object), None)
         lam_matches = [d.ok and d.lam == f.params.lam for d, f in zip(diffs, part)]
@@ -363,8 +349,9 @@ def _verify_run(v: int, fams: list):
 def verify_families(fams):
     """Run every applicable exact check on each family, and yield the
     certificates in order.  Each family is read from the sum of its four
-    blocks' PAF rows, the first row of its Gram sum G, and the +-1 test of
-    its rows, `_SLICE` families at a time (see the module docstring).
+    blocks' difference rows, which fixes the first row of its Gram sum G,
+    and the +-1 test of its rows, `_SLICE` families at a time (see the
+    module docstring).
     H H^T = I_4 (x) G, so H is Hadamard when its rows are +-1 and G is
     4vI.  Good, G- and best matrices are the Gram condition on their
     pattern, so a named special certificate is `gs`; a skew X_1 makes H
@@ -380,9 +367,9 @@ def verify_family(fam: Family, certificates=None) -> FamilyCertificate:
     the next certificate of `certificates`, a `verify_families` iterator
     over a list the caller walks in order.  A caller that asks for each
     family's certificate on its own so still pays for a slice's work once.
-    A certificate of another family is a ValueError."""
-    cert = next(verify_families([fam]) if certificates is None else certificates)
-    if cert.family is not fam:
+    A certificate of another family, or none left, is a ValueError."""
+    cert = next(verify_families([fam]) if certificates is None else certificates, None)
+    if cert is None or cert.family is not fam:
         raise ValueError(f"the next certificate is not that of {fam}")
     return cert
 

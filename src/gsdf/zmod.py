@@ -16,13 +16,13 @@ are implemented once, on masks (`rotate_mask`, `dilate_mask`), for
 equivalence machinery and the search's unit-orbit reduction alike, on
 Python ints and on int64 or object arrays of masks.  Dilation looks each
 byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
-on first use; negation is dilation by v - 1 (`negate_mask`), and
-`is_skew_mask` is the one skew test, on masks and their negations.
-A block's tag (skew, else symmetric, else none) is computed once per
-`CyclicSubset`, on first read (`CyclicSubset.tag`), from one negation of
-its mask.  `distinct_masks` is the one dedupe of an array of masks, or
-of mask quadruples, for the search, the certificates, the class keys and
-the dilation orbits.
+on first use; negation is dilation by v - 1 (`negate_mask`).
+`tag_codes` is the one tag test (skew, else symmetric, else none), from
+one negation of each mask: it gives each tag's index in `TAGS`, for one
+mask or an array of them, for `CyclicSubset.tag`, the certificates, the
+class keys and the sort ranks alike.  `distinct_masks` is the one dedupe
+of an array of masks, or of mask quadruples, for the search, the
+certificates, the class keys and the dilation orbits.
 """
 from __future__ import annotations
 
@@ -113,12 +113,6 @@ def negate_mask(v: int, mask):
     return dilate_mask(v, mask, -1)
 
 
-def is_skew_mask(v: int, masks, negated, sizes):
-    """Which blocks are skew, from their masks, negations and sizes: Python
-    ints, or arrays that broadcast together."""
-    return (masks & negated == 0) & (2 * sizes + 1 == v)
-
-
 def distinct_masks(masks):
     """The distinct masks of a 1-d int64 or object array, ascending, and
     the index of each mask among them: what `np.unique(masks,
@@ -139,6 +133,16 @@ def distinct_masks(masks):
 TAG_SKEW = "k"
 TAG_SYMMETRIC = "s"
 TAG_NONE = "-"
+TAGS = (TAG_SKEW, TAG_SYMMETRIC, TAG_NONE)
+
+
+def tag_codes(v: int, masks):
+    """Each block's tag as its index in `TAGS`: 0 when skew, else 1 when
+    symmetric, else 2.  ``masks`` is a Python int or an int64 or object
+    array of masks; one negation of each serves both tests."""
+    negated = negate_mask(v, masks)
+    skew = (masks & negated == 0) & (2 * np.bitwise_count(masks) + 1 == v)
+    return np.where(skew, 0, 2 - (negated == masks))
 
 
 @dataclass(frozen=True)
@@ -211,20 +215,11 @@ class CyclicSubset:
     def complement(self) -> "CyclicSubset":
         return CyclicSubset(self.v, self.mask ^ ((1 << self.v) - 1))
 
-    def is_symmetric(self) -> bool:
-        return negate_mask(self.v, self.mask) == self.mask
-
-    def is_skew(self) -> bool:
-        return is_skew_mask(self.v, self.mask, negate_mask(self.v, self.mask), len(self))
-
     @cached_property
     def tag(self) -> str:
-        """Skew, else symmetric, else none; computed on first read, from
-        one negation of the mask for both tests."""
-        negated = negate_mask(self.v, self.mask)
-        if is_skew_mask(self.v, self.mask, negated, len(self)):
-            return TAG_SKEW
-        return TAG_SYMMETRIC if negated == self.mask else TAG_NONE
+        """Skew, else symmetric, else none (`tag_codes`); computed on first
+        read."""
+        return TAGS[tag_codes(self.v, self.mask)]
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""

@@ -12,15 +12,15 @@ from gsdf.equivalence import (Dilate, Exchange, Negate, Translate, _block_key_of
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
                               orbit_least, small_classes, small_key, units)
-from gsdf.family import (TAG_CODE, TAG_NONE, TAG_SKEW, Family, block_key,
-                         family_from_blocks)
+from gsdf.family import Family, block_key, family_from_blocks
 from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, enumerate_param_sets,
                          searchable_param_sets, type_applicable)
 from gsdf.search import SearchOptions, search_param
-from gsdf.zmod import (CyclicSubset, dilate_mask, is_skew_mask, negate_mask,
-                       rotate_mask)
+from gsdf.zmod import (TAG_NONE, TAG_SKEW, TAGS, CyclicSubset, dilate_mask,
+                       negate_mask, rotate_mask, tag_codes)
 from gsdf.verify import check_difference_family
+from test_zmod import tag_by_sets
 
 
 def search_families(v, sizes, kinds, lam):
@@ -53,7 +53,7 @@ def test_translation_can_break_symmetry():
     fam = family_from_blocks(7, [[1, 2, 4], [0, 2, 5], [0, 2, 5], [0]])
     moved = apply_transform(fam, Translate(1, 1))
     assert moved.blocks[1].elements == (1, 3, 6)
-    assert not moved.blocks[1].is_symmetric()
+    assert tag_by_sets(7, moved.blocks[1].elements) == moved.blocks[1].tag == "-"
     assert not moved.is_typed
 
 
@@ -186,7 +186,8 @@ def test_skew_translates_can_leave_the_negation_pair():
     # the canonical search must look past per-block negations
     k = CyclicSubset.from_elements(9, [1, 3, 4, 7])
     t = k.translate(3)
-    assert k.is_skew() and t.is_skew()
+    assert tag_by_sets(9, k.elements) == tag_by_sets(9, t.elements) == "k"
+    assert k.tag == t.tag == "k"
     assert t.mask not in (k.mask, k.negate().mask)
 
 
@@ -501,8 +502,8 @@ def test_block_keys_decode_in_one_pass(v):
     x = np.array(masks, dtype=np.int64 if v <= 63 else object)
     sizes = np.array([m.bit_count() for m in masks], dtype=object if wide else np.int64)
     negated = negate_mask(v, x)
-    packed = _pack_block_key(v, sizes, is_skew_mask(v, x, negated, sizes), negated)
+    packed = _pack_block_key(v, sizes, tag_codes(v, x) == 0, negated)
     assert packed.dtype == (object if wide else np.int64)
     decoded = _block_key_of(v, packed)
     assert decoded == [block_key_of_one(v, p) for p in packed.tolist()]
-    assert decoded == [block_key(b.mask, TAG_CODE[b.tag]) for b in blocks]
+    assert decoded == [block_key(b.mask, TAGS.index(b.tag)) for b in blocks]

@@ -9,6 +9,7 @@ from gsdf.family import (TAG_NONE, Family, FamilyFormatError, family_from_blocks
                          write_families)
 from gsdf.params import GsParamSet, enumerate_param_sets
 from gsdf.zmod import CyclicSubset
+from test_zmod import tag_by_sets
 
 
 def qr7_family():
@@ -58,7 +59,7 @@ def test_subset_tag_is_the_subset_predicates(v):
         subsets.append(CyclicSubset.from_elements(v, [rng.choice((x, v - x)) for x in half]))
         subsets.append(CyclicSubset.from_elements(v, [0] * rng.randint(0, 1) + [
             y for x in rng.sample(half, len(half) // 2) for y in (x, v - x)]))
-    want = ["k" if x.is_skew() else "s" if x.is_symmetric() else "-" for x in subsets]
+    want = [tag_by_sets(v, x.elements) for x in subsets]
     assert v <= 2 or set(want) == {"k", "s", "-"}
     assert [x.tag for x in subsets] == want
 

@@ -134,15 +134,21 @@ def run_fresh(code: str) -> str:
 
 
 def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
-    """The expanded families share one CyclicSubset per distinct mask, each
-    of which is tagged exactly once, and the blocks' +-1 rows come from one
-    `_pm_rows` call in `verify`, with every distinct mask."""
-    tagged, unpacked = [], []
-    tag, pm_rows = CyclicSubset.tag.func, gsdf.verify._pm_rows
+    """The expanded families share one CyclicSubset per distinct mask.
+    Certification tags exactly those masks in one `tag_codes` call, and
+    unpacks their +-1 rows in one `_pm_rows` call; the search computes no
+    block's cached `CyclicSubset.tag`."""
+    tagged, coded, unpacked = [], [], []
+    tag, codes = CyclicSubset.tag.func, gsdf.verify.tag_codes
+    pm_rows = gsdf.verify._pm_rows
 
     def counted_tag(x):
-        tagged.append(id(x))
+        tagged.append(x)
         return tag(x)
+
+    def counted_codes(v, masks):
+        coded.append(masks.tolist())
+        return codes(v, masks)
 
     def counted_pm_rows(v, masks, *args):
         unpacked.append(len(masks))
@@ -151,6 +157,7 @@ def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     counted = cached_property(counted_tag)
     counted.__set_name__(CyclicSubset, "tag")
     monkeypatch.setattr(CyclicSubset, "tag", counted)
+    monkeypatch.setattr(gsdf.verify, "tag_codes", counted_codes)
     monkeypatch.setattr(gsdf.verify, "_pm_rows", counted_pm_rows)
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     families = search_param(params, "kkks").families
@@ -158,14 +165,16 @@ def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     blocks = {id(b) for fam in families for b in fam.blocks}
     assert len(distinct) < 4 * len(families)
     assert len(blocks) == len(distinct)
-    assert sorted(tagged) == sorted(blocks)
+    assert tagged == []
+    assert coded == [sorted(distinct)]
     assert unpacked == [len(distinct)]
 
 
 def test_a_search_reads_no_family_tags_and_shares_passing_checks(monkeypatch):
-    """Certification reads each distinct block's tag from the block, never
-    `Family.tags` (nor the pattern built on it), and the families of a
-    search, which share one index, share one passing `DiffFamilyCheck`."""
+    """Certification reads each distinct block's tag code from one
+    `tag_codes` call, never `Family.tags` (nor the pattern built on it),
+    and the families of a search, which share one index, share one
+    passing `DiffFamilyCheck`."""
     tagged, built = [], []
     tags, check = Family.tags.func, gsdf.verify.DiffFamilyCheck
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -422,6 +423,74 @@ def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7, small_slices
     assert [c.family for c in certs] == fams
     assert {True, False} == {c.ok for c in certs}
     assert len({(f.v, f.params, f.pattern) for f in fams}) >= 10
+
+
+def even_families(params, limit):
+    """Up to `limit` families with `params` at an even v, found by FFT.
+    The blocks of each size that hold 0 (a translate of every nonempty
+    block does) and whose PSD stays within 4v are joined as (X_1, X_4)
+    pairs against (X_2, X_3) pairs on their PAF rows, whose sum is zero
+    at s = 1..v/2 in a family."""
+    v, half = params.v, params.v // 2
+    base = (4 * v + 1) ** np.arange(half)  # PAF(s) + v in [0, 2v] per block
+    pools, keys = [], []
+    for k in params.k:
+        subsets = [c for c in combinations(range(v), k) if 0 in c or not k]
+        signs = np.array([[-1 if i in c else 1 for i in range(v)] for c in subsets])
+        psd = np.abs(np.fft.fft(signs, axis=1)) ** 2
+        keep = (psd[:, 1:] <= 4 * v + 1e-6).all(axis=1)
+        paf = np.rint(np.fft.ifft(psd[keep], axis=1).real).astype(np.int64)
+        pools.append([subsets[i] for i in np.flatnonzero(keep)])
+        keys.append((paf[:, 1:half + 1] + v) @ base)
+    left = np.add.outer(keys[0], keys[3]).ravel()
+    order = np.argsort(left)
+    found = []
+    for b, key in enumerate(keys[1]):
+        need = 4 * v * base.sum() - key - keys[2]
+        at = np.searchsorted(left, need, sorter=order).clip(max=len(left) - 1)
+        for c in np.flatnonzero(left[order[at]] == need).tolist():
+            a, d = divmod(int(order[at[c]]), len(keys[3]))
+            quad = (pools[0][a], pools[1][b], pools[2][c], pools[3][d])
+            found.append(Family(params, tuple(CyclicSubset.from_elements(v, x)
+                                              for x in quad)))
+            if len(found) == limit:
+                return found
+    return found
+
+
+def test_even_order_certificates_are_the_public_checks(small_slices):
+    # no search takes an even v, but a family file can hold one: the
+    # certificates mirror d(v - s) = d(s) into their sums, and every field
+    # must equal the float64 public checks, for families, random blocks
+    # and both with one element moved
+    rng = random.Random(16)
+    real, fams = [], []
+    for v in range(2, 17, 2):
+        for params in enumerate_param_sets(v):
+            found = even_families(params, 2)
+            assert found, params
+            real += found
+            fams += found + [random_tagged_family(params, "----", rng) for _ in range(2)]
+    fams += [move_one_element(f, rng) for f in fams if f.v >= 6]
+    certs = [checked_by_public_checks(c) for c in verify_families(fams)]
+    assert [c.family for c in certs] == fams
+    assert all(c.ok for c in certs if c.family in real)
+    # at v = 2 the one shift s = 1 always has a constant sum
+    assert {c.family.v for c in certs if not c.diff.ok} == set(range(4, 17, 2))
+    assert sum(not c.ok for c in certs) > len(fams) // 3
+
+
+def test_verify_family_refuses_an_exhausted_certificate_iterator(order_7):
+    fams = order_7[:3]
+    certificates = verify_families(fams[:2])
+    assert [verify_family(f, certificates) for f in fams[:2]] == \
+        list(verify_families(fams[:2]))
+    with pytest.raises(ValueError, match="not that of"):
+        verify_family(fams[2], certificates)
+    # a StopIteration would end the map early, silently
+    certificates = verify_families(fams[:2])
+    with pytest.raises(ValueError, match="not that of"):
+        list(map(lambda f: verify_family(f, certificates), fams))
 
 
 def test_certificates_are_immutable_records(order_7):

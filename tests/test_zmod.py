@@ -1,4 +1,5 @@
 import cmath
+import random
 from math import gcd
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdf.blockgen import _psd_max, difference_counts
-from gsdf.zmod import (CyclicSubset, dilate_mask, distinct_masks, mask_elements,
-                       negate_mask, rotate_mask)
+from gsdf.zmod import (TAGS, CyclicSubset, dilate_mask, distinct_masks,
+                       mask_elements, negate_mask, rotate_mask, tag_codes)
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
 
@@ -31,6 +32,17 @@ def psd_max(x):
     """The pipeline's max_{j>0} PSD(j) of one subset (odd v > 1)."""
     rows = difference_counts(np.array([x.mask], dtype=np.int64), x.v)
     return float(_psd_max(rows, x.v, len(x))[0])
+
+
+def tag_by_sets(v, elements):
+    """Test oracle for `tag_codes`: a subset's tag from the definitions,
+    on Python sets.  Skew when |X| = (v-1)/2 and X misses -X = {-x mod v},
+    else symmetric when -X = X, else none."""
+    x = set(elements)
+    negated = {-e % v for e in x}
+    if 2 * len(x) + 1 == v and not x & negated:
+        return "k"
+    return "s" if negated == x else "-"
 
 
 def difference_row(x):
@@ -78,14 +90,43 @@ def test_transformations():
 
 
 def test_symmetry_predicates():
-    assert CyclicSubset.from_elements(7, [0, 2, 5]).is_symmetric()
-    assert not CyclicSubset.from_elements(7, [1, 3, 6]).is_symmetric()
-    assert QR7.is_skew()
-    assert not CyclicSubset.from_elements(7, [1, 2, 6]).is_skew()  # meets its negation
-    assert not CyclicSubset.from_elements(7, [1, 2]).is_skew()  # wrong size
-    assert not CyclicSubset.from_elements(6, [1, 2]).is_skew()  # even v never skew
-    assert CyclicSubset(7, 0).is_symmetric()
-    assert not CyclicSubset(7, 0).is_skew()
+    cases = [
+        (7, [0, 2, 5], "s"),
+        (7, [1, 3, 6], "-"),
+        (7, [1, 2, 4], "k"),
+        (7, [1, 2, 6], "-"),  # meets its negation
+        (7, [1, 2], "-"),  # wrong size
+        (6, [1, 2], "-"),  # even v never skew
+        (6, [1, 5], "s"),
+        (7, [], "s"),
+        (1, [], "k"),  # skew and symmetric at once: skew wins
+    ]
+    for v, elements, tag in cases:
+        x = CyclicSubset.from_elements(v, elements)
+        assert tag_by_sets(v, elements) == x.tag == TAGS[tag_codes(v, x.mask)] == tag
+
+
+@pytest.mark.parametrize("v", (1, 2, 6, 7, 13, 63, 64, 65))
+def test_tag_codes_on_ints_and_arrays(v):
+    # random masks, and skew and symmetric ones, as Python ints and in an
+    # array: int64 up to v = 63, and Python ints in an object array above,
+    # some of them at or above 2^63
+    rng = random.Random(v)
+    half = range(1, (v + 1) // 2)
+    masks = [rng.getrandbits(v) for _ in range(30)] + [0, (1 << v) - 1]
+    for _ in range(10):
+        masks.append(sum(1 << rng.choice((x, v - x)) for x in half))
+        masks.append(rng.randint(0, 1) + sum(
+            (1 << x) | (1 << (v - x)) for x in rng.sample(half, len(half) // 2)))
+    want = [TAGS.index(tag_by_sets(v, mask_elements(m))) for m in masks]
+    assert v <= 2 or set(want) == ({0, 1, 2} if v % 2 else {1, 2})
+    assert [int(tag_codes(v, m)) for m in masks] == want
+    array = np.array(masks, dtype=np.int64 if v <= 63 else object)
+    assert v < 64 or max(masks) >= 1 << 63
+    assert tag_codes(v, array).tolist() == want
+    grid = tag_codes(v, array[:30].reshape(6, 5))
+    assert grid.tolist() == np.reshape(want[:30], (6, 5)).tolist()
+    assert tag_codes(v, array[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("masks", (
@@ -131,9 +172,18 @@ def test_difference_row_example():
         assert n == row[d - 1]
 
 
-def test_difference_row_rejects_even_v():
-    with pytest.raises(ValueError):
-        difference_counts(np.array([CyclicSubset.from_elements(6, [1, 2]).mask]), 6)
+def test_difference_row_at_even_v():
+    # d(1), ..., d(v/2) at even v, from int64 masks and, at v = 64, Python
+    # ints in an object array; the generators and row files refuse even v
+    for v in (2, 4, 6, 10, 16, 64):
+        rng = random.Random(v)
+        xs = [CyclicSubset(v, rng.getrandbits(v)) for _ in range(20)]
+        xs += [CyclicSubset(v, 0), CyclicSubset(v, (1 << v) - 1)]
+        masks = np.array([x.mask for x in xs], dtype=np.int64 if v <= 63 else object)
+        rows = difference_counts(masks, v)
+        assert rows.shape == (len(xs), v // 2)
+        assert rows.tolist() == [[x.difference_count(s) for s in range(1, v // 2 + 1)]
+                                 for x in xs]
 
 
 def test_paf_example():
@@ -212,16 +262,18 @@ def test_dilation_preserves_difference_multiset(x, u):
     assert y.dilate(inv) == x
 
 
-@given(subsets())
+@given(subsets(odd=False))
 def test_symmetric_iff_negation_fixes(x):
-    assert x.is_symmetric() == (x.negate() == x)
-    assert x.complement().is_symmetric() == x.is_symmetric()
+    assert x.tag == tag_by_sets(x.v, x.elements)
+    # -X = X is the symmetric tag, but for the empty subset of Z_1, which is skew
+    assert (x.negate() == x) == (x.tag == "s" or x == CyclicSubset(1, 0))
+    assert (x.complement().negate() == x.complement()) == (x.negate() == x)
 
 
 @settings(max_examples=60)
 @given(subsets())
 def test_skew_sets_are_never_periodic(x):
-    if not x.is_skew():
+    if x.tag != "k":
         return
     for g in range(1, x.v):
         assert x.translate(g) != x
@@ -233,7 +285,7 @@ def test_skew_closed_under_dilation(x, u):
     u %= x.v
     if u == 0 or gcd(u, x.v) != 1:
         return
-    assert x.dilate(u).is_skew() == x.is_skew()
+    assert x.dilate(u).tag == x.tag
 
 
 @st.composite
@@ -254,10 +306,7 @@ def test_mask_transforms_match_elementwise_definitions(case):
     assert dilate_mask(v, mask, u) == sum(1 << (u * x % v) for x in set(elements))
     for s in (u, -u):
         assert rotate_mask(v, mask, s) == sum(1 << ((x + s) % v) for x in set(elements))
-    x = CyclicSubset(v, mask)
-    negated = {-e % v for e in elements}
-    assert x.is_symmetric() == (negated == set(elements))
-    assert x.is_skew() == (2 * len(elements) + 1 == v and not negated & set(elements))
+    assert CyclicSubset(v, mask).tag == TAGS[tag_codes(v, mask)] == tag_by_sets(v, elements)
 
 
 @st.composite
