@@ -35,9 +35,9 @@ and uF.  `classify` and `small_classes` therefore work per orbit, not
 per family.  `dilation_orbits` finds the orbits once, and a search hands
 its result to both.  Per order, the families' masks are gathered once
 (`family_masks`); each family is labelled by its dilation orbit, the
-least mask quadruple over its dilates (`orbit_least`, vectorised per v),
-and the orbits are numbered by one lexicographic sort and an adjacent
-compare of those quadruples (`distinct_masks`).  One family of each
+least mask quadruple over its dilates (`orbit_least`, vectorised per v,
+one dilate at a time), and the orbits are numbered by one lexicographic
+sort and an adjacent compare of those quadruples (`distinct_masks`).  One family of each
 orbit is keyed, and each orbit's key gives its class, so a family's
 class is one lookup in an array of orbit classes.  A search's family
 list is closed under dilation, so that is one key per family the join
@@ -47,7 +47,10 @@ The keys of one order are computed together, in one array pass
 (`_class_keys`): the translates of every distinct block mask, tagged
 by `tag_codes`, the dilates of the typed ones by every unit, and an
 integer per option that sorts as its block key.  Only each
-family's winning options are turned back into block-key tuples.
+family's winning options, the least of its sorted options over the
+units, are turned back into block-key tuples.  `_lex_min` is the one
+lexicographic minimum, of the dilates in `orbit_least` and of the
+options in `_class_keys`.
 `canonical_key` and `small_key` are that pass on one family.  A class is
 represented by its first least member under `Family.sort_key`, in input
 order.  The members are ranked by the same integers, for each block
@@ -68,8 +71,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .family import Family, block_key, family_masks
-from .zmod import (dilate_mask, distinct_masks, mask_elements, negate_mask,
-                   rotate_mask, tag_codes)
+from .zmod import (dilate_mask, distinct_masks, mask_dtype, mask_elements,
+                   negate_mask, rotate_mask, tag_codes)
 
 
 # --- elementary transformations ---------------------------------------------
@@ -119,47 +122,39 @@ def units(v: int) -> tuple:
     return tuple(u for u in range(v) if gcd(u, v) == 1)
 
 
+def _lex_min(rows) -> np.ndarray:
+    """The row-wise lexicographic least of equal-shape (n, k) arrays, taken
+    from an iterable or from the leading axis of an (m, n, k) array: row i
+    of the result is the least row i of any of them, compared column by
+    column.  Int64 and object arrays alike."""
+    rows = iter(rows)
+    least = next(rows).copy()
+    for image in rows:
+        # lexicographic image < least, decided from the last column back
+        smaller = image[:, -1] < least[:, -1]
+        for j in range(least.shape[1] - 2, -1, -1):
+            smaller = (image[:, j] < least[:, j]) | (
+                (image[:, j] == least[:, j]) & smaller)
+        np.copyto(least, image, where=smaller[:, None])
+    return least
+
+
 def orbit_least(v: int, masks) -> np.ndarray:
     """The least dilate of each mask, over dilation by the units of Z_v.
 
-    ``masks`` is an (n,) int64 array of masks or an (n, 4) array of mask
+    ``masks`` is an (n,) array of masks or an (n, 4) array of mask
     quadruples; quadruples are compared lexicographically and all four
     masks take the same unit, so a row's result labels its family's
     dilation orbit.
     """
-    # int64 holds masks of v <= 63 bits; wider ones stay Python ints
-    masks = np.asarray(masks, dtype=np.int64 if v <= 63 else object)
+    masks = np.asarray(masks, dtype=mask_dtype(v))
     cols = masks if masks.ndim == 2 else masks[:, None]
-    least = cols.copy()
-    for u in units(v):
-        image = dilate_mask(v, cols, u)
-        # lexicographic image < least, decided from the last column back
-        smaller = image[:, -1] < least[:, -1]
-        for j in range(cols.shape[1] - 2, -1, -1):
-            smaller = (image[:, j] < least[:, j]) | (
-                (image[:, j] == least[:, j]) & smaller)
-        np.copyto(least, image, where=smaller[:, None])
+    # one dilate at a time, so the memory held stays that of two dilates
+    least = _lex_min(dilate_mask(v, cols, u) for u in units(v))
     return least.reshape(masks.shape)
 
 
 # --- class keys in one array pass -------------------------------------------
-
-def _lex_least(keys: np.ndarray) -> list:
-    """Columns of the lexicographically least row over axis 0 of (n, m, k) keys.
-
-    Column by column, each of the m slots keeps the rows that reach its
-    least value so far; filling the others with the column's maximum
-    leaves that least value unchanged.
-    """
-    alive = np.ones(keys.shape[:2], dtype=bool)
-    least = []
-    for j in range(keys.shape[2]):
-        col = keys[..., j]
-        low = np.where(alive, col, col.max()).min(axis=0)
-        alive &= col == low
-        least.append(low.tolist())
-    return least
-
 
 def _pack_block_key(v: int, sizes, skew, negated):
     """Integers that sort as the blocks' `block_key`s, from their sizes,
@@ -194,7 +189,7 @@ def _class_keys(v: int, families: list, small: bool) -> list:
     `_pack_block_key` (the negation of uT is (-u)T).  A block's least
     option under u is the least over its typed translates and signs +-u
     (for a small key: u X itself); each unit's four options are sorted,
-    and the lexicographically least over the units is turned back into
+    and their least over the units (`_lex_min`) is turned back into
     `block_key` tuples.
     """
     x, index = distinct_masks(family_masks(v, families).ravel())
@@ -222,8 +217,7 @@ def _class_keys(v: int, families: list, small: bool) -> list:
         # u and -u offer the same options, so half the units suffice
         least = np.minimum(packed, packed[::-1])[:(len(us) + 1) // 2]
         least = np.minimum.reduceat(least, first, axis=1)
-    best = _lex_least(np.sort(least[:, index], axis=-1))
-    keys = _block_key_of(v, np.array(best, dtype=least.dtype).T.ravel())
+    keys = _block_key_of(v, _lex_min(np.sort(least[:, index], axis=-1)).ravel())
     return [(v,) + tuple(keys[i:i + 4]) for i in range(0, len(keys), 4)]
 
 

@@ -26,7 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from .params import GsParamSet
-from .zmod import TAG_NONE, TAGS, CyclicSubset, mask_elements
+from .zmod import TAG_NONE, TAGS, CyclicSubset, mask_dtype, mask_elements
 
 
 def block_key(mask: int, tag_code: int) -> tuple:
@@ -92,11 +92,10 @@ class Family:
 
 def family_masks(v: int, families: list) -> np.ndarray:
     """The block masks of families of order v, one row of four per family,
-    read in one pass over the blocks: int64 for v <= 63, Python ints in an
-    object array above."""
+    read in one pass over the blocks, of `mask_dtype`."""
     blocks = chain.from_iterable(map(attrgetter("blocks"), families))
     return np.fromiter(map(attrgetter("mask"), blocks),
-                       np.int64 if v <= 63 else object, 4 * len(families)).reshape(-1, 4)
+                       mask_dtype(v), 4 * len(families)).reshape(-1, 4)
 
 
 def family_from_blocks(v: int, blocks) -> Family:

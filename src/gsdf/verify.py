@@ -49,12 +49,11 @@ circulant X, so that
 - A_1 is of skew type exactly when X_1 is skew;
 - the Gram sum of (A_1, B_1, B_2, B_3) is the Gram sum of the A_i.
 
-Each entry of H is +-1 times an entry of one of the four first rows:
-Z_i[r, c] is row i at (c - r) mod v, (Z_i R)[r, c] at (-1 - r - c) mod v
-and (Z_i^T R)[r, c] at (r + c + 1) mod v.  So `build_gs_array` builds H
-as a single `take` from its source, the 8v entries [row_1, -row_1, ...,
-row_4, -row_4], through a flat index of its 16v^2 entries (`_gs_index`).
-No certificate builds H.
+Multiplying by R on the right reverses the columns, so Z_i R is
+Z_i[:, ::-1] and Z_i^T R is Z_i.T[:, ::-1].
+`build_gs_array` builds H by the formula above, one `np.block` over the
+four block circulants (`family_circulants`).  No certificate builds H;
+`gsdf verify --hadamard` and the tests do.
 
 `verify_families` certifies a list of families, one run of consecutive
 families of one order v at a time, with one array pass per distinct
@@ -133,20 +132,15 @@ def _as_row(x):
     return row
 
 
-def _circulant_index(v: int) -> np.ndarray:
-    j = np.arange(v)
-    return (j[None, :] - j[:, None]) % v
-
-
 def circulant(x) -> np.ndarray:
     """Circulant matrix with C[i, j] = row[(j - i) mod v]."""
     row = _as_row(x)
-    return row[_circulant_index(len(row))]
+    j = np.arange(len(row))
+    return row[(j[None, :] - j[:, None]) % len(row)]
 
 
 def family_circulants(fam: Family) -> list:
-    rows = _pm_rows(fam.v, [b.mask for b in fam.blocks])
-    return list(rows[:, _circulant_index(fam.v)])
+    return [circulant(b) for b in fam.blocks]
 
 
 def _matrices(fam_or_mats) -> list:
@@ -224,30 +218,17 @@ def check_gs_matrices(fam_or_mats) -> bool:
     return _is_scalar(_gram(mats), 4 * len(mats[0]))
 
 
-# Block (I, J) of the array as (block i of the family, sign, entry index):
-# "C" circulant (c - r), "R" times R (-1 - r - c), "T" transposed times R
-# (r + c + 1), all mod v.
-_GS_LAYOUT = (((0, 1, "C"), (1, 1, "R"), (2, 1, "R"), (3, 1, "R")),
-              ((1, -1, "R"), (0, 1, "C"), (3, -1, "T"), (2, 1, "T")),
-              ((2, -1, "R"), (3, 1, "T"), (0, 1, "C"), (1, -1, "T")),
-              ((3, -1, "R"), (2, -1, "T"), (1, 1, "T"), (0, 1, "C")))
-
-
-def _gs_index(v: int) -> np.ndarray:
-    """Index of each entry of the array, flattened, into its source
-    [row_1, -row_1, ..., row_4, -row_4]."""
-    r, c = np.ogrid[:v, :v]
-    entry = {"C": (c - r) % v, "R": (-1 - r - c) % v, "T": (r + c + 1) % v}
-    return np.block([[(2 * i + (sign < 0)) * v + entry[form]
-                      for i, sign, form in row] for row in _GS_LAYOUT]).ravel()
-
-
 def build_gs_array(fam: Family) -> np.ndarray:
-    """The 4v x 4v Goethals-Seidel array, as int64, in one gather."""
-    v = fam.v
-    rows = _pm_rows(v, [b.mask for b in fam.blocks])
-    source = np.concatenate((rows, -rows), axis=1).ravel()
-    return source.take(_gs_index(v)).reshape(4 * v, 4 * v)
+    """The 4v x 4v Goethals-Seidel array of the module docstring, as int64,
+    from the four block circulants Z_i: Z_i R is Z_i[:, ::-1] and Z_i^T R
+    is Z_i.T[:, ::-1]."""
+    z0, z1, z2, z3 = family_circulants(fam)
+    r1, r2, r3 = (z[:, ::-1] for z in (z1, z2, z3))
+    t1, t2, t3 = (z.T[:, ::-1] for z in (z1, z2, z3))
+    return np.block([[z0, r1, r2, r3],
+                     [-r1, z0, -t3, t2],
+                     [-r2, t3, z0, -t1],
+                     [-r3, -t2, t1, z0]])
 
 
 def _is_pm1(x: np.ndarray, axis=None):

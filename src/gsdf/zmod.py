@@ -14,7 +14,8 @@ complement.  A subset is symmetric when -X = X and skew when v is odd,
 are implemented once, on masks (`rotate_mask`, `dilate_mask`), for
 `CyclicSubset`, the vectorised difference rows, the block tags, the
 equivalence machinery and the search's unit-orbit reduction alike, on
-Python ints and on int64 or object arrays of masks.  Dilation looks each
+Python ints and on arrays of masks; `mask_dtype` is the one rule for an
+array's width, int64 up to v = 63 and object above.  Dilation looks each
 byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
 on first use; negation is dilation by v - 1 (`negate_mask`).
 `tag_codes` is the one tag test (skew, else symmetric, else none), from
@@ -45,6 +46,12 @@ def rotate_mask(v: int, mask, s):
     return ((mask & (((1 << v) - 1) >> s)) << s) | (mask >> (v - s))
 
 
+def mask_dtype(v: int):
+    """The dtype of an array of width-v masks: int64 holds v <= 63 bits,
+    wider masks stay Python ints in an object array."""
+    return np.int64 if v <= 63 else object
+
+
 def mask_elements(mask: int) -> tuple:
     """The residues whose bits are set, ascending."""
     out = []
@@ -61,13 +68,12 @@ def _dilation_table(v: int, u: int) -> np.ndarray:
 
     One row per byte of a width-v mask, ceil(v/8) rows of 256 entries,
     each the OR of the dilated powers of two that the byte's set bits
-    select (positions from v on select nothing).  Entries are int64 for
-    v <= 63 and Python ints in an object array above.  Built on first
-    use of (v, u) and read-only.
+    select (positions from v on select nothing), of `mask_dtype`.  Built
+    on first use of (v, u) and read-only.
     """
     nbytes = -(-v // 8)
     positions = np.arange(8 * nbytes).reshape(nbytes, 8)
-    powers = np.zeros(positions.shape, dtype=np.int64 if v <= 63 else object)
+    powers = np.zeros(positions.shape, dtype=mask_dtype(v))
     live = positions < v
     powers[live] = [1 << (u * int(i) % v) for i in positions[live]]
     bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
@@ -80,8 +86,7 @@ def dilate_mask(v: int, mask, u):
     """Mask of uX = {u x mod v : x in X}: bit i moves to bit u i mod v.
 
     ``mask`` is a Python int, an int64 array of masks or an object array
-    of Python-int masks; an array's image is int64 for v <= 63 and
-    object above.  ``u`` is a unit or, for an array, a tuple of units,
+    of Python-int masks; an array's image is of `mask_dtype`.  ``u`` is a unit or, for an array, a tuple of units,
     whose images are stacked on a new leading axis.  Each byte of a mask
     looks up its image in the (v, u) table of `_dilation_table` and the
     images are ORed.  An int64 array is read bytewise through a

@@ -65,6 +65,14 @@ def test_orbit_least_is_the_least_dilate():
                                  for u in units(v))
     assert orbit_least(v, masks[:0]).shape == (0,)
     assert orbit_least(v, quads[:0]).shape == (0, 4)
+    # masks wider than int64, at v = 65: Python ints in an object array
+    v = 65
+    wide = [int.from_bytes(rng.bytes(9), "little") % (1 << v) for _ in range(40)]
+    wide[:4] = [0, 1, 1 << 64, (1 << v) - 1]
+    least = orbit_least(v, wide)
+    assert least.dtype == object and least.shape == (40,)
+    assert least.tolist() == [min(dilate_mask(v, m, u) for u in units(v))
+                              for m in wide]
 
 
 def test_expand_over_units_sorts_and_deduplicates():

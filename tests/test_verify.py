@@ -153,7 +153,7 @@ def gs_block_formula(fam):
                      [-z3 @ r, -z2.T @ r, z1.T @ r, z0]])
 
 
-def test_gathered_array_is_the_block_formula():
+def test_gs_array_is_the_block_formula():
     rng = np.random.default_rng(25)
     fams = [family_from_blocks(1, [[], [], [], []])]
     for v in (*range(3, 26, 2), 65):  # 65: masks wider than int64
@@ -161,7 +161,9 @@ def test_gathered_array_is_the_block_formula():
             fams.append(Family(params, tuple(
                 CyclicSubset.from_elements(v, rng.choice(v, k, replace=False))
                 for k in params.k)))
-    fams.append(catalog_entry("33-kkss-a").family)
+    # a family of every special pattern: G-, good and best matrices
+    fams += [catalog_entry(label).family
+             for label in ("33-kkss-a", "43-ksss-a", "43-kkks-a")]
     for fam in fams:
         h = build_gs_array(fam)
         assert h.dtype == np.int64
@@ -537,12 +539,11 @@ def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch, small_slices):
 
 def test_certificates_build_no_array(monkeypatch, order_7):
     """With the Goethals-Seidel array out of reach, every certificate
-    still equals the public checks: they are read from the blocks' PAF
-    rows alone."""
+    still equals the public checks: they are read from the blocks'
+    difference rows alone."""
     def unreachable(*args):
         raise AssertionError("the array was built")
 
-    monkeypatch.setattr(gsdf.verify, "_gs_index", unreachable)
     monkeypatch.setattr(gsdf.verify, "build_gs_array", unreachable)
     fams = order_7 + [e.family for e in catalog_entries()]
     certs = [checked_by_public_checks(c) for c in verify_families(fams)]
