@@ -44,9 +44,10 @@ low w bits, w the bit length of the stored pair count.  The n stored
 keys are sorted, and two occupancy arrays of 2**(b+3) cells, 2**b >= n,
 mark the cells that hold a key: one on the keys' top b + 3 bits, one on
 the b + 3 bits just above the low w.  The streamed side's x keys become
-key(target) - key(r_x) once per group, so each streamed block of needle
-keys key(target) - key(r_x) - key(r_y) is one broadcast subtraction,
-looked up as it comes.  A matching key lies in [c, c + 2**w - 1], c the
+key(target) - key(r_x) once per group; a product's needle keys
+key(target) - key(r_x) - key(r_y) are broadcast a few x rows at a time
+and streamed in blocks, each looked up as it comes.  A matching key
+lies in [c, c + 2**w - 1], c the
 needle with its low w bits clear, so it shares every bit of the needle
 above the low w; both fields read only such bits (narrowing to 64 - w
 bits when b + 3 + w would pass 64), so a needle with a match passes
@@ -285,36 +286,30 @@ class _Side:
         """The pair keys key(x) + key(y) in position order, or with
         ``key_t`` the needles key_t - key(x) - key(y), at most _CHUNK at a
         time unless one y table is longer: (offset, keys), keys[j] that
-        of the pair at position offset + j.  Small products share a block."""
+        of the pair at position offset + j.
+
+        Each product is broadcast a few x rows at a time into a part,
+        op(kx[x rows, None], ky[None, y rows]) flattened.  Parts are
+        collected until the next would push the block past _CHUNK; the
+        block is then the one part as it is, or the parts concatenated,
+        so small products share a block.  Every block is a new array,
+        which the caller may change in place."""
         kx, ky = self.keys
         op = np.add
         if key_t is not None:
             kx, op = key_t - kx, np.subtract
-        segments, size, offset = [], 0, 0
+        parts, size, offset = [], 0, 0
         for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
-            ny = y1 - y0
-            step = max(1, _CHUNK // ny)
+            step = max(1, _CHUNK // (y1 - y0))
             for lo in range(x0, x1, step):
-                nx = min(step, x1 - lo)
-                if segments and size + nx * ny > _CHUNK:
-                    yield offset, self._block(segments, size, op, kx, ky)
-                    segments, offset, size = [], offset + size, 0
-                segments.append((lo, nx, y0, ny))
-                size += nx * ny
-        if segments:
-            yield offset, self._block(segments, size, op, kx, ky)
-
-    @staticmethod
-    def _block(segments, size, op, kx, ky):
-        """op(kx[x], ky[y]) over the segments (x0, nx, y0, ny), each the nx
-        rows from x0 times the ny rows from y0, one after another."""
-        keys = np.empty(size, dtype=np.uint64)
-        start = 0
-        for x0, nx, y0, ny in segments:
-            op(kx[x0:x0 + nx, None], ky[None, y0:y0 + ny],
-               out=keys[start:start + nx * ny].reshape(nx, ny))
-            start += nx * ny
-        return keys
+                part = op(kx[lo:min(lo + step, x1), None], ky[None, y0:y1]).ravel()
+                if parts and size + len(part) > _CHUNK:
+                    yield offset, parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    parts, offset, size = [], offset + size, 0
+                parts.append(part)
+                size += len(part)
+        if parts:
+            yield offset, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def locate(self, positions):
         """The table rows (x, y) of the pairs at ``positions``."""

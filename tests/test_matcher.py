@@ -316,8 +316,12 @@ def agree_on_random_instances(monkeypatch, limits) -> int:
 
 
 def test_randomized_agreement_with_brute_force(monkeypatch):
-    # the sample should contain some solvable instances
-    assert agree_on_random_instances(monkeypatch, (1, 10 ** 7))
+    """Also at _CHUNK 1 and 7, where the pair blocks, the table fill and
+    the confirmation steps all cross block boundaries."""
+    for chunk in (gsdf.matcher._CHUNK, 1, 7):
+        monkeypatch.setattr(gsdf.matcher, "_CHUNK", chunk)
+        # the sample should contain some solvable instances
+        assert agree_on_random_instances(monkeypatch, (1, 10 ** 7))
 
 
 def test_exact_confirmation_under_hash_collisions(monkeypatch):
@@ -418,14 +422,17 @@ def test_table_both_cells_occupied_by_other_keys():
 
 def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     """With _CHUNK = 8: two 2 x 2 products share a block, a 5 x 3 product
-    spans blocks, and a 1 x 11 product is one block longer than _CHUNK.
-    The blocks give every position once, in order, and locate takes each
-    position to the rows whose keys sum to its key, or, as needles for
-    key_t, to the rows whose keys key_t less its needle is the sum of."""
+    spans blocks, a 1 x 11 product is one block longer than _CHUNK, a 2 x 4
+    product of exactly _CHUNK pairs is one block of one part, and three
+    1 x 1 products share the last block.  The blocks give every position
+    once, in order, and locate takes each position to the rows whose keys
+    sum to its key, or, as needles for key_t, to the rows whose keys key_t
+    less its needle is the sum of.  `_join` masks the stored blocks in
+    place, so each block is a new writable array, not a view of the keys."""
     monkeypatch.setattr(gsdf.matcher, "_CHUNK", 8)
     skew = collect_rows(13, 6, "skew")
     sym = collect_rows(13, 4, "symmetric")
-    shape = ((2, 2), (2, 2), (5, 3), (1, 11))
+    shape = ((2, 2), (2, 2), (5, 3), (1, 11), (2, 4), (1, 1), (1, 1), (1, 1))
     xs = [hashed(subfile(skew, range(i, i + nx))) for i, (nx, _) in enumerate(shape)]
     ys = [hashed(subfile(sym, range(i, i + ny))) for i, (_, ny) in enumerate(shape)]
     pairs = sum(nx * ny for nx, ny in shape)
@@ -436,6 +443,8 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
         sizes, end = [], 0
         for offset, keys in side.blocks(key_t) if needles else side.blocks():
             assert offset == end
+            assert keys.flags.writeable
+            assert not any(np.shares_memory(keys, k) for k in side.keys)
             x, y = side.locate(offset + np.arange(len(keys)))
             if needles:
                 assert (keys == key_t - kx[x] - ky[y]).all()
@@ -444,7 +453,7 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
             sizes.append(len(keys))
             end += len(keys)
         assert end == pairs
-        assert sizes == [8, 6, 6, 3, 11]
+        assert sizes == [8, 6, 6, 3, 11, 8, 3]
     x, y = side.locate(np.arange(pairs))
     assert len(set(zip(x.tolist(), y.tolist()))) == pairs
 
