@@ -1,9 +1,10 @@
 """Exhaustive generation of skew and symmetric candidate blocks.
 
 Skew subsets of Z_v (v odd) pick exactly one of {i, v-i} for each
-i = 1 .. (v-1)/2, so there are 2^((v-1)/2) of them.  Symmetric subsets of
-size k consist of floor(k/2) whole pairs {i, v-i} plus the fixed point 0
-when k is odd, giving C((v-1)/2, floor(k/2)) candidates.
+i = 1 .. (v-1)/2, so there are 2^((v-1)/2) of them, generated in
+ascending order.  Symmetric subsets of size k consist of floor(k/2)
+whole pairs {i, v-i} plus the fixed point 0 when k is odd, giving
+C((v-1)/2, floor(k/2)) candidates.
 
 Every generated block is reduced to its difference row
 (d_X(1), ..., d_X((v-1)/2)), computed for a whole mask vector at once by
@@ -21,8 +22,9 @@ Fourier transform of PAF(s) = v - 4k + 4 d_X(s), an even sequence in s,
     PSD(j) = v + 2 sum_{s=1}^{(v-1)/2} PAF(s) cos(2 pi j s / v),
 
 and PSD(j) = PSD(v - j), so `_psd_max` takes max_{j>0} PSD(j) over
-j = 1 .. (v-1)/2 as one matrix product per chunk of rows.  This is the
-only PSD in the package.  The filter discards blocks with
+j = 1 .. (v-1)/2 as one product per chunk of _CHUNK rows, an `np.einsum`
+that calls no BLAS.  This is the only PSD in the package.  The filter
+discards blocks with
 max_{j>0} PSD(j) above 4v: the four blocks of any difference family
 with these parameters satisfy
 
@@ -48,7 +50,9 @@ from .zmod import CyclicSubset, rotate_mask
 KINDS = ("skew", "symmetric")
 PSD_REL_EPS = 1e-6
 MAX_V = 63  # masks are int64
-_CHUNK = 1 << 18
+# rows per PSD product: at v = 37 the einsum took 1.8 times as long on
+# one chunk of 2**18 rows as on 2**14-row chunks (2-core x86-64)
+_CHUNK = 1 << 14
 
 
 def check_width(v: int) -> None:
@@ -69,27 +73,38 @@ def difference_counts(masks: np.ndarray, v: int) -> np.ndarray:
 
 
 def _psd_max(counts: np.ndarray, v: int, k: int) -> np.ndarray:
-    """max_{j>0} PSD(j) per row, from difference counts."""
+    """max_{j>0} PSD(j) per row, from difference counts.
+
+    The PAFs are laid out one column per row, so the product is (j, row)
+    and its max runs over contiguous rows.  The product is an `np.einsum`
+    without ``optimize``, which calls no BLAS: a BLAS call would wake
+    OpenBLAS's threads, which cost more than the product."""
     p = (v - 1) // 2
     s = np.arange(1, p + 1)
     cos = np.cos(2.0 * np.pi * np.outer(s, s) / v)  # cos(2 pi j s / v)
-    paf = v - 4 * k + 4.0 * counts
-    return v + 2.0 * (paf @ cos).max(axis=1)
+    paf = np.ascontiguousarray(counts.T, dtype=np.float64)
+    paf *= 4.0
+    paf += v - 4 * k
+    return v + 2.0 * np.einsum("js,si->ji", cos, paf).max(axis=0)
 
 
 def skew_masks(v: int) -> np.ndarray:
-    """All skew subsets of Z_v as a sorted int64 mask vector."""
+    """All skew subsets of Z_v as an ascending int64 mask vector.
+
+    Bit p - i of a mask's index picks i (0) or v - i (1) from pair i,
+    i = 1 .. p = (v-1)/2.  Bit v - i outweighs every bit of the pairs
+    after i, so pair 1 is the most significant and the masks ascend with
+    their indices; they are built by doubling, least significant pair
+    first, with no sort."""
     if v % 2 == 0:
         raise ValueError("skew subsets require odd v")
     check_width(v)
     p = (v - 1) // 2
-    base = sum(1 << (v - i) for i in range(1, p + 1))
-    idx = np.arange(1 << p, dtype=np.int64)
-    masks = np.full(1 << p, base, dtype=np.int64)
-    for i in range(1, p + 1):
-        delta = (1 << i) - (1 << (v - i))
-        masks += ((idx >> (i - 1)) & 1) * delta
-    masks.sort()
+    masks = np.empty(1 << p, dtype=np.int64)
+    masks[0] = sum(1 << i for i in range(1, p + 1))
+    for bit, i in enumerate(range(p, 0, -1)):
+        half = 1 << bit
+        np.add(masks[:half], (1 << (v - i)) - (1 << i), out=masks[half:2 * half])
     return masks
 
 

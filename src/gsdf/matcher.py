@@ -12,9 +12,9 @@ pair lands in exactly one group, so the join builds each pair once.
 A group is finished by a join over the columns it was not grouped on.
 The side with fewer pairs is stored: its pair-sum keys fill one array
 sized from the bin counts.  The other side is streamed in blocks of
-about _CHUNK keys (small products share a block), so only the stored
-side costs memory.  A group whose stored side holds
-SPLIT_LIMIT pairs or more is refined on its next column by the same
+about _CHUNK keys (small products share a block), written into one
+buffer, so only the stored side costs memory.  A group whose stored side
+holds SPLIT_LIMIT pairs or more is refined on its next column by the same
 rule: each product splits into the products of its files' bins there,
 regrouped by their pair sum t, and the (a, d) products of sum t meet
 only the (b, c) products of sum lam - t.  Within one first-column
@@ -37,8 +37,9 @@ row, so key(r_b + r_c) = key(r_b) + key(r_c).  `match_cases` hashes each
 file, and the pieces `_refine` splits off carry their keys.  In a group
 at depth d, every quadruple sums to lam in the columns before d, so it
 is a family exactly when its rows sum to the all-lam row in every
-column: the join's target is that row and its key, the same test as one
-over the columns from d on up to a constant that cancels.  A stored key
+column: the join's target is that row and its key, lam times the sum
+of the multipliers, the same test as one over the columns from d on up
+to a constant that cancels.  A stored key
 keeps its high bits and holds its pair's position on its side in the
 low w bits, w the bit length of the stored pair count.  The n stored
 keys are sorted, and two occupancy arrays of 2**(b+3) cells, 2**b >= n,
@@ -289,27 +290,32 @@ class _Side:
         of the pair at position offset + j.
 
         Each product is broadcast a few x rows at a time into a part,
-        op(kx[x rows, None], ky[None, y rows]) flattened.  Parts are
-        collected until the next would push the block past _CHUNK; the
-        block is then the one part as it is, or the parts concatenated,
-        so small products share a block.  Every block is a new array,
-        which the caller may change in place."""
+        op(kx[x rows, None], ky[None, y rows]), written straight into one
+        buffer per call.  Parts follow each other in the buffer until the
+        next would push the block past _CHUNK, so small products share a
+        block.  A block is a view of the buffer, not of the keys: the
+        caller may change it in place, and it is valid until the next
+        block is requested."""
         kx, ky = self.keys
         op = np.add
         if key_t is not None:
             kx, op = key_t - kx, np.subtract
-        parts, size, offset = [], 0, 0
+        widest = max(y1 - y0 for y0, y1 in zip(self.yo, self.yo[1:]))
+        buf = np.empty(min(self.pairs, max(_CHUNK, widest)), dtype=np.uint64)
+        size, offset = 0, 0
         for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
-            step = max(1, _CHUNK // (y1 - y0))
+            ny = y1 - y0
+            step = max(1, _CHUNK // ny)
             for lo in range(x0, x1, step):
-                part = op(kx[lo:min(lo + step, x1), None], ky[None, y0:y1]).ravel()
-                if parts and size + len(part) > _CHUNK:
-                    yield offset, parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    parts, offset, size = [], offset + size, 0
-                parts.append(part)
-                size += len(part)
-        if parts:
-            yield offset, parts[0] if len(parts) == 1 else np.concatenate(parts)
+                nx = min(step, x1 - lo)
+                if size and size + nx * ny > _CHUNK:
+                    yield offset, buf[:size]
+                    offset, size = offset + size, 0
+                op(kx[lo:lo + nx, None], ky[None, y0:y1],
+                   out=buf[size:size + nx * ny].reshape(nx, ny))
+                size += nx * ny
+        if size:
+            yield offset, buf[:size]
 
     def locate(self, positions):
         """The table rows (x, y) of the pairs at ``positions``."""
@@ -330,8 +336,12 @@ def _join_case(case: MatchCase) -> list:
     sides = (_Side(tables, pairs, slots) for tables, pairs, slots
              in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
     stored, streamed = sorted(sides, key=lambda s: s.pairs)
-    target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
-    return _join(stored, streamed, target, _hash(target[None])[0])
+    p = (case.v - 1) // 2
+    target = np.full(p, case.lam, dtype=np.int16)
+    # `_hash` is linear, so the all-lam row's key is lam times the sum of
+    # the multipliers
+    key_t = np.uint64(case.lam * sum(_HASH_MULT[:p].tolist()) & _MASK64)
+    return _join(stored, streamed, target, key_t)
 
 
 def _join(stored, streamed, target, key_t) -> list:

@@ -21,7 +21,8 @@ unit u of Z_v keeps its tag, its size and the multiset of its PSD
 values, so it maps every candidate file onto itself, filtered or not,
 and every family onto a family.  Each family is therefore u F for a
 family F whose X_1 is the least mask of its orbit under the units.
-`search_param` joins only those X_1 with the other three files, dilates
+`search_param` picks those X_1 by elimination, one unit at a time
+(`orbit_representatives`), joins them with the other three files, dilates
 each family found by every unit, and deduplicates and sorts the result;
 that is exactly the list the unreduced join gives, and every family of
 it is re-verified.  `bins_match` itself is unreduced, as row files given
@@ -53,7 +54,7 @@ import numpy as np
 
 from .blockgen import check_width, collect_rows
 from .catalog import table_rows_up_to
-from .equivalence import (classify, dilation_orbits, orbit_least,
+from .equivalence import (classify, dilation_orbits, orbit_representatives,
                           small_classes, units)
 from .family import Family
 from .matcher import bins_match
@@ -123,7 +124,7 @@ def search_param(params: GsParamSet, type_name: str,
     files = row_files_for(params, type_name)
     v = params.v
     first = files[0]
-    least = orbit_least(v, first.masks) == first.masks
+    least = orbit_representatives(v, first.masks)
     found = bins_match([first.select(least)] + files[1:], params.lam,
                        jobs=options.jobs)
     distinct, index = distinct_masks(expand_over_units(v, found).ravel())

@@ -16,8 +16,11 @@ are implemented once, on masks (`rotate_mask`, `dilate_mask`), for
 equivalence machinery and the search's unit-orbit reduction alike, on
 Python ints and on arrays of masks; `mask_dtype` is the one rule for an
 array's width, int64 up to v = 63 and object above.  Dilation looks each
-byte of a mask up in a per-(v, u) table of ceil(v/8) x 256 images, built
-on first use; negation is dilation by v - 1 (`negate_mask`).
+byte of a mask up in one table per order (`_dilation_tables`), of 256
+images per byte and residue, built on first use in one doubling pass per
+byte bit; a unit, a tuple of units or an array of units, one per mask,
+picks the rows, so one gather per byte serves every form.  Negation is
+dilation by v - 1 (`negate_mask`).
 `tag_codes` is the one tag test (skew, else symmetric, else none), from
 one negation of each mask: it gives each tag's index in `TAGS`, for one
 mask or an array of them, for `CyclicSubset.tag`, the certificates, the
@@ -63,21 +66,26 @@ def mask_elements(mask: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dilation_table(v: int, u: int) -> np.ndarray:
-    """Row j, column b: the mask of u times the residues of bit mask b << 8j.
+def _dilation_tables(v: int) -> np.ndarray:
+    """Entry [j, u, b]: the mask of u times the residues of bit mask b << 8j.
 
-    One row per byte of a width-v mask, ceil(v/8) rows of 256 entries,
-    each the OR of the dilated powers of two that the byte's set bits
-    select (positions from v on select nothing), of `mask_dtype`.  Built
-    on first use of (v, u) and read-only.
+    One (ceil(v/8), v, 256) table of `mask_dtype` per order, with a row
+    for every residue u, built on first use of v and read-only.  Entry
+    b of a row is the OR of the images of the bits b selects (positions
+    from v on select nothing), filled in one pass per byte bit k by
+    doubling: entries 2^k .. 2^(k+1) - 1 are entries 0 .. 2^k - 1 ORed
+    with the image of bit 8j + k.
     """
     nbytes = -(-v // 8)
-    positions = np.arange(8 * nbytes).reshape(nbytes, 8)
-    powers = np.zeros(positions.shape, dtype=mask_dtype(v))
-    live = positions < v
-    powers[live] = [1 << (u * int(i) % v) for i in positions[live]]
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    table = np.bitwise_or.reduce(bits * powers[:, None, :], axis=2)
+    dtype = mask_dtype(v)
+    positions = np.arange(8 * nbytes).reshape(nbytes, 1, 8)
+    images = positions * np.arange(v)[:, None] % v
+    powers = np.left_shift(np.ones((), dtype), images.astype(dtype))
+    powers[np.broadcast_to(positions >= v, powers.shape)] = 0
+    table = np.zeros((nbytes, v, 256), dtype)
+    for k in range(8):
+        np.bitwise_or(table[..., :1 << k], powers[..., k, None],
+                      out=table[..., 1 << k:2 << k])
     table.flags.writeable = False
     return table
 
@@ -86,30 +94,39 @@ def dilate_mask(v: int, mask, u):
     """Mask of uX = {u x mod v : x in X}: bit i moves to bit u i mod v.
 
     ``mask`` is a Python int, an int64 array of masks or an object array
-    of Python-int masks; an array's image is of `mask_dtype`.  ``u`` is a unit or, for an array, a tuple of units,
-    whose images are stacked on a new leading axis.  Each byte of a mask
-    looks up its image in the (v, u) table of `_dilation_table` and the
-    images are ORed.  An int64 array is read bytewise through a
-    little-endian uint8 view, without shifts.
+    of Python-int masks; an array's image is of `mask_dtype`.  ``u`` is
+    a unit or, for an array, a tuple of units, whose images are stacked
+    on a new leading axis, or an array of units that broadcasts against
+    the masks.  Each byte of a mask looks up its image in the order's
+    table of `_dilation_tables`, at the unit's row, and the images are
+    ORed.  An int64 array is read bytewise through a little-endian uint8
+    view, without shifts.
     """
-    if isinstance(u, tuple):
-        table = np.stack([_dilation_table(v, w % v) for w in u], axis=1)
-    else:
-        table = _dilation_table(v, u % v)
+    tables = _dilation_tables(v)
     if not isinstance(mask, np.ndarray):
         out = 0
-        for j, byte in enumerate(int(mask).to_bytes(len(table), "little")):
-            out |= table.item(j, byte)
+        for j, byte in enumerate(int(mask).to_bytes(len(tables), "little")):
+            out |= tables.item(j, u % v, byte)
         return out
     if mask.dtype == object:
-        parts = [(mask >> 8 * j & 255).astype(np.intp) for j in range(len(table))]
+        parts = [(mask >> 8 * j & 255).astype(np.intp) for j in range(len(tables))]
     else:
         octets = np.ascontiguousarray(mask, dtype="<i8").view(np.uint8)
         octets = octets.reshape(mask.shape + (8,))
-        parts = [octets[..., j] for j in range(len(table))]
-    out = table[0].take(parts[0], axis=-1)
-    for row, part in zip(table[1:], parts[1:]):
-        out |= row.take(part, axis=-1)
+        parts = [octets[..., j] for j in range(len(tables))]
+    if isinstance(u, tuple):
+        u = np.reshape(u, (len(u),) + (1,) * mask.ndim)
+    if np.ndim(u) == 0:
+        rows = tables[:, u % v]
+        out = rows[0].take(parts[0])
+        for row, part in zip(rows[1:], parts[1:]):
+            out |= row.take(part)
+        return out
+    # one gather per byte from the flat table, at each mask's unit row
+    offset = np.asarray(u) % v * 256
+    out = tables[0].ravel().take(offset + parts[0])
+    for table, part in zip(tables[1:], parts[1:]):
+        out |= table.ravel().take(offset + part)
     return out
 
 

@@ -24,6 +24,25 @@ def test_skew_generation_is_exhaustive(v):
     assert got == brute
 
 
+def skew_masks_sorted(v):
+    """Test oracle for `skew_masks`: bit i - 1 of an index picks i over
+    v - i from pair i, and the masks are sorted afterwards."""
+    p = (v - 1) // 2
+    idx = np.arange(1 << p, dtype=np.int64)
+    masks = np.full(1 << p, sum(1 << (v - i) for i in range(1, p + 1)), dtype=np.int64)
+    for i in range(1, p + 1):
+        masks += ((idx >> (i - 1)) & 1) * ((1 << i) - (1 << (v - i)))
+    return np.sort(masks)
+
+
+@pytest.mark.parametrize("v", range(1, 32, 2))
+def test_skew_masks_ascend_without_a_sort(v):
+    masks = skew_masks(v)
+    assert masks.dtype == np.int64
+    assert (np.diff(masks) > 0).all()
+    assert np.array_equal(masks, skew_masks_sorted(v))
+
+
 @pytest.mark.parametrize("v", [3, 5, 7, 9, 11])
 def test_symmetric_generation_is_exhaustive(v):
     symmetric = np.flatnonzero(tag_codes(v, np.arange(1 << v)) == 1).tolist()

@@ -428,7 +428,7 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     once, in order, and locate takes each position to the rows whose keys
     sum to its key, or, as needles for key_t, to the rows whose keys key_t
     less its needle is the sum of.  `_join` masks the stored blocks in
-    place, so each block is a new writable array, not a view of the keys."""
+    place, so each block is writable and not a view of the keys."""
     monkeypatch.setattr(gsdf.matcher, "_CHUNK", 8)
     skew = collect_rows(13, 6, "skew")
     sym = collect_rows(13, 4, "symmetric")

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdf.blockgen import _psd_max, difference_counts
-from gsdf.zmod import (TAGS, CyclicSubset, dilate_mask, distinct_masks,
-                       mask_elements, negate_mask, rotate_mask, tag_codes)
+from gsdf.zmod import (TAGS, CyclicSubset, _dilation_tables, dilate_mask,
+                       distinct_masks, mask_dtype, mask_elements, negate_mask,
+                       rotate_mask, tag_codes)
 
 QR7 = CyclicSubset.from_elements(7, [1, 2, 4])
 
@@ -366,7 +367,37 @@ def test_table_dilation_matches_elementwise_definitions(v):
             out = negate_mask(v, arr) if u == -1 else dilate_mask(v, arr, u)
             assert out.dtype == (np.int64 if v <= 63 else object)
             assert out.tolist() == expected
-    # a tuple of units stacks the images, one row per unit
+    # a tuple of units stacks the images, one row per unit; an array of
+    # units broadcasts against the masks, here one unit per mask
+    per_mask = np.resize(np.array(unit_list + (-1,)), len(masks))
     for arr in arrays:
         stacked = dilate_mask(v, arr, unit_list)
         assert stacked.tolist() == [[image(m, u) for m in masks] for u in unit_list]
+        assert dilate_mask(v, arr, per_mask).tolist() == \
+            [image(m, int(u)) for m, u in zip(masks, per_mask)]
+        assert dilate_mask(v, arr[:, None], per_mask[:, None]).tolist() == \
+            [[image(m, int(u))] for m, u in zip(masks, per_mask)]
+
+
+def dilation_table_by_unit(v, u):
+    """Test oracle for `_dilation_tables`: one unit's ceil(v/8) x 256 rows,
+    each entry the OR of the dilated powers of two its byte's bits select,
+    as the per-unit tables were built before there was one per order."""
+    nbytes = -(-v // 8)
+    positions = np.arange(8 * nbytes).reshape(nbytes, 8)
+    powers = np.zeros(positions.shape, dtype=mask_dtype(v))
+    live = positions < v
+    powers[live] = [1 << (u * int(i) % v) for i in positions[live]]
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return np.bitwise_or.reduce(bits * powers[:, None, :], axis=2)
+
+
+@pytest.mark.parametrize("v", list(range(1, 64, 2)) + [64, 65, 71])
+def test_dilation_tables_match_the_per_unit_tables(v):
+    # every residue, units or not, at every odd v <= 63 (int64) and at
+    # 64, 65 and 71 (Python ints in an object array)
+    tables = _dilation_tables(v)
+    assert tables.shape == (-(-v // 8), v, 256)
+    assert tables.dtype == mask_dtype(v) and not tables.flags.writeable
+    for u in range(v):
+        assert np.array_equal(tables[:, u], dilation_table_by_unit(v, u)), u
