@@ -35,12 +35,9 @@ and uF.  `classify` and `small_classes` therefore work per orbit, not
 per family.  `dilation_orbits` finds the orbits once, and a search hands
 its result to both.  Per order, the families' masks are gathered once
 (`family_masks`); each family is labelled by its dilation orbit, the
-least mask quadruple over its dilates (`orbit_least`, vectorised per v),
-and the orbits are numbered by one lexicographic sort and an adjacent
-compare of those quadruples (`distinct_masks`).  The least quadruple is
-decided on column 0: a row whose first block has its least dilate under
-one unit only is the dilate by that unit, and only rows tied there
-compare the dilates by every unit (`_lex_min`).  One family of each
+least mask quadruple over its dilates (`orbit_least`, vectorised per v,
+one dilate at a time), and the orbits are numbered by one lexicographic
+sort and an adjacent compare of those quadruples (`distinct_masks`).  One family of each
 orbit is keyed, and each orbit's key gives its class, so a family's
 class is one lookup in an array of orbit classes.  A search's family
 list is closed under dilation, so that is one key per family the join
@@ -152,35 +149,13 @@ def orbit_least(v: int, masks) -> np.ndarray:
     ``masks`` is an (n,) array of masks or an (n, 4) array of mask
     quadruples; quadruples are compared lexicographically and all four
     masks take the same unit, so a row's result labels its family's
-    dilation orbit.  Masks are a running `np.minimum` over the units.
-    Quadruples are decided on column 0, whose dilates are streamed one
-    unit at a time, keeping per row the least, the first unit that gives
-    it and whether a later unit ties: a row without a tie is the dilate
-    by its unit, one gather per byte at a per-row unit, and only tied
-    rows take the `_lex_min` of their dilates by every unit.  Memory
-    stays that of a few dilates.
+    dilation orbit.
     """
     masks = np.asarray(masks, dtype=mask_dtype(v))
-    us = units(v)
-    if masks.ndim == 1:
-        least = masks.copy()
-        for u in us[1:]:
-            np.minimum(least, dilate_mask(v, masks, u), out=least)
-        return least
-    first = masks[:, 0]
-    low, arg = first.copy(), np.zeros(len(masks), np.intp)
-    tied = np.zeros(len(masks), bool)
-    for i, u in enumerate(us[1:], 1):
-        image = dilate_mask(v, first, u)
-        smaller = image < low
-        tied &= ~smaller
-        tied |= image == low
-        np.copyto(low, image, where=smaller)
-        arg[smaller] = i
-    least = dilate_mask(v, masks, np.array(us)[arg, None])
-    if tied.any():
-        least[tied] = _lex_min(dilate_mask(v, masks[tied], u) for u in us)
-    return least
+    cols = masks if masks.ndim == 2 else masks[:, None]
+    # one dilate at a time, so the memory held stays that of two dilates
+    least = _lex_min(dilate_mask(v, cols, u) for u in units(v))
+    return least.reshape(masks.shape)
 
 
 def orbit_representatives(v: int, masks) -> np.ndarray:

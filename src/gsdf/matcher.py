@@ -37,9 +37,8 @@ row, so key(r_b + r_c) = key(r_b) + key(r_c).  `match_cases` hashes each
 file, and the pieces `_refine` splits off carry their keys.  In a group
 at depth d, every quadruple sums to lam in the columns before d, so it
 is a family exactly when its rows sum to the all-lam row in every
-column: the join's target is that row and its key, lam times the sum
-of the multipliers, the same test as one over the columns from d on up
-to a constant that cancels.  A stored key
+column: the join's target is that row and its key, the same test as one
+over the columns from d on up to a constant that cancels.  A stored key
 keeps its high bits and holds its pair's position on its side in the
 low w bits, w the bit length of the stored pair count.  The n stored
 keys are sorted, and two occupancy arrays of 2**(b+3) cells, 2**b >= n,
@@ -336,12 +335,8 @@ def _join_case(case: MatchCase) -> list:
     sides = (_Side(tables, pairs, slots) for tables, pairs, slots
              in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
     stored, streamed = sorted(sides, key=lambda s: s.pairs)
-    p = (case.v - 1) // 2
-    target = np.full(p, case.lam, dtype=np.int16)
-    # `_hash` is linear, so the all-lam row's key is lam times the sum of
-    # the multipliers
-    key_t = np.uint64(case.lam * sum(_HASH_MULT[:p].tolist()) & _MASK64)
-    return _join(stored, streamed, target, key_t)
+    target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
+    return _join(stored, streamed, target, _hash(target[None])[0])
 
 
 def _join(stored, streamed, target, key_t) -> list:

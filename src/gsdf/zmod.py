@@ -18,9 +18,9 @@ Python ints and on arrays of masks; `mask_dtype` is the one rule for an
 array's width, int64 up to v = 63 and object above.  Dilation looks each
 byte of a mask up in one table per order (`_dilation_tables`), of 256
 images per byte and residue, built on first use in one doubling pass per
-byte bit; a unit, a tuple of units or an array of units, one per mask,
-picks the rows, so one gather per byte serves every form.  Negation is
-dilation by v - 1 (`negate_mask`).
+byte bit; a unit, or each unit of a tuple, picks its rows of the table
+and one gather per byte reads them.  Negation is dilation by v - 1
+(`negate_mask`).
 `tag_codes` is the one tag test (skew, else symmetric, else none), from
 one negation of each mask: it gives each tag's index in `TAGS`, for one
 mask or an array of them, for `CyclicSubset.tag`, the certificates, the
@@ -96,11 +96,10 @@ def dilate_mask(v: int, mask, u):
     ``mask`` is a Python int, an int64 array of masks or an object array
     of Python-int masks; an array's image is of `mask_dtype`.  ``u`` is
     a unit or, for an array, a tuple of units, whose images are stacked
-    on a new leading axis, or an array of units that broadcasts against
-    the masks.  Each byte of a mask looks up its image in the order's
-    table of `_dilation_tables`, at the unit's row, and the images are
-    ORed.  An int64 array is read bytewise through a little-endian uint8
-    view, without shifts.
+    on a new leading axis.  Each byte of a mask looks up its image in the
+    order's table of `_dilation_tables`, at the unit's row, and the
+    images are ORed.  An int64 array is read bytewise through a
+    little-endian uint8 view, without shifts.
     """
     tables = _dilation_tables(v)
     if not isinstance(mask, np.ndarray):
@@ -114,19 +113,11 @@ def dilate_mask(v: int, mask, u):
         octets = np.ascontiguousarray(mask, dtype="<i8").view(np.uint8)
         octets = octets.reshape(mask.shape + (8,))
         parts = [octets[..., j] for j in range(len(tables))]
-    if isinstance(u, tuple):
-        u = np.reshape(u, (len(u),) + (1,) * mask.ndim)
-    if np.ndim(u) == 0:
-        rows = tables[:, u % v]
-        out = rows[0].take(parts[0])
-        for row, part in zip(rows[1:], parts[1:]):
-            out |= row.take(part)
-        return out
-    # one gather per byte from the flat table, at each mask's unit row
-    offset = np.asarray(u) % v * 256
-    out = tables[0].ravel().take(offset + parts[0])
-    for table, part in zip(tables[1:], parts[1:]):
-        out |= table.ravel().take(offset + part)
+    # one row of 256 images per byte, or one such row per unit of a tuple
+    rows = tables[:, np.asarray(u) % v]
+    out = rows[0].take(parts[0], axis=-1)
+    for row, part in zip(rows[1:], parts[1:]):
+        out |= row.take(part, axis=-1)
     return out
 
 

@@ -26,7 +26,7 @@ from gsdf.params import (TYPE_NAMES, searchable_param_sets, type_applicable,
                          type_tags)
 from gsdf.search import (SearchOptions, expand_over_units, row_files_for,
                          search_order, search_param)
-from gsdf.zmod import CyclicSubset, dilate_mask, mask_dtype
+from gsdf.zmod import CyclicSubset, dilate_mask
 
 ODD_TO_31 = range(1, 32, 2)
 
@@ -84,45 +84,6 @@ def test_orbit_representatives_are_the_orbit_minima(v):
             keep = orbit_representatives(v, masks)
             assert keep.dtype == bool
             assert np.array_equal(keep, orbit_least(v, masks) == masks), (v, k, kind)
-
-
-def cyclotomic_coset(v, u, x):
-    """The mask of {x u^i mod v : i >= 0}, fixed by dilation by u."""
-    mask, y = 0, x % v
-    while not mask >> y & 1:
-        mask |= 1 << y
-        y = y * u % v
-    return mask
-
-
-@pytest.mark.parametrize("v", (21, 63, 65))
-def test_orbit_least_on_quadruples_with_tied_first_columns(v):
-    # column 0 decides a row unless two units give its least dilate; rows
-    # whose column 0 has a nontrivial stabiliser (the empty set, the full
-    # set, unions of cyclotomic cosets) tie and go to the lexicographic
-    # minimum over every unit, the rest are the dilate by their one unit
-    rng = np.random.default_rng(v)
-    full = (1 << v) - 1
-
-    def random_mask():
-        return int.from_bytes(rng.bytes(9), "little") & full
-
-    doubling = cyclotomic_coset(v, 2, 1)
-    cosets = [doubling, doubling | cyclotomic_coset(v, 2, 3),
-              cyclotomic_coset(v, 4, 5) | 1, cyclotomic_coset(v, v - 1, 2)]
-    firsts = [0, full] + cosets + [random_mask() for _ in range(10)]
-    rows = [[first] + [random_mask() for _ in range(3)] for first in firsts for _ in range(3)]
-    rows += [[first, first, 0, full] for first in firsts[:6]]
-    quads = np.array(rows, dtype=mask_dtype(v))
-    least = orbit_least(v, quads)
-    assert least.dtype == mask_dtype(v) and least.shape == quads.shape
-    us = units(v)
-    for row, low in zip(rows, least.tolist()):
-        assert tuple(low) == min(tuple(dilate_mask(v, m, u) for m in row) for u in us)
-    # every dilate of one row has that row's least dilate
-    row = [random_mask() for _ in range(4)]
-    dilates = np.array([[dilate_mask(v, m, u) for m in row] for u in us], mask_dtype(v))
-    assert len(set(map(tuple, orbit_least(v, dilates).tolist()))) == 1
 
 
 def test_expand_over_units_sorts_and_deduplicates():

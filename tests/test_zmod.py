@@ -367,16 +367,10 @@ def test_table_dilation_matches_elementwise_definitions(v):
             out = negate_mask(v, arr) if u == -1 else dilate_mask(v, arr, u)
             assert out.dtype == (np.int64 if v <= 63 else object)
             assert out.tolist() == expected
-    # a tuple of units stacks the images, one row per unit; an array of
-    # units broadcasts against the masks, here one unit per mask
-    per_mask = np.resize(np.array(unit_list + (-1,)), len(masks))
+    # a tuple of units stacks the images, one row per unit
     for arr in arrays:
         stacked = dilate_mask(v, arr, unit_list)
         assert stacked.tolist() == [[image(m, u) for m in masks] for u in unit_list]
-        assert dilate_mask(v, arr, per_mask).tolist() == \
-            [image(m, int(u)) for m, u in zip(masks, per_mask)]
-        assert dilate_mask(v, arr[:, None], per_mask[:, None]).tolist() == \
-            [[image(m, int(u))] for m, u in zip(masks, per_mask)]
 
 
 def dilation_table_by_unit(v, u):
