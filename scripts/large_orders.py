@@ -10,14 +10,16 @@ ksss at 33 and 37), only whether families exist is compared, with the
 existence table.
 
 These runs grow steeply with v. The search joins only the X_1 blocks
-that are least in their unit orbit and expands the families found over
-the units (see gsdf.search). On a 2-core x86-64 machine with
-OPENBLAS_NUM_THREADS=1, one process, the order-33 kkss reproduction
-(--order 33 --type kkss) takes 1.5-1.8 s; with --jobs 2 (every type),
---order 33 finishes in 2 s, --order 37 in 5.4-6.8 s (three runs; the
-joins take most of it) and --order 41 in 72-74 s (two runs; alone, its
-kkss set takes 46-51 s, with a peak RSS of 135 MiB in the parent and
-142 MiB in each worker). Orders 43 and up have not been timed. Each
+that are least in their unit orbit, and at every other skew position
+only the blocks X < -X, and expands the families found over those
+negations and the units (see gsdf.search). On a 2-core x86-64 machine
+with OPENBLAS_NUM_THREADS=1, one process, the order-33 kkss
+reproduction (--order 33 --type kkss) takes 0.8 s; with --jobs 2
+(every type), --order 33 finishes in 1.1-1.3 s, --order 37 in 3.5-4.0 s
+(three runs; the joins take most of it) and --order 41 in 43-45 s (two
+runs; alone, its kkss set takes 30 s, with a peak RSS of 52 MiB in the
+parent and 94 MiB in each worker). Orders 43 and up have not been
+timed. Each
 parameter set's line gives its families, classes and small classes.
 Restrict the workload with --order/--type (a value given twice runs
 once) and parallelise with --jobs (default: the GSDF_JOBS environment

@@ -6,7 +6,8 @@ ascending order.  Symmetric subsets of size k consist of floor(k/2)
 whole pairs {i, v-i} plus the fixed point 0 when k is odd, giving
 C((v-1)/2, floor(k/2)) candidates.
 
-Every generated block is reduced to its difference row
+`collect_rows` reduces every block of a kind and size, or those its
+caller picks, to its difference row
 (d_X(1), ..., d_X((v-1)/2)), computed for a whole mask vector at once by
 `difference_counts`, the one home of difference rows: it takes any
 v >= 1, so the certificates in `verify` read their blocks' rows from it
@@ -95,7 +96,8 @@ def skew_masks(v: int) -> np.ndarray:
     i = 1 .. p = (v-1)/2.  Bit v - i outweighs every bit of the pairs
     after i, so pair 1 is the most significant and the masks ascend with
     their indices; they are built by doubling, least significant pair
-    first, with no sort."""
+    first, with no sort.  The lower half, whose blocks hold 1 rather
+    than v - 1, is exactly the blocks X < -X."""
     if v % 2 == 0:
         raise ValueError("skew subsets require odd v")
     check_width(v)
@@ -164,22 +166,27 @@ class RowFile:
                        self.rows[keep], None if self.keys is None else self.keys[keep])
 
 
-def collect_rows(v: int, k: int, kind: str, filtered: bool = True) -> RowFile:
-    """Generate all blocks of a kind/size, attach rows, optionally PSD-filter.
+def collect_rows(v: int, k: int, kind: str, filtered: bool = True,
+                 masks=None) -> RowFile:
+    """Candidate blocks of a kind and size with their rows, PSD-filtered
+    unless ``filtered`` is false: every block of the kind and size, or
+    only ``masks``, ascending blocks of both.
 
     The filter keeps blocks with max_{j>0} PSD(j) <= 4v, up to a relative
     float tolerance of PSD_REL_EPS.
     """
     if v < 1 or v % 2 == 0:
         raise ValueError(f"candidate blocks need a positive odd v, got {v}")
-    if kind == "skew":
-        if k != (v - 1) // 2:
-            raise ValueError(f"skew blocks in Z_{v} have size (v-1)/2, not {k}")
-        masks = skew_masks(v)
-    elif kind == "symmetric":
-        masks = symmetric_masks(v, k)
-    else:
+    if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
+    if kind == "skew" and k != (v - 1) // 2:
+        raise ValueError(f"skew blocks in Z_{v} have size (v-1)/2, not {k}")
+    if masks is not None:
+        masks = np.asarray(masks, dtype=np.int64)
+    elif kind == "skew":
+        masks = skew_masks(v)
+    else:
+        masks = symmetric_masks(v, k)
     bound = 4 * v if filtered else None
     p = (v - 1) // 2
     kept_masks, kept_rows = [masks[:0]], [np.empty((0, p), dtype=np.uint8)]

@@ -14,7 +14,8 @@ computes once; families that share a block share its tag.  A block
 key's tag code is the tag's index in `TAGS`, the code `tag_codes`
 gives.
 `family_masks` gathers the block masks of a list of families into one
-array, for the certificates and the classification.
+array, for the certificates, the classification and the check of a
+file's declared types.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from operator import attrgetter
 import numpy as np
 
 from .params import GsParamSet
-from .zmod import TAG_NONE, TAGS, CyclicSubset, mask_dtype, mask_elements
+from .zmod import TAG_NONE, TAGS, CyclicSubset, mask_dtype, mask_elements, tag_codes
 
 
 def block_key(mask: int, tag_code: int) -> tuple:
@@ -123,15 +124,29 @@ class FamilyFormatError(ValueError):
 
 
 def read_families(path) -> list:
-    """Parse every record in a family file, validating sizes, lambda and tags."""
+    """Parse every record in a family file, validating sizes, lambda and
+    tags.  The declared types are checked once the records are parsed,
+    and the fault on the earliest line is reported."""
     with open(path) as fh:
         raw = fh.readlines()
     lines = [(i + 1, ln.rstrip("\n")) for i, ln in enumerate(raw)
              if not ln.lstrip().startswith("#")]
+    records = []
+    try:
+        records.extend(_records(lines))
+    except FamilyFormatError:
+        _check_declared_types(records)  # a record before the fault
+        raise
+    _check_declared_types(records)
+    return [fam for _, _, fam in records]
+
+
+def _records(lines):
+    """(header line number, declared type, family) for each record of the
+    numbered lines; the types are not checked here."""
     # records are a header plus exactly four block lines; blank lines are
     # meaningful only in block position (empty block), so strip blanks
     # between records.
-    families = []
     pos = 0
     while pos < len(lines):
         lineno, header = lines[pos]
@@ -162,10 +177,24 @@ def read_families(path) -> list:
             fam = Family(p, tuple(blocks))
         except ValueError as exc:
             raise FamilyFormatError(f"line {lineno}: {exc}")
-        if fam.tags != tuple(tag_str):
-            raise FamilyFormatError(
-                f"line {lineno}: declared type {tag_str!r} but blocks are "
-                f"{''.join(fam.tags)!r}")
-        families.append(fam)
+        yield lineno, tag_str, fam
         pos += 5
-    return families
+
+
+def _check_declared_types(records) -> None:
+    """Raise for the earliest record whose blocks' tags, from one
+    `tag_codes` call per order, are not its declared type."""
+    by_v = {}
+    for i, (_, _, fam) in enumerate(records):
+        by_v.setdefault(fam.v, []).append(i)
+    wrong = []
+    for v, picked in by_v.items():
+        codes = tag_codes(v, family_masks(v, [records[i][2] for i in picked])).reshape(-1, 4)
+        want = [[TAGS.index(t) for t in records[i][1]] for i in picked]
+        wrong += [(picked[j], codes[j]) for j in np.flatnonzero((codes != want).any(axis=1))]
+    if wrong:
+        i, codes = min(wrong, key=lambda w: w[0])
+        lineno, tag_str, _ = records[i]
+        raise FamilyFormatError(
+            f"line {lineno}: declared type {tag_str!r} but blocks are "
+            f"{''.join(TAGS[c] for c in codes)!r}")

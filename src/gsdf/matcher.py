@@ -13,7 +13,10 @@ A group is finished by a join over the columns it was not grouped on.
 The side with fewer pairs is stored: its pair-sum keys fill one array
 sized from the bin counts.  The other side is streamed in blocks of
 about _CHUNK keys (small products share a block), written into one
-buffer, so only the stored side costs memory.  A group whose stored side
+buffer, so only the stored side costs memory.  The joins of a match
+write into one workspace of these arrays (`_Workspace`), sized from its
+first-column groups, so one join after another touches the same pages
+instead of mapping fresh ones.  A group whose stored side
 holds SPLIT_LIMIT pairs or more is refined on its next column by the same
 rule: each product splits into the products of its files' bins there,
 regrouped by their pair sum t, and the (a, d) products of sum t meet
@@ -73,9 +76,10 @@ hands the groups out by most pairs first; the workers are forked holding
 the first-column groups, so a task is sent as its index and the parent
 refines nothing.  Callers that want blocks build them from the masks.
 The join takes the four files as given: it assumes no symmetry of them.
-`search.search_param`, whose files are complete candidate sets, reduces
-X_1 to unit-orbit representatives before calling it and expands the
-families afterwards.
+`search.search_param` gives it the canonical candidates, X_1 reduced
+to unit-orbit representatives and every other skew position to the
+blocks X < -X, and expands the families over those negations and the
+units afterwards.
 """
 from __future__ import annotations
 
@@ -216,39 +220,49 @@ class _Table:
     the cells bits just above the low w.  Both fields read only bits
     above the low w, narrowing to 64 - w bits when bits + 3 + w would
     pass 64 (the two then read the same bits), so a value with a key in
-    range passes both.  `keys` must not be empty.
+    range passes both.  The filters are prefixes of the workspace's
+    arrays.  `keys` must not be empty.
     """
 
-    def __init__(self, keys, low):
-        self.keys, self.low = keys, low
+    def __init__(self, keys, low, ws):
+        self.keys, self.low, self.ws = keys, low, ws
         w = int(low).bit_length()
         cells = min(max(1, len(keys).bit_length()) + 3, 64 - w)
         self.top = np.uint64(64 - cells)
         self.w, self.field = np.uint64(w), np.uint64((1 << cells) - 1)
-        self.by_top = np.zeros(1 << cells, dtype=bool)
-        self.by_above = np.zeros(1 << cells, dtype=bool)
+        self.by_top, self.by_above = ws.by_top[:1 << cells], ws.by_above[:1 << cells]
+        self.by_top[:] = False
+        self.by_above[:] = False
         # a block at a time, to hold no copy of all keys
         for lo in range(0, len(keys), _CHUNK):
             block = keys[lo:lo + _CHUNK]
-            self.by_top[self._top(block)] = True
-            self.by_above[self._above(block)] = True
+            shift = ws.shift[:len(block)]
+            self.by_top[self._top(block, shift)] = True
+            self.by_above[self._above(block, shift)] = True
 
     # Both fields are below 2**63 (the top one is shifted by at least one
     # bit), so they are viewed as int64, which is np.intp on 64-bit platforms.
-    def _top(self, values):
-        return (values >> self.top).view(np.int64)
+    def _top(self, values, out=None):
+        return np.right_shift(values, self.top, out=out).view(np.int64)
 
-    def _above(self, values):
-        return ((values >> self.w) & self.field).view(np.int64)
+    def _above(self, values, out=None):
+        out = np.right_shift(values, self.w, out=out)
+        out &= self.field
+        return out.view(np.int64)
 
     def probe(self, values):
         """(i, c): the indices of the entries of ``values`` that are
         found, ascending, and those values with the bits of low clear.
 
         A value that passes both filters is settled by the first key not
-        below c: in uint64 a key below wraps to key - c > low.
+        below c: in uint64 a key below wraps to key - c > low.  The
+        fields index the cells, so "clip", the take mode that writes
+        straight into `out`, never clips.
         """
-        i = np.flatnonzero(self.by_top.take(self._top(values)))
+        n = len(values)
+        hit = self.by_top.take(self._top(values, self.ws.shift[:n]),
+                               out=self.ws.hit[:n], mode="clip")
+        i = np.flatnonzero(hit)
         val = values[i]
         passed = self.by_above.take(self._above(val))
         i, val = i[passed], val[passed]
@@ -256,6 +270,44 @@ class _Table:
         keys = self.keys
         found = keys.take(np.searchsorted(keys, val), mode="clip") - val <= self.low
         return i[found], val[found]
+
+
+class _Workspace:
+    """The arrays every join of a match writes into, each used a prefix
+    at a time: the stored keys (`keys`), both occupancy arrays (`by_top`,
+    `by_above`), the block buffer (`block`), the positions 0, 1, ... of
+    a block (`positions`), and a block's filter fields and cells in the
+    probe (`shift`, `hit`).  A match builds one (each pool worker its
+    own) and drops it when it returns; a stored side larger than the
+    keys grows the stored arrays (`reserve`)."""
+
+    def __init__(self, stored: int, width: int):
+        self.block = np.empty(width, dtype=np.uint64)
+        self.positions = np.arange(width, dtype=np.uint64)
+        self.shift = np.empty(width, dtype=np.uint64)
+        self.hit = np.empty(width, dtype=bool)
+        self.keys = self.by_top = self.by_above = np.empty(0, dtype=np.uint64)
+        self.reserve(stored)
+
+    @classmethod
+    def for_groups(cls, groups) -> "_Workspace":
+        """Room for the joins of the first-column ``groups``, whose
+        refined pieces are no larger: a block holds at most a side's
+        pairs, and at most _CHUNK unless one y file is wider; a joined
+        piece stores an unrefined group's side or fewer than SPLIT_LIMIT
+        pairs, unless it was refined on every column."""
+        widest = max((len(y) for g in groups for _, ys in g.sides for y in ys), default=0)
+        most = max((max(g.pairs) for g in groups), default=0)
+        stored = max((min(*g.pairs, SPLIT_LIMIT) for g in groups), default=0)
+        return cls(stored, min(most, max(_CHUNK, widest)))
+
+    def reserve(self, stored: int) -> None:
+        """Room for a stored side of ``stored`` pairs."""
+        if stored > len(self.keys):
+            self.keys = np.empty(stored, dtype=np.uint64)
+            cells = 8 << max(1, stored.bit_length())  # as many as `_Table` uses
+            self.by_top = np.empty(cells, dtype=bool)
+            self.by_above = np.empty(cells, dtype=bool)
 
 
 class _Side:
@@ -282,25 +334,24 @@ class _Side:
         return [np.concatenate([f.rows for f in t]).astype(np.int16)
                 for t in self.tables]
 
-    def blocks(self, key_t=None):
+    def blocks(self, ws, key_t=None):
         """The pair keys key(x) + key(y) in position order, or with
         ``key_t`` the needles key_t - key(x) - key(y), at most _CHUNK at a
         time unless one y table is longer: (offset, keys), keys[j] that
         of the pair at position offset + j.
 
         Each product is broadcast a few x rows at a time into a part,
-        op(kx[x rows, None], ky[None, y rows]), written straight into one
-        buffer per call.  Parts follow each other in the buffer until the
-        next would push the block past _CHUNK, so small products share a
-        block.  A block is a view of the buffer, not of the keys: the
-        caller may change it in place, and it is valid until the next
+        op(kx[x rows, None], ky[None, y rows]), written straight into the
+        workspace's block buffer.  Parts follow each other in the buffer
+        until the next would push the block past _CHUNK, so small products
+        share a block.  A block is a view of the buffer, not of the keys:
+        the caller may change it in place, and it is valid until the next
         block is requested."""
         kx, ky = self.keys
         op = np.add
         if key_t is not None:
             kx, op = key_t - kx, np.subtract
-        widest = max(y1 - y0 for y0, y1 in zip(self.yo, self.yo[1:]))
-        buf = np.empty(min(self.pairs, max(_CHUNK, widest)), dtype=np.uint64)
+        buf = ws.block
         size, offset = 0, 0
         for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
             ny = y1 - y0
@@ -327,7 +378,7 @@ class _Side:
         return xo[p] + r // ny[p], yo[p] + r % ny[p]
 
 
-def _join_case(case: MatchCase) -> list:
+def _join_case(case: MatchCase, ws) -> list:
     """Mask quadruples of one group, joined on their hashed row sums; the
     side with fewer pairs is stored.  Every quadruple of the group sums to
     lam in the columns before its depth, so it is a family exactly when
@@ -336,24 +387,26 @@ def _join_case(case: MatchCase) -> list:
              in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
     stored, streamed = sorted(sides, key=lambda s: s.pairs)
     target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
-    return _join(stored, streamed, target, _hash(target[None])[0])
+    return _join(stored, streamed, target, _hash(target[None])[0], ws)
 
 
-def _join(stored, streamed, target, key_t) -> list:
+def _join(stored, streamed, target, key_t, ws) -> list:
     """Hash join of two sides whose pair rows sum to ``target``,
-    hashed to ``key_t``."""
+    hashed to ``key_t``, in the arrays of the workspace ``ws``."""
     if stored.pairs >= 1 << 31:
         raise ValueError(f"a stored side of {stored.pairs} pairs exceeds 2**31 - 1")
     low = np.uint64((1 << stored.pairs.bit_length()) - 1)
     high = ~low
-    build = np.arange(stored.pairs, dtype=np.uint64)
-    for offset, keys in stored.blocks():
+    ws.reserve(stored.pairs)
+    build = ws.keys[:stored.pairs]
+    for offset, keys in stored.blocks(ws):
         keys &= high
-        build[offset:offset + len(keys)] |= keys
+        keys += np.uint64(offset)
+        np.add(keys, ws.positions[:len(keys)], out=build[offset:offset + len(keys)])
     build.sort()
-    table = _Table(build, low)
+    table = _Table(build, low, ws)
     hit_pos, hit_need = [], []
-    for offset, needles in streamed.blocks(key_t):
+    for offset, needles in streamed.blocks(ws, key_t):
         j, need = table.probe(needles)
         if len(j):
             hit_pos.append(offset + j)
@@ -387,15 +440,16 @@ def _join(stored, streamed, target, key_t) -> list:
     return out
 
 
-def _match_group(case: MatchCase) -> list:
+def _match_group(case: MatchCase, ws) -> list:
     """Mask quadruples of one group, refined depth first: a piece is
-    joined as soon as its stored side is below SPLIT_LIMIT or no column
-    is left, so only the current path's siblings wait."""
+    joined, in the workspace ``ws``, as soon as its stored side is below
+    SPLIT_LIMIT or no column is left, so only the current path's
+    siblings wait."""
     bins, out, stack = {}, [], [case]
     while stack:
         group = stack.pop()
         if group.depth == (group.v - 1) // 2 or min(group.pairs) < SPLIT_LIMIT:
-            out.extend(_join_case(group))
+            out.extend(_join_case(group, ws))
         else:
             stack.extend(_refine(group, bins))
     return out
@@ -414,17 +468,18 @@ def default_jobs() -> int:
 
 # Set by the initializer of each forked pool worker, never in the parent:
 # the groups reach the workers by fork, not by pickling, which at order
-# 41 cost more than the joins.
+# 41 cost more than the joins; each worker builds its own workspace.
 _held = ()
 
 
 def _hold(groups) -> None:
     global _held
-    _held = groups
+    _held = groups, _Workspace.for_groups(groups)
 
 
 def _join_held(i: int) -> list:
-    return _match_group(_held[i])
+    groups, ws = _held
+    return _match_group(groups[i], ws)
 
 
 def bins_match(files, lam: int, jobs: int = 1) -> list:
@@ -443,7 +498,8 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
             chunks = list(pool.imap_unordered(_join_held, order, chunksize=1))
         quads = [q for chunk in chunks for q in chunk]
     else:
-        quads = [q for g in groups for q in _match_group(g)]
+        ws = _Workspace.for_groups(groups)
+        quads = [q for g in groups for q in _match_group(g, ws)]
     quads.sort()
     return quads
 

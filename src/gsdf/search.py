@@ -1,9 +1,10 @@
 """End-to-end exhaustive search: parameters -> blocks -> matching -> classes.
 
 For a symmetry type and parameter set (k1 = ... = (v-1)/2 on the skew
-positions), PSD-filtered candidate row sets are generated, one per
-distinct (size, kind) of the four positions, matched into families,
-re-verified from scratch, and optionally classified.  No state is kept
+positions), the canonical PSD-filtered candidate row sets are generated
+(`row_files_for`), matched into families, expanded to every family the
+full row sets give, re-verified from scratch, and optionally
+classified.  No state is kept
 between parameter sets: generation takes seconds at most (2.8 s for the
 975528 skew blocks at v = 45 on a 2-core x86-64 machine), against joins
 of minutes to hours.  The filter is sound (see `blockgen`), so the
@@ -16,17 +17,19 @@ existence table: 'yes' when some parameter set admits a family of the
 type, 'no' when the exhaustive runs all come up empty, 'x' when no
 parameter set can carry the type.
 
-The match is reduced by the unit orbits of X_1.  Dilating a block by a
-unit u of Z_v keeps its tag, its size and the multiset of its PSD
-values, so it maps every candidate file onto itself, filtered or not,
-and every family onto a family.  Each family is therefore u F for a
-family F whose X_1 is the least mask of its orbit under the units.
-`search_param` picks those X_1 by elimination, one unit at a time
-(`orbit_representatives`), joins them with the other three files, dilates
-each family found by every unit, and deduplicates and sorts the result;
-that is exactly the list the unreduced join gives, and every family of
-it is re-verified.  `bins_match` itself is unreduced, as row files given
-to `gsdf match` need not be closed under dilation.
+The match is reduced by two symmetries, chosen before any row or PSD
+is computed.  Dilating a block by a unit u of Z_v keeps its tag, size
+and PSD values, so it maps every candidate file onto itself and every
+family onto a family: each family is u F for a family F whose X_1 is
+least in its unit orbit.  Negating one block alone keeps its row and
+tag, so the skew blocks after X_1 (X_2 in kkss, X_2 and X_3 in kkks)
+may be taken with X < -X.  `row_files_for` builds those canonical
+files, `search_param` joins them, and `expand_over_units` takes each
+family found with those blocks as they are and negated, dilates each by
+every unit, and deduplicates and sorts the result: exactly the list the
+unreduced join of the full files gives, every family of it re-verified.
+`bins_match` itself is unreduced, as row files given to `gsdf match`
+need not be closed under dilation or negation.
 
 The expanded families share their blocks: each distinct mask, found by
 `distinct_masks`, becomes one `CyclicSubset`, and the families are built
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockgen import check_width, collect_rows
+from .blockgen import check_width, collect_rows, skew_masks
 from .catalog import table_rows_up_to
 from .equivalence import (classify, dilation_orbits, orbit_representatives,
                           small_classes, units)
@@ -61,7 +64,7 @@ from .matcher import bins_match
 from .params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                      type_applicable, type_tags)
 from .verify import verify_families, verify_family
-from .zmod import CyclicSubset, dilate_mask, distinct_masks
+from .zmod import CyclicSubset, dilate_mask, distinct_masks, negate_mask
 
 
 @dataclass
@@ -100,18 +103,36 @@ class ParamOutcome:
 
 
 def row_files_for(params: GsParamSet, type_name: str) -> list:
-    """The four per-position filtered candidate row sets for a type at a
-    parameter set; positions of equal size and kind share one row set."""
+    """The four canonical filtered candidate row sets `search_param` joins:
+    X_1's orbit representatives (`orbit_representatives` of every skew
+    block), the blocks X < -X at every other skew position, and every
+    block at a symmetric one.  X < -X holds when X has 1 rather than
+    v - 1, the highest bit a skew block can set: the lower half of the
+    ascending `skew_masks`.  Positions after X_1 of equal size and kind
+    share one `collect_rows` call and row set."""
+    v = params.v
+    skew = skew_masks(v)
+    first = collect_rows(v, params.k[0], "skew",
+                         masks=skew[orbit_representatives(v, skew)])
     keys = [(k, "skew" if tag == "k" else "symmetric")
-            for tag, k in zip(type_tags(type_name), params.k)]
-    files = {key: collect_rows(params.v, *key) for key in dict.fromkeys(keys)}
-    return [files[key] for key in keys]
+            for tag, k in zip(type_tags(type_name)[1:], params.k[1:])]
+    half = skew[:len(skew) // 2]
+    files = {key: collect_rows(v, *key, masks=half if key[1] == "skew" else None)
+             for key in dict.fromkeys(keys)}
+    return [first] + [files[key] for key in keys]
 
 
-def expand_over_units(v: int, quads) -> np.ndarray:
-    """Every dilate of the mask quadruples, deduplicated and sorted, as an
-    (n, 4) int64 array (`distinct_masks` of the dilates)."""
+def expand_over_units(v: int, quads, negated=()) -> np.ndarray:
+    """Every image of the mask quadruples, deduplicated and sorted, as an
+    (n, 4) int64 array (`distinct_masks` of the images): each quadruple
+    with the blocks at the positions ``negated`` taken as they are and
+    negated, in every combination, and each of those dilated by every
+    unit."""
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    for i in negated:
+        flipped = quads.copy()
+        flipped[:, i] = negate_mask(v, quads[:, i])
+        quads = np.concatenate((quads, flipped))
     return distinct_masks(dilate_mask(v, quads, units(v)).reshape(-1, 4))[0]
 
 
@@ -121,13 +142,13 @@ def search_param(params: GsParamSet, type_name: str,
     options = options or SearchOptions()
     if not type_applicable(params, type_name):
         return ParamOutcome(params, type_name, applicable=False)
-    files = row_files_for(params, type_name)
     v = params.v
-    first = files[0]
-    least = orbit_representatives(v, first.masks)
-    found = bins_match([first.select(least)] + files[1:], params.lam,
+    found = bins_match(row_files_for(params, type_name), params.lam,
                        jobs=options.jobs)
-    distinct, index = distinct_masks(expand_over_units(v, found).ravel())
+    # the skew positions after X_1, which `row_files_for` halves
+    negated = [i for i, tag in enumerate(type_tags(type_name)) if i and tag == "k"]
+    expanded = expand_over_units(v, found, negated)
+    distinct, index = distinct_masks(expanded.ravel())
     blocks = [CyclicSubset(v, m) for m in distinct.tolist()]
     # the families' blocks, gathered a column at a time
     columns = (map(blocks.__getitem__, col) for col in index.reshape(-1, 4).T.tolist())

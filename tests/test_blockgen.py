@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gsdf.blockgen import (PSD_REL_EPS, RowFile, RowFileFormatError, _psd_max,
                            collect_rows, difference_counts, read_row_file,
                            skew_masks, symmetric_masks, write_row_file)
-from gsdf.zmod import CyclicSubset, tag_codes
+from gsdf.zmod import CyclicSubset, negate_mask, tag_codes
 
 
 def subsets(masks, v):
@@ -41,6 +41,8 @@ def test_skew_masks_ascend_without_a_sort(v):
     assert masks.dtype == np.int64
     assert (np.diff(masks) > 0).all()
     assert np.array_equal(masks, skew_masks_sorted(v))
+    # the lower half, which the search takes after X_1, is {X : X < -X}
+    assert np.array_equal(masks[:len(masks) // 2], masks[masks < negate_mask(v, masks)])
 
 
 @pytest.mark.parametrize("v", [3, 5, 7, 9, 11])

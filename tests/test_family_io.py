@@ -148,6 +148,30 @@ def test_error_messages_carry_line_numbers(tmp_path):
         read_families(path)
 
 
+def test_declared_types_are_checked_by_order_and_reported_by_line(tmp_path):
+    """Records of two orders, checked one `tag_codes` call per order: the
+    error names the earliest record whose type is wrong, and a wrong type
+    comes before a later line that does not parse."""
+    small = family_from_blocks(3, [[1], [1], [1], []])
+    text = format_family(small) + format_family(qr7_family()) + format_family(small)
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    assert len(read_families(path)) == 3
+    lines = text.splitlines()
+    for wrong, lineno in ((10, 11), (5, 6)):
+        bad = lines.copy()
+        bad[wrong] = bad[wrong].replace("kkks", "kkss")
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(FamilyFormatError, match=f"^line {lineno}: declared type"):
+            read_families(path)
+        path.write_text("\n".join(bad) + "\nbananas\n")
+        with pytest.raises(FamilyFormatError, match=f"^line {lineno}: declared type"):
+            read_families(path)
+    path.write_text(text + "bananas\n")
+    with pytest.raises(FamilyFormatError, match="^line 16: header"):
+        read_families(path)
+
+
 def test_format_is_deterministic():
     fam = qr7_family()
     assert format_family(fam) == format_family(qr7_family())

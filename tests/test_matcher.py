@@ -158,9 +158,9 @@ def test_split_limit_1_bins_every_column(monkeypatch):
     workers."""
     join_case = gsdf.matcher._join_case
 
-    def join_at_the_last_column(case):
+    def join_at_the_last_column(case, ws):
         assert case.depth == (case.v - 1) // 2, f"joined at depth {case.depth}"
-        return join_case(case)
+        return join_case(case, ws)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
     monkeypatch.setattr(gsdf.matcher, "_join_case", join_at_the_last_column)
@@ -188,9 +188,9 @@ def test_each_first_column_group_is_refined_and_joined_where_it_runs(
         record("refine", case)
         return refine(case, bins)
 
-    def logged_join_case(case):
+    def logged_join_case(case, ws):
         record("join", case)
-        return join_case(case)
+        return join_case(case, ws)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
     monkeypatch.setattr(gsdf.matcher, "_refine", logged_refine)
@@ -245,13 +245,13 @@ def test_join_builds_each_pair_once(monkeypatch):
     join = gsdf.matcher._join
     built = []
 
-    def recording_join(stored, streamed, target, key_t):
+    def recording_join(stored, streamed, target, key_t, ws):
         for side in (stored, streamed):
             (mx, my), (sx, sy) = side.masks, side.slots
-            for offset, keys in side.blocks():
+            for offset, keys in side.blocks(ws):
                 x, y = side.locate(offset + np.arange(len(keys)))
                 built.extend(zip([sx] * len(x), mx[x].tolist(), [sy] * len(y), my[y].tolist()))
-        return join(stored, streamed, target, key_t)
+        return join(stored, streamed, target, key_t, ws)
 
     monkeypatch.setattr(gsdf.matcher, "_join", recording_join)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
@@ -263,6 +263,31 @@ def test_join_builds_each_pair_once(monkeypatch):
         assert bins_match(fs, 7) == expected
         assert len(built) == len(set(built))
         assert 0 < len(built) <= a * d + b * c
+
+
+def test_a_match_sizes_one_workspace_once(monkeypatch):
+    """A serial match builds one workspace, sized from its first-column
+    groups; no join grows it unless the join's piece was refined on every
+    column, as split limits 10 and 1 may force."""
+    sized = []
+    reserve = gsdf.matcher._Workspace.reserve
+
+    def recording_reserve(ws, stored):
+        if stored > len(ws.keys):
+            sized.append(id(ws))
+        reserve(ws, stored)
+
+    monkeypatch.setattr(gsdf.matcher._Workspace, "reserve", recording_reserve)
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    expected = brute_force_match(fs, 7)
+    for limit in SPLIT_LIMITS:
+        monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+        sized.clear()
+        assert bins_match(fs, 7) == expected
+        assert len(set(sized)) == 1
+        assert len(sized) == 1 or limit < 10 ** 6
+    # no first-column group at all: the workspace is sized from none
+    assert bins_match(fs[:2] + [fs[2].select([])] + fs[3:], 7) == []
 
 
 def test_brute_force_guard():
@@ -389,7 +414,8 @@ def test_table_lookup_agrees_with_isin(keys, extra, w):
     most 31; larger w are where the fields must narrow to read only
     bits above the low w."""
     low = 2 ** w - 1
-    table = gsdf.matcher._Table(keys, np.uint64(low))
+    ws = gsdf.matcher._Workspace(len(keys), gsdf.matcher._CHUNK)
+    table = gsdf.matcher._Table(keys, np.uint64(low), ws)
     cells = int(table.field).bit_length()
     assert int(table.top) >= w and int(table.w) == w and w + cells <= 64
     near = set(extra)
@@ -410,7 +436,8 @@ def test_table_both_cells_occupied_by_other_keys():
     w = 2
     low = 2 ** w - 1
     keys = np.array([0, 3 << 61 | 7 << w], dtype=np.uint64)
-    table = gsdf.matcher._Table(keys, np.uint64(low))
+    ws = gsdf.matcher._Workspace(len(keys), gsdf.matcher._CHUNK)
+    table = gsdf.matcher._Table(keys, np.uint64(low), ws)
     assert int(table.top) == 59 and int(table.field) == 31
     values = np.array([7 << w, 7 << w | 1, 7 << w | low], dtype=np.uint64)
     assert table.by_top[table._top(values)].all()
@@ -437,11 +464,12 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     ys = [hashed(subfile(sym, range(i, i + ny))) for i, (_, ny) in enumerate(shape)]
     pairs = sum(nx * ny for nx, ny in shape)
     side = gsdf.matcher._Side((xs, ys), pairs, (0, 2))
+    ws = gsdf.matcher._Workspace(0, 11)
     kx, ky = side.keys
     key_t = np.uint64(0x9E3779B97F4A7C15)
     for needles in (False, True):
         sizes, end = [], 0
-        for offset, keys in side.blocks(key_t) if needles else side.blocks():
+        for offset, keys in side.blocks(ws, key_t) if needles else side.blocks(ws):
             assert offset == end
             assert keys.flags.writeable
             assert not any(np.shares_memory(keys, k) for k in side.keys)

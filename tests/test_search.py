@@ -1,10 +1,12 @@
-"""The unit-orbit reduction of `search_param` and the facts it rests on.
+"""The reductions of `search_param` and the facts they rest on.
 
 `search_param` joins only the X_1 blocks that are least in their orbit
-under dilation by the units of Z_v, then dilates each family found by
-every unit.  That is sound when every candidate file is mapped onto
-itself by each dilation; the reduced-then-expanded families must then
-equal the unreduced join, family for family and in order.
+under dilation by the units of Z_v, and at every other skew position
+only the blocks X < -X, then takes each family found with those blocks
+as they are and negated and dilates it by every unit.  That is sound
+when every candidate file is mapped onto itself by each dilation and
+each negation; the reduced-then-expanded families must then equal the
+unreduced join of the full files, family for family and in order.
 """
 import os
 import subprocess
@@ -15,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gsdf.equivalence
 import gsdf.matcher
 import gsdf.search
 import gsdf.verify
-from gsdf.blockgen import collect_rows
+from gsdf.blockgen import collect_rows, skew_masks
 from gsdf.equivalence import orbit_least, orbit_representatives, units
 from gsdf.family import Family, format_family
 from gsdf.matcher import bins_match
@@ -26,7 +29,7 @@ from gsdf.params import (TYPE_NAMES, searchable_param_sets, type_applicable,
                          type_tags)
 from gsdf.search import (SearchOptions, expand_over_units, row_files_for,
                          search_order, search_param)
-from gsdf.zmod import CyclicSubset, dilate_mask
+from gsdf.zmod import CyclicSubset, dilate_mask, negate_mask
 
 ODD_TO_31 = range(1, 32, 2)
 
@@ -76,8 +79,10 @@ def test_orbit_least_is_the_least_dilate():
 
 
 @pytest.mark.parametrize("v", ODD_TO_31)
-def test_orbit_representatives_are_the_orbit_minima(v):
-    # every candidate file, filtered or not, skew and symmetric
+def test_orbit_representatives_are_the_orbit_minima(v, monkeypatch):
+    # every candidate file, filtered or not, skew and symmetric, in passes
+    # of 97 masks, so every file of more masks spans passes
+    monkeypatch.setattr(gsdf.equivalence, "_CHUNK", 97)
     for filtered in (True, False):
         for kind, k in kinds_and_sizes(v):
             masks = collect_rows(v, k, kind, filtered=filtered).masks
@@ -110,6 +115,14 @@ def test_expand_over_units_equals_np_unique():
             assert ((quads[:30] >> 62) & 1).any()
         oracle = np.unique(dilate_mask(v, quads, units(v)).reshape(-1, 4), axis=0)
         assert np.array_equal(expand_over_units(v, quads), oracle)
+        # with X_2 and X_3 also taken negated, in all four combinations
+        images = []
+        for flip in ((), (1,), (2,), (1, 2)):
+            flipped = quads.copy()
+            flipped[:, flip] = negate_mask(v, quads[:, flip])
+            images.append(dilate_mask(v, flipped, units(v)).reshape(-1, 4))
+        oracle = np.unique(np.concatenate(images), axis=0)
+        assert np.array_equal(expand_over_units(v, quads, (1, 2)), oracle)
 
 
 def test_a_search_imports_no_module():
@@ -150,6 +163,32 @@ def run_fresh(code: str) -> str:
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def test_matches_in_one_process_equal_fresh_ones():
+    """One process joins the join-heavy search's canonical files, then a
+    smaller match, then join-heavy again; each result is byte-identical
+    to the same match run alone in a fresh interpreter, so no join
+    leaves state behind for the next."""
+    setup = """if True:
+        import hashlib
+        from gsdf.matcher import bins_match
+        from gsdf.params import searchable_param_sets
+        from gsdf.search import row_files_for
+        def files(v, k, t):
+            p = next(p for p in searchable_param_sets(v) if p.k == k)
+            return row_files_for(p, t), p.lam
+        heavy = files(29, (14, 13, 12, 10), "ksss")
+        small = files(15, (7, 7, 6, 4), "kkss")
+        def digest(match):
+            quads = bins_match(*match)
+            print(len(quads), hashlib.sha256(repr(quads).encode()).hexdigest())
+    """
+    # setup ends in its closing line's indent, so a statement goes on it
+    together = run_fresh(setup + "    digest(heavy); digest(small); digest(heavy)\n")
+    alone = [run_fresh(setup + f"    digest({m})\n") for m in ("heavy", "small")]
+    assert together == alone[0] + alone[1] + alone[0]
+    assert int(alone[0].split()[0]) > 0 and int(alone[1].split()[0]) > 0
 
 
 def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
@@ -227,14 +266,39 @@ def file_keys(p, type_name):
             for tag, k in zip(type_tags(type_name), p.k)]
 
 
+def candidates(v, kind, masks):
+    """Which candidates a `collect_rows` call took: "all" blocks of the
+    kind and size, X_1's orbit "representatives", or the "lower half" of
+    the skew blocks, X < -X."""
+    if masks is None:
+        return "all"
+    skew = skew_masks(v)
+    assert kind == "skew"
+    if np.array_equal(masks, skew[orbit_representatives(v, skew)]):
+        return "representatives"
+    assert np.array_equal(masks, skew[skew < negate_mask(v, skew)])
+    return "lower half"
+
+
+def search_calls(p, type_name):
+    """The `collect_rows` calls a search makes: one for X_1's
+    representatives, and one for each other distinct (v, k, kind), the
+    skew ones over the lower half."""
+    first, *rest = file_keys(p, type_name)
+    return [first + ("representatives",)] + [
+        key + ("lower half" if key[2] == "skew" else "all",)
+        for key in dict.fromkeys(rest)]
+
+
 @pytest.fixture
 def generated(monkeypatch):
-    """The arguments of every `collect_rows` call the search layer makes."""
+    """Every `collect_rows` call the search layer makes, as (v, k, kind)
+    and `candidates`."""
     calls = []
 
-    def counting(v, k, kind):
-        calls.append((v, k, kind))
-        return collect_rows(v, k, kind)
+    def counting(v, k, kind, masks=None):
+        calls.append((v, k, kind, candidates(v, kind, masks)))
+        return collect_rows(v, k, kind, masks=masks)
 
     monkeypatch.setattr(gsdf.search, "collect_rows", counting)
     return calls
@@ -246,25 +310,49 @@ def test_row_files_share_one_set_per_size_and_kind(generated):
         for t in filter(lambda t: type_applicable(p, t), TYPE_NAMES):
             generated.clear()
             files, keys = row_files_for(p, t), file_keys(p, t)
-            # ksss at (13;6,6,6,3;8) has a skew and two symmetric blocks of size 6
+            # ksss at (13;6,6,6,3;8) has a skew and two symmetric blocks of
+            # size 6; X_1 has a file of its own
             for i in range(4):
                 for j in range(4):
-                    assert (files[i] is files[j]) == (keys[i] == keys[j]), (p, t)
-            assert generated == list(dict.fromkeys(keys))
-            checked += len(set(keys)) < 4
+                    shared = i == j or (i and j and keys[i] == keys[j])
+                    assert (files[i] is files[j]) == shared, (p, t)
+            assert generated == search_calls(p, t)
+            checked += len(set(keys[1:])) < 3
     assert checked >= 4
 
 
 @pytest.mark.parametrize("type_name", TYPE_NAMES)
 def test_search_order_generates_afresh_for_each_parameter_set(generated, type_name):
-    # kkss at 13 has two applicable sets, each generating its own skew file
+    # kkss at 13 has two applicable sets, each generating its own files
     outcomes = search_order(13, type_name, SearchOptions(classified=False))
-    expected = [key for out in outcomes if out.applicable
-                for key in dict.fromkeys(file_keys(out.params, type_name))]
+    expected = [call for out in outcomes if out.applicable
+                for call in search_calls(out.params, type_name)]
     assert sorted(generated) == sorted(expected) and expected
 
 
+@pytest.mark.parametrize("filtered", (True, False))
+@pytest.mark.parametrize("v", range(3, 30, 2))
+def test_row_files_restrict_the_candidates_before_their_rows(v, filtered):
+    """`collect_rows` over X_1's orbit representatives, or over the lower
+    half of the skew blocks, gives the masks and rows that selecting them
+    from the full file gives."""
+    k = (v - 1) // 2
+    full = collect_rows(v, k, "skew", filtered=filtered)
+    skew = skew_masks(v)
+    picks = ((skew[orbit_representatives(v, skew)],
+              orbit_representatives(v, full.masks)),
+             (skew[:len(skew) // 2], full.masks < negate_mask(v, full.masks)))
+    for masks, keep in picks:
+        part = collect_rows(v, k, "skew", filtered=filtered, masks=masks)
+        chosen = full.select(keep)
+        assert np.array_equal(part.masks, chosen.masks), v
+        assert np.array_equal(part.rows, chosen.rows), v
+        assert (part.v, part.k, part.kind, part.bound) == (v, k, "skew", full.bound)
+
+
 def reduced_equals_unreduced(orders):
+    """The reduced search's families equal the join of the full candidate
+    files, `collect_rows` with no restriction, family for family."""
     checked = 0
     for v in orders:
         for p in searchable_param_sets(v):
@@ -272,7 +360,9 @@ def reduced_equals_unreduced(orders):
                 if not type_applicable(p, t):
                     continue
                 out = search_param(p, t, SearchOptions(classified=False))
-                full = bins_match(row_files_for(p, t), p.lam)
+                keys = file_keys(p, t)
+                files = {key: collect_rows(*key) for key in dict.fromkeys(keys)}
+                full = bins_match([files[key] for key in keys], p.lam)
                 masks = [tuple(b.mask for b in f.blocks) for f in out.families]
                 assert masks == full, (p, t)
                 checked += bool(full)
