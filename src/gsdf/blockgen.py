@@ -136,9 +136,8 @@ def symmetric_masks(v: int, k: int) -> np.ndarray:
 class RowFile:
     """Candidate blocks of one kind and size, with their difference rows.
 
-    The matcher's case splits are row files too, restricted by `select`.
-    `keys` holds the matcher's hash key of each row, or None: the matcher
-    hashes each file it is given once, and its splits carry the keys.
+    `keys` holds the matcher's hash key of each row, or None: only
+    `matcher.match_cases` sets it, on the sorted copy of each file it joins.
     """
 
     v: int
@@ -162,8 +161,7 @@ class RowFile:
 
     def select(self, keep) -> "RowFile":
         """The blocks picked by an index or boolean array, in their order."""
-        return RowFile(self.v, self.k, self.kind, self.bound, self.masks[keep],
-                       self.rows[keep], None if self.keys is None else self.keys[keep])
+        return RowFile(self.v, self.k, self.kind, self.bound, self.masks[keep], self.rows[keep])
 
 
 def collect_rows(v: int, k: int, kind: str, filtered: bool = True,

@@ -2,34 +2,36 @@
 
 Four blocks X_1..X_4 form a difference family with index lam exactly when
 their difference rows sum to the constant row (lam, ..., lam).  The match
-is a meet in the middle on pair sums.  The four files are sorted by size
-once, as a <= b <= c <= d: the (a, d) pairs form one side and the (b, c)
-pairs the other.  Each file is split into bins by its value in column 0;
-the (a, d) bin products are grouped by their pair sum s = n_a + n_d, and
+is a meet in the middle on pair sums.  `match_cases` sorts each file
+once by its rows, lexicographically (`np.lexsort`; `np.unique` on numpy
+2.4 imports `numpy.ma` on its first call in a process, 14-16 ms on a
+2-core x86-64 machine), and every piece of the search is then a range
+of rows of a sorted file.  The four files are ordered by size, as
+a <= b <= c <= d: the (a, d) pairs form one side and the (b, c) pairs
+the other.  Each file splits into runs of equal values in column 0; the
+(a, d) run products are grouped by their pair sum s = n_a + n_d, and
 each group meets only the (b, c) products whose sum is lam - s.  Every
 pair lands in exactly one group, so the join builds each pair once.
 
 A group is finished by a join over the columns it was not grouped on.
 The side with fewer pairs is stored: its pair-sum keys fill one array
-sized from the bin counts.  The other side is streamed in blocks of
+sized from the range lengths.  The other side is streamed in blocks of
 about _CHUNK keys (small products share a block), written into one
 buffer, so only the stored side costs memory.  The joins of a match
 write into one workspace of these arrays (`_Workspace`), sized from its
 first-column groups, so one join after another touches the same pages
 instead of mapping fresh ones.  A group whose stored side
 holds SPLIT_LIMIT pairs or more is refined on its next column by the same
-rule: each product splits into the products of its files' bins there,
+rule: each product splits into the products of its ranges' runs there,
 regrouped by their pair sum t, and the (a, d) products of sum t meet
-only the (b, c) products of sum lam - t.  Within one first-column
-group, a file met in several groups is split once and its bins are
-shared.  A file's bins on a column are its values there, ascending,
-read as the nonzero counts of `np.bincount` of the uint8 column:
-`np.unique` on numpy 2.4 imports `numpy.ma` on its first call in a
-process (14-16 ms on a 2-core x86-64 machine).  A group
+only the (b, c) products of sum lam - t.  The rows of a range agree on
+every column before the group's depth, so in a sorted file they are
+sorted by the next column: its runs of equal values are contiguous and
+ascending, and a split copies no rows.  A group
 refined on every column is joined like any other; there every pair of
 one side matches every pair of the other.  A first-column group is
 refined depth first and each piece is joined as it is reached, so a
-process holds the pieces of one first-column group's current path, not
+process holds the ranges of one first-column group's current path, not
 every leaf of the search.  SPLIT_LIMIT = 10**6 keeps a stored side's
 keys near 8 MB and each of its two occupancy arrays at most 8 MB; on
 the order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
@@ -37,7 +39,7 @@ the order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
 Rows are hashed to 64-bit keys once per match, over all (v-1)/2 columns:
 a dot product with a fixed random multiplier per column, linear in the
 row, so key(r_b + r_c) = key(r_b) + key(r_c).  `match_cases` hashes each
-file, and the pieces `_refine` splits off carry their keys.  In a group
+sorted file, and a range reads its keys there.  In a group
 at depth d, every quadruple sums to lam in the columns before d, so it
 is a family exactly when its rows sum to the all-lam row in every
 column: the join's target is that row and its key, the same test as one
@@ -46,10 +48,10 @@ keeps its high bits and holds its pair's position on its side in the
 low w bits, w the bit length of the stored pair count.  The n stored
 keys are sorted, and two occupancy arrays of 2**(b+3) cells, 2**b >= n,
 mark the cells that hold a key: one on the keys' top b + 3 bits, one on
-the b + 3 bits just above the low w.  The streamed side's x keys become
-key(target) - key(r_x) once per group; a product's needle keys
-key(target) - key(r_x) - key(r_y) are broadcast a few x rows at a time
-and streamed in blocks, each looked up as it comes.  A matching key
+the b + 3 bits just above the low w.  Both sides stream the pair sums
+key(r_x) + key(r_y), broadcast a few x rows at a time; each block of
+the streamed side becomes the needles key(target) - key(r_x) - key(r_y)
+by one subtraction in place and is looked up as it comes.  A matching key
 lies in [c, c + 2**w - 1], c the
 needle with its low w bits clear, so it shares every bit of the needle
 above the low w; both fields read only such bits (narrowing to 64 - w
@@ -64,8 +66,7 @@ stored pairs are the keys in that range, whose low bits give their
 positions, so each side is built and walked once.  Equal keys have
 equal high bits, and distinct rows can share a key, so every candidate
 quadruple is confirmed exactly on its full rows against the target row
-before it is emitted; a side stacks its rows and masks only for that,
-in a group with hits.
+before it is emitted, reading the rows and masks of the sorted files.
 
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
@@ -85,7 +86,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -117,12 +117,14 @@ _CHUNK = 1 << 15
 class MatchCase:
     """One group of the pair-sum join.
 
-    `sides` holds the (a, d) side and the (b, c) side, each a pair of
-    lists (xs, ys) of row files whose products xs[p] x ys[p] make up the
-    side, and `pairs` the number of pairs of each side; `slots` gives the
+    `sides` holds the (a, d) side and the (b, c) side, each a triple
+    (x file, y file, ranges) whose products make up the side: ranges[p] =
+    (x0, x1, y0, y1) pairs the x rows x0..x1 with the y rows y0..y1.
+    `pairs` gives the number of pairs of each side, and `slots` the
     positions of a, d, b and c among X_1..X_4.  In every column before
     `depth`, each pair of one side sums to lam minus the sum of each pair
-    of the other.  A row occurs in at most one product of a side.
+    of the other.  The rows of a range agree on every column before
+    `depth`, and a row occurs in at most one range of a side.
     `match_cases` returns the groups on column 0, at depth 1.
     """
 
@@ -137,45 +139,44 @@ class MatchCase:
     def sizes(self) -> tuple:
         """Rows of X_1..X_4 in the group."""
         out = [0] * 4
-        for slots, side in zip((self.slots[:2], self.slots[2:]), self.sides):
-            for slot, files in zip(slots, side):
-                out[slot] += sum(map(len, files))
+        for (sx, sy), (_, _, ranges) in zip((self.slots[:2], self.slots[2:]), self.sides):
+            for x0, x1, y0, y1 in ranges:
+                out[sx] += x1 - x0
+                out[sy] += y1 - y0
         return tuple(out)
 
 
-def _refine(case: MatchCase, bins: dict) -> list:
+def _runs(f, col: int, lo: int, hi: int) -> list:
+    """(value, start, end) of each run of equal values in column ``col``
+    of the rows lo..hi of ``f``, which are sorted by that column; none
+    when the range is empty, as then there are no values to zip."""
+    vals = f.rows[lo:hi, col]
+    last = (vals[1:] != vals[:-1]).nonzero()[0]  # each run's last row but the final run's
+    ends = [*(last + (lo + 1)).tolist(), hi]
+    return list(zip(vals[last].tolist() + vals[-1:].tolist(), [lo, *ends[:-1]], ends))
+
+
+def _refine(case: MatchCase) -> list:
     """Split a group on its next column, pairing (a, d) products of sum t
     there with (b, c) products of sum lam - t.
 
-    A row file is met in several groups, and always split on the same
-    column, so its split is kept in ``bins`` (by id, with the file) and
-    the groups share the pieces."""
+    The rows of a range agree before the column and their file is sorted
+    by its rows, so they are sorted by the column: a range splits into
+    its `_runs` there, and the products into the products of runs."""
     col, lam = case.depth, case.lam
-
-    def split(f):
-        """(value, rows with that value in the column, their number)."""
-        if id(f) not in bins:
-            vals = f.rows[:, col]
-            pieces = ((u, f.select(vals == u))
-                      for u in np.flatnonzero(np.bincount(vals)).tolist())
-            bins[id(f)] = f, [(u, p, len(p)) for u, p in pieces]
-        return bins[id(f)][1]
-
     by_sum = []
-    for xs, ys in case.sides:
+    for fx, fy, ranges in case.sides:
         products, pairs = {}, {}
-        for x, y in zip(xs, ys):
-            y_bins = split(y)
-            for u, xu, nx in split(x):
-                for w, yw, ny in y_bins:
+        for x0, x1, y0, y1 in ranges:
+            y_runs = _runs(fy, col, y0, y1)
+            for u, a0, a1 in _runs(fx, col, x0, x1):
+                for w, b0, b1 in y_runs:
                     if u + w <= lam:
-                        sub_xs, sub_ys = products.setdefault(u + w, ([], []))
-                        sub_xs.append(xu)
-                        sub_ys.append(yw)
-                        pairs[u + w] = pairs.get(u + w, 0) + nx * ny
-        by_sum.append((products, pairs))
-    (ad, ad_pairs), (bc, bc_pairs) = by_sum
-    return [MatchCase(case.v, lam, col + 1, case.slots, (ad[t], bc[lam - t]),
+                        products.setdefault(u + w, []).append((a0, a1, b0, b1))
+                        pairs[u + w] = pairs.get(u + w, 0) + (a1 - a0) * (b1 - b0)
+        by_sum.append((fx, fy, products, pairs))
+    (ax, ay, ad, ad_pairs), (bx, by, bc, bc_pairs) = by_sum
+    return [MatchCase(case.v, lam, col + 1, case.slots, ((ax, ay, ad[t]), (bx, by, bc[lam - t])),
                       (ad_pairs[t], bc_pairs[lam - t]))
             for t in sorted(ad) if lam - t in bc]
 
@@ -191,21 +192,26 @@ def _hash(rows) -> np.ndarray:
 
 def match_cases(files, lam: int) -> list:
     """The groups on the first column; phase-two entry point.  Each file is
-    hashed here, once, and the groups' pieces of it carry its keys."""
+    sorted by its rows and hashed here, once, and the groups' ranges are
+    row ranges of these sorted files."""
     v = files[0].v
     if any(f.v != v for f in files):
         raise ValueError("row files disagree on v")
     if (v - 1) // 2 < 1:
         raise ValueError("matching needs at least one difference column")
-    # a file given at several positions stays one file, hashed and split once
-    hashed = {id(f): f for f in files}
-    hashed = {i: replace(f, keys=_hash(f.rows)) for i, f in hashed.items()}
-    files = [hashed[id(f)] for f in files]
+    # a file given at several positions stays one file, sorted and hashed once
+    ready = {id(f): f for f in files}
+    for i, f in ready.items():
+        f = f.select(np.lexsort(f.rows.T[::-1]))
+        ready[i] = replace(f, keys=_hash(f.rows))
+    files = [ready[id(f)] for f in files]
     a, b, c, d = sorted(range(4), key=lambda i: len(files[i]))
+    n = [len(f) for f in files]
     whole = MatchCase(v, lam, 0, (a, d, b, c),
-                      (([files[a]], [files[d]]), ([files[b]], [files[c]])),
-                      (len(files[a]) * len(files[d]), len(files[b]) * len(files[c])))
-    return _refine(whole, {})
+                      ((files[a], files[d], [(0, n[a], 0, n[d])]),
+                       (files[b], files[c], [(0, n[b], 0, n[c])])),
+                      (n[a] * n[d], n[b] * n[c]))
+    return _refine(whole)
 
 
 class _Table:
@@ -293,10 +299,11 @@ class _Workspace:
     def for_groups(cls, groups) -> "_Workspace":
         """Room for the joins of the first-column ``groups``, whose
         refined pieces are no larger: a block holds at most a side's
-        pairs, and at most _CHUNK unless one y file is wider; a joined
+        pairs, and at most _CHUNK unless one y range is wider; a joined
         piece stores an unrefined group's side or fewer than SPLIT_LIMIT
         pairs, unless it was refined on every column."""
-        widest = max((len(y) for g in groups for _, ys in g.sides for y in ys), default=0)
+        widest = max((y1 - y0 for g in groups for *_, ranges in g.sides
+                      for _, _, y0, y1 in ranges), default=0)
         most = max((max(g.pairs) for g in groups), default=0)
         stored = max((min(*g.pairs, SPLIT_LIMIT) for g in groups), default=0)
         return cls(stored, min(most, max(_CHUNK, widest)))
@@ -311,49 +318,31 @@ class _Workspace:
 
 
 class _Side:
-    """One side of a group with its x files and its y files each stacked
-    into one table: product p pairs the x rows xo[p]..xo[p+1] with the y
-    rows yo[p]..yo[p+1].  A pair's position counts the pairs before it,
-    products in order and x-major within each product."""
+    """One side of a group: product p pairs the x file's rows
+    x0..x1 with the y file's rows y0..y1, (x0, x1, y0, y1) = ranges[p].
+    A pair's position counts the pairs before it, products in order and
+    x-major within each product."""
 
-    def __init__(self, tables, pairs, slots):
-        self.tables, self.slots, self.pairs = tables, slots, pairs
-        self.keys = [np.concatenate([f.keys for f in t]) for t in tables]
-        self.xo, self.yo = (np.cumsum([0] + [len(f) for f in t]).tolist()
-                            for t in tables)
+    def __init__(self, side, pairs, slots):
+        self.fx, self.fy, self.ranges = side
+        self.pairs, self.slots = pairs, slots
 
-    @cached_property
-    def masks(self):
-        """Each table's block masks; stacked only for a group with hits."""
-        return [np.concatenate([f.masks for f in t]) for t in self.tables]
-
-    @cached_property
-    def rows(self):
-        """Each table's difference rows, as int16; stacked only when a
-        hit is confirmed, which few groups have."""
-        return [np.concatenate([f.rows for f in t]).astype(np.int16)
-                for t in self.tables]
-
-    def blocks(self, ws, key_t=None):
-        """The pair keys key(x) + key(y) in position order, or with
-        ``key_t`` the needles key_t - key(x) - key(y), at most _CHUNK at a
-        time unless one y table is longer: (offset, keys), keys[j] that
-        of the pair at position offset + j.
+    def blocks(self, ws):
+        """The pair keys key(x) + key(y) in position order, at most _CHUNK
+        at a time unless one y range is longer: (offset, keys), keys[j]
+        that of the pair at position offset + j.
 
         Each product is broadcast a few x rows at a time into a part,
-        op(kx[x rows, None], ky[None, y rows]), written straight into the
+        kx[x rows, None] + ky[None, y rows], written straight into the
         workspace's block buffer.  Parts follow each other in the buffer
         until the next would push the block past _CHUNK, so small products
         share a block.  A block is a view of the buffer, not of the keys:
         the caller may change it in place, and it is valid until the next
         block is requested."""
-        kx, ky = self.keys
-        op = np.add
-        if key_t is not None:
-            kx, op = key_t - kx, np.subtract
+        kx, ky = self.fx.keys, self.fy.keys
         buf = ws.block
         size, offset = 0, 0
-        for x0, x1, y0, y1 in zip(self.xo, self.xo[1:], self.yo, self.yo[1:]):
+        for x0, x1, y0, y1 in self.ranges:
             ny = y1 - y0
             step = max(1, _CHUNK // ny)
             for lo in range(x0, x1, step):
@@ -361,21 +350,21 @@ class _Side:
                 if size and size + nx * ny > _CHUNK:
                     yield offset, buf[:size]
                     offset, size = offset + size, 0
-                op(kx[lo:lo + nx, None], ky[None, y0:y1],
-                   out=buf[size:size + nx * ny].reshape(nx, ny))
+                np.add(kx[lo:lo + nx, None], ky[None, y0:y1],
+                       out=buf[size:size + nx * ny].reshape(nx, ny))
                 size += nx * ny
         if size:
             yield offset, buf[:size]
 
     def locate(self, positions):
-        """The table rows (x, y) of the pairs at ``positions``."""
-        xo, yo = np.array(self.xo), np.array(self.yo)
-        ny = np.diff(yo)
-        n = np.diff(xo) * ny
+        """The file rows (x, y) of the pairs at ``positions``."""
+        x0, x1, y0, y1 = np.array(self.ranges).T
+        ny = y1 - y0
+        n = (x1 - x0) * ny
         first = np.cumsum(n) - n
         p = np.searchsorted(first, positions, side="right") - 1
         r = positions - first[p]
-        return xo[p] + r // ny[p], yo[p] + r % ny[p]
+        return x0[p] + r // ny[p], y0[p] + r % ny[p]
 
 
 def _join_case(case: MatchCase, ws) -> list:
@@ -383,7 +372,7 @@ def _join_case(case: MatchCase, ws) -> list:
     side with fewer pairs is stored.  Every quadruple of the group sums to
     lam in the columns before its depth, so it is a family exactly when
     its rows sum to the all-lam row."""
-    sides = (_Side(tables, pairs, slots) for tables, pairs, slots
+    sides = (_Side(side, pairs, slots) for side, pairs, slots
              in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
     stored, streamed = sorted(sides, key=lambda s: s.pairs)
     target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
@@ -406,7 +395,9 @@ def _join(stored, streamed, target, key_t, ws) -> list:
     build.sort()
     table = _Table(build, low, ws)
     hit_pos, hit_need = [], []
-    for offset, needles in streamed.blocks(ws, key_t):
+    for offset, needles in streamed.blocks(ws):
+        # the needles key_t - key(x) - key(y), one subtraction per block
+        np.subtract(key_t, needles, out=needles)
         j, need = table.probe(needles)
         if len(j):
             hit_pos.append(offset + j)
@@ -422,7 +413,7 @@ def _join(stored, streamed, target, key_t, ws) -> list:
     # quadruple is confirmed on its rows.
     lo = np.searchsorted(build, need, side="left")
     count = np.searchsorted(build, need | low, side="right") - lo
-    rows, masks = stored.rows + streamed.rows, stored.masks + streamed.masks
+    files = (stored.fx, stored.fy, streamed.fx, streamed.fy)
     slots = stored.slots + streamed.slots
     out = []
     step = max(1, _CHUNK // int(count.max()))
@@ -432,10 +423,12 @@ def _join(stored, streamed, target, key_t, ws) -> list:
         pos = np.repeat(lo[h0:h0 + step] - first, n) + np.arange(n.sum())
         picks = (*stored.locate((build[pos] & low).view(np.int64)),
                  np.repeat(hit_x[h0:h0 + step], n), np.repeat(hit_y[h0:h0 + step], n))
-        ok = (sum(r[i] for r, i in zip(rows, picks)) == target).all(axis=1)
+        # summed from an int16 zero: four uint8 rows may pass 255
+        rows = sum((f.rows[i] for f, i in zip(files, picks)), np.int16(0))
+        ok = (rows == target).all(axis=1)
         cols = [None] * 4
-        for slot, m, i in zip(slots, masks, picks):
-            cols[slot] = m[i[ok]].tolist()
+        for slot, f, i in zip(slots, files, picks):
+            cols[slot] = f.masks[i[ok]].tolist()
         out.extend(zip(*cols))
     return out
 
@@ -445,13 +438,13 @@ def _match_group(case: MatchCase, ws) -> list:
     joined, in the workspace ``ws``, as soon as its stored side is below
     SPLIT_LIMIT or no column is left, so only the current path's
     siblings wait."""
-    bins, out, stack = {}, [], [case]
+    out, stack = [], [case]
     while stack:
         group = stack.pop()
         if group.depth == (group.v - 1) // 2 or min(group.pairs) < SPLIT_LIMIT:
             out.extend(_join_case(group, ws))
         else:
-            stack.extend(_refine(group, bins))
+            stack.extend(_refine(group))
     return out
 
 

@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +28,25 @@ def subfile(rf, picks):
     return RowFile(rf.v, rf.k, rf.kind, rf.bound, rf.masks[idx], rf.rows[idx])
 
 
-def hashed(rf):
-    """The row file with its rows' keys, as `match_cases` hashes it."""
-    return replace(rf, keys=gsdf.matcher._hash(rf.rows))
+def whole_case(monkeypatch, files, lam):
+    """The depth-0 group that `match_cases` refines into its first-column
+    groups, whose sides hold the sorted files; and those groups."""
+    refine, seen = gsdf.matcher._refine, []
+    monkeypatch.setattr(gsdf.matcher, "_refine", lambda case: seen.append(case) or refine(case))
+    cases = match_cases(files, lam)
+    monkeypatch.setattr(gsdf.matcher, "_refine", refine)
+    return seen[0], cases
+
+
+def every_group(cases):
+    """The groups and every group they refine into, down to the last column."""
+    stack, out = list(cases), []
+    while stack:
+        case = stack.pop()
+        out.append(case)
+        if case.depth < (case.v - 1) // 2:
+            stack.extend(gsdf.matcher._refine(case))
+    return out
 
 
 def test_v7_three_skew_one_symmetric():
@@ -52,8 +67,9 @@ def test_v7_three_skew_one_symmetric():
 def side_pairs(case, side):
     """The (slot, mask, slot, mask) pairs of one side of a group."""
     sx, sy = case.slots[2 * side:2 * side + 2]
-    return [(sx, int(mx), sy, int(my)) for x, y in zip(*case.sides[side])
-            for mx in x.masks for my in y.masks]
+    fx, fy, ranges = case.sides[side]
+    return [(sx, int(mx), sy, int(my)) for x0, x1, y0, y1 in ranges
+            for mx in fx.masks[x0:x1] for my in fy.masks[y0:y1]]
 
 
 def test_match_cases_structure():
@@ -96,38 +112,107 @@ def test_match_cases_structure():
 
 
 def assert_splits_are_the_unique_values(case):
-    """Refine a group; each file split on the group's column must give its
-    rows grouped by value there, ascending, as np.unique finds them.
+    """Split each range of a group on the group's column: the runs must be,
+    in order, the rows that np.unique bins on that column within the
+    range, and the refined groups' ranges must be products of those runs.
     Returns the refined groups."""
-    bins = {}
-    refined = gsdf.matcher._refine(case, bins)
-    assert len(bins) == len({id(f) for side in case.sides for fs in side for f in fs})
-    for f, pieces in bins.values():
-        vals = f.rows[:, case.depth]
-        oracle = [(u, f.select(vals == u)) for u in np.unique(vals)]
-        assert [u for u, _, _ in pieces] == [u for u, _ in oracle]
-        assert all(type(u) is int for u, _, _ in pieces)
-        for (_, piece, n), (_, want) in zip(pieces, oracle):
-            assert n == len(piece) == len(want)
-            assert np.array_equal(piece.masks, want.masks)
-            assert np.array_equal(piece.rows, want.rows)
-            # the pieces carry their keys, hashed over every column
-            assert np.array_equal(piece.keys, gsdf.matcher._hash(want.rows))
+    col, runs = case.depth, set()
+    for fx, fy, ranges in case.sides:
+        for f, lo, hi in [(fx, x0, x1) for x0, x1, _, _ in ranges] + [
+                (fy, y0, y1) for _, _, y0, y1 in ranges]:
+            got = gsdf.matcher._runs(f, col, lo, hi)
+            vals = f.rows[lo:hi, col]
+            want = [(u, lo + np.flatnonzero(vals == u)) for u in np.unique(vals)]
+            assert [u for u, _, _ in got] == [u for u, _ in want]
+            assert all(type(u) is int for u, _, _ in got)
+            for (_, start, end), (_, rows) in zip(got, want):
+                assert list(range(start, end)) == rows.tolist()
+            runs.update((id(f), start, end) for _, start, end in got)
+    refined = gsdf.matcher._refine(case)
+    for child in refined:
+        assert child.depth == col + 1 and child.slots == case.slots
+        for (fx, fy, ranges), (px, py, _) in zip(child.sides, case.sides):
+            assert fx is px and fy is py
+            for x0, x1, y0, y1 in ranges:
+                assert (id(fx), x0, x1) in runs and (id(fy), y0, y1) in runs
     return refined
 
 
-def test_refine_splits_files_by_their_unique_values():
-    skew, sym = map(hashed, files_for(13, (6, 4), ("skew", "symmetric")))
+def test_refine_splits_files_by_their_unique_values(monkeypatch):
+    skew, sym = files_for(13, (6, 4), ("skew", "symmetric"))
     empty = sym.select(np.zeros(len(sym), dtype=bool))
     for files in ((skew, skew, sym, sym), (empty, skew, sym, sym),
                   (skew, skew, sym, empty)):
-        whole = gsdf.matcher.MatchCase(
-            13, 7, 0, (0, 3, 1, 2), (([files[0]], [files[3]]), ([files[1]], [files[2]])),
-            (len(files[0]) * len(files[3]), len(files[1]) * len(files[2])))
+        whole, first = whole_case(monkeypatch, files, 7)
         cases = assert_splits_are_the_unique_values(whole)
+        assert cases == first
         assert bool(cases) == all(map(len, files))
         for case in cases[:5]:
-            assert_splits_are_the_unique_values(case)
+            for child in assert_splits_are_the_unique_values(case)[:3]:
+                assert_splits_are_the_unique_values(child)
+
+
+def test_ranges_of_a_side_are_disjoint_at_every_depth():
+    """On each side of every group, at every depth, the x ranges are
+    pairwise disjoint and so are the y ranges (so `sizes` counts each row
+    once), none is empty, and the rows of each agree on every column
+    before the group's depth."""
+    rng = np.random.default_rng(20261020)
+    instances = [(files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric")), 7),
+                 (files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric")), 3)]
+    instances += [random_instance(rng, int(rng.choice([9, 11, 13]))) for _ in range(10)]
+    depths = set()
+    for files, lam in instances:
+        for case in every_group(match_cases(files, lam)):
+            depths.add(case.depth)
+            rows = [set() for _ in range(4)]
+            for (sx, sy), (fx, fy, ranges) in zip((case.slots[:2], case.slots[2:]), case.sides):
+                for f, slot, spans in ((fx, sx, [r[:2] for r in ranges]),
+                                       (fy, sy, [r[2:] for r in ranges])):
+                    spans = sorted(spans)
+                    assert all(lo < hi for lo, hi in spans)
+                    assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+                    for lo, hi in spans:
+                        assert (f.rows[lo:hi, :case.depth] == f.rows[lo, :case.depth]).all()
+                        rows[slot].update(f.masks[lo:hi].tolist())
+            assert case.sizes == tuple(map(len, rows))
+    assert depths == set(range(1, 7))
+
+
+def test_groups_hold_the_sorted_files_of_their_match(monkeypatch):
+    """A match sorts each distinct file once, by its rows, and hashes it;
+    every group at every depth reads those very files, so no piece of a
+    file is copied."""
+    skew, sym = files_for(13, (6, 4), ("skew", "symmetric"))
+    for files in ((skew, skew, sym, sym), (sym, skew, sym, skew),
+                  files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))):
+        whole, cases = whole_case(monkeypatch, files, 7)
+        (fa, fd, _), (fb, fc, _) = whole.sides
+        a, d, b, c = whole.slots
+        ready = {a: fa, d: fd, b: fb, c: fc}
+        assert len({id(f) for f in ready.values()}) == len({id(f) for f in files})
+        for slot, f in ready.items():
+            given = files[slot]
+            assert f is not given and given.keys is None
+            order = np.lexsort(given.rows.T[::-1])
+            assert np.array_equal(f.rows, given.rows[order])
+            assert np.array_equal(f.masks, given.masks[order])
+            assert np.array_equal(f.keys, gsdf.matcher._hash(f.rows))
+        assert cases
+        for case in every_group(cases):
+            (xa, xd, _), (xb, xc, _) = case.sides
+            assert all(x is y for x, y in zip((xa, xd, xb, xc), (fa, fd, fb, fc)))
+
+
+def test_a_match_with_an_empty_file_finds_nothing(monkeypatch):
+    fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
+    for i in range(4):
+        files = fs[:i] + [fs[i].select([])] + fs[i + 1:]
+        assert match_cases(files, 7) == []
+        for limit in SPLIT_LIMITS:
+            monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+            for jobs in (1, 2):
+                assert bins_match(files, 7, jobs=jobs) == []
 
 
 def test_no_solution_paths():
@@ -184,9 +269,9 @@ def test_each_first_column_group_is_refined_and_joined_where_it_runs(
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {name} {case.depth}\n")
 
-    def logged_refine(case, bins):
+    def logged_refine(case):
         record("refine", case)
-        return refine(case, bins)
+        return refine(case)
 
     def logged_join_case(case, ws):
         record("join", case)
@@ -247,7 +332,7 @@ def test_join_builds_each_pair_once(monkeypatch):
 
     def recording_join(stored, streamed, target, key_t, ws):
         for side in (stored, streamed):
-            (mx, my), (sx, sy) = side.masks, side.slots
+            (mx, my), (sx, sy) = (side.fx.masks, side.fy.masks), side.slots
             for offset, keys in side.blocks(ws):
                 x, y = side.locate(offset + np.arange(len(keys)))
                 built.extend(zip([sx] * len(x), mx[x].tolist(), [sy] * len(y), my[y].tolist()))
@@ -451,39 +536,45 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     """With _CHUNK = 8: two 2 x 2 products share a block, a 5 x 3 product
     spans blocks, a 1 x 11 product is one block longer than _CHUNK, a 2 x 4
     product of exactly _CHUNK pairs is one block of one part, and three
-    1 x 1 products share the last block.  The blocks give every position
-    once, in order, and locate takes each position to the rows whose keys
-    sum to its key, or, as needles for key_t, to the rows whose keys key_t
-    less its needle is the sum of.  `_join` masks the stored blocks in
-    place, so each block is writable and not a view of the keys."""
+    1 x 1 products share the last block; the products are disjoint ranges
+    of one sorted file, as a match lays them out.  The blocks give every
+    position once, in order, and locate takes each position to the rows
+    whose keys sum to its key.  `_join` turns the streamed blocks into
+    needles in place, so each block is writable and not a view of the
+    keys; the needles it probes are key_t less the keys of the located
+    rows."""
     monkeypatch.setattr(gsdf.matcher, "_CHUNK", 8)
-    skew = collect_rows(13, 6, "skew")
-    sym = collect_rows(13, 4, "symmetric")
+    skew = collect_rows(13, 6, "skew", filtered=False)
+    f = match_cases([skew] * 4, 10)[0].sides[0][0]
     shape = ((2, 2), (2, 2), (5, 3), (1, 11), (2, 4), (1, 1), (1, 1), (1, 1))
-    xs = [hashed(subfile(skew, range(i, i + nx))) for i, (nx, _) in enumerate(shape)]
-    ys = [hashed(subfile(sym, range(i, i + ny))) for i, (_, ny) in enumerate(shape)]
+    x0, y0 = np.cumsum([0] + [nx for nx, _ in shape]), np.cumsum([0] + [ny for _, ny in shape])
+    ranges = list(zip(x0.tolist(), x0[1:].tolist(), y0.tolist(), y0[1:].tolist()))
     pairs = sum(nx * ny for nx, ny in shape)
-    side = gsdf.matcher._Side((xs, ys), pairs, (0, 2))
-    ws = gsdf.matcher._Workspace(0, 11)
-    kx, ky = side.keys
-    key_t = np.uint64(0x9E3779B97F4A7C15)
-    for needles in (False, True):
-        sizes, end = [], 0
-        for offset, keys in side.blocks(ws, key_t) if needles else side.blocks(ws):
-            assert offset == end
-            assert keys.flags.writeable
-            assert not any(np.shares_memory(keys, k) for k in side.keys)
-            x, y = side.locate(offset + np.arange(len(keys)))
-            if needles:
-                assert (keys == key_t - kx[x] - ky[y]).all()
-            else:
-                assert (keys == kx[x] + ky[y]).all()
-            sizes.append(len(keys))
-            end += len(keys)
-        assert end == pairs
-        assert sizes == [8, 6, 6, 3, 11, 8, 3]
+    side = gsdf.matcher._Side((f, f, ranges), pairs, (0, 2))
+    ws = gsdf.matcher._Workspace(1, 11)
+    sizes, end = [], 0
+    for offset, keys in side.blocks(ws):
+        assert offset == end
+        assert keys.flags.writeable and not np.shares_memory(keys, f.keys)
+        x, y = side.locate(offset + np.arange(len(keys)))
+        assert (keys == f.keys[x] + f.keys[y]).all()
+        sizes.append(len(keys))
+        end += len(keys)
+    assert end == pairs
+    assert sizes == [8, 6, 6, 3, 11, 8, 3]
     x, y = side.locate(np.arange(pairs))
     assert len(set(zip(x.tolist(), y.tolist()))) == pairs
+
+    probed = []
+    probe = gsdf.matcher._Table.probe
+    monkeypatch.setattr(gsdf.matcher._Table, "probe",
+                        lambda table, values: probed.append(values.copy()) or probe(table, values))
+    stored = gsdf.matcher._Side((f, f, [(40, 41, 50, 51)]), 1, (1, 3))
+    key_t = np.uint64(0x9E3779B97F4A7C15)
+    target = np.zeros(6, dtype=np.int16)
+    gsdf.matcher._join(stored, side, target, key_t, ws)
+    assert [len(needles) for needles in probed] == sizes
+    assert (np.concatenate(probed) == key_t - f.keys[x] - f.keys[y]).all()
 
 
 def test_default_jobs_from_environment(monkeypatch):
