@@ -43,18 +43,19 @@ from gsdf.search import SearchOptions, search_param
 ORDERS = (33, 37, 41, 43, 45, 49)
 
 
-def check_class_count(v, type_name, reps):
+def check_class_count(v, type_name, classes):
     """Compare a type's classes at order v with the catalog; (ok, line).
 
-    ``reps`` holds one representative per class found. Where the catalog
-    bundles classes for the type, they must be exactly the classes found,
-    compared by canonical key; for the other types only whether any family
-    exists can be checked, against the existence table.
+    ``classes`` holds the `FamilyClass`es found, with the canonical keys
+    the classification computed. Where the catalog bundles classes for the
+    type, they must be exactly the classes found, compared by canonical
+    key; for the other types only whether any family exists can be
+    checked, against the existence table.
     """
     bundled = catalog_groups().get((v, type_name), ())
     if bundled:
         labels = {canonical_key(e.family): e.label for e in bundled}
-        keys = {canonical_key(r): r for r in reps}
+        keys = {c.key: c.representative for c in classes}
         missing = sorted(labels[key] for key in labels.keys() - keys.keys())
         unlisted = [str(keys[key]) for key in sorted(keys.keys() - labels.keys())]
         ok = not missing and not unlisted
@@ -66,9 +67,9 @@ def check_class_count(v, type_name, reps):
     else:
         sets = [p for p in searchable_param_sets(v) if type_applicable(p, type_name)]
         exists = any(table_verdict(v, p.k, type_name) == "yes" for p in sets)
-        ok = bool(reps) == exists
+        ok = bool(classes) == exists
         detail = f"not bundled, table says {'yes' if exists else 'no'}"
-    return ok, (f"v={v} {type_name}: {len(reps)} classes, {detail} -> "
+    return ok, (f"v={v} {type_name}: {len(classes)} classes, {detail} -> "
                 f"{'ok' if ok else 'MISMATCH'}")
 
 
@@ -104,10 +105,10 @@ def main(argv=None) -> int:
                 continue
             if all(table_verdict(v, p.k, type_name) == "no" for p in sets):
                 print(f"v={v} {type_name}: expected empty")
-            reps = []
+            classes = []
             for params in sets:
                 out = search_param(params, type_name, options)
-                reps.extend(c.representative for c in out.classes)
+                classes.extend(out.classes)
                 print(f"v={v} {type_name} {params}: {len(out.families)} "
                       f"families, {len(out.classes)} classes, "
                       f"{len(out.smalls)} small classes [{time.time() - t0:.0f}s]")
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
                     path = os.path.join(args.out_dir, out.file_name)
                     write_families(path, out.families)
                     print(f"  wrote {path}")
-            ok, line = check_class_count(v, type_name, reps)
+            ok, line = check_class_count(v, type_name, classes)
             failures += not ok
             print(line)
     print(f"done in {time.time() - t0:.0f}s, {failures} mismatches")

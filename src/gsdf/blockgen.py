@@ -134,11 +134,9 @@ def symmetric_masks(v: int, k: int) -> np.ndarray:
 
 @dataclass
 class RowFile:
-    """Candidate blocks of one kind and size, with their difference rows.
-
-    `keys` holds the matcher's hash key of each row, or None: only
-    `matcher.match_cases` sets it, on the sorted copy of each file it joins.
-    """
+    """Candidate blocks of one kind and size, with their difference rows:
+    blockgen's row set only.  The matcher keeps the hash keys of the rows
+    it joins on its own join sides, not here."""
 
     v: int
     k: int
@@ -146,7 +144,6 @@ class RowFile:
     bound: object  # the PSD bound 4v, or None when the filter was off
     masks: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
-    keys: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

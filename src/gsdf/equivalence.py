@@ -185,14 +185,17 @@ def orbit_representatives(v: int, masks) -> np.ndarray:
 
 # --- class keys in one array pass -------------------------------------------
 
-def _pack_block_key(v: int, sizes, skew, negated):
-    """Integers that sort as the blocks' `block_key`s, from their sizes,
-    skewness and negations: ((v - |X|) << (v + 1)) | (tag << v) |
-    (2^v - 1 - rev X), as the element tuples of equal-size blocks ascend
+def _pack_block_key(v: int, skew, negated):
+    """Integers that sort as the blocks' `block_key`s, from their skewness
+    and the masks of their negations: ((v - |X|) << (v + 1)) | (tag << v)
+    | (2^v - 1 - rev X), as the element tuples of equal-size blocks ascend
     when their bit-reversed masks rev X (-X rotated by -1) descend.  The
-    keys take v + 7 bits, so from v = 57 on the sizes must be objects."""
+    keys take v + 7 bits, so from v = 57 on they are objects."""
+    dtype = object if v + 7 > 63 else np.int64
+    sizes = np.bitwise_count(negated).astype(dtype)
+    negated = negated.astype(dtype, copy=False)
     full = (1 << v) - 1
-    return (((v - sizes) << (v + 1)) | ((~skew).astype(sizes.dtype) << v)
+    return (((v - sizes) << (v + 1)) | ((~skew).astype(dtype) << v)
             | (full ^ rotate_mask(v, negated, -1)))
 
 
@@ -223,8 +226,6 @@ def _class_keys(v: int, families: list, small: bool) -> list:
     """
     x, index = distinct_masks(family_masks(v, families).ravel())
     index = index.reshape(-1, 4)
-    wide = v + 7 > 63
-    sizes = np.bitwise_count(x).astype(object if wide else np.int64)
     translates = rotate_mask(v, x[:, None], np.arange(v).astype(x.dtype))
     codes = tag_codes(v, translates)
     skew, typed = codes == 0, codes < 2
@@ -237,9 +238,7 @@ def _class_keys(v: int, families: list, small: bool) -> list:
     us = units(v)
     # the units ascend, so row len(us) - 1 - i dilates by -us[i]
     images = dilate_mask(v, options, us)
-    if wide:
-        images = images.astype(object)
-    packed = _pack_block_key(v, sizes[owner], skew[owner, shift], images[::-1])
+    packed = _pack_block_key(v, skew[owner, shift], images[::-1])
     if small:
         least = packed[:, first]
     else:
@@ -279,9 +278,8 @@ def _sort_ranks(v: int, quads: np.ndarray) -> np.ndarray:
     """Each typed family's `Family.sort_key` without its v, from its mask
     quadruple: its block keys packed by `_pack_block_key` and sorted, so
     the rows compare lexicographically as the sort keys do."""
-    sizes = np.bitwise_count(quads).astype(object if v + 7 > 63 else np.int64)
     skew = tag_codes(v, quads) == 0
-    packed = _pack_block_key(v, sizes, skew, negate_mask(v, quads))
+    packed = _pack_block_key(v, skew, negate_mask(v, quads))
     return np.sort(packed, axis=1)
 
 

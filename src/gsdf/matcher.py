@@ -12,38 +12,41 @@ the other.  Each file splits into runs of equal values in column 0; the
 (a, d) run products are grouped by their pair sum s = n_a + n_d, and
 each group meets only the (b, c) products whose sum is lam - s.  Every
 pair lands in exactly one group, so the join builds each pair once.
+Each side of a group is one `_Side`: its two sorted files, their row
+keys, its ranges, its pair count and its two slots among X_1..X_4.
 
-A group is finished by a join over the columns it was not grouped on.
-The side with fewer pairs is stored: its pair-sum keys fill one array
-sized from the range lengths.  The other side is streamed in blocks of
-about _CHUNK keys (small products share a block), written into one
-buffer, so only the stored side costs memory.  The joins of a match
-write into one workspace of these arrays (`_Workspace`), sized from its
-first-column groups, so one join after another touches the same pages
-instead of mapping fresh ones.  A group whose stored side
-holds SPLIT_LIMIT pairs or more is refined on its next column by the same
-rule: each product splits into the products of its ranges' runs there,
-regrouped by their pair sum t, and the (a, d) products of sum t meet
-only the (b, c) products of sum lam - t.  The rows of a range agree on
-every column before the group's depth, so in a sorted file they are
-sorted by the next column: its runs of equal values are contiguous and
-ascending, and a split copies no rows.  A group
+A group is finished by `_join`, the one join entry, over the columns it
+was not grouped on.  The side with fewer pairs is stored: its pair-sum
+keys fill one array sized from the range lengths.  The other side is
+streamed in blocks of about _CHUNK keys (small products share a block),
+written into one buffer, so only the stored side costs memory.  The
+joins of a match write into one workspace of these arrays
+(`_Workspace`), sized from its first-column groups, so one join after
+another touches the same pages instead of mapping fresh ones.  A group
+whose stored side holds SPLIT_LIMIT pairs or more is refined on its next
+column by the same rule: each product splits into the products of its
+ranges' runs there, regrouped by their pair sum t, and the (a, d)
+products of sum t meet only the (b, c) products of sum lam - t.  The
+rows of a range agree on every column before the group's depth, so in a
+sorted file they are sorted by the next column: its runs of equal values
+are contiguous and ascending, and a split copies no rows.  A group
 refined on every column is joined like any other; there every pair of
 one side matches every pair of the other.  A first-column group is
 refined depth first and each piece is joined as it is reached, so a
 process holds the ranges of one first-column group's current path, not
 every leaf of the search.  SPLIT_LIMIT = 10**6 keeps a stored side's
-keys near 8 MB and each of its two occupancy arrays at most 8 MB; on
-the order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
+keys near 8 MB and each of its two occupancy arrays at most 8 MB; on the
+order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
 
 Rows are hashed to 64-bit keys once per match, over all (v-1)/2 columns:
 a dot product with a fixed random multiplier per column, linear in the
 row, so key(r_b + r_c) = key(r_b) + key(r_c).  `match_cases` hashes each
-sorted file, and a range reads its keys there.  In a group
-at depth d, every quadruple sums to lam in the columns before d, so it
-is a family exactly when its rows sum to the all-lam row in every
-column: the join's target is that row and its key, the same test as one
-over the columns from d on up to a constant that cancels.  A stored key
+sorted file, every side holds the keys of its two files beside them, and
+a range reads its keys there.  In a group at depth d, every quadruple
+sums to lam in the columns before d, so it is a family exactly when its
+rows sum to the all-lam row in every column: the join's target is that
+row and its key, the same test as one over the columns from d on up to
+a constant that cancels.  A stored key
 keeps its high bits and holds its pair's position on its side in the
 low w bits, w the bit length of the stored pair count.  The n stored
 keys are sorted, and two occupancy arrays of 2**(b+3) cells, 2**b >= n,
@@ -85,7 +88,7 @@ units afterwards.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,30 +120,25 @@ _CHUNK = 1 << 15
 class MatchCase:
     """One group of the pair-sum join.
 
-    `sides` holds the (a, d) side and the (b, c) side, each a triple
-    (x file, y file, ranges) whose products make up the side: ranges[p] =
-    (x0, x1, y0, y1) pairs the x rows x0..x1 with the y rows y0..y1.
-    `pairs` gives the number of pairs of each side, and `slots` the
-    positions of a, d, b and c among X_1..X_4.  In every column before
-    `depth`, each pair of one side sums to lam minus the sum of each pair
-    of the other.  The rows of a range agree on every column before
-    `depth`, and a row occurs in at most one range of a side.
-    `match_cases` returns the groups on column 0, at depth 1.
+    `sides` holds the (a, d) side and the (b, c) side, each a `_Side`.
+    In every column before `depth`, each pair of one side sums to lam
+    minus the sum of each pair of the other.  The rows of a range agree
+    on every column before `depth`, and a row occurs in at most one range
+    of a side.  `match_cases` returns the groups on column 0, at depth 1.
     """
 
     v: int
     lam: int
     depth: int
-    slots: tuple
     sides: tuple
-    pairs: tuple
 
     @property
     def sizes(self) -> tuple:
         """Rows of X_1..X_4 in the group."""
         out = [0] * 4
-        for (sx, sy), (_, _, ranges) in zip((self.slots[:2], self.slots[2:]), self.sides):
-            for x0, x1, y0, y1 in ranges:
+        for side in self.sides:
+            sx, sy = side.slots
+            for x0, x1, y0, y1 in side.ranges:
                 out[sx] += x1 - x0
                 out[sy] += y1 - y0
         return tuple(out)
@@ -158,26 +156,25 @@ def _runs(f, col: int, lo: int, hi: int) -> list:
 
 def _refine(case: MatchCase) -> list:
     """Split a group on its next column, pairing (a, d) products of sum t
-    there with (b, c) products of sum lam - t.
+    there with (b, c) products of sum lam - t: one `_Side` per sum t.
 
     The rows of a range agree before the column and their file is sorted
     by its rows, so they are sorted by the column: a range splits into
     its `_runs` there, and the products into the products of runs."""
     col, lam = case.depth, case.lam
     by_sum = []
-    for fx, fy, ranges in case.sides:
-        products, pairs = {}, {}
-        for x0, x1, y0, y1 in ranges:
-            y_runs = _runs(fy, col, y0, y1)
-            for u, a0, a1 in _runs(fx, col, x0, x1):
+    for s in case.sides:
+        products = {}
+        for x0, x1, y0, y1 in s.ranges:
+            y_runs = _runs(s.fy, col, y0, y1)
+            for u, a0, a1 in _runs(s.fx, col, x0, x1):
                 for w, b0, b1 in y_runs:
                     if u + w <= lam:
                         products.setdefault(u + w, []).append((a0, a1, b0, b1))
-                        pairs[u + w] = pairs.get(u + w, 0) + (a1 - a0) * (b1 - b0)
-        by_sum.append((fx, fy, products, pairs))
-    (ax, ay, ad, ad_pairs), (bx, by, bc, bc_pairs) = by_sum
-    return [MatchCase(case.v, lam, col + 1, case.slots, ((ax, ay, ad[t]), (bx, by, bc[lam - t])),
-                      (ad_pairs[t], bc_pairs[lam - t]))
+        by_sum.append({t: _Side(s.fx, s.kx, s.fy, s.ky, s.slots, ranges)
+                       for t, ranges in products.items()})
+    ad, bc = by_sum
+    return [MatchCase(case.v, lam, col + 1, (ad[t], bc[lam - t]))
             for t in sorted(ad) if lam - t in bc]
 
 
@@ -203,15 +200,13 @@ def match_cases(files, lam: int) -> list:
     ready = {id(f): f for f in files}
     for i, f in ready.items():
         f = f.select(np.lexsort(f.rows.T[::-1]))
-        ready[i] = replace(f, keys=_hash(f.rows))
+        ready[i] = f, _hash(f.rows)
     files = [ready[id(f)] for f in files]
-    a, b, c, d = sorted(range(4), key=lambda i: len(files[i]))
-    n = [len(f) for f in files]
-    whole = MatchCase(v, lam, 0, (a, d, b, c),
-                      ((files[a], files[d], [(0, n[a], 0, n[d])]),
-                       (files[b], files[c], [(0, n[b], 0, n[c])])),
-                      (n[a] * n[d], n[b] * n[c]))
-    return _refine(whole)
+    n = [len(f) for f, _ in files]
+    a, b, c, d = sorted(range(4), key=n.__getitem__)
+    return _refine(MatchCase(v, lam, 0, tuple(
+        _Side(*files[x], *files[y], (x, y), [(0, n[x], 0, n[y])])
+        for x, y in ((a, d), (b, c)))))
 
 
 class _Table:
@@ -302,11 +297,11 @@ class _Workspace:
         pairs, and at most _CHUNK unless one y range is wider; a joined
         piece stores an unrefined group's side or fewer than SPLIT_LIMIT
         pairs, unless it was refined on every column."""
-        widest = max((y1 - y0 for g in groups for *_, ranges in g.sides
-                      for _, _, y0, y1 in ranges), default=0)
-        most = max((max(g.pairs) for g in groups), default=0)
-        stored = max((min(*g.pairs, SPLIT_LIMIT) for g in groups), default=0)
-        return cls(stored, min(most, max(_CHUNK, widest)))
+        sides = [s for g in groups for s in g.sides]
+        widest = max((y1 - y0 for s in sides for _, _, y0, y1 in s.ranges), default=0)
+        most = max((s.pairs for s in sides), default=0)
+        stored = max((min(s.pairs for s in g.sides) for g in groups), default=0)
+        return cls(min(stored, SPLIT_LIMIT), min(most, max(_CHUNK, widest)))
 
     def reserve(self, stored: int) -> None:
         """Room for a stored side of ``stored`` pairs."""
@@ -318,14 +313,17 @@ class _Workspace:
 
 
 class _Side:
-    """One side of a group: product p pairs the x file's rows
-    x0..x1 with the y file's rows y0..y1, (x0, x1, y0, y1) = ranges[p].
-    A pair's position counts the pairs before it, products in order and
-    x-major within each product."""
+    """One side of a group: the x and y files, sorted by their rows, with
+    the keys of their rows, `kx` and `ky`, and their positions among
+    X_1..X_4, `slots`.  Product p pairs the x rows x0..x1 with the y rows
+    y0..y1, (x0, x1, y0, y1) = ranges[p]; `pairs` counts the pairs of
+    every product.  A pair's position counts the pairs before it,
+    products in order and x-major within each product."""
 
-    def __init__(self, side, pairs, slots):
-        self.fx, self.fy, self.ranges = side
-        self.pairs, self.slots = pairs, slots
+    def __init__(self, fx, kx, fy, ky, slots, ranges):
+        self.fx, self.kx, self.fy, self.ky = fx, kx, fy, ky
+        self.slots, self.ranges = slots, ranges
+        self.pairs = sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in ranges)
 
     def blocks(self, ws):
         """The pair keys key(x) + key(y) in position order, at most _CHUNK
@@ -339,7 +337,7 @@ class _Side:
         share a block.  A block is a view of the buffer, not of the keys:
         the caller may change it in place, and it is valid until the next
         block is requested."""
-        kx, ky = self.fx.keys, self.fy.keys
+        kx, ky = self.kx, self.ky
         buf = ws.block
         size, offset = 0, 0
         for x0, x1, y0, y1 in self.ranges:
@@ -367,23 +365,17 @@ class _Side:
         return x0[p] + r // ny[p], y0[p] + r % ny[p]
 
 
-def _join_case(case: MatchCase, ws) -> list:
-    """Mask quadruples of one group, joined on their hashed row sums; the
-    side with fewer pairs is stored.  Every quadruple of the group sums to
-    lam in the columns before its depth, so it is a family exactly when
-    its rows sum to the all-lam row."""
-    sides = (_Side(side, pairs, slots) for side, pairs, slots
-             in zip(case.sides, case.pairs, (case.slots[:2], case.slots[2:])))
-    stored, streamed = sorted(sides, key=lambda s: s.pairs)
-    target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
-    return _join(stored, streamed, target, _hash(target[None])[0], ws)
-
-
-def _join(stored, streamed, target, key_t, ws) -> list:
-    """Hash join of two sides whose pair rows sum to ``target``,
-    hashed to ``key_t``, in the arrays of the workspace ``ws``."""
+def _join(case: MatchCase, ws) -> list:
+    """Mask quadruples of one group, hash joined on their row sums in the
+    arrays of the workspace ``ws``; the side with fewer pairs is stored.
+    Every quadruple of the group sums to lam in the columns before its
+    depth, so it is a family exactly when its rows sum to the all-lam
+    row, the target."""
+    stored, streamed = sorted(case.sides, key=lambda s: s.pairs)
     if stored.pairs >= 1 << 31:
         raise ValueError(f"a stored side of {stored.pairs} pairs exceeds 2**31 - 1")
+    target = np.full((case.v - 1) // 2, case.lam, dtype=np.int16)
+    key_t = _hash(target[None])[0]
     low = np.uint64((1 << stored.pairs.bit_length()) - 1)
     high = ~low
     ws.reserve(stored.pairs)
@@ -441,8 +433,8 @@ def _match_group(case: MatchCase, ws) -> list:
     out, stack = [], [case]
     while stack:
         group = stack.pop()
-        if group.depth == (group.v - 1) // 2 or min(group.pairs) < SPLIT_LIMIT:
-            out.extend(_join_case(group, ws))
+        if group.depth == (group.v - 1) // 2 or min(s.pairs for s in group.sides) < SPLIT_LIMIT:
+            out.extend(_join(group, ws))
         else:
             stack.extend(_refine(group))
     return out
@@ -485,16 +477,14 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
         from multiprocessing import get_context  # only a parallel match needs it
         # the workers are forked holding the groups, so a task is an index;
         # the groups with most pairs go first, so none of them starts last
-        order = sorted(range(len(groups)), key=lambda i: sum(groups[i].pairs),
-                       reverse=True)
+        order = sorted(range(len(groups)), reverse=True,
+                       key=lambda i: sum(s.pairs for s in groups[i].sides))
         with get_context("fork").Pool(jobs, _hold, (groups,)) as pool:
             chunks = list(pool.imap_unordered(_join_held, order, chunksize=1))
-        quads = [q for chunk in chunks for q in chunk]
     else:
         ws = _Workspace.for_groups(groups)
-        quads = [q for g in groups for q in _match_group(g, ws)]
-    quads.sort()
-    return quads
+        chunks = [_match_group(g, ws) for g in groups]
+    return sorted(q for chunk in chunks for q in chunk)
 
 
 def brute_force_match(files, lam: int, guard: int = BRUTE_FORCE_GUARD) -> list:

@@ -232,3 +232,18 @@ def test_generated_blocks_have_declared_symmetry(v, data):
         assert x.tag == "s" and len(x) == k
     for x in subsets(skew_masks(v)[:42], v):
         assert x.tag == "k"
+
+
+def test_generators_and_row_sets_reject_bad_arguments():
+    with pytest.raises(ValueError, match="^skew subsets require odd v$"):
+        skew_masks(8)
+    with pytest.raises(ValueError, match="^only odd v is supported here$"):
+        symmetric_masks(8, 2)
+    for k in (-1, 8):
+        with pytest.raises(ValueError, match=f"^size {k} out of range$"):
+            symmetric_masks(7, k)
+    rf = collect_rows(7, 3, "skew")
+    with pytest.raises(ValueError, match="^kind must be one of"):
+        RowFile(7, 3, "weird", rf.bound, rf.masks, rf.rows)
+    with pytest.raises(ValueError, match="^masks/rows length mismatch$"):
+        RowFile(7, 3, "skew", rf.bound, rf.masks, rf.rows[1:])

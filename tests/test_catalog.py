@@ -109,3 +109,8 @@ def test_known_class_count_splits():
         by_k.setdefault(e.params.k, []).append(e)
     assert {k: len(es) for k, es in by_k.items()} == {
         (16, 16, 15, 11): 6, (16, 16, 13, 12): 14}
+
+
+def test_table_verdict_of_a_missing_row_is_a_key_error():
+    with pytest.raises(KeyError, match=r"no table row for v=5, k=\(9, 9, 9, 9\)"):
+        table_verdict(5, (9, 9, 9, 9), "kkss")

@@ -60,6 +60,11 @@ def test_params_all_includes_unsearchable_sets():
     assert set(default_out.splitlines()) <= set(all_out.splitlines())
 
 
+def test_params_reports_a_type_without_sets():
+    rc, out, err = run("params", "9", "--type", "kkks")
+    assert (rc, out, err) == (0, "no parameter sets\n", "")
+
+
 def test_params_rejects_orders_beyond_mask_width():
     for argv in (("params", "65"), ("params", "65", "--all")):
         rc, out, err = run(*argv)
@@ -231,6 +236,40 @@ def test_match_names_a_malformed_element_list(tmp_path):
     rc, out, err = run("match", *[str(path)] * 4, "--lam", "3")
     assert rc == 2 and out == ""
     assert err == "error: line 2: malformed element list '1,x,4'\n"
+
+
+@pytest.mark.parametrize("text,message", (
+    ("", "empty row file"),
+    ("7 x skew 28\n1,2,4|1 1 1\n", "line 1: non-integer v or k"),
+    ("7 2 skew 28\n1,2,4|1 1 1\n", "line 2: block size 3 != 2"),
+    ("7 3 skew 28\n1,2,4|1 one 1\n", "line 2: malformed counts"),
+    ("7 3 skew 28\n1,2,4|1 1\n", "line 2: expected 3 counts, got 2"),
+))
+def test_match_rejects_a_malformed_row_file(tmp_path, text, message):
+    path = tmp_path / "bad.rows"
+    path.write_text(text)
+    rc, out, err = run("match", *[str(path)] * 4, "--lam", "3")
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_match_reads_a_blank_line_between_blocks_as_none(row_files7, tmp_path):
+    skew, sym = row_files7
+    lines = Path(skew).read_text().splitlines(keepends=True)
+    assert len(lines) > 3
+    blank = tmp_path / "blank.rows"
+    blank.write_text("".join(lines[:3] + ["\n", "  \n"] + lines[3:]))
+    rc, out, _ = run("match", skew, skew, skew, sym, "--lam", "3")
+    assert rc == 0 and out.endswith("# 56 families\n")
+    assert run("match", *[str(blank)] * 3, sym, "--lam", "3") == (rc, out, "")
+
+
+def test_match_rejects_row_files_of_different_orders(row_files7, tmp_path):
+    skew, _ = row_files7
+    other = tmp_path / "sym9.rows"
+    run("generate", "9", "2", "symmetric", "-o", str(other))
+    rc, out, err = run("match", skew, skew, skew, str(other), "--lam", "3")
+    assert (rc, out, err) == (2, "", "error: row files disagree on v\n")
 
 
 # ---------------------------------------------------------------- classify

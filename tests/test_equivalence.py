@@ -500,9 +500,8 @@ def test_block_keys_decode_in_one_pass(v):
     masks = [b.mask for b in blocks]
     wide = v + 7 > 63
     x = np.array(masks, dtype=np.int64 if v <= 63 else object)
-    sizes = np.array([m.bit_count() for m in masks], dtype=object if wide else np.int64)
     negated = negate_mask(v, x)
-    packed = _pack_block_key(v, sizes, tag_codes(v, x) == 0, negated)
+    packed = _pack_block_key(v, tag_codes(v, x) == 0, negated)
     assert packed.dtype == (object if wide else np.int64)
     decoded = _block_key_of(v, packed)
     assert decoded == [block_key_of_one(v, p) for p in packed.tolist()]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gsdf.catalog import catalog_groups
-from gsdf.equivalence import Dilate, Negate, apply_transform
+from gsdf.equivalence import Dilate, Negate, apply_transform, classify
 from gsdf.params import searchable_param_sets, type_applicable
 from gsdf.search import ParamOutcome
 
@@ -26,22 +26,29 @@ def reps(v, type_name):
 
 def test_unbundled_type_is_checked_against_the_table(large_orders):
     # the catalog bundles no ksss classes at 37; the table says ksss = yes.
-    # Only the number of representatives is read, so any two families serve.
-    ok, line = large_orders.check_class_count(37, "ksss", reps(37, "kkss")[:2])
+    # Only the number of classes is read, so any two classes serve.
+    ok, line = large_orders.check_class_count(37, "ksss", classify(reps(37, "kkss")[:2]))
     assert ok and line == "v=37 ksss: 2 classes, not bundled, table says yes -> ok"
     ok, line = large_orders.check_class_count(37, "ksss", [])
     assert not ok and line.endswith("MISMATCH")
 
 
-def test_bundled_type_compares_class_counts(large_orders):
+def test_bundled_type_compares_class_counts(large_orders, monkeypatch):
     found = reps(37, "kkss")
-    ok, line = large_orders.check_class_count(37, "kkss", found)
+    classes = classify(found)
+    keyed = []
+    canonical_key = large_orders.canonical_key
+    monkeypatch.setattr(large_orders, "canonical_key",
+                        lambda fam: keyed.append(fam) or canonical_key(fam))
+    ok, line = large_orders.check_class_count(37, "kkss", classes)
     assert ok and line == "v=37 kkss: 7 classes, catalog has 7 -> ok"
+    # the classes found come with their keys: only the catalog's are computed
+    assert keyed == found
     # other members of the same classes match too
     moved = [apply_transform(apply_transform(f, Dilate(2)), Negate(0)) for f in found]
     assert moved != found
-    assert large_orders.check_class_count(37, "kkss", moved)[0]
-    ok, line = large_orders.check_class_count(37, "kkss", found[1:])
+    assert large_orders.check_class_count(37, "kkss", classify(moved))[0]
+    ok, line = large_orders.check_class_count(37, "kkss", classify(found[1:]))
     label = catalog_groups()[(37, "kkss")][0].label
     assert not ok and line == (f"v=37 kkss: 6 classes, catalog has 7, missing {label}"
                                " -> MISMATCH")
@@ -49,7 +56,7 @@ def test_bundled_type_compares_class_counts(large_orders):
 
 def test_unlisted_class_is_named(large_orders):
     other = reps(33, "kkss")[0]  # not a class of order 37
-    found = reps(37, "kkss")[1:] + [other]
+    found = classify(reps(37, "kkss")[1:]) + classify([other])
     ok, line = large_orders.check_class_count(37, "kkss", found)
     label = catalog_groups()[(37, "kkss")][0].label
     assert not ok and line == (f"v=37 kkss: 7 classes, catalog has 7, missing {label}, "
@@ -58,7 +65,7 @@ def test_unlisted_class_is_named(large_orders):
 
 def test_families_where_the_table_says_no(large_orders):
     # every kkss set at 49 is "no" in the table
-    ok, line = large_orders.check_class_count(49, "kkss", reps(37, "kkss")[:1])
+    ok, line = large_orders.check_class_count(49, "kkss", classify(reps(37, "kkss")[:1]))
     assert not ok and line.endswith("table says no -> MISMATCH")
     ok, _ = large_orders.check_class_count(49, "kkss", [])
     assert ok

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gsdf.blockgen import RowFile, collect_rows, difference_counts
 import gsdf.matcher
 from gsdf.family import family_from_blocks, format_family
-from gsdf.matcher import (BRUTE_FORCE_GUARD, bins_match, brute_force_match,
+from gsdf.matcher import (BRUTE_FORCE_GUARD, MatchCase, bins_match, brute_force_match,
                           default_jobs, match_cases)
 from gsdf.zmod import CyclicSubset
 
@@ -66,10 +66,22 @@ def test_v7_three_skew_one_symmetric():
 
 def side_pairs(case, side):
     """The (slot, mask, slot, mask) pairs of one side of a group."""
-    sx, sy = case.slots[2 * side:2 * side + 2]
-    fx, fy, ranges = case.sides[side]
-    return [(sx, int(mx), sy, int(my)) for x0, x1, y0, y1 in ranges
-            for mx in fx.masks[x0:x1] for my in fy.masks[y0:y1]]
+    s = case.sides[side]
+    sx, sy = s.slots
+    return [(sx, int(mx), sy, int(my)) for x0, x1, y0, y1 in s.ranges
+            for mx in s.fx.masks[x0:x1] for my in s.fy.masks[y0:y1]]
+
+
+def slots(case):
+    return tuple(s.slots for s in case.sides)
+
+
+def layout(case):
+    """A group as plain values: what its sides hold, by identity for the
+    arrays, and its ranges and counts."""
+    return case.v, case.lam, case.depth, [
+        (id(s.fx), id(s.kx), id(s.fy), id(s.ky), s.slots, s.ranges, s.pairs)
+        for s in case.sides]
 
 
 def test_match_cases_structure():
@@ -77,7 +89,7 @@ def test_match_cases_structure():
     lam = 7
     cases = match_cases(fs, lam)
     assert cases
-    a, d, b, c = cases[0].slots
+    (a, d), (b, c) = slots(cases[0])
     assert len(fs[a]) <= len(fs[b]) <= len(fs[c]) <= len(fs[d])
     col0 = [dict(zip(f.masks.tolist(), f.rows[:, 0].tolist())) for f in fs]
 
@@ -87,7 +99,7 @@ def test_match_cases_structure():
 
     seen = ([], [])
     for case in cases:
-        assert case.depth == 1 and case.slots == (a, d, b, c)
+        assert case.depth == 1 and slots(case) == ((a, d), (b, c))
         sides = [side_pairs(case, side) for side in (0, 1)]
         # one column-0 sum per side, and the two complete each other to lam
         sums = [{col0_sum(p) for p in pairs} for pairs in sides]
@@ -98,7 +110,7 @@ def test_match_cases_structure():
             rows[sx].add(mx)
             rows[sy].add(my)
         assert case.sizes == tuple(map(len, rows))
-        assert case.pairs == tuple(map(len, sides))
+        assert tuple(s.pairs for s in case.sides) == tuple(map(len, sides))
         for side in (0, 1):
             seen[side].extend(sides[side])
     # every pair whose column-0 sum the other side can complete lies in
@@ -117,9 +129,9 @@ def assert_splits_are_the_unique_values(case):
     range, and the refined groups' ranges must be products of those runs.
     Returns the refined groups."""
     col, runs = case.depth, set()
-    for fx, fy, ranges in case.sides:
-        for f, lo, hi in [(fx, x0, x1) for x0, x1, _, _ in ranges] + [
-                (fy, y0, y1) for _, _, y0, y1 in ranges]:
+    for s in case.sides:
+        for f, lo, hi in [(s.fx, x0, x1) for x0, x1, _, _ in s.ranges] + [
+                (s.fy, y0, y1) for _, _, y0, y1 in s.ranges]:
             got = gsdf.matcher._runs(f, col, lo, hi)
             vals = f.rows[lo:hi, col]
             want = [(u, lo + np.flatnonzero(vals == u)) for u in np.unique(vals)]
@@ -130,11 +142,13 @@ def assert_splits_are_the_unique_values(case):
             runs.update((id(f), start, end) for _, start, end in got)
     refined = gsdf.matcher._refine(case)
     for child in refined:
-        assert child.depth == col + 1 and child.slots == case.slots
-        for (fx, fy, ranges), (px, py, _) in zip(child.sides, case.sides):
-            assert fx is px and fy is py
-            for x0, x1, y0, y1 in ranges:
-                assert (id(fx), x0, x1) in runs and (id(fy), y0, y1) in runs
+        assert child.depth == col + 1 and slots(child) == slots(case)
+        for s, parent in zip(child.sides, case.sides):
+            assert s.fx is parent.fx and s.fy is parent.fy
+            assert s.kx is parent.kx and s.ky is parent.ky
+            assert s.pairs == sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in s.ranges)
+            for x0, x1, y0, y1 in s.ranges:
+                assert (id(s.fx), x0, x1) in runs and (id(s.fy), y0, y1) in runs
     return refined
 
 
@@ -145,7 +159,7 @@ def test_refine_splits_files_by_their_unique_values(monkeypatch):
                   (skew, skew, sym, empty)):
         whole, first = whole_case(monkeypatch, files, 7)
         cases = assert_splits_are_the_unique_values(whole)
-        assert cases == first
+        assert list(map(layout, cases)) == list(map(layout, first))
         assert bool(cases) == all(map(len, files))
         for case in cases[:5]:
             for child in assert_splits_are_the_unique_values(case)[:3]:
@@ -166,9 +180,10 @@ def test_ranges_of_a_side_are_disjoint_at_every_depth():
         for case in every_group(match_cases(files, lam)):
             depths.add(case.depth)
             rows = [set() for _ in range(4)]
-            for (sx, sy), (fx, fy, ranges) in zip((case.slots[:2], case.slots[2:]), case.sides):
-                for f, slot, spans in ((fx, sx, [r[:2] for r in ranges]),
-                                       (fy, sy, [r[2:] for r in ranges])):
+            for s in case.sides:
+                (sx, sy), ranges = s.slots, s.ranges
+                for f, slot, spans in ((s.fx, sx, [r[:2] for r in ranges]),
+                                       (s.fy, sy, [r[2:] for r in ranges])):
                     spans = sorted(spans)
                     assert all(lo < hi for lo, hi in spans)
                     assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
@@ -179,29 +194,39 @@ def test_ranges_of_a_side_are_disjoint_at_every_depth():
     assert depths == set(range(1, 7))
 
 
+def held(case):
+    """The sorted files and key arrays a group's sides hold, (a, d) then (b, c)."""
+    return [x for s in case.sides for x in (s.fx, s.kx, s.fy, s.ky)]
+
+
 def test_groups_hold_the_sorted_files_of_their_match(monkeypatch):
     """A match sorts each distinct file once, by its rows, and hashes it;
-    every group at every depth reads those very files, so no piece of a
-    file is copied."""
+    every group at every depth holds those very files and key arrays, so
+    no piece of a file is copied, and the caller's files are left as they
+    were, with no keys set on them."""
     skew, sym = files_for(13, (6, 4), ("skew", "symmetric"))
     for files in ((skew, skew, sym, sym), (sym, skew, sym, skew),
                   files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))):
+        before = [(f.masks.copy(), f.rows.copy()) for f in files]
         whole, cases = whole_case(monkeypatch, files, 7)
-        (fa, fd, _), (fb, fc, _) = whole.sides
-        a, d, b, c = whole.slots
-        ready = {a: fa, d: fd, b: fb, c: fc}
-        assert len({id(f) for f in ready.values()}) == len({id(f) for f in files})
-        for slot, f in ready.items():
+        (a, d), (b, c) = slots(whole)
+        fa, ka, fd, kd, fb, kb, fc, kc = held(whole)
+        ready = {a: (fa, ka), d: (fd, kd), b: (fb, kb), c: (fc, kc)}
+        distinct = len({id(f) for f in files})
+        assert len({id(f) for f, _ in ready.values()}) == distinct
+        assert len({id(k) for _, k in ready.values()}) == distinct
+        for slot, (f, k) in ready.items():
             given = files[slot]
-            assert f is not given and given.keys is None
+            assert f is not given and not hasattr(given, "keys")
             order = np.lexsort(given.rows.T[::-1])
             assert np.array_equal(f.rows, given.rows[order])
             assert np.array_equal(f.masks, given.masks[order])
-            assert np.array_equal(f.keys, gsdf.matcher._hash(f.rows))
+            assert k.dtype == np.uint64 and np.array_equal(k, gsdf.matcher._hash(f.rows))
+        for f, (masks, rows) in zip(files, before):
+            assert np.array_equal(f.masks, masks) and np.array_equal(f.rows, rows)
         assert cases
         for case in every_group(cases):
-            (xa, xd, _), (xb, xc, _) = case.sides
-            assert all(x is y for x, y in zip((xa, xd, xb, xc), (fa, fd, fb, fc)))
+            assert all(x is y for x, y in zip(held(case), held(whole), strict=True))
 
 
 def test_a_match_with_an_empty_file_finds_nothing(monkeypatch):
@@ -241,14 +266,14 @@ def test_split_limit_1_bins_every_column(monkeypatch):
     """At limit 1 no group is small enough to join early: every group is
     refined on every column and then joined, in the parent and in forked
     workers."""
-    join_case = gsdf.matcher._join_case
+    join = gsdf.matcher._join
 
     def join_at_the_last_column(case, ws):
         assert case.depth == (case.v - 1) // 2, f"joined at depth {case.depth}"
-        return join_case(case, ws)
+        return join(case, ws)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
-    monkeypatch.setattr(gsdf.matcher, "_join_case", join_at_the_last_column)
+    monkeypatch.setattr(gsdf.matcher, "_join", join_at_the_last_column)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     expected = brute_force_match(fs, 7)
     assert len(expected) == 480
@@ -262,7 +287,7 @@ def test_each_first_column_group_is_refined_and_joined_where_it_runs(
     the walk is depth first.  With a pool, only workers refine below the
     first column; the calls are logged to a file with their pid, as the
     forked workers' own lists never reach the parent."""
-    refine, join_case = gsdf.matcher._refine, gsdf.matcher._join_case
+    refine, join = gsdf.matcher._refine, gsdf.matcher._join
     log = tmp_path / "calls"
 
     def record(name, case):
@@ -273,13 +298,13 @@ def test_each_first_column_group_is_refined_and_joined_where_it_runs(
         record("refine", case)
         return refine(case)
 
-    def logged_join_case(case, ws):
+    def logged_join(case, ws):
         record("join", case)
-        return join_case(case, ws)
+        return join(case, ws)
 
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)
     monkeypatch.setattr(gsdf.matcher, "_refine", logged_refine)
-    monkeypatch.setattr(gsdf.matcher, "_join_case", logged_join_case)
+    monkeypatch.setattr(gsdf.matcher, "_join", logged_join)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     expected = brute_force_match(fs, 7)
     for jobs in (1, 2):
@@ -330,13 +355,13 @@ def test_join_builds_each_pair_once(monkeypatch):
     join = gsdf.matcher._join
     built = []
 
-    def recording_join(stored, streamed, target, key_t, ws):
-        for side in (stored, streamed):
+    def recording_join(case, ws):
+        for side in case.sides:
             (mx, my), (sx, sy) = (side.fx.masks, side.fy.masks), side.slots
             for offset, keys in side.blocks(ws):
                 x, y = side.locate(offset + np.arange(len(keys)))
                 built.extend(zip([sx] * len(x), mx[x].tolist(), [sy] * len(y), my[y].tolist()))
-        return join(stored, streamed, target, key_t, ws)
+        return join(case, ws)
 
     monkeypatch.setattr(gsdf.matcher, "_join", recording_join)
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
@@ -387,8 +412,21 @@ def test_bad_inputs():
         with pytest.raises(ValueError, match="jobs must be positive"):
             bins_match(fs, 3, jobs=jobs)
     mixed = fs[:3] + [collect_rows(9, 2, "symmetric")]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^row files disagree on v$"):
         match_cases(mixed, 3)
+    with pytest.raises(ValueError, match="^matching needs at least one difference column$"):
+        match_cases([collect_rows(1, 0, "symmetric")] * 4, 0)
+
+
+def test_join_refuses_a_stored_side_of_2_31_pairs():
+    """Positions of the stored side must fit the low 31 bits of a key; a
+    side of 2**31 pairs is refused before anything is built, so neither
+    files, keys nor workspace are read."""
+    big = gsdf.matcher._Side(None, None, None, None, (0, 1), [(0, 1 << 16, 0, 1 << 15)])
+    assert big.pairs == 1 << 31
+    case = MatchCase(13, 7, 1, (big, big))
+    with pytest.raises(ValueError, match=r"^a stored side of 2147483648 pairs exceeds 2\*\*31 - 1$"):
+        gsdf.matcher._join(case, None)
 
 
 def random_instance(rng, v):
@@ -541,23 +579,25 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     position once, in order, and locate takes each position to the rows
     whose keys sum to its key.  `_join` turns the streamed blocks into
     needles in place, so each block is writable and not a view of the
-    keys; the needles it probes are key_t less the keys of the located
-    rows."""
+    keys; the needles it probes, with the 1-pair side stored, are the
+    all-lam row's key less the keys of the located rows."""
     monkeypatch.setattr(gsdf.matcher, "_CHUNK", 8)
     skew = collect_rows(13, 6, "skew", filtered=False)
-    f = match_cases([skew] * 4, 10)[0].sides[0][0]
+    first = match_cases([skew] * 4, 10)[0].sides[0]
+    f, k = first.fx, first.kx
     shape = ((2, 2), (2, 2), (5, 3), (1, 11), (2, 4), (1, 1), (1, 1), (1, 1))
     x0, y0 = np.cumsum([0] + [nx for nx, _ in shape]), np.cumsum([0] + [ny for _, ny in shape])
     ranges = list(zip(x0.tolist(), x0[1:].tolist(), y0.tolist(), y0[1:].tolist()))
     pairs = sum(nx * ny for nx, ny in shape)
-    side = gsdf.matcher._Side((f, f, ranges), pairs, (0, 2))
+    side = gsdf.matcher._Side(f, k, f, k, (0, 2), ranges)
+    assert side.pairs == pairs
     ws = gsdf.matcher._Workspace(1, 11)
     sizes, end = [], 0
     for offset, keys in side.blocks(ws):
         assert offset == end
-        assert keys.flags.writeable and not np.shares_memory(keys, f.keys)
+        assert keys.flags.writeable and not np.shares_memory(keys, k)
         x, y = side.locate(offset + np.arange(len(keys)))
-        assert (keys == f.keys[x] + f.keys[y]).all()
+        assert (keys == k[x] + k[y]).all()
         sizes.append(len(keys))
         end += len(keys)
     assert end == pairs
@@ -569,12 +609,12 @@ def test_blocks_and_locate_cover_each_pair_once(monkeypatch):
     probe = gsdf.matcher._Table.probe
     monkeypatch.setattr(gsdf.matcher._Table, "probe",
                         lambda table, values: probed.append(values.copy()) or probe(table, values))
-    stored = gsdf.matcher._Side((f, f, [(40, 41, 50, 51)]), 1, (1, 3))
-    key_t = np.uint64(0x9E3779B97F4A7C15)
-    target = np.zeros(6, dtype=np.int16)
-    gsdf.matcher._join(stored, side, target, key_t, ws)
+    stored = gsdf.matcher._Side(f, k, f, k, (1, 3), [(40, 41, 50, 51)])
+    assert stored.pairs == 1
+    gsdf.matcher._join(MatchCase(13, 10, 1, (side, stored)), ws)
     assert [len(needles) for needles in probed] == sizes
-    assert (np.concatenate(probed) == key_t - f.keys[x] - f.keys[y]).all()
+    key_t = gsdf.matcher._hash(np.full((1, 6), 10, dtype=np.int16))[0]
+    assert (np.concatenate(probed) == key_t - k[x] - k[y]).all()
 
 
 def test_default_jobs_from_environment(monkeypatch):

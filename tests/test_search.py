@@ -392,3 +392,15 @@ def test_jobs_and_split_limit_do_not_change_the_reduced_search(monkeypatch):
 def test_search_options_reject_non_positive_limits(bad):
     with pytest.raises(ValueError, match="must be positive"):
         SearchOptions(**bad)
+
+
+def test_a_match_that_is_no_family_is_an_error(monkeypatch):
+    """Blocks of the right sizes whose rows do not sum to lam fail the
+    re-verification, which names the family."""
+    params = next(p for p in searchable_param_sets(7) if p.k == (3, 3, 3, 1))
+    bad = CyclicSubset.from_elements(7, [1, 2, 3]).mask
+    zero = CyclicSubset.from_elements(7, [0]).mask
+    monkeypatch.setattr(gsdf.search, "bins_match",
+                        lambda files, lam, jobs=1: [(bad, bad, bad, zero)])
+    with pytest.raises(RuntimeError, match="^matcher emitted an invalid family"):
+        search_param(params, "kkks")
