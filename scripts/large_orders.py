@@ -18,7 +18,7 @@ reproduction (--order 33 --type kkss) takes 0.8 s; with --jobs 2
 (every type), --order 33 finishes in 1.1-1.3 s, --order 37 in 3.5-4.0 s
 (three runs; the joins take most of it) and --order 41 in 43-48 s (four
 runs; alone, its kkss set takes 29-30 s, with a peak RSS of 52 MiB in
-the parent and 64 MiB in each worker). Orders 43 and up
+the parent and 60 MiB in each worker). Orders 43 and up
 have not been timed. Each
 parameter set's line gives its families, classes and small classes.
 Restrict the workload with --order/--type (a value given twice runs

@@ -32,16 +32,22 @@ Both keys are invariant under global dilation F -> uF.  Dilation keeps
 tags, the typed translates of uX are u times those of X, and as u' runs
 over the units so does u'u, so the least over units is the same for F
 and uF.  `classify` and `small_classes` therefore work per orbit, not
-per family.  `dilation_orbits` finds the orbits once, and a search hands
-its result to both.  Per order, the families' masks are gathered once
-(`family_masks`); each family is labelled by its dilation orbit, the
-least mask quadruple over its dilates (`orbit_least`, vectorised per v,
-one dilate at a time), and the orbits are numbered by one lexicographic
-sort and an adjacent compare of those quadruples (`distinct_masks`).  One family of each
-orbit is keyed, and each orbit's key gives its class, so a family's
-class is one lookup in an array of orbit classes.  A search's family
-list is closed under dilation, so that is one key per family the join
-found before its expansion over the units.
+per family, and share one `Orbits`, which `orbits_of` assembles from
+each order's orbit labels.  Each family is labelled by its dilation
+orbit, the least mask quadruple over its dilates, and the orbits are
+numbered by one lexicographic sort and an adjacent compare of those
+quadruples (`distinct_masks`).  A search labels the families as it
+builds them (`search.expand_over_units`): each is a unit dilate of a
+quadruple the join found, whose dilates the expansion has already
+made.  `dilation_orbits` labels any other list, such as a file that
+`gsdf classify` reads, which need not be closed under dilation: per
+order, the families' masks are gathered once (`family_masks`) and
+their least dilates taken (`orbit_least`, vectorised per v, one
+dilate at a time).  One family of each orbit is keyed, and each
+orbit's key gives its class, so a family's class is one lookup in an
+array of orbit classes.  A search's family list is closed under
+dilation, so that is one key per family the join found before its
+expansion over the units.
 
 The keys of one order are computed together, in one array pass
 (`_class_keys`): the translates of every distinct block mask, tagged
@@ -49,8 +55,8 @@ by `tag_codes`, the dilates of the typed ones by every unit, and an
 integer per option that sorts as its block key.  Only each
 family's winning options, the least of its sorted options over the
 units, are turned back into block-key tuples.  `_lex_min` is the one
-lexicographic minimum, of the dilates in `orbit_least` and of the
-options in `_class_keys`.
+lexicographic minimum, of the dilates in `orbit_least` and in the
+search's expansion and of the options in `_class_keys`.
 `canonical_key` and `small_key` are that pass on one family.  A class is
 represented by its first least member under `Family.sort_key`, in input
 order.  The members are ranked by the same integers, for each block
@@ -296,28 +302,41 @@ class Orbits(NamedTuple):
     ranked: list
 
 
+def orbits_of(families, orders) -> Orbits:
+    """The `Orbits` of a family list from its orders' orbit labels.
+
+    ``orders`` holds, per order, (v, the positions of its families in
+    ``families``, their mask quadruples, each one's orbit label): labels
+    numbered from 0 in the order of the orbits' least quadruples, as
+    `distinct_masks` of those quadruples numbers them."""
+    orbit = np.empty(len(families), np.intp)
+    keyed, ranked, count = [], [], 0
+    for v, idx, quads, label in orders:
+        one = np.empty(label.max() + 1, np.intp)  # one family of each orbit
+        one[label] = idx
+        orbit[idx] = label + count
+        count += len(one)
+        keyed.append((v, [families[i] for i in one.tolist()]))
+        ranked.append((idx, _sort_ranks(v, quads)))
+    return Orbits(families, orbit, keyed, ranked)
+
+
 def dilation_orbits(families) -> Orbits:
-    """The families' dilation orbits, one pass per order.
+    """The dilation orbits of any family list, one pass per order.
 
     Per order, the families' masks are gathered once (`family_masks`) and
     each family is labelled by its orbit, the least quadruple over its
-    dilates (`orbit_least`), numbered by `distinct_masks`."""
+    dilates (`orbit_least`), numbered by `distinct_masks`.  A search
+    labels the families it builds as it expands them and hands the
+    labels to `orbits_of` itself."""
     families = list(families)
     vs = np.fromiter(map(attrgetter("params.v"), families), np.int64, len(families))
-    orbit = np.empty(len(families), np.intp)
-    keyed, ranked, count = [], [], 0
+    orders = []
     for v in dict.fromkeys(vs.tolist()):
         idx = np.flatnonzero(vs == v)
-        fams = [families[i] for i in idx.tolist()]
-        quads = family_masks(v, fams)
-        _, label = distinct_masks(orbit_least(v, quads))
-        one = np.empty(label.max() + 1, np.intp)  # one family of each orbit
-        one[label] = np.arange(len(label))
-        orbit[idx] = label + count
-        count += len(one)
-        keyed.append((v, [fams[i] for i in one.tolist()]))
-        ranked.append((idx, _sort_ranks(v, quads)))
-    return Orbits(families, orbit, keyed, ranked)
+        quads = family_masks(v, [families[i] for i in idx.tolist()])
+        orders.append((v, idx, quads, distinct_masks(orbit_least(v, quads))[1]))
+    return orbits_of(families, orders)
 
 
 def _group_by(families, small: bool, orbits) -> list:
@@ -354,7 +373,7 @@ def _group_by(families, small: bool, orbits) -> list:
 
 def classify(families, orbits: Orbits = None) -> list:
     """Partition typed families into equivalence classes, sorted by key;
-    ``orbits``, `dilation_orbits` of the same list, saves computing them."""
+    ``orbits``, the `Orbits` of the same list, saves computing them."""
     return _group_by(families, False, orbits)
 
 

@@ -472,6 +472,7 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
     if jobs < 1:
         raise ValueError("jobs must be positive")
     groups = match_cases(files, lam)
+    del files  # the groups hold sorted copies; the caller's go if it keeps none
     jobs = min(jobs, len(groups))
     if jobs > 1:
         from multiprocessing import get_context  # only a parallel match needs it

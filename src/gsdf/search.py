@@ -45,9 +45,13 @@ slice of families at a time.  The search asks for each family's
 certificate with one `verify_family` call, which takes it from that
 pass, so certification stays one call per family at the layer boundary
 while its work is batched; the search raises on the first certificate
-that fails.  The families' dilation orbits are then found once
-(`dilation_orbits`), and `classify` and `small_classes` share them,
-each keying one family per orbit (see `equivalence`).
+that fails.  The families' dilation orbits come from the expansion:
+each family is a unit dilate of a quadruple the join found (or of its
+negated image), so `expand_over_units` labels every image by its
+source's least dilate and numbers the orbits as `dilation_orbits`
+would, and no orbit minimum is taken over the expanded families.
+`orbits_of` assembles those labels, and `classify` and `small_classes`
+share them, each keying one family per orbit (see `equivalence`).
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ import numpy as np
 
 from .blockgen import check_width, collect_rows, skew_masks
 from .catalog import table_rows_up_to
-from .equivalence import (classify, dilation_orbits, orbit_representatives,
+from .equivalence import (_lex_min, classify, orbit_representatives, orbits_of,
                           small_classes, units)
 from .family import Family
 from .matcher import bins_match
@@ -122,18 +126,31 @@ def row_files_for(params: GsParamSet, type_name: str) -> list:
     return [first] + [files[key] for key in keys]
 
 
-def expand_over_units(v: int, quads, negated=()) -> np.ndarray:
+def expand_over_units(v: int, quads, negated=()) -> tuple:
     """Every image of the mask quadruples, deduplicated and sorted, as an
-    (n, 4) int64 array (`distinct_masks` of the images): each quadruple
-    with the blocks at the positions ``negated`` taken as they are and
-    negated, in every combination, and each of those dilated by every
-    unit."""
+    (n, 4) int64 array (`distinct_masks` of the images), and each image's
+    dilation orbit: each quadruple with the blocks at the positions
+    ``negated`` taken as they are and negated, in every combination,
+    and each of those dilated by every unit.
+
+    A source's orbit is labelled by its least dilate (`_lex_min` of its
+    images, its `orbit_least`), and the labels are numbered by
+    `distinct_masks` of those least quadruples, as `dilation_orbits`
+    numbers them; sources of one orbit, such as a quadruple whose
+    negation is a dilate of it, share one label, and every image takes
+    its source's."""
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     for i in negated:
         flipped = quads.copy()
         flipped[:, i] = negate_mask(v, quads[:, i])
         quads = np.concatenate((quads, flipped))
-    return distinct_masks(dilate_mask(v, quads, units(v)).reshape(-1, 4))[0]
+    images = dilate_mask(v, quads, units(v))
+    families, index = distinct_masks(images.reshape(-1, 4))
+    _, label = distinct_masks(_lex_min(images))
+    # the images are unit-major, so image r is of source r % len(quads)
+    orbit = np.empty(len(families), np.intp)
+    orbit[index] = np.tile(label, len(images))
+    return families, orbit
 
 
 def search_param(params: GsParamSet, type_name: str,
@@ -147,7 +164,7 @@ def search_param(params: GsParamSet, type_name: str,
                        jobs=options.jobs)
     # the skew positions after X_1, which `row_files_for` halves
     negated = [i for i, tag in enumerate(type_tags(type_name)) if i and tag == "k"]
-    expanded = expand_over_units(v, found, negated)
+    expanded, orbit = expand_over_units(v, found, negated)
     distinct, index = distinct_masks(expanded.ravel())
     blocks = [CyclicSubset(v, m) for m in distinct.tolist()]
     # the families' blocks, gathered a column at a time
@@ -159,7 +176,7 @@ def search_param(params: GsParamSet, type_name: str,
             raise RuntimeError(f"matcher emitted an invalid family: {fam}")
     out = ParamOutcome(params, type_name, True, families)
     if options.classified and families:
-        orbits = dilation_orbits(families)
+        orbits = orbits_of(families, [(v, np.arange(len(families)), expanded, orbit)])
         out.classes = classify(families, orbits)
         out.smalls = small_classes(families, orbits)
     return out

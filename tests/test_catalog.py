@@ -1,5 +1,6 @@
 import pytest
 
+import gsdf.catalog
 from gsdf.catalog import (catalog_entries, catalog_entry, catalog_groups,
                           table_rows, table_rows_up_to, table_verdict)
 from gsdf.equivalence import classify, small_classes
@@ -114,3 +115,16 @@ def test_known_class_count_splits():
 def test_table_verdict_of_a_missing_row_is_a_key_error():
     with pytest.raises(KeyError, match=r"no table row for v=5, k=\(9, 9, 9, 9\)"):
         table_verdict(5, (9, 9, 9, 9), "kkss")
+
+
+def test_a_corrupt_catalog_entry_is_a_value_error(monkeypatch):
+    # the first entry's label names the wrong type; the parsed entries
+    # are cached, so the cache is emptied before and after
+    text = gsdf.catalog._CATALOG_TEXT
+    monkeypatch.setattr(gsdf.catalog, "_CATALOG_TEXT", "33-kkks-a" + text[9:])
+    catalog_entries.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"^corrupt catalog entry 33-kkks-a$"):
+            catalog_entries()
+    finally:
+        catalog_entries.cache_clear()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import gsdf.catalog
 import gsdf.cli
 import gsdf.matcher
 from gsdf.catalog import catalog_entries
@@ -527,6 +528,19 @@ def test_catalog_show_requires_label():
     rc, _, err = run("catalog", "show")
     assert rc == 2
     assert "--label" in err
+
+
+def test_a_corrupt_catalog_is_one_error_line(monkeypatch):
+    # a corrupt bundled entry is a ValueError, so the CLI reports it
+    # with exit 2 and no traceback
+    text = gsdf.catalog._CATALOG_TEXT
+    monkeypatch.setattr(gsdf.catalog, "_CATALOG_TEXT", "33-kkks-a" + text[9:])
+    catalog_entries.cache_clear()
+    try:
+        rc, out, err = run("catalog", "list")
+    finally:
+        catalog_entries.cache_clear()
+    assert (rc, out, err) == (2, "", "error: corrupt catalog entry 33-kkks-a\n")
 
 
 def test_catalog_verify_all():

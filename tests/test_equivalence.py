@@ -49,6 +49,11 @@ def test_apply_transform_examples():
         apply_transform(fam, Dilate(7))
 
 
+def test_apply_transform_rejects_what_is_no_transformation():
+    with pytest.raises(TypeError, match=r"^not a transformation: 'dilate'$"):
+        apply_transform(FAMS7[0], "dilate")
+
+
 def test_translation_can_break_symmetry():
     fam = family_from_blocks(7, [[1, 2, 4], [0, 2, 5], [0, 2, 5], [0]])
     moved = apply_transform(fam, Translate(1, 1))
@@ -399,8 +404,10 @@ def test_shared_orbits_give_the_same_classes():
 
 
 def test_a_search_finds_each_orbit_once_for_both_partitions(monkeypatch):
-    # family_masks, orbit_least, distinct_masks and _sort_ranks run over a
-    # search's families once for classify and small_classes together
+    # the expansion numbers a search's orbits, so family_masks,
+    # orbit_least and distinct_masks never run over its whole family
+    # list, and _sort_ranks runs over it once for classify and
+    # small_classes together
     p, t, families = next((p, t, fams) for fams, (p, t) in zip(found(13), (
         (p, t) for p in searchable_param_sets(13) for t in TYPE_NAMES
         if type_applicable(p, t))) if fams)
@@ -420,7 +427,7 @@ def test_a_search_finds_each_orbit_once_for_both_partitions(monkeypatch):
     out = search_param(p, t)
     assert list(out.families) == list(families) and out.classes and out.smalls
     whole = sorted(name for name, rows in calls if rows in (n, (n, 4)))
-    assert whole == ["_sort_ranks", "distinct_masks", "family_masks", "orbit_least"]
+    assert whole == ["_sort_ranks"]
 
 
 def test_orbit_labels_beyond_int64_masks():

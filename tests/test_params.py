@@ -31,6 +31,14 @@ def test_validation():
     assert p.normalized() == P("(3;1,1,1,0;0)")
 
 
+@pytest.mark.parametrize("v", (0, -7))
+def test_orders_below_one_are_rejected(v):
+    with pytest.raises(ValueError, match=r"^v must be positive$"):
+        GsParamSet(v, (0, 0, 0, 0), 0)
+    with pytest.raises(ValueError, match=r"^v must be positive$"):
+        enumerate_param_sets(v)
+
+
 def test_offsets():
     p = P("(7;3,3,3,1;3)")
     assert p.offsets == (1, 1, 1, 5)
@@ -42,6 +50,12 @@ def test_complement():
     assert base.complement(2) == P("(3;1,1,2,0;1)")
     assert base.complement(2).complement(2) == base
     assert base.complement(3) == P("(3;1,1,1,3;3)")
+
+
+@pytest.mark.parametrize("i", (-1, 4))
+def test_complement_rejects_a_block_index_out_of_range(i):
+    with pytest.raises(ValueError, match=r"^block index out of range$"):
+        P("(3;1,1,1,0;0)").complement(i)
 
 
 def test_enumerate_small_orders():

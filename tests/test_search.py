@@ -93,17 +93,35 @@ def test_orbit_representatives_are_the_orbit_minima(v, monkeypatch):
 
 def test_expand_over_units_sorts_and_deduplicates():
     v = 7
-    quad = [0b0010110, 0b0010110, 0b0010110, 0b0000001]  # {1,2,4} x3, {0}
+    q, n = 0b0010110, 0b1101000  # {1,2,4} and {3,5,6} = -{1,2,4}
+    quad = [q, q, q, 1]  # {1,2,4} x3, {0}
     # {1,2,4} is fixed by the squares 1, 2, 4 and sent to {3,5,6} by the rest
-    other = [0b1101000] * 3 + [1]
-    assert expand_over_units(v, [quad]).tolist() == [quad, other]
-    assert expand_over_units(v, [quad, other]).tolist() == [quad, other]
-    assert expand_over_units(v, []).shape == (0, 4)
+    other = [n, n, n, 1]
+    families, orbit = expand_over_units(v, [quad])
+    assert families.tolist() == [quad, other] and orbit.tolist() == [0, 0]
+    # a quadruple given together with one of its dilates: one orbit
+    families, orbit = expand_over_units(v, [quad, other])
+    assert families.tolist() == [quad, other] and orbit.tolist() == [0, 0]
+    # with X_2 negated, a quadruple given together with a dilate of its
+    # X_2-negated image (q, n, q, 1): two sources of each orbit, whose
+    # least quadruples (q, q, q, 1) < (q, n, q, 1) number them
+    families, orbit = expand_over_units(v, [quad, [n, q, n, 1]], (1,))
+    assert families.tolist() == [quad, [q, n, q, 1], [n, q, n, 1], other]
+    assert orbit.tolist() == [0, 1, 1, 0]
+    families, orbit = expand_over_units(v, [])
+    assert families.shape == (0, 4) and orbit.shape == (0,)
 
 
 def test_expand_over_units_equals_np_unique():
-    # np.unique(axis=0) is the oracle; v = 63 masks set bit 62, the top
-    # bit int64 leaves them
+    # np.unique(axis=0) is the oracle, and each image's orbit is numbered
+    # by np.unique of its least dilate, as dilation_orbits numbers it; v =
+    # 63 masks set bit 62, the top bit int64 leaves them
+    def check(expanded, oracle):
+        families, orbit = expanded
+        assert np.array_equal(families, oracle)
+        _, label = np.unique(orbit_least(v, oracle), axis=0, return_inverse=True)
+        assert np.array_equal(orbit, label.ravel())
+
     rng = np.random.default_rng(62)
     for v in (7, 13, 63):
         quads = rng.integers(0, (1 << v) - 1, size=(60, 4), dtype=np.int64,
@@ -114,7 +132,7 @@ def test_expand_over_units_equals_np_unique():
         if v == 63:
             assert ((quads[:30] >> 62) & 1).any()
         oracle = np.unique(dilate_mask(v, quads, units(v)).reshape(-1, 4), axis=0)
-        assert np.array_equal(expand_over_units(v, quads), oracle)
+        check(expand_over_units(v, quads), oracle)
         # with X_2 and X_3 also taken negated, in all four combinations
         images = []
         for flip in ((), (1,), (2,), (1, 2)):
@@ -122,7 +140,42 @@ def test_expand_over_units_equals_np_unique():
             flipped[:, flip] = negate_mask(v, quads[:, flip])
             images.append(dilate_mask(v, flipped, units(v)).reshape(-1, 4))
         oracle = np.unique(np.concatenate(images), axis=0)
-        assert np.array_equal(expand_over_units(v, quads, (1, 2)), oracle)
+        check(expand_over_units(v, quads, (1, 2)), oracle)
+
+
+@pytest.mark.parametrize("v", range(3, 30, 2))
+def test_a_search_builds_the_orbits_dilation_orbits_finds(v, monkeypatch):
+    # the orbits numbered by the expansion are those that orbit_least
+    # finds over the families, field for field, and give the same classes
+    def keyed_ids(orbits):
+        return [(w, list(map(id, fams))) for w, fams in orbits.keyed]
+
+    def kept(*args):
+        built.append(inner(*args))
+        return built[-1]
+
+    inner, built, searched = gsdf.search.orbits_of, [], 0
+    monkeypatch.setattr(gsdf.search, "orbits_of", kept)
+    for p in searchable_param_sets(v):
+        for t in TYPE_NAMES:
+            built.clear()
+            out = search_param(p, t)
+            if not out.families:
+                assert not built
+                continue
+            searched += 1
+            (orbits,) = built
+            found = gsdf.equivalence.dilation_orbits(out.families)
+            assert orbits.families is out.families
+            assert np.array_equal(orbits.orbit, found.orbit)
+            assert keyed_ids(orbits) == keyed_ids(found)
+            ((idx, ranks),), ((found_idx, found_ranks),) = orbits.ranked, found.ranked
+            assert np.array_equal(idx, found_idx) and np.array_equal(ranks, found_ranks)
+            for group in (gsdf.equivalence.classify, gsdf.equivalence.small_classes):
+                assert group(out.families, orbits) == group(out.families)
+            assert out.classes == gsdf.equivalence.classify(out.families)
+            assert out.smalls == gsdf.equivalence.small_classes(out.families)
+    assert searched
 
 
 def test_a_search_imports_no_module():

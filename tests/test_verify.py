@@ -73,6 +73,18 @@ def test_difference_family_check():
         check_difference_family([])
 
 
+def test_difference_family_check_rejects_blocks_of_different_orders():
+    blocks = [CyclicSubset(7, 0b10110), CyclicSubset(9, 0b10110)]
+    with pytest.raises(ValueError, match=r"^blocks live in different groups$"):
+        check_difference_family(blocks)
+
+
+@pytest.mark.parametrize("row", ([[1, -1], [-1, 1]], 1))
+def test_circulant_rejects_a_first_row_that_is_not_1d(row):
+    with pytest.raises(ValueError, match=r"^expected a 1-d first row$"):
+        circulant(row)
+
+
 def test_gs_matrices_condition():
     fam = family_from_blocks(7, [[1, 2, 4]] * 3 + [[0]])
     assert check_gs_matrices(fam)
