@@ -18,7 +18,8 @@ import sys
 from .blockgen import check_width, collect_rows, read_row_file, write_row_file
 from .catalog import catalog_entries, catalog_entry, catalog_groups, table_rows_up_to
 from .equivalence import classify, small_classes
-from .family import Family, format_family, read_families, write_families
+from .family import (Family, family_patterns, format_families, read_families,
+                     write_families)
 from .matcher import bins_match, default_jobs
 from .params import (TYPE_NAMES, GsParamSet, enumerate_param_sets,
                      searchable_param_sets, type_applicable)
@@ -49,13 +50,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_match(args) -> int:
-    files = [read_row_file(p) for p in args.files]
+    # one file per distinct path, so a repeated path is read, sorted and
+    # hashed once
+    rows = {path: read_row_file(path) for path in dict.fromkeys(args.files)}
+    files = [rows[path] for path in args.files]
     if len({f.v for f in files}) != 1:
         raise ValueError("row files disagree on v")
     params = GsParamSet(files[0].v, tuple(f.k for f in files), args.lam)
     fams = [Family(params, tuple(CyclicSubset(params.v, m) for m in quad))
             for quad in bins_match(files, args.lam, jobs=args.jobs)]
-    text = "".join(format_family(f) for f in fams)
+    text = format_families(fams)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -92,8 +96,8 @@ def cmd_verify(args) -> int:
         print("error: --hadamard needs a single-record file", file=sys.stderr)
         return 2
     all_ok = True
-    for i, cert in enumerate(verify_families(fams), 1):
-        fam = cert.family
+    certs = zip(verify_families(fams), family_patterns(fams))
+    for i, (cert, pattern) in enumerate(certs, 1):
         parts = [f"difference-family={'ok' if cert.diff.ok else 'FAIL'}",
                  f"lambda={'ok' if cert.lam_matches else 'FAIL'}",
                  f"gram={'ok' if cert.gs else 'FAIL'}",
@@ -102,7 +106,7 @@ def cmd_verify(args) -> int:
             parts.append(f"skew-type={'ok' if cert.skew_type else 'FAIL'}")
         if cert.special is not None:
             parts.append(f"{cert.special_name}-matrices={'ok' if cert.special else 'FAIL'}")
-        print(f"record {i} {fam.params} {fam.pattern}: " + " ".join(parts))
+        print(f"record {i} {cert.family.params} {pattern}: " + " ".join(parts))
         all_ok &= cert.ok
     if args.hadamard:
         if not cert.hadamard:
@@ -161,7 +165,7 @@ def cmd_catalog(args) -> int:
             print("error: show needs --label", file=sys.stderr)
             return 2
         e = catalog_entry(args.label)
-        sys.stdout.write(format_family(e.family))
+        sys.stdout.write(format_families([e.family]))
         return 0
     # verify-all
     bad = []

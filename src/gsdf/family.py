@@ -9,25 +9,31 @@ order (an empty line denotes the empty block).  `type` gives the
 positional block tags, e.g. ``kkss`` or ``skss`` (k = skew,
 s = symmetric, - = neither).  Lines starting with ``#`` are comments.
 
-`Family.tags` reads each block's `CyclicSubset.tag`, which the block
-computes once; families that share a block share its tag.  A block
-key's tag code is the tag's index in `TAGS`, the code `tag_codes`
-gives.
 `family_masks` gathers the block masks of a list of families into one
-array, for the certificates, the classification and the check of a
-file's declared types.
+array, and `family_patterns` reads every family's positional tag pattern
+from them: one `tag_codes` call per order, each row of codes t_1..t_4
+read as entry 27 t_1 + 9 t_2 + 3 t_3 + t_4 of `PATTERNS`.  It is the one
+reader of a family list's tags outside the array passes of `verify` and
+`equivalence`, for `format_families` (the one record formatter, behind
+`write_families`, `gsdf match` and `gsdf catalog show`), the lines of
+`gsdf verify`, the check of a file's declared types, the catalog's type
+check and the good-matrix precondition.  A block key's tag code is the
+tag's index in `TAGS`, the code `tag_codes` gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from operator import attrgetter
 
 import numpy as np
 
 from .params import GsParamSet
-from .zmod import TAG_NONE, TAGS, CyclicSubset, mask_dtype, mask_elements, tag_codes
+from .zmod import TAGS, CyclicSubset, mask_dtype, mask_elements, tag_codes
+
+# the positional tag pattern of each row of tag codes t_1..t_4, at index
+# 27 t_1 + 9 t_2 + 3 t_3 + t_4
+PATTERNS = tuple(map("".join, product(TAGS, repeat=4)))
 
 
 def block_key(mask: int, tag_code: int) -> tuple:
@@ -58,34 +64,14 @@ class Family:
     def v(self) -> int:
         return self.params.v
 
-    @cached_property
-    def tags(self) -> tuple:
-        """Per-block tags, computed on first read (the blocks are immutable)."""
-        return tuple(b.tag for b in self.blocks)
-
-    @cached_property
+    @property
     def sort_key(self) -> tuple:
-        """v and the sorted block keys of the family as it stands, computed
-        on first read; classification represents each class by its least
-        member under it.  Typed families only."""
-        return (self.v,) + tuple(sorted(block_key(b.mask, TAGS.index(t))
-                                        for b, t in zip(self.blocks, self.tags)))
-
-    @property
-    def is_typed(self) -> bool:
-        return TAG_NONE not in self.tags
-
-    @property
-    def pattern(self) -> str:
-        """Positional tag string, e.g. 'ksss'."""
-        return "".join(self.tags)
-
-    @property
-    def type_name(self) -> str:
-        """Tags sorted with skew first, e.g. 'kkss'; requires a typed family."""
-        if not self.is_typed:
-            raise ValueError("family has an untyped block")
-        return "".join(sorted(self.tags))
+        """v and the sorted block keys of the family as it stands, the tags
+        from `tag_codes` of its four masks; classification represents each
+        class by its least member under it.  Typed families only."""
+        masks = family_masks(self.v, [self])[0]
+        return (self.v,) + tuple(sorted(map(block_key, masks.tolist(),
+                                            tag_codes(self.v, masks).tolist())))
 
     def __str__(self):
         return f"{self.params} " + " ".join(str(b) for b in self.blocks)
@@ -107,16 +93,33 @@ def family_from_blocks(v: int, blocks) -> Family:
     return Family(GsParamSet(v, k, sum(k) - v), subs)
 
 
-def format_family(fam: Family) -> str:
-    head = f"{fam.v} {' '.join(map(str, fam.params.k))} {fam.params.lam} {fam.pattern}"
-    body = "\n".join(",".join(map(str, b.elements)) for b in fam.blocks)
-    return head + "\n" + body + "\n"
+def family_patterns(families) -> list:
+    """The positional tag pattern of each family, e.g. 'ksss' ('-' for an
+    untyped block), in order: one `tag_codes` call per order."""
+    families = list(families)
+    by_v = {}
+    for i, fam in enumerate(families):
+        by_v.setdefault(fam.v, []).append(i)
+    patterns = [None] * len(families)
+    for v, picked in by_v.items():
+        codes = tag_codes(v, family_masks(v, [families[i] for i in picked]))
+        for i, row in zip(picked, (codes @ (27, 9, 3, 1)).tolist()):
+            patterns[i] = PATTERNS[row]
+    return patterns
+
+
+def format_families(families) -> str:
+    """The records of families in the file format, in order."""
+    families = list(families)
+    return "".join(
+        f"{fam.v} {' '.join(map(str, fam.params.k))} {fam.params.lam} {pattern}\n" +
+        "".join(",".join(map(str, b.elements)) + "\n" for b in fam.blocks)
+        for fam, pattern in zip(families, family_patterns(families)))
 
 
 def write_families(path, families) -> None:
     with open(path, "w") as fh:
-        for fam in families:
-            fh.write(format_family(fam))
+        fh.write(format_families(families))
 
 
 class FamilyFormatError(ValueError):
@@ -182,19 +185,10 @@ def _records(lines):
 
 
 def _check_declared_types(records) -> None:
-    """Raise for the earliest record whose blocks' tags, from one
-    `tag_codes` call per order, are not its declared type."""
-    by_v = {}
-    for i, (_, _, fam) in enumerate(records):
-        by_v.setdefault(fam.v, []).append(i)
-    wrong = []
-    for v, picked in by_v.items():
-        codes = tag_codes(v, family_masks(v, [records[i][2] for i in picked])).reshape(-1, 4)
-        want = [[TAGS.index(t) for t in records[i][1]] for i in picked]
-        wrong += [(picked[j], codes[j]) for j in np.flatnonzero((codes != want).any(axis=1))]
-    if wrong:
-        i, codes = min(wrong, key=lambda w: w[0])
-        lineno, tag_str, _ = records[i]
-        raise FamilyFormatError(
-            f"line {lineno}: declared type {tag_str!r} but blocks are "
-            f"{''.join(TAGS[c] for c in codes)!r}")
+    """Raise for the earliest record whose blocks' tags (`family_patterns`)
+    are not its declared type."""
+    patterns = family_patterns(fam for _, _, fam in records)
+    for (lineno, tag_str, _), pattern in zip(records, patterns):
+        if pattern != tag_str:
+            raise FamilyFormatError(
+                f"line {lineno}: declared type {tag_str!r} but blocks are {pattern!r}")

@@ -63,7 +63,8 @@ deduplicated (`distinct_masks`).  The distinct masks are tagged in one
 from one `difference_counts` call (`blockgen`, the one home of
 difference rows), and their +-1 rows from one `_pm_rows` call, for the
 +-1 test.  Each family's pattern, and whether its X_1 is skew, are
-gathered from those tag codes through the run's (n, 4) block index, so
+gathered from those tag codes through the run's (n, 4) block index, the
+pattern's special name at the codes' index into `family.PATTERNS`, so
 certification reads no tag of a block or a family.  The run is then
 certified _SLICE = 256 families at a time: a family's difference sums
 D(s) = sum_i d_i(s) are the sum of its four blocks' rows, gathered for
@@ -101,15 +102,15 @@ verify --hadamard` checks the one matrix it writes with `is_hadamard`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .blockgen import difference_counts
-from .family import Family, family_masks
-from .zmod import TAGS, CyclicSubset, distinct_masks, tag_codes
+from .family import PATTERNS, Family, family_masks, family_patterns
+from .zmod import CyclicSubset, distinct_masks, tag_codes
 
 _SLICE = 256  # families per slice of `verify_families`
 
@@ -253,9 +254,10 @@ def check_good_matrices(fam_or_mats) -> bool:
     """Good-matrix identities for a family with pattern ksss, or its circulants
     A_1..A_4: A_1 of skew type, the B_i = A_{i+1} R symmetric, all four
     pairwise amicable, and their Gram sum 4vI."""
-    if isinstance(fam_or_mats, Family) and fam_or_mats.pattern != "ksss":
-        raise ValueError(
-            f"good matrices need pattern ksss, got {fam_or_mats.pattern!r}")
+    if isinstance(fam_or_mats, Family):
+        [pattern] = family_patterns([fam_or_mats])
+        if pattern != "ksss":
+            raise ValueError(f"good matrices need pattern ksss, got {pattern!r}")
     a1, *rest = _matrices(fam_or_mats)
     v = len(a1)
     m = np.concatenate([a1] + [a[:, ::-1] for a in rest], dtype=np.float64)
@@ -292,10 +294,8 @@ class FamilyCertificate(NamedTuple):
                     self.special is None or self.special))
 
 
-# the special name of each pattern, at index 27 t_1 + 9 t_2 + 3 t_3 + t_4
-# for the codes t_i of its tags (`tag_codes`)
-_PATTERN_SPECIAL = np.array([_SPECIAL_NAMES.get("".join(p), "")
-                             for p in product(TAGS, repeat=4)], dtype=object)
+# the special name of each pattern, indexed as `PATTERNS`
+_PATTERN_SPECIAL = np.array([_SPECIAL_NAMES.get(p, "") for p in PATTERNS], dtype=object)
 
 
 def _verify_run(v: int, fams: list):

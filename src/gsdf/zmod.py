@@ -23,15 +23,16 @@ and one gather per byte reads them.  Negation is dilation by v - 1
 (`negate_mask`).
 `tag_codes` is the one tag test (skew, else symmetric, else none), from
 one negation of each mask: it gives each tag's index in `TAGS`, for one
-mask or an array of them, for `CyclicSubset.tag`, the certificates, the
-class keys and the sort ranks alike.  `distinct_masks` is the one dedupe
+mask or an array of them, for the family patterns (`family_patterns`),
+the certificates, the class keys and the sort ranks alike; no block
+carries a tag of its own.  `distinct_masks` is the one dedupe
 of an array of masks, or of mask quadruples, for the search, the
 certificates, the class keys and the dilation orbits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -227,12 +228,6 @@ class CyclicSubset:
 
     def complement(self) -> "CyclicSubset":
         return CyclicSubset(self.v, self.mask ^ ((1 << self.v) - 1))
-
-    @cached_property
-    def tag(self) -> str:
-        """Skew, else symmetric, else none (`tag_codes`); computed on first
-        read."""
-        return TAGS[tag_codes(self.v, self.mask)]
 
     def difference_count(self, s: int) -> int:
         """d_X(s) = |X `intersect` (X + s)|."""

@@ -17,6 +17,7 @@ from gsdf.catalog import catalog_entries, catalog_groups
 from gsdf.equivalence import (Dilate, apply_transform, are_equivalent,
                               canonical_key, classify,
                               equivalent_by_enumeration, small_classes)
+from gsdf.family import family_patterns
 from gsdf.matcher import bins_match, brute_force_match, default_jobs
 from gsdf.params import (TYPE_NAMES, GsParamSet, searchable_param_sets,
                          type_applicable, type_tags)
@@ -44,11 +45,12 @@ def test_criterion_1_catalog_certification():
     t0 = time.monotonic()
     entries = catalog_entries()
     assert len(entries) == 45
-    for e in entries:
+    patterns = family_patterns(e.family for e in entries)
+    for e, pattern in zip(entries, patterns):
         cert = verify_family(e.family)
         assert cert.ok, f"{e.label} failed certification"
         assert cert.special is True  # good/G/best matrices per its type
-        assert e.family.type_name == e.type_name
+        assert pattern == e.type_name
     orders = {e.v: build_gs_array(e.family).shape for e in entries}
     assert orders[43] == (172, 172)
     assert orders[45] == (180, 180)

@@ -104,7 +104,7 @@ def test_psd_filter_examples():
         pytest.approx([8.0])
     # symmetric block at v=25 with spectrum far above the solution bound 4v=100
     hot = CyclicSubset.from_elements(25, range(7, 19))
-    assert hot.tag == "s"
+    assert tag_codes(25, hot.mask) == 1  # symmetric
     rows = difference_counts(np.array([hot.mask]), 25)
     assert float(_psd_max(rows, 25, 12)[0]) == pytest.approx(253.6365557936, abs=1e-6)
     assert hot.mask in symmetric_masks(25, 12)
@@ -229,9 +229,9 @@ def test_row_file_errors_name_the_line(tmp_path):
 def test_generated_blocks_have_declared_symmetry(v, data):
     k = data.draw(st.integers(0, (v - 1) // 2))
     for x in subsets(symmetric_masks(v, k), v):
-        assert x.tag == "s" and len(x) == k
+        assert tag_codes(v, x.mask) == 1 and len(x) == k  # symmetric
     for x in subsets(skew_masks(v)[:42], v):
-        assert x.tag == "k"
+        assert tag_codes(v, x.mask) == 0  # skew
 
 
 def test_generators_and_row_sets_reject_bad_arguments():

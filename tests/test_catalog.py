@@ -4,6 +4,7 @@ import gsdf.catalog
 from gsdf.catalog import (catalog_entries, catalog_entry, catalog_groups,
                           table_rows, table_rows_up_to, table_verdict)
 from gsdf.equivalence import classify, small_classes
+from gsdf.family import family_patterns
 from gsdf.params import TYPE_NAMES, searchable_param_sets, type_applicable
 
 EXPECTED_GROUPS = {
@@ -34,10 +35,11 @@ def test_labels_unique_and_addressable():
 
 
 def test_entries_match_their_labels():
-    for e in catalog_entries():
+    patterns = family_patterns(e.family for e in catalog_entries())
+    for e, pattern in zip(catalog_entries(), patterns, strict=True):
         v, type_name, _letter = e.label.split("-")
         assert e.v == int(v)
-        assert e.family.pattern == type_name
+        assert pattern == type_name
         assert e.params.k == tuple(len(b) for b in e.family.blocks)
         assert e.params.lam == sum(e.params.k) - e.v
         assert type_applicable(e.params, type_name)

@@ -15,12 +15,16 @@ import pytest
 
 import gsdf.catalog
 import gsdf.cli
+import gsdf.family
 import gsdf.matcher
+import gsdf.verify
 from gsdf.catalog import catalog_entries
 from gsdf.cli import main
-from gsdf.family import Family, read_families
+from gsdf.family import Family, family_patterns, read_families, write_families
+from gsdf.search import search_order
 from gsdf.verify import verify_family
 from gsdf.zmod import CyclicSubset
+from test_family_io import recording
 
 
 def run(*argv):
@@ -188,6 +192,29 @@ def test_a_closed_stdout_ends_quietly_with_status_141(tmp_path):
     proc.stderr.close()
 
 
+def test_match_reads_a_repeated_path_once(row_files7, tmp_path, monkeypatch):
+    """One row file per distinct path: the output equals that of the same
+    files under distinct paths, each read."""
+    skew, sym = row_files7
+    copies = []
+    for name in ("copy1.rows", "copy2.rows"):
+        copies.append(str(tmp_path / name))
+        Path(copies[-1]).write_bytes(Path(skew).read_bytes())
+    read, read_row_file = [], gsdf.cli.read_row_file
+
+    def counted(path):
+        read.append(path)
+        return read_row_file(path)
+
+    monkeypatch.setattr(gsdf.cli, "read_row_file", counted)
+    apart = run("match", skew, *copies, sym, "--lam", "3")
+    assert read == [skew, *copies, sym]
+    read.clear()
+    assert run("match", skew, skew, skew, sym, "--lam", "3") == apart
+    assert read == [skew, sym]
+    assert apart[0] == 0 and apart[1].endswith("# 56 families\n")
+
+
 def test_match_reports_no_solutions(tmp_path):
     # (13;6,6,6,3;8) has no kkss family
     skew, sym6, sym3 = (str(tmp_path / n) for n in ("k6.rows", "s6.rows", "s3.rows"))
@@ -335,6 +362,28 @@ def test_verify_valid_family(tmp_path):
     assert out == ("record 1 (7;3,3,3,1;3) kkks: difference-family=ok "
                    "lambda=ok gram=ok hadamard=ok skew-type=ok "
                    "best-matrices=ok\n")
+
+
+def test_verify_tags_each_order_in_one_pass(tmp_path, monkeypatch):
+    """Reading the file and printing its patterns each make one
+    `tag_codes` call per order through `gsdf.family`, and certification
+    one through `gsdf.verify`: none per block."""
+    fams = [f for v in (7, 9) for t in ("ksss", "kkss", "kkks")
+            for o in search_order(v, t) for f in o.families]
+    path = tmp_path / "fams.txt"
+    write_families(path, fams)
+    calls = {"family": [], "verify": []}
+    for name, module in (("family", gsdf.family), ("verify", gsdf.verify)):
+        monkeypatch.setattr(module, "tag_codes", recording(module.tag_codes, calls[name]))
+    rc, out, _ = run("verify", str(path))
+    assert rc == 0
+    sizes = [(v, (sum(f.v == v for f in fams), 4)) for v in (7, 9)]
+    assert calls["family"] == sizes + sizes
+    assert [v for v, _ in calls["verify"]] == [7, 9]
+    lines = out.splitlines()
+    assert len(lines) == len(fams)
+    assert [ln.split(":")[0].split()[-1] for ln in lines] == family_patterns(fams)
+    assert {ln.split(":")[0].split()[-1] for ln in lines} == {"ksss", "kkss", "kkks"}
 
 
 def test_verify_flags_broken_family(tmp_path):
@@ -521,7 +570,7 @@ def test_catalog_show_round_trips(tmp_path):
     path.write_text(out)
     fam = read_families(str(path))[0]
     assert str(fam.params) == "(43;21,21,21,15;35)"
-    assert fam.pattern == "kkks"
+    assert family_patterns([fam]) == ["kkks"]
 
 
 def test_catalog_show_requires_label():

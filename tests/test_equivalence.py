@@ -12,7 +12,7 @@ from gsdf.equivalence import (Dilate, Exchange, Negate, Translate, _block_key_of
                               apply_transform, are_equivalent, canonical_key,
                               classify, equivalent_by_enumeration,
                               orbit_least, small_classes, small_key, units)
-from gsdf.family import Family, block_key, family_from_blocks
+from gsdf.family import Family, block_key, family_from_blocks, family_patterns
 from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, enumerate_param_sets,
                          searchable_param_sets, type_applicable)
@@ -21,6 +21,15 @@ from gsdf.zmod import (TAG_NONE, TAG_SKEW, TAGS, CyclicSubset, dilate_mask,
                        negate_mask, rotate_mask, tag_codes)
 from gsdf.verify import check_difference_family
 from test_zmod import tag_by_sets
+
+
+def tag(x):
+    """A block's tag, by `tag_codes`."""
+    return TAGS[tag_codes(x.v, x.mask)]
+
+
+def is_typed(fam):
+    return TAG_NONE not in family_patterns([fam])[0]
 
 
 def search_families(v, sizes, kinds, lam):
@@ -58,8 +67,8 @@ def test_translation_can_break_symmetry():
     fam = family_from_blocks(7, [[1, 2, 4], [0, 2, 5], [0, 2, 5], [0]])
     moved = apply_transform(fam, Translate(1, 1))
     assert moved.blocks[1].elements == (1, 3, 6)
-    assert tag_by_sets(7, moved.blocks[1].elements) == moved.blocks[1].tag == "-"
-    assert not moved.is_typed
+    assert tag_by_sets(7, moved.blocks[1].elements) == tag(moved.blocks[1]) == "-"
+    assert family_patterns([moved]) == ["k-ss"]
 
 
 def test_transformations_preserve_the_difference_property():
@@ -77,7 +86,7 @@ def _typed_random_walk(fam, rng, steps=6):
         choice = rng.randrange(4)
         if choice == 0:
             cand = apply_transform(fam, Translate(rng.randrange(4), rng.randrange(fam.v)))
-            if cand.is_typed:
+            if is_typed(cand):
                 fam = cand
         elif choice == 1:
             fam = apply_transform(fam, Negate(rng.randrange(4)))
@@ -121,7 +130,7 @@ def test_canonical_key_agrees_with_orbit_enumeration_v13_sampled():
 
 def _block_key(b):
     """(-size, tag code, elements) of a typed block: skew 0, symmetric 1."""
-    return (-len(b), 0 if b.tag == TAG_SKEW else 1, b.elements)
+    return (-len(b), 0 if tag(b) == TAG_SKEW else 1, b.elements)
 
 
 def _exchanges(fam):
@@ -146,7 +155,7 @@ def _typed_options(fam, i, u):
     for signed in (dilated, apply_transform(dilated, Negate(i))):
         for g in range(fam.v):
             b = apply_transform(signed, Translate(i, g)).blocks[i]
-            if b.tag != TAG_NONE:
+            if tag(b) != TAG_NONE:
                 options.add(_block_key(b))
     return options
 
@@ -192,7 +201,7 @@ def test_skew_translates_can_leave_the_negation_pair():
     k = CyclicSubset.from_elements(9, [1, 3, 4, 7])
     t = k.translate(3)
     assert tag_by_sets(9, k.elements) == tag_by_sets(9, t.elements) == "k"
-    assert k.tag == t.tag == "k"
+    assert tag(k) == tag(t) == "k"
     assert t.mask not in (k.mask, k.negate().mask)
 
 
@@ -345,7 +354,8 @@ def test_orbit_keyed_classes_equal_per_family_classes():
     assert_classes_match_per_family_keys(part + part[::3] + copies + part[:5])
     # representatives that tie on rank: a family and its two equal-size
     # skew blocks exchanged, in either order, with nothing less in its class
-    kkss = [f for f in fams if f.pattern == "kkss" and f.blocks[0] != f.blocks[1]]
+    kkss = [f for f, pattern in zip(fams, family_patterns(fams))
+            if pattern == "kkss" and f.blocks[0] != f.blocks[1]]
     ties = [g for f in rng.sample(kkss, 30) for g in rng.sample([f, swapped(f)], 2)]
     assert ties[0].sort_key == ties[1].sort_key and ties[0] != ties[1]
     assert_classes_match_per_family_keys(ties)
@@ -440,7 +450,7 @@ def test_orbit_labels_beyond_int64_masks():
         v, ([0] if k % 2 else []) + [y for x in rng.sample(range(1, 33), k // 2)
                                      for y in (x, v - x)]) for k in params.k[1:]]
     fam = Family(params, (skew, *symmetric))
-    assert fam.pattern == "ksss"
+    assert family_patterns([fam]) == ["ksss"]
     fams = [fam, dilate(fam, 2), dilate(fam, 64)]
     assert orbit_least(v, [quad(fam)]).tolist() == [list(min(
         quad(dilate(fam, u)) for u in units(v)))]
@@ -482,7 +492,7 @@ def test_array_keys_equal_the_brute_force_keys_at_wide_masks(v):
     canonical = {f: c.key for c in classify(fams) for f in c.members}
     small = {f: c.key for c in small_classes(fams) for f in c.members}
     for fam in fams:
-        assert fam.is_typed
+        assert is_typed(fam)
         assert canonical[fam] == canonical_key(fam) == (v,) + min(_typed_orbit_keys(fam))
         dilates = (apply_transform(fam, Dilate(u)).blocks for u in units(v))
         assert small[fam] == small_key(fam) == (v,) + min(
@@ -512,4 +522,4 @@ def test_block_keys_decode_in_one_pass(v):
     assert packed.dtype == (object if wide else np.int64)
     decoded = _block_key_of(v, packed)
     assert decoded == [block_key_of_one(v, p) for p in packed.tolist()]
-    assert decoded == [block_key(b.mask, TAGS.index(b.tag)) for b in blocks]
+    assert decoded == [block_key(b.mask, TAGS.index(tag_by_sets(v, b.elements))) for b in blocks]

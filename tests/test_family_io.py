@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
+import gsdf.catalog
+import gsdf.family
 from gsdf.catalog import catalog_entries
-from gsdf.family import (TAG_NONE, Family, FamilyFormatError, family_from_blocks,
-                         family_masks, format_family, read_families,
-                         write_families)
+from gsdf.family import (Family, FamilyFormatError, family_from_blocks,
+                         family_masks, family_patterns, format_families,
+                         read_families, write_families)
 from gsdf.params import GsParamSet, enumerate_param_sets
-from gsdf.zmod import CyclicSubset
+from gsdf.zmod import TAG_NONE, TAGS, CyclicSubset, tag_codes
 from test_zmod import tag_by_sets
 
 
@@ -16,38 +18,41 @@ def qr7_family():
     return family_from_blocks(7, [[1, 2, 4], [1, 2, 4], [1, 2, 4], [0]])
 
 
+def pattern_by_sets(fam):
+    """The family's positional tag pattern from `tag_by_sets`."""
+    return "".join(tag_by_sets(fam.v, b.elements) for b in fam.blocks)
+
+
 def test_family_construction():
     fam = qr7_family()
     assert fam.params == GsParamSet.parse("(7;3,3,3,1;3)")
-    assert fam.tags == ("k", "k", "k", "s")
-    assert fam.pattern == "kkks" and fam.type_name == "kkks"
-    assert fam.is_typed
+    assert family_patterns([fam]) == ["kkks"]
+
+
+def tag(x):
+    return TAGS[tag_codes(x.v, x.mask)]
 
 
 def test_subset_tags():
-    assert CyclicSubset.from_elements(7, [1, 2, 4]).tag == "k"
-    assert CyclicSubset.from_elements(7, [0, 2, 5]).tag == "s"
-    assert CyclicSubset.from_elements(7, [1, 3, 6]).tag == "-"
+    assert tag(CyclicSubset.from_elements(7, [1, 2, 4])) == "k"
+    assert tag(CyclicSubset.from_elements(7, [0, 2, 5])) == "s"
+    assert tag(CyclicSubset.from_elements(7, [1, 3, 6])) == "-"
     # skew and symmetric at once: skew wins
-    assert CyclicSubset(1, 0).tag == "k"
+    assert tag(CyclicSubset(1, 0)) == "k"
     untyped = family_from_blocks(7, [[1, 2, 4], [1, 2, 4], [1, 2, 4], [1]])
-    assert not untyped.is_typed
-    with pytest.raises(ValueError):
-        untyped.type_name
+    assert family_patterns([untyped, qr7_family()]) == ["kkk-", "kkks"]
 
 
 def test_family_tags_are_the_subset_tags():
-    untyped = 0
+    fams = []
     for e in catalog_entries():
         blocks = e.family.blocks
         moved = Family(e.params, tuple(b.translate(i + 1) for i, b in enumerate(blocks)))
-        for fam in (e.family, moved):
-            assert fam.tags == tuple(b.tag for b in fam.blocks)
-            assert fam.pattern == "".join(fam.tags)
-            assert fam.is_typed == (TAG_NONE not in fam.tags)
-        assert e.family.type_name == e.type_name
-        untyped += not moved.is_typed
-    assert untyped == len(catalog_entries())
+        fams += [e.family, moved]
+    patterns = family_patterns(fams)
+    assert patterns == list(map(pattern_by_sets, fams))
+    assert patterns[::2] == [e.type_name for e in catalog_entries()]
+    assert all(TAG_NONE in p for p in patterns[1::2])
 
 
 @pytest.mark.parametrize("v", (1, 2, 7, 13, 63, 65))
@@ -61,7 +66,9 @@ def test_subset_tag_is_the_subset_predicates(v):
             y for x in rng.sample(half, len(half) // 2) for y in (x, v - x)]))
     want = [tag_by_sets(v, x.elements) for x in subsets]
     assert v <= 2 or set(want) == {"k", "s", "-"}
-    assert [x.tag for x in subsets] == want
+    assert list(map(tag, subsets)) == want
+    masks = np.array([x.mask for x in subsets], dtype=np.int64 if v <= 63 else object)
+    assert [TAGS[c] for c in tag_codes(v, masks).tolist()] == want
 
 
 def test_family_validation():
@@ -153,7 +160,7 @@ def test_declared_types_are_checked_by_order_and_reported_by_line(tmp_path):
     error names the earliest record whose type is wrong, and a wrong type
     comes before a later line that does not parse."""
     small = family_from_blocks(3, [[1], [1], [1], []])
-    text = format_family(small) + format_family(qr7_family()) + format_family(small)
+    text = format_families([small, qr7_family(), small])
     path = tmp_path / "f.txt"
     path.write_text(text)
     assert len(read_families(path)) == 3
@@ -174,5 +181,100 @@ def test_declared_types_are_checked_by_order_and_reported_by_line(tmp_path):
 
 def test_format_is_deterministic():
     fam = qr7_family()
-    assert format_family(fam) == format_family(qr7_family())
-    assert format_family(fam) == "7 3 3 3 1 3 kkks\n1,2,4\n1,2,4\n1,2,4\n0\n"
+    assert format_families([fam]) == format_families([qr7_family()])
+    assert format_families([fam]) == "7 3 3 3 1 3 kkks\n1,2,4\n1,2,4\n1,2,4\n0\n"
+    assert format_families([]) == "" and family_patterns([]) == []
+
+
+# --- patterns from one `tag_codes` call per order -------------------------------
+
+def wide_family():
+    """A ksss family of order 65, whose masks reach past bit 63: X_1 the
+    residues 1..32, the others whole pairs {x, -x} from x = 1 (and 0 when
+    the size is odd)."""
+    params = GsParamSet.parse("(65;32,31,30,25;53)")
+    symmetric = [[0] * (k % 2) + [y for x in range(1, k // 2 + 1) for y in (x, 65 - x)]
+                 for k in params.k[1:]]
+    return family_from_blocks(65, [range(1, 33)] + symmetric)
+
+
+def mixed_families():
+    """Families of orders 7, 13 and 65 interleaved, one with an untyped
+    block; the order-13 one is typed kkss but not a difference family."""
+    kkss13 = family_from_blocks(13, [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6],
+                                     [1, 2, 11, 12], [3, 4, 9, 10]])
+    untyped = family_from_blocks(7, [[1, 2, 4], [1, 2, 4], [1, 2, 4], [1]])
+    return [qr7_family(), kkss13, wide_family(), untyped, kkss13, wide_family()]
+
+
+def record_by_sets(fam):
+    """A family's record, its type from `tag_by_sets`."""
+    lines = [f"{fam.v} {' '.join(map(str, fam.params.k))} {fam.params.lam} "
+             f"{pattern_by_sets(fam)}"] + [",".join(map(str, b.elements)) for b in fam.blocks]
+    return "\n".join(lines) + "\n"
+
+
+def recording(codes, calls):
+    """`tag_codes` through `codes`, appending the (v, shape of the masks)
+    of each call to `calls`."""
+    def counted(v, masks):
+        calls.append((v, np.shape(masks)))
+        return codes(v, masks)
+    return counted
+
+
+@pytest.fixture()
+def tag_calls(monkeypatch):
+    """The (v, shape of the masks) of each `tag_codes` call made through
+    `gsdf.family`."""
+    calls = []
+    monkeypatch.setattr(gsdf.family, "tag_codes", recording(gsdf.family.tag_codes, calls))
+    return calls
+
+
+def test_family_patterns_take_one_tag_codes_call_per_order(tag_calls):
+    fams = mixed_families()
+    assert family_patterns(fams) == ["kkks", "kkss", "ksss", "kkk-", "kkss", "ksss"]
+    assert tag_calls == [(7, (2, 4)), (13, (2, 4)), (65, (2, 4))]
+    assert max(b.mask for b in wide_family().blocks) >= 1 << 63
+
+
+def test_family_text_is_unchanged_and_written_in_one_pass(tmp_path, tag_calls):
+    fams = mixed_families()
+    text = format_families(fams)
+    assert text == "".join(map(record_by_sets, fams))
+    records = text.splitlines()[::5]
+    assert records == ["7 3 3 3 1 3 kkks", "13 6 6 4 4 7 kkss", "65 32 31 30 25 53 ksss",
+                       "7 3 3 3 1 3 kkk-", "13 6 6 4 4 7 kkss", "65 32 31 30 25 53 ksss"]
+    assert text.splitlines()[5:10] == ["13 6 6 4 4 7 kkss", "1,2,3,4,5,6",
+                                       "1,2,3,4,5,6", "1,2,11,12", "3,4,9,10"]
+    assert text.splitlines()[19] == "1"
+    tag_calls.clear()
+    path = tmp_path / "mixed.fam"
+    write_families(path, fams)
+    assert path.read_text() == text
+    assert tag_calls == [(7, (2, 4)), (13, (2, 4)), (65, (2, 4))]
+    tag_calls.clear()
+    assert read_families(path) == fams
+    assert tag_calls == [(7, (2, 4)), (13, (2, 4)), (65, (2, 4))]
+
+
+def test_the_catalog_text_is_its_records_and_read_in_one_pass(tag_calls):
+    # each catalog entry's record is its label's order and type, its
+    # parameters and its four block lines as they stand in the catalog
+    lines = gsdf.catalog._CATALOG_TEXT.splitlines()
+    want = ""
+    for pos in range(0, len(lines), 5):
+        label, param_text = lines[pos].split()
+        v, type_name, _ = label.split("-")
+        p = GsParamSet.parse(param_text)
+        want += f"{v} {' '.join(map(str, p.k))} {p.lam} {type_name}\n"
+        want += "".join(ln + "\n" for ln in lines[pos + 1:pos + 5])
+    catalog_entries.cache_clear()
+    try:
+        entries = catalog_entries()
+    finally:
+        catalog_entries.cache_clear()
+    orders = list(dict.fromkeys(e.v for e in entries))
+    assert tag_calls == [(v, (sum(e.v == v for e in entries), 4)) for v in orders]
+    assert format_families(e.family for e in entries) == want

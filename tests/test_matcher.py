@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gsdf.blockgen import RowFile, collect_rows, difference_counts
 import gsdf.matcher
-from gsdf.family import family_from_blocks, format_family
+from gsdf.family import family_from_blocks, format_families
 from gsdf.matcher import (BRUTE_FORCE_GUARD, MatchCase, bins_match, brute_force_match,
                           default_jobs, match_cases)
 from gsdf.zmod import CyclicSubset
@@ -253,9 +253,8 @@ def test_jobs_and_split_limit_do_not_change_results(monkeypatch):
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     base = bins_match(fs, 7)
     assert len(base) == 480
-    text = lambda sol: "".join(
-        format_family(family_from_blocks(13, [CyclicSubset(13, m) for m in q]))
-        for q in sol)
+    text = lambda sol: format_families(
+        family_from_blocks(13, [CyclicSubset(13, m) for m in q]) for q in sol)
     for limit in SPLIT_LIMITS:
         monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
         for jobs in (1, 2, 4):

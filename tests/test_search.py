@@ -11,19 +11,19 @@ unreduced join of the full files, family for family and in order.
 import os
 import subprocess
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gsdf.equivalence
+import gsdf.family
 import gsdf.matcher
 import gsdf.search
 import gsdf.verify
 from gsdf.blockgen import collect_rows, skew_masks
 from gsdf.equivalence import orbit_least, orbit_representatives, units
-from gsdf.family import Family, format_family
+from gsdf.family import format_families
 from gsdf.matcher import bins_match
 from gsdf.params import (TYPE_NAMES, searchable_param_sets, type_applicable,
                          type_tags)
@@ -244,31 +244,36 @@ def test_matches_in_one_process_equal_fresh_ones():
     assert int(alone[0].split()[0]) > 0 and int(alone[1].split()[0]) > 0
 
 
-def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
+def recording(codes, seen):
+    """`codes`, recording the masks of each call in `seen`."""
+    def counted(v, masks):
+        seen.append(masks.tolist())
+        return codes(v, masks)
+    return counted
+
+
+@pytest.fixture()
+def tag_calls(monkeypatch):
+    """The masks of each `tag_codes` call made through `gsdf.verify` and
+    through `gsdf.family`, by module name."""
+    calls = {"verify": [], "family": []}
+    for name, module in (("verify", gsdf.verify), ("family", gsdf.family)):
+        monkeypatch.setattr(module, "tag_codes", recording(module.tag_codes, calls[name]))
+    return calls
+
+
+def test_a_search_tags_and_unpacks_each_distinct_block_once(tag_calls, monkeypatch):
     """The expanded families share one CyclicSubset per distinct mask.
     Certification tags exactly those masks in one `tag_codes` call, and
-    unpacks their +-1 rows in one `_pm_rows` call; the search computes no
-    block's cached `CyclicSubset.tag`."""
-    tagged, coded, unpacked = [], [], []
-    tag, codes = CyclicSubset.tag.func, gsdf.verify.tag_codes
+    unpacks their +-1 rows in one `_pm_rows` call; the search makes no
+    `tag_codes` call through `gsdf.family`."""
+    unpacked = []
     pm_rows = gsdf.verify._pm_rows
-
-    def counted_tag(x):
-        tagged.append(x)
-        return tag(x)
-
-    def counted_codes(v, masks):
-        coded.append(masks.tolist())
-        return codes(v, masks)
 
     def counted_pm_rows(v, masks, *args):
         unpacked.append(len(masks))
         return pm_rows(v, masks, *args)
 
-    counted = cached_property(counted_tag)
-    counted.__set_name__(CyclicSubset, "tag")
-    monkeypatch.setattr(CyclicSubset, "tag", counted)
-    monkeypatch.setattr(gsdf.verify, "tag_codes", counted_codes)
     monkeypatch.setattr(gsdf.verify, "_pm_rows", counted_pm_rows)
     params = next(p for p in searchable_param_sets(13) if p.k == (6, 6, 6, 3))
     families = search_param(params, "kkks").families
@@ -276,38 +281,32 @@ def test_a_search_tags_and_unpacks_each_distinct_block_once(monkeypatch):
     blocks = {id(b) for fam in families for b in fam.blocks}
     assert len(distinct) < 4 * len(families)
     assert len(blocks) == len(distinct)
-    assert tagged == []
-    assert coded == [sorted(distinct)]
+    assert tag_calls == {"verify": [sorted(distinct)], "family": []}
     assert unpacked == [len(distinct)]
 
 
-def test_a_search_reads_no_family_tags_and_shares_passing_checks(monkeypatch):
+def test_a_search_reads_no_family_tags_and_shares_passing_checks(tag_calls, monkeypatch):
     """Certification reads each distinct block's tag code from one
-    `tag_codes` call, never `Family.tags` (nor the pattern built on it),
+    `tag_codes` call, and no family pattern (`family_patterns`) is read,
     and the families of a search, which share one index, share one
     passing `DiffFamilyCheck`."""
-    tagged, built = [], []
-    tags, check = Family.tags.func, gsdf.verify.DiffFamilyCheck
-
-    def counted_tags(fam):
-        tagged.append(fam)
-        return tags(fam)
+    built = []
+    check = gsdf.verify.DiffFamilyCheck
 
     def counted_check(ok, lam, sums):
         built.append((ok, lam))
         return check(ok, lam, sums)
 
-    counted = cached_property(counted_tags)
-    counted.__set_name__(Family, "tags")
-    monkeypatch.setattr(Family, "tags", counted)
     monkeypatch.setattr(gsdf.verify, "DiffFamilyCheck", counted_check)
     lams = set()
     for p in searchable_param_sets(15):
         for t in TYPE_NAMES:
             if type_applicable(p, t):
                 built.clear()
+                tag_calls["verify"].clear()
                 out = search_param(p, t)
-                assert len(out.families) > 50 and tagged == []
+                assert len(out.families) > 50
+                assert len(tag_calls["verify"]) == 1 and tag_calls["family"] == []
                 assert built == [(True, p.lam)]
                 lams.add(p.lam)
     assert len(lams) == 2
@@ -433,8 +432,8 @@ def test_reduced_search_equals_unreduced_join_at_31():
 
 def test_jobs_and_split_limit_do_not_change_the_reduced_search(monkeypatch):
     p = next(p for p in searchable_param_sets(15) if type_applicable(p, "kkss"))
-    text = lambda jobs: "".join(map(format_family, search_param(
-        p, "kkss", SearchOptions(classified=False, jobs=jobs)).families))
+    text = lambda jobs: format_families(search_param(
+        p, "kkss", SearchOptions(classified=False, jobs=jobs)).families)
     base = text(1)
     assert base
     monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gsdf.search
 import gsdf.verify
 from gsdf.catalog import catalog_entries, catalog_entry
-from gsdf.family import Family, family_from_blocks
+from gsdf.family import Family, family_from_blocks, family_patterns
 from gsdf.params import (enumerate_param_sets, searchable_param_sets,
                          type_applicable)
 from gsdf.search import search_order, search_param
@@ -18,7 +18,7 @@ from gsdf.verify import (DiffFamilyCheck, build_gs_array,
                          check_gs_matrices, circulant, family_circulants,
                          hadamard_text, is_hadamard, is_skew_hadamard,
                          verify_families, verify_family, write_hadamard)
-from gsdf.zmod import CyclicSubset
+from gsdf.zmod import CyclicSubset, tag_codes
 
 
 def back_circulant(row):
@@ -119,7 +119,7 @@ def test_hadamard_negatives():
 
 def test_good_matrices():
     fam = family_from_blocks(3, [[1], [0], [0], []])
-    assert fam.pattern == "ksss"
+    assert family_patterns([fam]) == ["ksss"]
     assert check_good_matrices(fam)
     with pytest.raises(ValueError):
         check_good_matrices(family_from_blocks(7, [[1, 2, 4]] * 3 + [[0]]))
@@ -223,8 +223,8 @@ def test_verify_family_uses_the_public_checks():
     # at v = 3 every move keeps the (empty) difference counts
     corrupted = [move_one_element(fam, rng, keep) for fam in real if fam.v > 3
                  for keep in (False, True)]
-    assert {f.type_name for f in real} == {"kkks", "kkss", "ksss"}
-    assert {f.pattern for f in corrupted} >= {"kkks", "kkss", "ksss"}
+    assert set(family_patterns(real)) == {"kkks", "kkss", "ksss"}
+    assert set(family_patterns(corrupted)) >= {"kkks", "kkss", "ksss"}
     for fam in real + corrupted:
         assert certificate_by_public_checks(fam).ok == (fam in real)
 
@@ -256,12 +256,16 @@ def checked_by_public_checks(cert):
     assert cert.lam_matches == (cert.diff.ok and cert.diff.lam == fam.params.lam)
     assert cert.gs == check_gs_matrices(fam) == check_gs_matrices(mats)
     assert cert.hadamard == is_hadamard(h)
-    assert cert.skew_type == (is_skew_hadamard(h) if fam.tags[0] == "k" else None)
+    assert cert.skew_type == (is_skew_hadamard(h) if x1_skew(fam) else None)
     assert cert.special == (cert.gs if cert.special_name else None)
-    if fam.pattern == "ksss":
+    if family_patterns([fam]) == ["ksss"]:
         assert cert.special_name == "good"
         assert cert.special == check_good_matrices(fam)
     return cert
+
+
+def x1_skew(fam):
+    return tag_codes(fam.v, fam.blocks[0].mask) == 0
 
 
 def random_tagged_family(params, pattern, rng):
@@ -293,16 +297,17 @@ def test_certificates_at_the_top_of_the_range():
         patterns = [t for t in ("ksss", "kkss") if type_applicable(params, t)]
         for pattern in patterns or ["----"]:
             fams += [random_tagged_family(params, pattern, rng) for _ in range(2)]
-    assert {f.pattern for f in fams} == {"ksss", "kkss", "----"}
+    assert set(family_patterns(fams)) == {"ksss", "kkss", "----"}
     top = [e.family for e in catalog_entries() if e.v in (43, 45)]
-    assert {f.pattern for f in top} == {"ksss", "kkss", "kkks"}
+    assert set(family_patterns(top)) == {"ksss", "kkss", "kkks"}
     moved = [move_one_element(fam, rng, keep) for fam in fams + top
-             for keep in (False, True) if not keep or fam.tags[0] == "k"]
+             for keep in (False, True) if not keep or x1_skew(fam)]
     certs = [certificate_by_public_checks(fam) for fam in fams + top + moved]
     assert [c.ok for c in certs] == [False] * len(fams) + [True] * len(top) + \
         [False] * len(moved)
     # tagged random blocks pass the skew and symmetry tests and fail later
-    assert any(c.special is False for c in certs if c.family.pattern == "ksss")
+    assert any(c.special is False for c, pattern in
+               zip(certs, family_patterns(c.family for c in certs)) if pattern == "ksss")
 
 
 @st.composite
@@ -383,7 +388,7 @@ def order_7():
     fams = [f for t in ("ksss", "kkss", "kkks") for o in search_order(7, t)
             for f in o.families]
     random.Random(7).shuffle(fams)
-    assert len({f.params for f in fams}) == 2 and len({f.pattern for f in fams}) == 3
+    assert len({f.params for f in fams}) == 2 and len(set(family_patterns(fams))) == 3
     return fams
 
 
@@ -436,7 +441,7 @@ def test_one_call_mixes_orders_parameter_sets_and_patterns(order_7, small_slices
     certs = [checked_by_public_checks(c) for c in verify_families(iter(fams))]
     assert [c.family for c in certs] == fams
     assert {True, False} == {c.ok for c in certs}
-    assert len({(f.v, f.params, f.pattern) for f in fams}) >= 10
+    assert len(set(zip((f.params for f in fams), family_patterns(fams)))) >= 10
 
 
 def even_families(params, limit):
@@ -570,7 +575,7 @@ def test_the_hadamard_certificate_is_the_arrays_product():
     fams = [f for v in range(3, 18, 2) for t in ("ksss", "kkss", "kkks")
             for o in search_order(v, t) for f in o.families]
     fams += [e.family for e in catalog_entries()]
-    assert {f.type_name for f in fams} == {"ksss", "kkss", "kkks"}
+    assert set(family_patterns(fams)) == {"ksss", "kkss", "kkks"}
     fams += [move_one_element(f, rng) for f in rng.sample(fams, 200) if f.v > 3]
     certs = list(verify_families(fams))
     assert [c.family for c in certs] == fams
