@@ -18,7 +18,13 @@ reproduction (--order 33 --type kkss) takes 0.8 s; with --jobs 2
 (every type), --order 33 finishes in 1.1-1.3 s, --order 37 in 3.5-4.0 s
 (three runs; the joins take most of it) and --order 41 in 43-48 s (four
 runs; alone, its kkss set takes 29-30 s, with a peak RSS of 52 MiB in
-the parent and 60 MiB in each worker). Orders 43 and up
+the parent and 60 MiB in each worker). --order 43 --type ksss --jobs 2
+(4 parameter sets, 84 families, the one class of the catalog's
+43-ksss-a, the first good matrices of order 43) takes 170-202 s (seven
+runs, median 181 s), against 172-197 s (seven runs alternating with
+them, median 180 s) before small joins were packed. Its good-matrix set
+alone, `gsdf search 43 ksss --param 21,19,19,16 --jobs 2`, takes
+45-46 s (49 s before). The other types at 43, and orders 45 and up,
 have not been timed. Each
 parameter set's line gives its families, classes and small classes.
 Restrict the workload with --order/--type (a value given twice runs

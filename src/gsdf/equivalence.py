@@ -43,18 +43,22 @@ made.  `dilation_orbits` labels any other list, such as a file that
 `gsdf classify` reads, which need not be closed under dilation: per
 order, the families' masks are gathered once (`family_masks`) and
 their least dilates taken (`orbit_least`, vectorised per v, one
-dilate at a time).  One family of each orbit is keyed, and each
-orbit's key gives its class, so a family's class is one lookup in an
-array of orbit classes.  A search's family list is closed under
-dilation, so that is one key per family the join found before its
-expansion over the units.
+dilate at a time).  One family of each orbit is keyed, once for both
+partitions: `Orbits` carries each orbit's canonical key and its small
+key, and each orbit's key gives its class, so a family's class is one
+lookup in an array of orbit classes.  A search's family list is closed
+under dilation, so that is one key pass over the families the join
+found before their expansion over the units.
 
 The keys of one order are computed together, in one array pass
 (`_class_keys`): the translates of every distinct block mask, tagged
 by `tag_codes`, the dilates of the typed ones by every unit, and an
-integer per option that sorts as its block key.  Only each
-family's winning options, the least of its sorted options over the
-units, are turned back into block-key tuples.  `_lex_min` is the one
+integer per option that sorts as its block key.  Both keys are read
+from those integers, and only their least tails differ: a canonical
+key takes each block's least typed translate and sign, a small key the
+block itself.  Only each family's winning options, the least of its
+sorted options over the units, are turned back into block-key tuples,
+both keys' in one decoding pass.  `_lex_min` is the one
 lexicographic minimum, of the dilates in `orbit_least` and in the
 search's expansion and of the options in `_class_keys`.
 `canonical_key` and `small_key` are that pass on one family.  A class is
@@ -217,18 +221,19 @@ def _block_key_of(v: int, packed: np.ndarray) -> list:
     return list(map(keys.__getitem__, index.tolist()))
 
 
-def _class_keys(v: int, families: list, small: bool) -> list:
-    """Canonical keys (or, with ``small``, small keys) of typed families of
-    order v, computed together.
+def _class_keys(v: int, families: list) -> tuple:
+    """(canonical keys, small keys) of typed families of order v, computed
+    together.
 
     The distinct block masks come from `distinct_masks`.  Each one, X, is
     rotated v ways and each translate T is tagged by `tag_codes`.  The
     typed translates are dilated by every unit and packed by
-    `_pack_block_key` (the negation of uT is (-u)T).  A block's least
-    option under u is the least over its typed translates and signs +-u
-    (for a small key: u X itself); each unit's four options are sorted,
-    and their least over the units (`_lex_min`) is turned back into
-    `block_key` tuples.
+    `_pack_block_key` (the negation of uT is (-u)T), once for both keys.
+    A block's least option under u is the least over its typed translates
+    and signs +-u for a canonical key, and u X itself for a small key;
+    each unit's four options are sorted, and their least over the units
+    (`_lex_min`) is turned back into `block_key` tuples, both keys' in
+    one decoding pass.
     """
     x, index = distinct_masks(family_masks(v, families).ravel())
     index = index.reshape(-1, 4)
@@ -245,30 +250,29 @@ def _class_keys(v: int, families: list, small: bool) -> list:
     # the units ascend, so row len(us) - 1 - i dilates by -us[i]
     images = dilate_mask(v, options, us)
     packed = _pack_block_key(v, skew[owner, shift], images[::-1])
-    if small:
-        least = packed[:, first]
-    else:
-        # u and -u offer the same options, so half the units suffice
-        least = np.minimum(packed, packed[::-1])[:(len(us) + 1) // 2]
-        least = np.minimum.reduceat(least, first, axis=1)
-    keys = _block_key_of(v, _lex_min(np.sort(least[:, index], axis=-1)).ravel())
-    return [(v,) + tuple(keys[i:i + 4]) for i in range(0, len(keys), 4)]
+    # u and -u offer the same options, so half the units suffice
+    least = np.minimum(packed, packed[::-1])[:(len(us) + 1) // 2]
+    least = np.minimum.reduceat(least, first, axis=1)
+    wins = [_lex_min(np.sort(part[:, index], axis=-1)) for part in (least, packed[:, first])]
+    keys = _block_key_of(v, np.concatenate(wins).ravel())
+    keys = [(v,) + tuple(keys[i:i + 4]) for i in range(0, len(keys), 4)]
+    return keys[:len(index)], keys[len(index):]
 
 
 def canonical_key(fam: Family) -> tuple:
     """Least sorted block-key tuple over the typed members of the orbit."""
-    return _class_keys(fam.v, [fam], small=False)[0]
+    return _class_keys(fam.v, [fam])[0][0]
 
 
 def small_key(fam: Family) -> tuple:
     """Least sorted block-key tuple over global dilations only."""
-    return _class_keys(fam.v, [fam], small=True)[0]
+    return _class_keys(fam.v, [fam])[1][0]
 
 
 def are_equivalent(f1: Family, f2: Family) -> bool:
     if f1.v != f2.v:
         return False
-    key1, key2 = _class_keys(f1.v, [f1, f2], small=False)
+    (key1, key2), _ = _class_keys(f1.v, [f1, f2])
     return key1 == key2
 
 
@@ -292,13 +296,14 @@ def _sort_ranks(v: int, quads: np.ndarray) -> np.ndarray:
 class Orbits(NamedTuple):
     """The dilation orbits of a family list, which `classify` and
     `small_classes` share: `orbit` numbers each family's orbit over all
-    orders; per order, `keyed` holds (v, one family of each orbit, in
-    orbit order) and `ranked` (the families' positions, their
+    orders, `canonical` and `small` hold each orbit's canonical and small
+    key, and per order `ranked` holds (the families' positions, their
     `_sort_ranks` rows)."""
 
     families: list
     orbit: np.ndarray
-    keyed: list
+    canonical: list
+    small: list
     ranked: list
 
 
@@ -308,17 +313,20 @@ def orbits_of(families, orders) -> Orbits:
     ``orders`` holds, per order, (v, the positions of its families in
     ``families``, their mask quadruples, each one's orbit label): labels
     numbered from 0 in the order of the orbits' least quadruples, as
-    `distinct_masks` of those quadruples numbers them."""
+    `distinct_masks` of those quadruples numbers them.  One `_class_keys`
+    pass per order keys one family of each orbit for both partitions."""
     orbit = np.empty(len(families), np.intp)
-    keyed, ranked, count = [], [], 0
+    canonical, small, ranked, count = [], [], [], 0
     for v, idx, quads, label in orders:
         one = np.empty(label.max() + 1, np.intp)  # one family of each orbit
         one[label] = idx
         orbit[idx] = label + count
         count += len(one)
-        keyed.append((v, [families[i] for i in one.tolist()]))
+        keys = _class_keys(v, [families[i] for i in one.tolist()])
+        canonical += keys[0]
+        small += keys[1]
         ranked.append((idx, _sort_ranks(v, quads)))
-    return Orbits(families, orbit, keyed, ranked)
+    return Orbits(families, orbit, canonical, small, ranked)
 
 
 def dilation_orbits(families) -> Orbits:
@@ -342,19 +350,18 @@ def dilation_orbits(families) -> Orbits:
 def _group_by(families, small: bool, orbits) -> list:
     """Classes of families under the canonical (or small) key.
 
-    One `_class_keys` pass per order keys one family of each orbit, and
-    each orbit's key gives its class.  A class is represented by its
-    first least member under `Family.sort_key`, in input order: the
-    families of an order are sorted stably by class and then by
-    `_sort_ranks`, and each class's first is taken.  The members, in
-    input order, come from one stable argsort of the class ids."""
+    Each orbit's key, from the `Orbits`, gives its class.  A class is
+    represented by its first least member under `Family.sort_key`, in
+    input order: the families of an order are sorted stably by class and
+    then by `_sort_ranks`, and each class's first is taken.  The members,
+    in input order, come from one stable argsort of the class ids."""
     if orbits is None:
         orbits = dilation_orbits(families)
     elif not (len(orbits.families) == len(families)
               and all(map(is_, orbits.families, families))):
         raise ValueError("the orbits were computed for another family list")
     families = orbits.families
-    keys = [key for v, fams in orbits.keyed for key in _class_keys(v, fams, small)]
+    keys = orbits.small if small else orbits.canonical
     class_keys = sorted(set(keys))
     class_id = {key: i for i, key in enumerate(class_keys)}
     class_of = np.array([class_id[key] for key in keys], np.intp)[orbits.orbit]

@@ -42,7 +42,7 @@ def block_key(mask: int, tag_code: int) -> tuple:
     return (-mask.bit_count(), tag_code, mask_elements(mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     """Four blocks in a common Z_v together with their parameter set."""
 

@@ -32,11 +32,35 @@ sorted file they are sorted by the next column: its runs of equal values
 are contiguous and ascending, and a split copies no rows.  A group
 refined on every column is joined like any other; there every pair of
 one side matches every pair of the other.  A first-column group is
-refined depth first and each piece is joined as it is reached, so a
-process holds the ranges of one first-column group's current path, not
-every leaf of the search.  SPLIT_LIMIT = 10**6 keeps a stored side's
+refined depth first and its pieces are joined as they are reached, so
+a process holds the ranges of one first-column group's current path,
+not every leaf of the search.  SPLIT_LIMIT = 10**6 keeps a stored side's
 keys near 8 MB and each of its two occupancy arrays at most 8 MB; on the
 order-33 and order-37 kkss searches it beat 5e5, 2e6 and 1e7.
+
+Consecutive small pieces are joined as one, a pack (`_packs`): the
+first-column groups of a match, and the pieces of each group's
+refinement as they are reached.  Every piece of a match reads the same
+two sorted files on each side, so a pack is one `_Side` per side with
+its pieces' ranges concatenated, and its depth is the least of theirs.
+A quadruple across two pieces differs from lam in a column before one
+of their depths, so it is no family; the join hashes full rows against
+the all-lam target and confirms every hit exactly, so a pack finds
+exactly the families of its pieces.  A join has a fixed cost (the
+target and its key, the `_Table`, the block loops): one of 7 stored and
+54 streamed pairs takes about 60 us, which the small groups of a dense
+search paid once each; packed, the 36 joins of the three searches of
+`dense-small` become 15.  Pieces are packed while the stored side of
+their union stays within the pack limit, the least of _CHUNK,
+SPLIT_LIMIT - 1 and the largest stored side among the match's
+first-column groups: below the split limit a pack is a piece the split
+rule joins as it stands, and within the largest group's stored side the
+workspace needs no more room for it.  The limit keeps the occupancy
+arrays in cache: packing all 16 groups of the (29;14,13,12,10;20) ksss
+match into one join of 302,608 stored pairs makes its two arrays 4 MiB
+each, past the 2 MiB L2 of a core, and the match 41-48% slower (13.9-15.6
+-> 20.5-22.8 ms, best of 15, four runs, 2-core x86-64), where within
+_CHUNK they take 512 KiB each.
 
 Rows are hashed to 64-bit keys once per match, over all (v-1)/2 columns:
 a dot product with a fixed random multiplier per column, linear in the
@@ -74,11 +98,12 @@ before it is emitted, reading the rows and masks of the sorted files.
 Solutions are returned as 4-tuples of int block masks (bit i set when
 i is in the block), sorted, independent of the split limit and of the
 number of worker processes `jobs` (the CLI's default is `default_jobs`,
-read from GSDF_JOBS).  Each first-column group is one task, refined and
-joined where it runs.  The pool has one worker per group at most, and
-hands the groups out by most pairs first; the workers are forked holding
-the first-column groups, so a task is sent as its index and the parent
-refines nothing.  Callers that want blocks build them from the masks.
+read from GSDF_JOBS).  Each pack of first-column groups is one task,
+and so is each group too large to pack, refined and joined where it
+runs.  The pool has one worker per task at most, and hands the tasks
+out by most pairs first; the workers are forked holding the tasks, so a
+task is sent as its index and the parent refines nothing.  Callers that
+want blocks build them from the masks.
 The join takes the four files as given: it assumes no symmetry of them.
 `search.search_param` gives it the canonical candidates, X_1 reduced
 to unit-orbit representatives and every other skew position to the
@@ -125,6 +150,8 @@ class MatchCase:
     minus the sum of each pair of the other.  The rows of a range agree
     on every column before `depth`, and a row occurs in at most one range
     of a side.  `match_cases` returns the groups on column 0, at depth 1.
+    A pack of groups (`_packs`) is joined, never refined: the rules hold
+    within each of its groups, not across them.
     """
 
     v: int
@@ -292,11 +319,13 @@ class _Workspace:
 
     @classmethod
     def for_groups(cls, groups) -> "_Workspace":
-        """Room for the joins of the first-column ``groups``, whose
-        refined pieces are no larger: a block holds at most a side's
-        pairs, and at most _CHUNK unless one y range is wider; a joined
-        piece stores an unrefined group's side or fewer than SPLIT_LIMIT
-        pairs, unless it was refined on every column."""
+        """Room for the joins of a match's tasks ``groups``, packs of
+        first-column groups or single groups, whose refined pieces and
+        their packs are no larger: a block holds at most a side's pairs,
+        and at most _CHUNK unless one y range is wider; a joined piece
+        stores an unrefined task's side or fewer than SPLIT_LIMIT pairs,
+        unless it was refined on every column, and a pack of pieces no
+        more than the largest first-column group."""
         sides = [s for g in groups for s in g.sides]
         widest = max((y1 - y0 for s in sides for _, _, y0, y1 in s.ranges), default=0)
         most = max((s.pairs for s in sides), default=0)
@@ -425,19 +454,60 @@ def _join(case: MatchCase, ws) -> list:
     return out
 
 
-def _match_group(case: MatchCase, ws) -> list:
-    """Mask quadruples of one group, refined depth first: a piece is
-    joined, in the workspace ``ws``, as soon as its stored side is below
-    SPLIT_LIMIT or no column is left, so only the current path's
-    siblings wait."""
-    out, stack = [], [case]
+def _pieces(case: MatchCase):
+    """The pieces of a group to join, refined depth first: a piece is
+    ready as soon as its stored side is below SPLIT_LIMIT or no column is
+    left, so only the current path's siblings wait."""
+    stack = [case]
     while stack:
         group = stack.pop()
         if group.depth == (group.v - 1) // 2 or min(s.pairs for s in group.sides) < SPLIT_LIMIT:
-            out.extend(_join(group, ws))
+            yield group
         else:
             stack.extend(_refine(group))
-    return out
+
+
+def _packs(pieces, limit: int):
+    """The pieces, consecutive ones joined as one: a run of pieces is
+    packed while the stored side of their union stays within ``limit``
+    pairs.  A pack's sides hold its pieces' ranges in order, on the same
+    sorted files, and its depth is the least of theirs; a piece whose
+    stored side alone exceeds ``limit`` is yielded as it stands."""
+    run, ad, bc = [], 0, 0
+    for piece in pieces:
+        a, b = (s.pairs for s in piece.sides)
+        if run and min(ad + a, bc + b) > limit:
+            yield _pack(run)
+            run, ad, bc = [], 0, 0
+        run.append(piece)
+        ad, bc = ad + a, bc + b
+    if run:
+        yield _pack(run)
+
+
+def _pack(run: list) -> MatchCase:
+    """The one case that joins a run of pieces: a lone piece itself."""
+    if len(run) == 1:
+        return run[0]
+    first = run[0]
+    return MatchCase(first.v, first.lam, min(p.depth for p in run), tuple(
+        _Side(s.fx, s.kx, s.fy, s.ky, s.slots, [r for p in run for r in p.sides[i].ranges])
+        for i, s in enumerate(first.sides)))
+
+
+def _pack_limit(groups) -> int:
+    """The most pairs a pack may store: below SPLIT_LIMIT, so a pack is a
+    piece the split rule joins as it stands, and at most _CHUNK and the
+    largest stored side of the match's first-column ``groups``, so the
+    workspace sized for those holds it."""
+    stored = max((min(s.pairs for s in g.sides) for g in groups), default=0)
+    return min(_CHUNK, SPLIT_LIMIT - 1, stored)
+
+
+def _match_group(case: MatchCase, ws, limit: int) -> list:
+    """Mask quadruples of one group: its `_pieces`, joined in `_packs`
+    of at most ``limit`` stored pairs, in the workspace ``ws``."""
+    return [q for pack in _packs(_pieces(case), limit) for q in _join(pack, ws)]
 
 
 def default_jobs() -> int:
@@ -452,19 +522,19 @@ def default_jobs() -> int:
 
 
 # Set by the initializer of each forked pool worker, never in the parent:
-# the groups reach the workers by fork, not by pickling, which at order
+# the tasks reach the workers by fork, not by pickling, which at order
 # 41 cost more than the joins; each worker builds its own workspace.
 _held = ()
 
 
-def _hold(groups) -> None:
+def _hold(tasks, limit) -> None:
     global _held
-    _held = groups, _Workspace.for_groups(groups)
+    _held = tasks, _Workspace.for_groups(tasks), limit
 
 
 def _join_held(i: int) -> list:
-    groups, ws = _held
-    return _match_group(groups[i], ws)
+    tasks, ws, limit = _held
+    return _match_group(tasks[i], ws, limit)
 
 
 def bins_match(files, lam: int, jobs: int = 1) -> list:
@@ -473,18 +543,21 @@ def bins_match(files, lam: int, jobs: int = 1) -> list:
         raise ValueError("jobs must be positive")
     groups = match_cases(files, lam)
     del files  # the groups hold sorted copies; the caller's go if it keeps none
-    jobs = min(jobs, len(groups))
+    limit = _pack_limit(groups)
+    # one task per pack of small first-column groups, or per larger group
+    tasks = list(_packs(groups, limit))
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         from multiprocessing import get_context  # only a parallel match needs it
-        # the workers are forked holding the groups, so a task is an index;
-        # the groups with most pairs go first, so none of them starts last
-        order = sorted(range(len(groups)), reverse=True,
-                       key=lambda i: sum(s.pairs for s in groups[i].sides))
-        with get_context("fork").Pool(jobs, _hold, (groups,)) as pool:
+        # the workers are forked holding the tasks, so a task is an index;
+        # the tasks with most pairs go first, so none of them starts last
+        order = sorted(range(len(tasks)), reverse=True,
+                       key=lambda i: sum(s.pairs for s in tasks[i].sides))
+        with get_context("fork").Pool(jobs, _hold, (tasks, limit)) as pool:
             chunks = list(pool.imap_unordered(_join_held, order, chunksize=1))
     else:
-        ws = _Workspace.for_groups(groups)
-        chunks = [_match_group(g, ws) for g in groups]
+        ws = _Workspace.for_groups(tasks)
+        chunks = [_match_group(t, ws, limit) for t in tasks]
     return sorted(q for chunk in chunks for q in chunk)
 
 

@@ -30,7 +30,7 @@ TYPE_NAMES = ("ksss", "kkss", "kkks")
 _PARAM_RE = re.compile(r"\(\s*(\d+)\s*;\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\)")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class GsParamSet:
     """A parameter set (v; k1,k2,k3,k4; lambda).
 

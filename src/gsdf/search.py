@@ -35,10 +35,11 @@ The expanded families share their blocks: each distinct mask, found by
 `distinct_masks`, becomes one `CyclicSubset`, and the families are built
 from them a column of blocks at a time.  After the join, the work is one
 array pass per distinct block and per dilation orbit; per family, only
-the `Family` object, its certificate and its one `verify_family` call
-remain.  The families are certified in one `verify_families` pass,
-which tags the distinct masks in one `tag_codes` call, so no block's
-tag is read, takes each one's difference row once from
+the `Family` object (a slotted frozen dataclass, as are its blocks and
+parameters), its certificate and its one `verify_family` call remain.
+The families are certified in one `verify_families` pass, which tags
+the distinct masks in one `tag_codes` call, so no block's tag is read,
+takes each one's difference row once from
 `difference_counts`, unpacks them once for the +-1 test, and reads
 every certificate from the sum of a family's four difference rows, a
 slice of families at a time.  The search asks for each family's
@@ -50,8 +51,9 @@ each family is a unit dilate of a quadruple the join found (or of its
 negated image), so `expand_over_units` labels every image by its
 source's least dilate and numbers the orbits as `dilation_orbits`
 would, and no orbit minimum is taken over the expanded families.
-`orbits_of` assembles those labels, and `classify` and `small_classes`
-share them, each keying one family per orbit (see `equivalence`).
+`orbits_of` assembles those labels and keys one family per orbit,
+once for both partitions, and `classify` and `small_classes` share
+them (see `equivalence`).
 """
 from __future__ import annotations
 

@@ -78,11 +78,15 @@ skew (see above), and the pattern's special certificate is `gs`.  The
 families of a run that pass share one frozen `DiffFamilyCheck` per index
 lam; only a failing family gets a check of its own, with its sums.  A
 `FamilyCertificate` is a named tuple: immutable, and built without a
-frozen dataclass's setattr per field.  The per-family work left is that
-tuple and a comparison of lam with the family's parameters.  A slice's
-certificates are yielded before the next slice is built, so beyond the
-run's masks and distinct rows at most _SLICE x 4 x v/2 counts and
-_SLICE certificates are held at once.  `verify_family` is
+frozen dataclass's setattr per field.  A slice's certificates are made
+by `tuple.__new__` over its zipped columns, so no Python `__new__` runs
+per family.  The per-family work left is that tuple and a comparison of
+lam with the family's parameters.  `ok` is a property, read from the
+fields as they stand, so a `_replace`d certificate is judged on its own
+fields: one short-circuit chain of the checks, with no tuple built.  A
+slice's certificates are yielded before the next slice is built, so
+beyond the run's masks and distinct rows at most _SLICE x 4 x v/2
+counts and _SLICE certificates are held at once.  `verify_family` is
 `verify_families` of one family, or takes a family's certificate from a
 `verify_families` pass that its caller walks family by family, as the
 search does.  No circulant, array or matrix product is built on that
@@ -102,7 +106,7 @@ verify --hadamard` checks the one matrix it writes with `is_hadamard`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -289,9 +293,9 @@ class FamilyCertificate(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all((self.diff.ok, self.lam_matches, self.gs, self.hadamard,
-                    self.skew_type is None or self.skew_type,
-                    self.special is None or self.special))
+        return bool(self.diff.ok and self.lam_matches and self.gs and self.hadamard
+                    and (self.skew_type is None or self.skew_type)
+                    and (self.special is None or self.special))
 
 
 # the special name of each pattern, indexed as `PATTERNS`
@@ -323,8 +327,10 @@ def _verify_run(v: int, fams: list):
         skew = np.where(x1_skew, had.astype(object), None)
         special = np.where(names != "", gs.astype(object), None)
         lam_matches = [d.ok and d.lam == f.params.lam for d, f in zip(diffs, part)]
-        yield from map(FamilyCertificate, part, diffs, lam_matches, gs.tolist(),
-                       had.tolist(), skew.tolist(), names.tolist(), special.tolist())
+        # each row as it stands, with no call of the class's Python __new__
+        yield from map(tuple.__new__, repeat(FamilyCertificate), zip(
+            part, diffs, lam_matches, gs.tolist(), had.tolist(), skew.tolist(),
+            names.tolist(), special.tolist()))
 
 
 def verify_families(fams):

@@ -159,7 +159,7 @@ def tag_codes(v: int, masks):
     return np.where(skew, 0, 2 - (negated == masks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicSubset:
     """A subset of Z_v backed by a bitmask."""
 

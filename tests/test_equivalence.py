@@ -270,13 +270,13 @@ def found(v):
 
 def keys_by_family(families):
     """{family: (canonical key, small key)}, one `_class_keys` pass per
-    order and kind.  A pass keys each family of its input on its own, as
+    order.  A pass keys each family of its input on its own, as
     `canonical_key` and `small_key` do for one."""
     by_v = {}
     for fam in dict.fromkeys(families):
         by_v.setdefault(fam.v, []).append(fam)
-    return {fam: keys for v, fams in by_v.items() for fam, keys in zip(
-        fams, zip(_class_keys(v, fams, small=False), _class_keys(v, fams, small=True)))}
+    return {fam: keys for v, fams in by_v.items()
+            for fam, keys in zip(fams, zip(*_class_keys(v, fams)))}
 
 
 def dilate(fam, u):
@@ -379,22 +379,28 @@ def test_untyped_family_after_typed_ones_is_rejected():
 
 
 def test_keys_are_computed_once_per_dilation_orbit(monkeypatch):
-    # classify and small_classes key the families in `_class_keys` passes;
-    # together those passes receive exactly one family of each orbit
+    # classify and small_classes key the families in `_class_keys` passes,
+    # each pass giving both keys; those passes receive exactly one family
+    # of each orbit, for each partition on its own and for both together
     fams = [f for fams in found(13) + found(15) for f in fams]
     orbits = {frozenset(quad(dilate(f, u)) for u in units(f.v)) for f in fams}
     assert len(orbits) < len(fams) // 4
     inner = gsdf.equivalence._class_keys
-    for group in (classify, small_classes):
-        received = []
+    received = []
 
-        def counted(v, families, small):
-            families = list(families)
-            received.extend(families)
-            return inner(v, families, small)
+    def counted(v, families):
+        families = list(families)
+        received.extend(families)
+        return inner(v, families)
 
-        monkeypatch.setattr(gsdf.equivalence, "_class_keys", counted)
-        group(fams)
+    def both():
+        shared = gsdf.equivalence.dilation_orbits(fams)
+        return classify(fams, shared), small_classes(fams, shared)
+
+    monkeypatch.setattr(gsdf.equivalence, "_class_keys", counted)
+    for run in (lambda: classify(fams), lambda: small_classes(fams), both):
+        received.clear()
+        run()
         assert len(received) == len(orbits)
         assert {frozenset(quad(dilate(f, u)) for u in units(f.v))
                 for f in received} == orbits

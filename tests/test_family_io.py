@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -27,6 +30,36 @@ def test_family_construction():
     fam = qr7_family()
     assert fam.params == GsParamSet.parse("(7;3,3,3,1;3)")
     assert family_patterns([fam]) == ["kkks"]
+
+
+def test_value_classes_are_frozen_slotted_and_keep_their_semantics():
+    """Family, CyclicSubset and GsParamSet hold their fields in slots:
+    no field can be assigned, no instance has a __dict__, equal values
+    are equal and hash alike (the hash of the field tuple), parameter
+    sets order by (v, k, lam), and pickle and deepcopy give equal values."""
+    fam = qr7_family()
+    params = sorted(enumerate_param_sets(13) + enumerate_param_sets(7), reverse=True)
+    values = [fam, fam.blocks[0], fam.blocks[3], fam.params, *params]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        for name in (f.name for f in dataclasses.fields(value)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        twin = dataclasses.replace(value)
+        assert twin == value and twin is not value
+        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+        assert hash(twin) == hash(value) == hash(fields)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value) and copied == value
+            assert hash(copied) == hash(value)
+    assert fam != family_from_blocks(7, [[3, 5, 6], [1, 2, 4], [1, 2, 4], [0]])
+    assert CyclicSubset(7, 3) != CyclicSubset(9, 3) != 3
+    for unordered in (fam, fam.blocks[0]):  # only parameter sets order
+        with pytest.raises(TypeError):
+            unordered < unordered
+    assert sorted(params) == sorted(params, key=lambda p: (p.v, p.k, p.lam))
 
 
 def tag(x):

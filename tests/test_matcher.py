@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 
@@ -11,6 +12,8 @@ import gsdf.matcher
 from gsdf.family import family_from_blocks, format_families
 from gsdf.matcher import (BRUTE_FORCE_GUARD, MatchCase, bins_match, brute_force_match,
                           default_jobs, match_cases)
+from gsdf.params import GsParamSet
+from gsdf.search import row_files_for
 from gsdf.zmod import CyclicSubset
 
 # an immediate join, a few splits, and binning down to the last column
@@ -26,6 +29,12 @@ def subfile(rf, picks):
     """Restrict a row file to selected row indices (keeps sorting)."""
     idx = np.asarray(sorted(picks))
     return RowFile(rf.v, rf.k, rf.kind, rf.bound, rf.masks[idx], rf.rows[idx])
+
+
+def family_text(v, quads):
+    """The family records of mask quadruples, as `gsdf match` writes them."""
+    return format_families(
+        family_from_blocks(v, [CyclicSubset(v, m) for m in q]) for q in quads)
 
 
 def whole_case(monkeypatch, files, lam):
@@ -253,12 +262,10 @@ def test_jobs_and_split_limit_do_not_change_results(monkeypatch):
     fs = files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric"))
     base = bins_match(fs, 7)
     assert len(base) == 480
-    text = lambda sol: format_families(
-        family_from_blocks(13, [CyclicSubset(13, m) for m in q]) for q in sol)
     for limit in SPLIT_LIMITS:
         monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
         for jobs in (1, 2, 4):
-            assert text(bins_match(fs, 7, jobs=jobs)) == text(base)
+            assert family_text(13, bins_match(fs, 7, jobs=jobs)) == family_text(13, base)
 
 
 def test_split_limit_1_bins_every_column(monkeypatch):
@@ -324,8 +331,9 @@ def test_each_first_column_group_is_refined_and_joined_where_it_runs(
 
 
 def test_the_pool_has_no_idle_workers(monkeypatch):
-    """A pool gets one worker per first-column group at most, and none
-    when there is only one worker to start."""
+    """A pool gets one worker per task, a pack of first-column groups or
+    a group to refine, at most, and none when there is only one worker
+    to start."""
     get_context, sizes = multiprocessing.get_context, []
 
     class Recording:
@@ -339,13 +347,69 @@ def test_the_pool_has_no_idle_workers(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: Recording(get_context(method)))
     fs = files_for(7, (3, 3, 3, 1), ("skew", "skew", "skew", "symmetric"))
-    groups = len(match_cases(fs, 3))
-    assert 1 < groups < 8
+    groups = match_cases(fs, 3)
+    tasks = len(list(gsdf.matcher._packs(groups, gsdf.matcher._pack_limit(groups))))
+    assert 1 < tasks < 8
     expected = brute_force_match(fs, 3)
-    for jobs, pool in ((8, groups), (2, 2), (1, None)):
+    for jobs, pool in ((8, tasks), (2, 2), (1, None)):
         sizes.clear()
         assert bins_match(fs, 3, jobs=jobs) == expected
         assert sizes == ([] if pool is None else [pool])
+
+
+def test_consecutive_small_pieces_are_joined_in_packs(monkeypatch, tmp_path):
+    """The pieces the split rule joins (`_pieces` of each first-column
+    group) are joined in packs: every range of every piece is joined
+    once, on its side; a join of several pieces stores at most the pack
+    limit; where two pieces fit that limit there are fewer joins than
+    pieces; and the output is the same text at every split limit.
+    Serially and with a pool, whose workers log their joins to a file.  The
+    (21;10,10,10,6;15) kkks search's match has 11 small first-column
+    groups, joined at once; at v = 13, every split limit is run, and at
+    10 the packs hold refined pieces of different depths."""
+    join, log = gsdf.matcher._join, tmp_path / "joins"
+
+    def logged_join(case, ws):
+        with open(log, "a") as f:
+            f.write(json.dumps([s.ranges for s in case.sides] + [
+                min(s.pairs for s in case.sides)]) + "\n")
+        return join(case, ws)
+
+    monkeypatch.setattr(gsdf.matcher, "_join", logged_join)
+    instances = [(21, row_files_for(GsParamSet(21, (10, 10, 10, 6), 15), "kkks"), 15,
+                  SPLIT_LIMITS[:1]),
+                 (13, files_for(13, (6, 6, 4, 4), ("skew", "skew", "symmetric", "symmetric")), 7,
+                  SPLIT_LIMITS)]
+    for v, files, lam, limits in instances:
+        outputs = set()
+        for limit in limits:
+            monkeypatch.setattr(gsdf.matcher, "SPLIT_LIMIT", limit)
+            groups = match_cases(files, lam)
+            pack_limit = gsdf.matcher._pack_limit(groups)
+            pieces = [p for g in groups for p in gsdf.matcher._pieces(g)]
+            owner = [{tuple(r): i for i, p in enumerate(pieces) for r in p.sides[side].ranges}
+                     for side in (0, 1)]
+            assert all(len(o) == sum(len(p.sides[side].ranges) for p in pieces)
+                       for side, o in enumerate(owner))
+            fits = any(min(a.sides[0].pairs + b.sides[0].pairs,
+                           a.sides[1].pairs + b.sides[1].pairs) <= pack_limit
+                       for a, b in zip(pieces, pieces[1:]))
+            assert fits == (limit > 1)
+            for jobs in (1, 2):
+                log.write_text("")
+                outputs.add(family_text(v, bins_match(files, lam, jobs=jobs)))
+                joins = [json.loads(line) for line in log.read_text().splitlines()]
+                for side in (0, 1):
+                    joined = sorted(tuple(r) for j in joins for r in j[side])
+                    assert joined == sorted(owner[side])
+                depths = set()
+                for ad, bc, stored in joins:
+                    packed = {owner[0][tuple(r)] for r in ad} | {owner[1][tuple(r)] for r in bc}
+                    assert len(packed) == 1 or stored <= pack_limit
+                    depths.add(len({pieces[i].depth for i in packed}))
+                assert len(joins) < len(pieces) if fits else len(joins) == len(pieces)
+                assert (max(depths) > 1) == (v == 13 and limit == 10)
+        assert len(outputs) == 1 and outputs.pop()
 
 
 def test_join_builds_each_pair_once(monkeypatch):

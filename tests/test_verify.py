@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -522,6 +522,28 @@ def test_certificates_are_immutable_records(order_7):
     with pytest.raises(AttributeError):
         certs[0].gs = False
     assert not certs[0]._replace(hadamard=False).ok
+
+
+def test_ok_is_every_applicable_check(order_7):
+    """`ok` over every combination of outcomes, each field of a passing
+    certificate replaced in turn, against its definition: every check
+    passes, and the skew-type and special checks where they apply."""
+    cert = verify_family(catalog_entry("43-ksss-a").family)
+    assert cert.ok and cert.skew_type is True and cert.special is True
+    failing = verify_family(move_one_element(order_7[0], random.Random(5))).diff
+    assert not failing.ok
+    outcomes = {"diff": (cert.diff, failing), "lam_matches": (True, False),
+                "gs": (True, False), "hadamard": (True, False),
+                "skew_type": (True, False, None), "special": (True, False, None)}
+    seen = set()
+    for values in product(*outcomes.values()):
+        c = cert._replace(**dict(zip(outcomes, values)))
+        want = all((c.diff.ok, c.lam_matches, c.gs, c.hadamard,
+                    c.skew_type is None or c.skew_type,
+                    c.special is None or c.special))
+        assert c.ok is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_the_pm1_test_reads_each_familys_own_rows(monkeypatch, small_slices):
